@@ -176,17 +176,6 @@ impl Report {
         }
     }
 
-    /// Deprecated alias of [`Report::instruction_arithmetic_intensity`] —
-    /// the unqualified name was ambiguous once the bytes-based metric
-    /// existed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `instruction_arithmetic_intensity`; for FLOPs/byte use `bytes_arithmetic_intensity`"
-    )]
-    pub fn arithmetic_intensity(&self, arch: &ArchDescription) -> f64 {
-        self.instruction_arithmetic_intensity(arch)
-    }
-
     /// Total explicit-memory-operand traffic, loads plus stores.
     pub fn total_bytes(&self) -> i128 {
         self.load_bytes + self.store_bytes
@@ -644,10 +633,6 @@ mod tests {
         let r = m.eval("waxpby", &bindings(&[("n", 10)])).unwrap();
         // 20 FPI / 30 movement
         assert!((r.instruction_arithmetic_intensity(&arch) - 2.0 / 3.0).abs() < 1e-12);
-        // the deprecated alias must keep answering the same number
-        #[allow(deprecated)]
-        let alias = r.arithmetic_intensity(&arch);
-        assert_eq!(alias, r.instruction_arithmetic_intensity(&arch));
     }
 
     #[test]

@@ -41,6 +41,20 @@
 //! for unit-stride streaming kernels coincides with the working-set
 //! count.
 //!
+//! ## One placement loop, ceilings applied last
+//!
+//! The regime choice above lives in one function, [`place_with`],
+//! generic over an evaluator of six machine-independent quantities
+//! ([`PlacementForms`]): FLOPs, footprint lines, data bytes, resident
+//! lines, streaming bytes and nest traffic at a given capacity. The
+//! machine enters only at the end, as one exact checked product per
+//! ceiling ([`CeilingFactors`]) before the single `to_f64`. The tree walk
+//! ([`KernelRoofline::place`]) and `mira-serve`'s compiled evaluator run
+//! this same loop, so they agree on values and on where they refuse by
+//! construction — and because nothing before the ceilings depends on
+//! more of the machine than its [`AnalysisKey`], one analysis (and one
+//! compiled program) serves every machine that shares the key.
+//!
 //! Because the bounds are [`SymExpr`] closed forms, regime questions are
 //! *solvable*: [`KernelRoofline::crossover`] finds the exact parameter
 //! value at which the binding ceiling changes — e.g. the `n` where DGEMM
@@ -70,9 +84,9 @@
 //! `mira_workloads::roofval` and `bench_roofline` pin their agreement on
 //! STREAM, DGEMM and miniFE.
 
-use mira_arch::ArchDescription;
+use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
-use mira_mem::MemStats;
+use mira_mem::{BoundaryTraffic, MemStats};
 use mira_model::{Model, ModelError, ModelOp};
 use mira_sym::{Bindings, EvalError, Rat, SymExpr};
 use std::fmt;
@@ -260,6 +274,37 @@ impl Ceilings {
     }
 }
 
+/// [`Ceilings`] prepared for the placement loop: the exact factor each
+/// ceiling multiplies a machine-independent quantity by — cycles per
+/// FLOP (`1/peak`), per data byte (`1/bandwidth`) and per cache line
+/// (`line/bandwidth`). Reduced once per machine, so a placement spends
+/// no time building fractions.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct CeilingFactors {
+    ceilings: Ceilings,
+    /// Indexed by `vectorized as usize`.
+    per_flop: [Rat; 2],
+    /// Indexed by [`MemLevel::index`].
+    per_byte: [Rat; 3],
+    per_line: [Rat; 3],
+}
+
+impl CeilingFactors {
+    pub fn new(c: &Ceilings) -> CeilingFactors {
+        let bw = c.bandwidth.map(|b| b as i128);
+        CeilingFactors {
+            ceilings: *c,
+            per_flop: [c.peak(false), c.peak(true)].map(|p| Rat::new(1, p as i128)),
+            per_byte: bw.map(|b| Rat::new(1, b)),
+            per_line: bw.map(|b| Rat::new(c.line_bytes as i128, b)),
+        }
+    }
+
+    pub fn ceilings(&self) -> &Ceilings {
+        &self.ceilings
+    }
+}
+
 /// The static roofline model of one function: closed-form FLOPs, data
 /// bytes and footprints, ready to be placed at any parameter binding.
 #[derive(Clone, Debug)]
@@ -296,6 +341,30 @@ pub struct Crossover {
     pub value: i128,
     pub from: Ceiling,
     pub to: Ceiling,
+}
+
+/// What [`KernelRoofline::analyze`] reads of a machine description, and
+/// all it reads: the cache line size (footprints, working sets and the
+/// nest model count lines) and the `[metric fpi]` categories (packed-FLOP
+/// detection). Bandwidths, peaks, capacities, vector widths and the name
+/// are ceilings, applied only at placement time, so descriptions with
+/// equal keys analyze every kernel to identical closed forms and one
+/// analysis places correctly under any of their [`Ceilings`]. A serving
+/// fleet shares compiled programs by this key (`mira-serve`'s fleet
+/// tests pin that analysis reads nothing else).
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct AnalysisKey {
+    pub line_bytes: u32,
+    pub fpi: Vec<Category>,
+}
+
+impl AnalysisKey {
+    pub fn of(arch: &ArchDescription) -> AnalysisKey {
+        AnalysisKey {
+            line_bytes: arch.machine.cache_line_bytes,
+            fpi: arch.fpi().to_vec(),
+        }
+    }
 }
 
 impl KernelRoofline {
@@ -352,6 +421,32 @@ impl KernelRoofline {
         self.data_load_bytes.add_expr(&self.data_store_bytes)
     }
 
+    /// Compulsory lines per call, as a closed form: one cold fill per
+    /// touched line plus one eventual write-back per stored line — the
+    /// traffic of a boundary whose upper level holds the whole footprint.
+    pub fn resident_lines(&self) -> SymExpr {
+        self.footprint_lines.add_expr(&self.stored_lines)
+    }
+
+    /// Streaming-sweep bytes per call, as a closed form: every loaded
+    /// byte crosses once (its fill) and every stored byte twice — the
+    /// write-allocate fill on the way in and the dirty write-back on the
+    /// way out, exactly what the simulator's fill + write-back counters
+    /// observe for unit-stride streams.
+    pub fn streaming_bytes(&self) -> SymExpr {
+        self.data_load_bytes
+            .add_expr(&self.data_store_bytes.scale(Rat::int(2)))
+    }
+
+    /// The analysis-time facts the placement loop branches on.
+    pub fn shape(&self) -> KernelShape {
+        KernelShape {
+            vectorized: self.vectorized,
+            footprint_known: self.footprint_known,
+            nest_model: self.nest_model.is_some(),
+        }
+    }
+
     /// The compute ceiling in cycles: `FLOPs / peak`.
     pub fn compute_cycles_expr(&self, c: &Ceilings) -> SymExpr {
         self.flops.scale(Rat::new(1, c.peak(self.vectorized) as i128))
@@ -364,35 +459,18 @@ impl KernelRoofline {
     }
 
     /// The streaming-regime bound of a deeper boundary: the working set
-    /// does not fit above, so every loaded byte crosses once (its fill)
-    /// and every stored byte twice — the write-allocate fill on the way
-    /// in and the dirty write-back on the way out, exactly what the
-    /// simulator's fill + write-back counters observe for unit-stride
-    /// streams.
+    /// does not fit above, so [`KernelRoofline::streaming_bytes`] cross.
     pub fn streaming_cycles_expr(&self, c: &Ceilings, level: MemLevel) -> SymExpr {
-        self.data_load_bytes
-            .add_expr(&self.data_store_bytes.scale(Rat::int(2)))
+        self.streaming_bytes()
             .scale(Rat::new(1, c.bandwidth[level.index()] as i128))
     }
 
-    /// The resident-regime bound of a deeper boundary: the working set
-    /// fits above, so only compulsory traffic crosses — one cold fill per
-    /// touched line, one eventual write-back per stored line.
-    pub fn resident_cycles_expr(&self, c: &Ceilings, level: MemLevel) -> SymExpr {
-        self.footprint_lines
-            .add_expr(&self.stored_lines)
-            .scale(Rat::new(
-                c.line_bytes as i128,
-                c.bandwidth[level.index()] as i128,
-            ))
-    }
-
-    /// Place the kernel at concrete parameter values: evaluate the four
-    /// ceilings and classify.
+    /// Place the kernel at concrete parameter values: run the placement
+    /// loop ([`place_with`]) over the closed forms, evaluated directly.
     ///
     /// Each deeper boundary's traffic is chosen piecewise. When the
     /// whole footprint fits in the level above, only compulsory traffic
-    /// crosses ([`KernelRoofline::resident_cycles_expr`]). Otherwise the
+    /// crosses ([`KernelRoofline::resident_lines`]). Otherwise the
     /// per-nest working-set model refines the old binary sweep: each
     /// array's traffic is placed at the shallowest level whose capacity
     /// holds the relevant per-iteration working set, so inner-loop reuse
@@ -410,40 +488,17 @@ impl KernelRoofline {
     /// to sit compulsory-only in cache.
     pub fn place(&self, c: &Ceilings, b: &Bindings) -> Result<Placement, EvalError> {
         let _a = mira_probe::accum("roofline.place");
+        let roof = CeilingFactors::new(c);
+        let mut forms = TreeWalk { kr: self, b };
         // placement evaluates closed forms over untrusted bindings; the
         // budget scope bounds evaluation depth and work, refusing with a
         // typed error instead of overflowing the host stack
-        match mira_sym::budget::with_default_budget(|| self.place_inner(c, b)) {
+        match mira_sym::budget::with_default_budget(|| {
+            place_with(&roof, self.shape(), &mut forms)
+        }) {
             Ok(r) => r,
             Err(e) => Err(EvalError::Budget(e)),
         }
-    }
-
-    fn place_inner(&self, c: &Ceilings, b: &Bindings) -> Result<Placement, EvalError> {
-        let compute = self.compute_cycles_expr(c).eval(b)?.to_f64();
-        // only consulted in the known-footprint case — an unanalyzable
-        // kernel's placement must not require the partial footprint to
-        // be evaluable
-        let footprint_bytes = if self.footprint_known {
-            self.footprint_lines.eval_count(b)? * c.line_bytes as i128
-        } else {
-            0
-        };
-        let mut mem = [0.0; 3];
-        mem[0] = self.l1_cycles_expr(c).eval(b)?.to_f64();
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let cap = c.capacity_above[level.index()].unwrap_or(0) as i128;
-            mem[level.index()] = if self.footprint_known && footprint_bytes <= cap {
-                self.resident_cycles_expr(c, level).eval(b)?.to_f64()
-            } else if let Some(nest) = &self.nest_model {
-                let t = nest.boundary_traffic(cap.max(0) as u64, b)?;
-                t.total_lines() as f64 * c.line_bytes as f64
-                    / c.bandwidth[level.index()] as f64
-            } else {
-                self.streaming_cycles_expr(c, level).eval(b)?.to_f64()
-            };
-        }
-        Ok(Placement::classify(compute, mem))
     }
 
     /// Solve for the regime crossover of `param` in `[lo, hi]`: the
@@ -498,6 +553,215 @@ impl KernelRoofline {
             }
         }
         Ok(None)
+    }
+}
+
+/// The analysis-time facts the placement loop branches on: everything
+/// [`place_with`] needs of a kernel besides its evaluated forms.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KernelShape {
+    /// Packed FP arithmetic: the vector peak is the compute ceiling.
+    pub vectorized: bool,
+    /// The footprint is a true total, so the fits-above test may trust
+    /// it.
+    pub footprint_known: bool,
+    /// A per-nest working-set model exists.
+    pub nest_model: bool,
+}
+
+/// The six machine-independent quantities a placement reads, evaluated
+/// at one parameter binding. [`place_with`] requests them lazily, in the
+/// order its regime choice needs them, and each at most once per
+/// placement (nest traffic once per capacity), so two evaluators of the
+/// same closed forms raise the same refusals at the same point. Both
+/// evaluate each Rat form as its [`ScaledForm`]: the tree walk
+/// ([`KernelRoofline::place`]) walks the primitive directly,
+/// `mira-serve` runs it as a compiled bytecode section.
+pub trait PlacementForms {
+    /// Packed-aware FLOPs per call ([`KernelRoofline::flops`]).
+    fn flops(&mut self) -> Result<Rat, EvalError>;
+    /// Distinct footprint lines, rounded like [`SymExpr::eval_count`].
+    /// Requested only when the footprint is fully known.
+    fn footprint_lines(&mut self) -> Result<i128, EvalError>;
+    /// Data bytes per call ([`KernelRoofline::data_bytes`]).
+    fn data_bytes(&mut self) -> Result<Rat, EvalError>;
+    /// Compulsory lines ([`KernelRoofline::resident_lines`]).
+    fn resident_lines(&mut self) -> Result<Rat, EvalError>;
+    /// Streaming-sweep bytes ([`KernelRoofline::streaming_bytes`]).
+    fn streaming_bytes(&mut self) -> Result<Rat, EvalError>;
+    /// Nest-model traffic across a boundary whose upper level holds
+    /// `cap_bytes` ([`mira_mem::NestModel::boundary_traffic`]). Requested
+    /// only when the kernel has a nest model.
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError>;
+}
+
+/// The placement loop: the one copy every evaluator runs.
+///
+/// Evaluates the compute ceiling, the footprint (known-footprint kernels
+/// only) and the L1 bound, then chooses each deeper boundary's regime
+/// piecewise — resident when the known footprint fits above, else the
+/// nest model, else the streaming sweep (see [`KernelRoofline::place`])
+/// — and classifies. Each ceiling is applied last, as one exact checked
+/// product of a machine-independent value and the machine's factor, so
+/// the only rounding is the final `to_f64`; the nest branch scales its
+/// line count in `f64`.
+pub fn place_with(
+    roof: &CeilingFactors,
+    k: KernelShape,
+    f: &mut impl PlacementForms,
+) -> Result<Placement, EvalError> {
+    let c = &roof.ceilings;
+    let compute = cycles(f.flops()?, roof.per_flop[k.vectorized as usize])?;
+    // only consulted in the known-footprint case — an unanalyzable
+    // kernel's placement must not require the partial footprint to be
+    // evaluable
+    let footprint_bytes = if k.footprint_known {
+        f.footprint_lines()?
+            .checked_mul(c.line_bytes as i128)
+            .ok_or(EvalError::Overflow)?
+    } else {
+        0
+    };
+    let mut mem = [cycles(f.data_bytes()?, roof.per_byte[0])?, 0.0, 0.0];
+    let (mut resident, mut streaming) = (None, None);
+    for level in [MemLevel::L2, MemLevel::Dram] {
+        let i = level.index();
+        let cap = c.capacity_above[i].unwrap_or(0) as i128;
+        mem[i] = if k.footprint_known && footprint_bytes <= cap {
+            let lines = match resident {
+                Some(v) => v,
+                None => *resident.insert(f.resident_lines()?),
+            };
+            cycles(lines, roof.per_line[i])?
+        } else if k.nest_model {
+            let t = f.nest_traffic(cap.max(0) as u64)?;
+            t.total_lines() as f64 * c.line_bytes as f64 / c.bandwidth[i] as f64
+        } else {
+            let bytes = match streaming {
+                Some(v) => v,
+                None => *streaming.insert(f.streaming_bytes()?),
+            };
+            cycles(bytes, roof.per_byte[i])?
+        };
+    }
+    Ok(Placement::classify(compute, mem))
+}
+
+/// One ceiling applied: `v · factor`, exact and checked, then rounded.
+fn cycles(v: Rat, factor: Rat) -> Result<f64, EvalError> {
+    v.checked_mul(factor)
+        .map(Rat::to_f64)
+        .ok_or(EvalError::Overflow)
+}
+
+/// A closed form split as `content × primitive`: `content` is the
+/// positive rational gcd of the coefficients, so the primitive has
+/// coprime integer coefficients. Forms that differ only by a constant
+/// factor — the FLOPs and data bytes of most kernels — share one
+/// primitive, which a compiled evaluator computes once. Every
+/// [`PlacementForms`] evaluator evaluates the forms this way
+/// ([`ScaledForm::eval`]), which gives the form's exact value and the
+/// same refusals on every evaluator.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ScaledForm {
+    pub content: Rat,
+    pub primitive: SymExpr,
+}
+
+impl ScaledForm {
+    /// Split `e`. A form whose content does not fit the coefficient range
+    /// stays whole (content 1).
+    pub fn split(e: &SymExpr) -> ScaledForm {
+        let whole = || ScaledForm {
+            content: Rat::ONE,
+            primitive: e.clone(),
+        };
+        let (mut g, mut l) = (0u128, 1u128);
+        for t in e.terms() {
+            g = gcd(g, t.coeff.num().unsigned_abs());
+            let d = t.coeff.den().unsigned_abs();
+            match (l / gcd(l, d)).checked_mul(d) {
+                Some(v) => l = v,
+                None => return whole(),
+            }
+        }
+        let (Ok(g), Ok(l)) = (i128::try_from(g), i128::try_from(l)) else {
+            return whole();
+        };
+        if g == 0 {
+            return whole();
+        }
+        let inv = Rat::new(l, g);
+        // the primitive's coefficients are integers, but with unlike
+        // denominators they can outgrow the coefficient range
+        if e.terms().iter().any(|t| t.coeff.checked_mul(inv).is_none()) {
+            return whole();
+        }
+        ScaledForm {
+            content: Rat::new(g, l),
+            primitive: e.scale(inv),
+        }
+    }
+
+    /// The form's value: the primitive's, times the content.
+    pub fn eval(&self, b: &Bindings) -> Result<Rat, EvalError> {
+        self.primitive
+            .eval(b)?
+            .checked_mul(self.content)
+            .ok_or(EvalError::Overflow)
+    }
+}
+
+fn gcd(a: u128, b: u128) -> u128 {
+    // `u128` remainder is a library call; coefficients almost always fit
+    // `u64`, where the loop runs on hardware division
+    if let (Ok(mut a), Ok(mut b)) = (u64::try_from(a), u64::try_from(b)) {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        return a as u128;
+    }
+    let (mut a, mut b) = (a, b);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The tree-walk evaluator: every form is its closed form, split and
+/// evaluated directly.
+struct TreeWalk<'a> {
+    kr: &'a KernelRoofline,
+    b: &'a Bindings,
+}
+
+impl PlacementForms for TreeWalk<'_> {
+    fn flops(&mut self) -> Result<Rat, EvalError> {
+        ScaledForm::split(&self.kr.flops).eval(self.b)
+    }
+
+    fn footprint_lines(&mut self) -> Result<i128, EvalError> {
+        let lines = ScaledForm::split(&self.kr.footprint_lines).eval(self.b)?;
+        lines.round_count().ok_or(EvalError::Overflow)
+    }
+
+    fn data_bytes(&mut self) -> Result<Rat, EvalError> {
+        ScaledForm::split(&self.kr.data_bytes()).eval(self.b)
+    }
+
+    fn resident_lines(&mut self) -> Result<Rat, EvalError> {
+        ScaledForm::split(&self.kr.resident_lines()).eval(self.b)
+    }
+
+    fn streaming_bytes(&mut self) -> Result<Rat, EvalError> {
+        ScaledForm::split(&self.kr.streaming_bytes()).eval(self.b)
+    }
+
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError> {
+        match &self.kr.nest_model {
+            Some(nest) => nest.boundary_traffic(cap_bytes, self.b),
+            None => Ok(BoundaryTraffic::default()),
+        }
     }
 }
 
@@ -744,6 +1008,92 @@ mod tests {
         assert_eq!(p.mem_cycles[1], sweep / 16.0);
         assert_eq!(p.mem_cycles[2], sweep / 4.0);
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::Dram));
+    }
+
+    #[test]
+    fn scaled_forms_split_out_the_rational_gcd() {
+        let n = SymExpr::param("n");
+        let m = SymExpr::param("m");
+        let b = bindings(&[("n", 7), ("m", -3)]);
+        let e = n.scale(Rat::int(6)).add_expr(&m.scale(Rat::int(-4)));
+        let f = ScaledForm::split(&e);
+        assert_eq!(f.content, Rat::int(2));
+        assert_eq!(f.primitive, n.scale(Rat::int(3)).sub_expr(&m.scale(Rat::int(2))));
+        assert_eq!(f.eval(&b), e.eval(&b));
+        let e = n.scale(Rat::new(1, 2)).add_expr(&n.mul_expr(&n).scale(Rat::new(2, 3)));
+        let f = ScaledForm::split(&e);
+        assert_eq!(f.content, Rat::new(1, 6));
+        assert_eq!(f.eval(&b), e.eval(&b));
+        assert_eq!(ScaledForm::split(&SymExpr::zero()).content, Rat::ONE);
+        // proportional forms share their primitive: triad's FLOPs and
+        // data bytes differ by a constant factor
+        let (k, _) = triad_model(false);
+        let (flops, data) = (ScaledForm::split(&k.flops), ScaledForm::split(&k.data_bytes()));
+        assert_eq!(flops.primitive, data.primitive);
+        assert_eq!((flops.content, data.content), (Rat::int(2), Rat::int(24)));
+    }
+
+    #[test]
+    fn placement_loop_requests_each_form_at_most_once() {
+        // a counting wrapper around the tree walk: when both deeper
+        // boundaries take the same regime, the form they share is
+        // evaluated once, not once per boundary
+        struct Counting<'a> {
+            inner: TreeWalk<'a>,
+            calls: [u32; 5],
+            caps: Vec<u64>,
+        }
+        impl PlacementForms for Counting<'_> {
+            fn flops(&mut self) -> Result<Rat, EvalError> {
+                self.calls[0] += 1;
+                self.inner.flops()
+            }
+            fn footprint_lines(&mut self) -> Result<i128, EvalError> {
+                self.calls[1] += 1;
+                self.inner.footprint_lines()
+            }
+            fn data_bytes(&mut self) -> Result<Rat, EvalError> {
+                self.calls[2] += 1;
+                self.inner.data_bytes()
+            }
+            fn resident_lines(&mut self) -> Result<Rat, EvalError> {
+                self.calls[3] += 1;
+                self.inner.resident_lines()
+            }
+            fn streaming_bytes(&mut self) -> Result<Rat, EvalError> {
+                self.calls[4] += 1;
+                self.inner.streaming_bytes()
+            }
+            fn nest_traffic(&mut self, cap: u64) -> Result<BoundaryTraffic, EvalError> {
+                self.caps.push(cap);
+                self.inner.nest_traffic(cap)
+            }
+        }
+        let (k, c) = triad_model(false);
+        assert!(k.nest_model.is_some());
+        // the same kernel without a nest model or a trusted footprint
+        // streams at both deeper boundaries
+        let mut sweep = k.clone();
+        sweep.nest_model = None;
+        sweep.footprint_known = false;
+        let roof = CeilingFactors::new(&c);
+        let cases: [(&KernelRoofline, i128, [u32; 5], &[u64]); 3] = [
+            (&k, 1000, [1, 1, 1, 1, 0], &[]),
+            (&k, 1_000_000, [1, 1, 1, 0, 0], &[32768, 262144]),
+            (&sweep, 1000, [1, 0, 1, 0, 1], &[]),
+        ];
+        for (kr, n, calls, caps) in cases {
+            let b = bindings(&[("n", n), ("reps", 4)]);
+            let mut f = Counting {
+                inner: TreeWalk { kr, b: &b },
+                calls: [0; 5],
+                caps: Vec::new(),
+            };
+            let p = place_with(&roof, kr.shape(), &mut f).unwrap();
+            assert_eq!(p, kr.place(&c, &b).unwrap(), "n = {n}");
+            assert_eq!(f.calls, calls, "n = {n}");
+            assert_eq!(f.caps, caps, "n = {n}");
+        }
     }
 
     #[test]

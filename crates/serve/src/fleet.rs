@@ -1,27 +1,39 @@
 //! Fleet serving: a directory of machine descriptions, every admitted
-//! kernel compiled against every machine, with hot-reload.
+//! kernel served on every machine, with hot-reload.
 //!
 //! A [`MachineFleet`] is the operational wrapper around [`ServeIndex`]:
 //! point it at a directory of `*.ini` architecture descriptions
-//! ([`mira_arch::load_dir`]), admit kernel sources, and it compiles the
-//! full kernel × machine cross product. [`MachineFleet::reload`]
-//! re-reads the directory and swaps the placement models of *changed*
-//! machines atomically — every replacement is built before any swap, a
-//! [`KernelId`] survives its kernel being swapped, and the index's
-//! swap generation advances so [`AnswerCache`]s self-invalidate — which
-//! is why duplicate registration had to become a typed refusal first: a
-//! reload that re-`add`ed into a first-match index would shadow, not
-//! replace, and serve the stale model forever.
+//! ([`mira_arch::load_dir`]), admit kernel sources, and it serves the
+//! full kernel × machine cross product.
+//!
+//! Work follows what analysis actually reads of a description, its
+//! [`AnalysisKey`] (cache line size and `[metric fpi]` categories): each
+//! kernel is analyzed and compiled once per key into a
+//! machine-independent [`PlacementProgram`], and every machine with that
+//! key serves it by attaching its own ceilings
+//! ([`CompiledKernel::attach`]). Admitting K kernels onto any number of
+//! machines that share a key compiles K programs, and
+//! [`MachineFleet::reload`] after a bandwidth, peak or capacity edit
+//! re-attaches ceilings without analyzing or compiling anything. Only an
+//! edit that changes a key compiles, and only for a key no other
+//! machine already has.
+//!
+//! Reloads are atomic: every program a reload needs is built before any
+//! entry is swapped, a [`KernelId`] survives its kernel being swapped,
+//! and the index's swap generation advances so [`AnswerCache`]s
+//! self-invalidate.
 //!
 //! [`AnswerCache`]: crate::AnswerCache
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mira_arch::{load_dir, LoadError, LoadedDescription};
 use mira_core::{analyze_source, MiraError, MiraOptions};
-use mira_roofline::{Ceilings, KernelRoofline};
+use mira_roofline::{AnalysisKey, Ceilings, KernelRoofline};
 
-use crate::index::{BuildError, CompiledKernel, KernelId, ServeIndex};
+use crate::index::{BuildError, CompiledKernel, KernelId, PlacementProgram, ServeIndex};
 
 /// A typed refusal while building or reloading a fleet. Every variant
 /// names the kernel × machine pair (or file) it is attributable to.
@@ -30,16 +42,19 @@ pub enum FleetError {
     /// The description directory refused to load (unreadable file,
     /// parse error, duplicate machine name) — see [`LoadError`].
     Load(LoadError),
-    /// The function is already admitted; a fleet compiles each source
-    /// once per machine, so re-admitting would duplicate every pair.
+    /// The function is already admitted; re-admitting would duplicate
+    /// every pair.
     DuplicateKernel { func: String },
-    /// The source pipeline refused under one machine's description.
+    /// The source pipeline refused under `machine`'s description — the
+    /// first loaded machine of its analysis key; every machine sharing
+    /// the key would refuse alike.
     Analyze {
         func: String,
         machine: String,
         error: MiraError,
     },
-    /// The roofline compiled for one machine refused admission.
+    /// The roofline analyzed under `machine`'s description (as for
+    /// [`FleetError::Analyze`]) refused compilation.
     Build {
         func: String,
         machine: String,
@@ -84,8 +99,9 @@ impl From<LoadError> for FleetError {
 /// What a [`MachineFleet::reload`] did, by machine name.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ReloadReport {
-    /// Machines whose file text changed — their kernels were recompiled
-    /// and swapped in place ([`KernelId`]s stable).
+    /// Machines whose file text changed — their entries were swapped in
+    /// place under the new ceilings ([`KernelId`]s stable), recompiled
+    /// only when the edit changed the analysis key.
     pub changed: Vec<String>,
     /// Machines new to the directory — their kernels were added.
     pub added: Vec<String>,
@@ -93,7 +109,10 @@ pub struct ReloadReport {
     /// index was rebuilt, so previously-issued [`KernelId`]s are void —
     /// re-[`find`](MachineFleet::find) after a removal.
     pub removed: Vec<String>,
-    /// Compiled kernels swapped or added by this reload.
+    /// Kernel × machine entries this reload installed (swapped, added,
+    /// or rebuilt after a removal). It counts entries, not
+    /// compilations: a ceilings-only edit installs every kernel of the
+    /// machine without compiling any.
     pub recompiled: usize,
 }
 
@@ -104,12 +123,16 @@ impl ReloadReport {
     }
 }
 
-/// One admitted kernel source (compiled against every fleet machine).
+/// One admitted kernel source (compiled once per analysis key).
 #[derive(Clone, Debug)]
 struct KernelSource {
     func: String,
     src: String,
 }
+
+/// The compiled programs of a fleet: per analysis key of a loaded
+/// machine, one program per admitted kernel, in admission order.
+type Programs = HashMap<AnalysisKey, Vec<Arc<PlacementProgram>>>;
 
 /// A directory-backed serving fleet: one [`ServeIndex`] entry per
 /// admitted kernel × loaded machine, reloadable in place. See the
@@ -119,6 +142,7 @@ pub struct MachineFleet {
     options: MiraOptions,
     machines: Vec<LoadedDescription>,
     sources: Vec<KernelSource>,
+    programs: Programs,
     index: ServeIndex,
 }
 
@@ -140,6 +164,7 @@ impl MachineFleet {
             options,
             machines,
             sources: Vec::new(),
+            programs: Programs::new(),
             index: ServeIndex::new(),
         })
     }
@@ -170,20 +195,39 @@ impl MachineFleet {
         self.index.find(func, machine)
     }
 
-    /// Analyze `src` and admit `func` against **every** loaded machine,
-    /// returning the new ids in machine order. All-or-nothing: every
-    /// per-machine compilation must succeed before any entry is added,
-    /// so a refusal on one machine never leaves the cross product
-    /// partially served.
+    /// Analyze `src` and admit `func` on **every** loaded machine,
+    /// returning the new ids in machine order. The kernel is analyzed
+    /// and compiled once per analysis key among the machines, under the
+    /// first machine with that key. All-or-nothing: every compilation
+    /// must succeed before any entry is added, so a refusal never leaves
+    /// the cross product partially served.
     pub fn admit_source(&mut self, func: &str, src: &str) -> Result<Vec<KernelId>, FleetError> {
         if self.sources.iter().any(|s| s.func == func) {
             return Err(FleetError::DuplicateKernel {
                 func: func.to_string(),
             });
         }
+        let source = KernelSource {
+            func: func.to_string(),
+            src: src.to_string(),
+        };
+        let mut compiled: Vec<(AnalysisKey, Arc<PlacementProgram>)> = Vec::new();
         let mut built = Vec::with_capacity(self.machines.len());
         for m in &self.machines {
-            built.push(compile_one(&self.options, func, src, m)?);
+            let key = AnalysisKey::of(&m.desc);
+            let program = match compiled.iter().find(|(k, _)| *k == key) {
+                Some((_, p)) => p.clone(),
+                None => {
+                    let p = Arc::new(compile(&self.options, &source, m)?);
+                    compiled.push((key, p.clone()));
+                    p
+                }
+            };
+            built.push(CompiledKernel::attach(
+                program,
+                &Ceilings::from_arch(&m.desc),
+                m.name(),
+            ));
         }
         let mut ids = Vec::with_capacity(built.len());
         for k in built {
@@ -201,26 +245,31 @@ impl MachineFleet {
                 }
             }
         }
-        self.sources.push(KernelSource {
-            func: func.to_string(),
-            src: src.to_string(),
-        });
+        for (key, p) in compiled {
+            self.programs.entry(key).or_default().push(p);
+        }
+        self.sources.push(source);
         Ok(ids)
     }
 
     /// Re-read the directory and bring the index up to date:
     ///
     /// * **changed** files (text comparison, not timestamps) get every
-    ///   kernel recompiled under the new description and swapped in
-    ///   place — [`KernelId`]s stable, swap generation bumped so answer
-    ///   caches self-invalidate;
-    /// * **added** files get every admitted kernel compiled and added;
+    ///   kernel swapped in place under the new description —
+    ///   [`KernelId`]s stable, swap generation bumped so answer caches
+    ///   self-invalidate;
+    /// * **added** files get every admitted kernel added;
     /// * **removed** files force a full index rebuild (ids void).
     ///
-    /// Atomic against refusals: *every* recompilation (and the full
-    /// directory re-load) must succeed before the first swap, so a
-    /// malformed file or a kernel that refuses under a new description
-    /// leaves the fleet serving exactly its pre-reload answers.
+    /// Programs are reused by analysis key: an edit to bandwidths,
+    /// peaks or capacities attaches the new ceilings to the programs
+    /// already compiled, and only a key no loaded machine had before is
+    /// analyzed and compiled.
+    ///
+    /// Atomic against refusals: the directory re-load and *every*
+    /// compilation succeed before the first swap, so a malformed file or
+    /// a kernel that refuses under a new key leaves the fleet serving
+    /// exactly its pre-reload answers.
     pub fn reload(&mut self) -> Result<ReloadReport, FleetError> {
         let fresh = load_dir(&self.dir)?;
         let mut report = ReloadReport::default();
@@ -239,17 +288,29 @@ impl MachineFleet {
         if report.is_noop() {
             return Ok(report);
         }
+        let mut programs = Programs::new();
+        for m in &fresh {
+            let key = AnalysisKey::of(&m.desc);
+            if programs.contains_key(&key) {
+                continue;
+            }
+            let ps = match self.programs.get(&key) {
+                Some(ps) => ps.clone(),
+                None => self
+                    .sources
+                    .iter()
+                    .map(|s| compile(&self.options, s, m).map(Arc::new))
+                    .collect::<Result<Vec<_>, _>>()?,
+            };
+            programs.insert(key, ps);
+        }
         if report.removed.is_empty() {
-            // build every replacement/addition first, then swap
             let mut built = Vec::new();
             for m in &fresh {
                 let touched = report.changed.iter().any(|n| n == m.name())
                     || report.added.iter().any(|n| n == m.name());
-                if !touched {
-                    continue;
-                }
-                for s in &self.sources {
-                    built.push(compile_one(&self.options, &s.func, &s.src, m)?);
+                if touched {
+                    built.extend(attach(&programs, m));
                 }
             }
             report.recompiled = built.len();
@@ -262,8 +323,7 @@ impl MachineFleet {
             // so stale caches still self-invalidate
             let mut index = ServeIndex::new();
             for m in &fresh {
-                for s in &self.sources {
-                    let k = compile_one(&self.options, &s.func, &s.src, m)?;
+                for k in attach(&programs, m) {
                     if index.insert(k).is_ok() {
                         report.recompiled += 1;
                     }
@@ -273,34 +333,44 @@ impl MachineFleet {
             self.index = index;
         }
         self.machines = fresh;
+        self.programs = programs;
         Ok(report)
     }
 }
 
-/// Compile one kernel for one machine: full pipeline under the
-/// machine's description, then roofline analysis and bytecode build.
-fn compile_one(
+/// Analyze one kernel source under `m`'s description and compile its
+/// placement program — valid on every machine with `m`'s analysis key.
+fn compile(
     options: &MiraOptions,
-    func: &str,
-    src: &str,
+    s: &KernelSource,
     m: &LoadedDescription,
-) -> Result<CompiledKernel, FleetError> {
+) -> Result<PlacementProgram, FleetError> {
     let opts = MiraOptions {
         arch: m.desc.clone(),
         ..options.clone()
     };
-    let analysis = analyze_source(src, &opts).map_err(|error| FleetError::Analyze {
-        func: func.to_string(),
+    let analysis = analyze_source(&s.src, &opts).map_err(|error| FleetError::Analyze {
+        func: s.func.clone(),
         machine: m.name().to_string(),
         error,
     })?;
     let build = |error| FleetError::Build {
-        func: func.to_string(),
+        func: s.func.clone(),
         machine: m.name().to_string(),
         error,
     };
-    let kr = KernelRoofline::analyze(&analysis, func)
+    let kr = KernelRoofline::analyze(&analysis, &s.func)
         .map_err(|e| build(BuildError::Model(e)))?;
-    let c = Ceilings::from_arch(&analysis.arch);
-    CompiledKernel::build(&kr, &c, m.name()).map_err(build)
+    PlacementProgram::compile(&kr).map_err(build)
+}
+
+/// Serve every program of `m`'s analysis key on `m`, under its ceilings.
+fn attach(programs: &Programs, m: &LoadedDescription) -> Vec<CompiledKernel> {
+    let c = Ceilings::from_arch(&m.desc);
+    programs
+        .get(&AnalysisKey::of(&m.desc))
+        .into_iter()
+        .flatten()
+        .map(|p| CompiledKernel::attach(p.clone(), &c, m.name()))
+        .collect()
 }

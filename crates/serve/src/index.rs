@@ -1,16 +1,21 @@
-//! The serving index: precompiled roofline placement per kernel ×
-//! machine, answered by the flat evaluator at batch rates.
+//! The serving index: compiled roofline placement, answered by the flat
+//! evaluator at batch rates.
 //!
-//! [`CompiledKernel`] lowers every closed form a
-//! [`KernelRoofline::place`] call can touch — the compute ceiling, the
-//! L1 bound, the footprint count, both piecewise regime bounds of each
-//! deeper boundary, and the per-nest working-set model's headers and
-//! group counts — into one [`EvalProgram`] with lazily-run sections, so
-//! a query executes exactly the expressions the tree walk would have
-//! evaluated, in the same order, with the same refusals, at a fraction
-//! of the cost. The regime *selection* is not duplicated here: the
-//! placement loop mirrors `place_inner` line for line, and the nest
-//! regime rules are the shared [`mira_mem::NestShape::traffic`].
+//! A [`PlacementProgram`] lowers every machine-independent form the
+//! placement loop ([`mira_roofline::place_with`]) can request — FLOPs,
+//! the footprint count, data bytes, resident lines, streaming bytes,
+//! and the per-nest working-set model's headers and group counts — into
+//! one [`EvalProgram`] with lazily-run sections. It holds no machine
+//! constant, so one program serves every machine with the kernel's
+//! [`AnalysisKey`](mira_roofline::AnalysisKey). A [`CompiledKernel`] is
+//! such a program, shared by
+//! `Arc`, plus one machine's ceilings. Placing it runs the same loop as
+//! [`KernelRoofline::place`] with section runs in place of tree walks,
+//! so a query evaluates exactly the expressions the tree walk would, in
+//! the same order, with the same refusals, at a fraction of the cost.
+//! Nothing of the regime selection is duplicated here: the loop lives in
+//! `mira-roofline`, the nest regime rules in
+//! [`mira_mem::NestShape::traffic`].
 //!
 //! [`ServeIndex`] holds many compiled kernels and answers
 //! [`Query`] batches — single-threaded into a caller scratch
@@ -20,17 +25,18 @@
 //! tests).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mira_core::Analysis;
 use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
 use mira_model::ModelError;
 use mira_probe as probe;
 use mira_roofline::{
-    crossover_bisect, Ceilings, Crossover, KernelRoofline, MemLevel, Placement,
+    crossover_bisect, place_with, CeilingFactors, Ceilings, Crossover, KernelRoofline,
+    KernelShape, Placement, PlacementForms, ScaledForm,
 };
 use mira_sym::budget::{self, BudgetError};
-use mira_sym::{Bindings, EvalError, Rat};
+use mira_sym::{Bindings, EvalError, Rat, SymExpr};
 
 use crate::cache::AnswerCache;
 use crate::program::{CompileError, EvalProgram, OutId, ProgramBuilder, Scratch, SecId};
@@ -144,13 +150,6 @@ pub struct Query {
     pub values: [i128; MAX_QUERY_PARAMS],
 }
 
-/// The regime sections of one deeper boundary (L2, DRAM).
-#[derive(Clone, Copy, Debug)]
-struct LevelPlan {
-    resident: (SecId, OutId),
-    streaming: (SecId, OutId),
-}
-
 /// The compiled per-nest working-set model: the `Send + Sync` regime
 /// skeleton plus the sections holding its evaluated closed forms.
 #[derive(Clone, Debug)]
@@ -165,87 +164,85 @@ struct NestPlan {
     group_secs: Vec<[(SecId, OutId); 4]>,
 }
 
-/// One kernel's placement model, compiled for one machine: pure data,
-/// `Send + Sync`, reusable from any worker thread.
-#[derive(Clone, Debug)]
-pub struct CompiledKernel {
+/// One kernel's machine-independent placement program: every form
+/// [`place_with`] can request, compiled once and shared (`Arc`) by the
+/// [`CompiledKernel`] of every machine with the kernel's
+/// [`AnalysisKey`](mira_roofline::AnalysisKey). Pure data,
+/// `Send + Sync`.
+#[derive(Debug)]
+pub struct PlacementProgram {
     func: String,
-    machine: String,
-    ceilings: Ceilings,
-    footprint_known: bool,
+    shape: KernelShape,
     program: EvalProgram,
-    sec_compute: SecId,
-    o_compute: OutId,
+    flops: Form,
     /// Present iff the footprint is fully known (the only case the
     /// fits-above test may trust it).
-    sec_fp: Option<(SecId, OutId)>,
-    sec_l1: SecId,
-    o_l1: OutId,
-    /// Indexed `[L2, Dram]`.
-    levels: [LevelPlan; 2],
+    footprint: Option<Form>,
+    data_bytes: Form,
+    resident: Form,
+    streaming: Form,
     nest: Option<NestPlan>,
 }
 
-impl CompiledKernel {
-    /// Compile the placement model of one analyzed roofline for the
-    /// given ceilings. Refuses (typed) rather than admitting a kernel
-    /// whose compiled answers could diverge from
-    /// [`KernelRoofline::place`].
-    pub fn build(
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<CompiledKernel, BuildError> {
+/// One compiled placement form ([`ScaledForm`]): the section computing
+/// its primitive, and the content that scales it.
+#[derive(Clone, Copy, Debug)]
+struct Form {
+    sec: SecId,
+    out: OutId,
+    content: Rat,
+}
+
+/// Compile the primitive of `e` into its own section. Forms that differ
+/// by a constant factor share a primitive, so in a persistent section
+/// the second one costs no ops (the builder's CSE reuses the register).
+fn form(b: &mut ProgramBuilder, e: &SymExpr, persistent: bool) -> Result<Form, CompileError> {
+    let f = ScaledForm::split(e);
+    let out = b.add_output(&f.primitive)?;
+    Ok(Form {
+        sec: b.seal_section(persistent),
+        out,
+        content: f.content,
+    })
+}
+
+impl PlacementProgram {
+    /// Compile the placement forms of one analyzed roofline. Refuses
+    /// (typed) rather than admitting a kernel whose compiled answers
+    /// could diverge from [`KernelRoofline::place`].
+    pub fn compile(kr: &KernelRoofline) -> Result<PlacementProgram, BuildError> {
         let mut sp = probe::span("serve.compile", "serve");
         sp.arg("kernel", &kr.func);
-        sp.arg("machine", machine);
-        // expression construction (scale / add_expr) charges the
+        // expression construction (add_expr / scale) charges the
         // analysis budget; build under a scope so adversarial models
         // refuse instead of degrading silently
-        match budget::with_default_budget(|| Self::build_inner(kr, c, machine)) {
-            Ok(Ok(k)) => {
-                sp.arg("ops", k.program.ops_len());
-                sp.arg("cse_hits", k.program.cse_hits());
-                probe::add("serve.cse_hits", k.program.cse_hits() as i64);
-                Ok(k)
+        match budget::with_default_budget(|| Self::compile_inner(kr)) {
+            Ok(Ok(p)) => {
+                sp.arg("ops", p.program.ops_len());
+                sp.arg("cse_hits", p.program.cse_hits());
+                probe::add("serve.cse_hits", p.program.cse_hits() as i64);
+                Ok(p)
             }
             Ok(Err(e)) => Err(e),
             Err(e) => Err(BuildError::Budget(e)),
         }
     }
 
-    fn build_inner(
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<CompiledKernel, BuildError> {
+    fn compile_inner(kr: &KernelRoofline) -> Result<PlacementProgram, BuildError> {
         let mut b = ProgramBuilder::new();
-        // mandatory prefix, in place_inner's evaluation order: compute,
-        // footprint count (known-footprint kernels only), L1 — sealed as
-        // separate sections so refusals interleave with the placement
-        // loop exactly where the tree walk raises them
-        let o_compute = b.add_output(&kr.compute_cycles_expr(c))?;
-        let sec_compute = b.seal_section(true);
-        let sec_fp = if kr.footprint_known {
-            let out = b.add_count_output(&kr.footprint_lines)?;
-            Some((b.seal_section(true), out))
-        } else {
-            None
+        // mandatory prefix, in the loop's evaluation order: FLOPs,
+        // footprint count (known-footprint kernels only), data bytes —
+        // sealed as separate sections so refusals interleave with the
+        // placement loop exactly where the tree walk raises them
+        let flops = form(&mut b, &kr.flops, true)?;
+        let footprint = match kr.footprint_known {
+            true => Some(form(&mut b, &kr.footprint_lines, true)?),
+            false => None,
         };
-        let o_l1 = b.add_output(&kr.l1_cycles_expr(c))?;
-        let sec_l1 = b.seal_section(true);
-        let mut levels = Vec::with_capacity(2);
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let r_out = b.add_output(&kr.resident_cycles_expr(c, level))?;
-            let resident = (b.seal_section(false), r_out);
-            let s_out = b.add_output(&kr.streaming_cycles_expr(c, level))?;
-            let streaming = (b.seal_section(false), s_out);
-            levels.push(LevelPlan {
-                resident,
-                streaming,
-            });
-        }
-        let levels = [levels[0], levels[1]];
+        let data_bytes = form(&mut b, &kr.data_bytes(), true)?;
+        // the regime forms run lazily, at most once per placement
+        let resident = form(&mut b, &kr.resident_lines(), false)?;
+        let streaming = form(&mut b, &kr.streaming_bytes(), false)?;
         let nest = match &kr.nest_model {
             Some(nm) => {
                 let mut ws_out = Vec::with_capacity(nm.nodes.len());
@@ -298,115 +295,36 @@ impl CompiledKernel {
         if program.params().len() > MAX_QUERY_PARAMS {
             return Err(BuildError::Compile(CompileError::TooLarge));
         }
-        Ok(CompiledKernel {
+        Ok(PlacementProgram {
             func: kr.func.clone(),
-            machine: machine.to_string(),
-            ceilings: *c,
-            footprint_known: kr.footprint_known,
+            shape: kr.shape(),
             program,
-            sec_compute,
-            o_compute,
-            sec_fp,
-            sec_l1,
-            o_l1,
-            levels,
+            flops,
+            footprint,
+            data_bytes,
+            resident,
+            streaming,
             nest,
         })
     }
 
-    pub fn func(&self) -> &str {
-        &self.func
-    }
-
-    pub fn machine(&self) -> &str {
-        &self.machine
-    }
-
-    pub fn ceilings(&self) -> &Ceilings {
-        &self.ceilings
-    }
-
-    /// Parameter names, in [`Query::values`] binding order.
-    pub fn params(&self) -> &[String] {
-        self.program.params()
-    }
-
-    pub fn n_params(&self) -> usize {
-        self.program.params().len()
-    }
-
-    pub fn program(&self) -> &EvalProgram {
-        &self.program
-    }
-
-    /// Compiled [`KernelRoofline::place`] with by-name bindings — the
-    /// differential-testing entry point, returning the tree walk's error
-    /// type.
-    pub fn place(&self, b: &Bindings, s: &mut Scratch) -> Result<Placement, EvalError> {
-        self.program.bind(b, s);
-        self.place_prepared(s)
-    }
-
-    /// Compiled placement with positional values (the serving hot path).
-    pub fn place_values(&self, values: &[i128], s: &mut Scratch) -> Result<Placement, ServeError> {
-        if !self.program.bind_positional(values, s) {
-            return Err(ServeError::BadArity {
-                expected: self.n_params(),
-                got: values.len(),
-            });
-        }
-        self.place_prepared(s).map_err(ServeError::Eval)
-    }
-
-    /// The placement loop — `place_inner`, with every `eval` replaced by
-    /// a section run.
-    fn place_prepared(&self, s: &mut Scratch) -> Result<Placement, EvalError> {
-        let p = &self.program;
-        p.run_section(self.sec_compute, s)?;
-        let compute = p.output(self.o_compute, s).to_f64();
-        let footprint_bytes = match self.sec_fp {
-            Some((sec, out)) => {
-                p.run_section(sec, s)?;
-                p.output(out, s).floor() * self.ceilings.line_bytes as i128
-            }
-            None => 0,
-        };
-        let mut mem = [0.0; 3];
-        p.run_section(self.sec_l1, s)?;
-        mem[0] = p.output(self.o_l1, s).to_f64();
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let idx = level.index();
-            let cap = self.ceilings.capacity_above[idx].unwrap_or(0) as i128;
-            let lvl = &self.levels[idx - 1];
-            mem[idx] = if self.footprint_known && footprint_bytes <= cap {
-                let (sec, out) = lvl.resident;
-                p.run_section(sec, s)?;
-                p.output(out, s).to_f64()
-            } else if let Some(nest) = &self.nest {
-                let t = self.nest_traffic(nest, cap.max(0) as u64, s)?;
-                t.total_lines() as f64 * self.ceilings.line_bytes as f64
-                    / self.ceilings.bandwidth[idx] as f64
-            } else {
-                let (sec, out) = lvl.streaming;
-                p.run_section(sec, s)?;
-                p.output(out, s).to_f64()
-            };
-        }
-        Ok(Placement::classify(compute, mem))
-    }
-
+    /// Nest traffic at one capacity. The header (per-node working sets
+    /// and extents) does not depend on the capacity, so it is staged in
+    /// the scratch once per placement (`staged`): a re-run at the second
+    /// boundary could only repeat the first run's values.
     fn nest_traffic(
         &self,
         nest: &NestPlan,
         cap_bytes: u64,
         s: &mut Scratch,
+        staged: &mut bool,
     ) -> Result<BoundaryTraffic, EvalError> {
         // the ws/ext staging buffers live in the scratch (reused across
         // queries), but the regime closure needs the scratch mutably —
         // take them out for the duration
         let mut ws = std::mem::take(&mut s.ws);
         let mut ext = std::mem::take(&mut s.ext);
-        let r = self.nest_traffic_inner(nest, cap_bytes, s, &mut ws, &mut ext);
+        let r = self.nest_traffic_inner(nest, cap_bytes, s, &mut ws, &mut ext, staged);
         s.ws = ws;
         s.ext = ext;
         r
@@ -419,17 +337,21 @@ impl CompiledKernel {
         s: &mut Scratch,
         ws: &mut Vec<i128>,
         ext: &mut Vec<Rat>,
+        staged: &mut bool,
     ) -> Result<BoundaryTraffic, EvalError> {
         let p = &self.program;
-        p.run_section(nest.header_sec, s)?;
-        ws.clear();
-        ext.clear();
-        for i in 0..nest.shape.n_nodes {
-            ws.push(p.output(nest.ws_out[i], s).floor());
-            let e = p.output(nest.ext_out[i], s);
-            // extents stay rational and clamp at zero, exactly like
-            // boundary_traffic's header
-            ext.push(if e < Rat::ZERO { Rat::ZERO } else { e });
+        if !*staged {
+            p.run_section(nest.header_sec, s)?;
+            ws.clear();
+            ext.clear();
+            for i in 0..nest.shape.n_nodes {
+                ws.push(p.output(nest.ws_out[i], s).floor());
+                let e = p.output(nest.ext_out[i], s);
+                // extents stay rational and clamp at zero, exactly like
+                // boundary_traffic's header
+                ext.push(if e < Rat::ZERO { Rat::ZERO } else { e });
+            }
+            *staged = true;
         }
         nest.shape.traffic(cap_bytes, ws, ext, |q| {
             let (sec, out) = nest.group_secs[q.group][match (q.union, q.stored) {
@@ -441,6 +363,148 @@ impl CompiledKernel {
             p.run_section(sec, s)?;
             Ok(p.output(out, s).floor())
         })
+    }
+}
+
+/// The compiled evaluator of the placement forms: every form is a
+/// section run over the values bound into the scratch.
+struct Sections<'a> {
+    p: &'a PlacementProgram,
+    s: &'a mut Scratch,
+    /// The nest header is staged in the scratch for this placement.
+    staged: bool,
+}
+
+impl Sections<'_> {
+    /// [`ScaledForm::eval`], with the primitive computed by its section.
+    fn run(&mut self, f: Form) -> Result<Rat, EvalError> {
+        self.p.program.run_section(f.sec, self.s)?;
+        self.p
+            .program
+            .output(f.out, self.s)
+            .checked_mul(f.content)
+            .ok_or(EvalError::Overflow)
+    }
+}
+
+impl PlacementForms for Sections<'_> {
+    fn flops(&mut self) -> Result<Rat, EvalError> {
+        self.run(self.p.flops)
+    }
+
+    fn footprint_lines(&mut self) -> Result<i128, EvalError> {
+        match self.p.footprint {
+            Some(f) => self.run(f)?.round_count().ok_or(EvalError::Overflow),
+            None => Ok(0),
+        }
+    }
+
+    fn data_bytes(&mut self) -> Result<Rat, EvalError> {
+        self.run(self.p.data_bytes)
+    }
+
+    fn resident_lines(&mut self) -> Result<Rat, EvalError> {
+        self.run(self.p.resident)
+    }
+
+    fn streaming_bytes(&mut self) -> Result<Rat, EvalError> {
+        self.run(self.p.streaming)
+    }
+
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError> {
+        match &self.p.nest {
+            Some(nest) => self.p.nest_traffic(nest, cap_bytes, self.s, &mut self.staged),
+            None => Ok(BoundaryTraffic::default()),
+        }
+    }
+}
+
+/// One kernel served on one machine: a shared [`PlacementProgram`]
+/// plus the machine's ceilings. Pure data, `Send + Sync`, cheap to
+/// clone, reusable from any worker thread.
+#[derive(Clone, Debug)]
+pub struct CompiledKernel {
+    machine: String,
+    roof: CeilingFactors,
+    program: Arc<PlacementProgram>,
+}
+
+impl CompiledKernel {
+    /// Compile the placement program of one analyzed roofline
+    /// ([`PlacementProgram::compile`]) and attach the given ceilings.
+    pub fn build(
+        kr: &KernelRoofline,
+        c: &Ceilings,
+        machine: &str,
+    ) -> Result<CompiledKernel, BuildError> {
+        let program = PlacementProgram::compile(kr)?;
+        Ok(CompiledKernel::attach(Arc::new(program), c, machine))
+    }
+
+    /// Serve a compiled program on one machine — no analysis, no
+    /// compilation. Answers equal [`KernelRoofline::place`] under `c`
+    /// bit for bit when the program was analyzed under the machine's
+    /// [`AnalysisKey`](mira_roofline::AnalysisKey).
+    pub fn attach(program: Arc<PlacementProgram>, c: &Ceilings, machine: &str) -> CompiledKernel {
+        CompiledKernel {
+            machine: machine.to_string(),
+            roof: CeilingFactors::new(c),
+            program,
+        }
+    }
+
+    pub fn func(&self) -> &str {
+        &self.program.func
+    }
+
+    pub fn machine(&self) -> &str {
+        &self.machine
+    }
+
+    pub fn ceilings(&self) -> &Ceilings {
+        self.roof.ceilings()
+    }
+
+    /// Parameter names, in [`Query::values`] binding order.
+    pub fn params(&self) -> &[String] {
+        self.program().params()
+    }
+
+    pub fn n_params(&self) -> usize {
+        self.params().len()
+    }
+
+    pub fn program(&self) -> &EvalProgram {
+        &self.program.program
+    }
+
+    /// Compiled [`KernelRoofline::place`] with by-name bindings — the
+    /// differential-testing entry point, returning the tree walk's error
+    /// type.
+    pub fn place(&self, b: &Bindings, s: &mut Scratch) -> Result<Placement, EvalError> {
+        self.program().bind(b, s);
+        self.place_bound(s)
+    }
+
+    /// Compiled placement with positional values (the serving hot path).
+    pub fn place_values(&self, values: &[i128], s: &mut Scratch) -> Result<Placement, ServeError> {
+        if !self.program().bind_positional(values, s) {
+            return Err(ServeError::BadArity {
+                expected: self.n_params(),
+                got: values.len(),
+            });
+        }
+        Ok(self.place_bound(s)?)
+    }
+
+    /// The placement loop over the values already bound into `s`.
+    fn place_bound(&self, s: &mut Scratch) -> Result<Placement, EvalError> {
+        let mut forms = Sections {
+            p: &self.program,
+            s,
+            staged: false,
+        };
+        place_with(&self.roof, self.program.shape, &mut forms)
     }
 }
 
@@ -530,7 +594,7 @@ impl ServeIndex {
 
     /// Admit a pre-built kernel, refusing duplicates.
     pub fn insert(&mut self, k: CompiledKernel) -> Result<KernelId, BuildError> {
-        let key = (k.func.clone(), k.machine.clone());
+        let key = (k.func().to_string(), k.machine.clone());
         if self.by_key.contains_key(&key) {
             return Err(BuildError::Duplicate {
                 func: key.0,
@@ -548,7 +612,7 @@ impl ServeIndex {
     /// reload path: build every replacement first, then swap them
     /// one by one — a failed build never unseats a serving kernel.
     pub fn replace_compiled(&mut self, k: CompiledKernel) -> KernelId {
-        let key = (k.func.clone(), k.machine.clone());
+        let key = (k.func().to_string(), k.machine.clone());
         match self.by_key.get(&key) {
             Some(&slot) => {
                 self.kernels[slot as usize] = k;
@@ -860,7 +924,9 @@ impl ServeIndex {
         s: &mut Scratch,
     ) -> Result<Option<Crossover>, ServeError> {
         let k = self.kernel(id)?;
-        if base.len() != k.n_params() {
+        // bind the arity-checked values once; each bisection step then
+        // rebinds only the swept slot and places through the typed loop
+        if !k.program().bind_positional(base, s) {
             return Err(ServeError::BadArity {
                 expected: k.n_params(),
                 got: base.len(),
@@ -871,17 +937,9 @@ impl ServeIndex {
             .iter()
             .position(|p| p == param)
             .ok_or_else(|| ServeError::UnknownParam(param.to_string()))?;
-        let mut values = [0i128; MAX_QUERY_PARAMS];
-        values[..base.len()].copy_from_slice(base);
-        let n = k.n_params();
         crossover_bisect(lo, hi, |v| {
-            values[slot] = v;
-            match k.place_values(&values[..n], s) {
-                Ok(p) => Ok(p.binding),
-                Err(ServeError::Eval(e)) => Err(e),
-                // arity was validated above; other refusals cannot occur
-                Err(_) => Err(EvalError::Overflow),
-            }
+            s.set_value(slot, v);
+            Ok(k.place_bound(s)?.binding)
         })
         .map_err(ServeError::Eval)
     }
@@ -980,7 +1038,7 @@ impl ServeIndex {
         s: &mut Scratch,
     ) -> CrossoverRow {
         let (func, machine) = match self.kernel(id) {
-            Ok(k) => (k.func.clone(), k.machine.clone()),
+            Ok(k) => (k.func().to_string(), k.machine.clone()),
             Err(_) => (String::new(), String::new()),
         };
         CrossoverRow {

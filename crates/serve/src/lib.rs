@@ -21,8 +21,12 @@
 //!   values **and refusals** ([`mira_sym::EvalError`]) are
 //!   bit-identical — including budget-depth refusals, via explicit
 //!   depth ops that cost nothing when no budget scope is active.
-//! * [`index`] — the query service. [`ServeIndex`] holds precompiled
-//!   [`CompiledKernel`]s per kernel × machine (keyed by `(func,
+//! * [`index`] — the query service. A [`PlacementProgram`] compiles a
+//!   kernel's machine-independent placement forms once; a
+//!   [`CompiledKernel`] serves it on one machine by attaching that
+//!   machine's ceilings, and places through the same loop as the tree
+//!   walk ([`mira_roofline::place_with`]). [`ServeIndex`] holds one
+//!   [`CompiledKernel`] per kernel × machine entry (keyed by `(func,
 //!   machine)` — duplicate registration is a typed refusal, swapping a
 //!   live kernel is the explicit [`ServeIndex::replace`]) and answers
 //!   [`Query`] batches single-threaded (allocation-free after warm-up)
@@ -38,10 +42,13 @@
 //!   counters via [`AnswerCache::probe`], and self-invalidation against
 //!   the index's swap generation.
 //! * [`fleet`] — [`MachineFleet`]: a directory of `*.ini` machine
-//!   descriptions, every admitted kernel compiled against every
-//!   machine, and [`MachineFleet::reload`] hot-swapping the models of
-//!   edited files atomically ([`KernelId`]s stable, caches
-//!   invalidated).
+//!   descriptions with every admitted kernel served on every machine,
+//!   compiled once per [`AnalysisKey`](mira_roofline::AnalysisKey) (line
+//!   size and `[metric fpi]` categories) rather than once per machine,
+//!   and [`MachineFleet::reload`] hot-swapping the entries of edited
+//!   files atomically ([`KernelId`]s stable, caches invalidated). A
+//!   bandwidth, peak or capacity edit re-attaches ceilings without
+//!   analyzing or compiling anything.
 //!
 //! The equivalence story has one compile-time escape hatch:
 //! [`ServeIndex`] refuses (typed [`BuildError`]) any kernel whose
@@ -60,8 +67,8 @@ pub mod program;
 pub use cache::{AnswerCache, CacheStats};
 pub use fleet::{FleetError, MachineFleet, ReloadReport};
 pub use index::{
-    BuildError, CompiledKernel, CrossoverRow, KernelId, Query, ServeError, ServeIndex,
-    Sweep, MAX_QUERY_PARAMS, SHARD_MIN_BATCH,
+    BuildError, CompiledKernel, CrossoverRow, KernelId, PlacementProgram, Query, ServeError,
+    ServeIndex, Sweep, MAX_QUERY_PARAMS, SHARD_MIN_BATCH,
 };
 pub use program::{
     CompileError, CompiledExpr, EvalProgram, OutId, ProgramBuilder, Scratch, SecId,
@@ -168,6 +175,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EvalProgram>();
         assert_send_sync::<CompiledExpr>();
+        assert_send_sync::<PlacementProgram>();
         assert_send_sync::<CompiledKernel>();
         assert_send_sync::<ServeIndex>();
         assert_send_sync::<Query>();

@@ -131,7 +131,7 @@ pub struct Scratch {
     regs: Vec<Rat>,
     vals: Vec<Option<i128>>,
     /// Per-node working-set / extent staging for nest-model placement
-    /// (used by `CompiledKernel`, carried here so one scratch covers a
+    /// (used by `PlacementProgram`, carried here so one scratch covers a
     /// whole query).
     pub(crate) ws: Vec<i128>,
     pub(crate) ext: Vec<Rat>,
@@ -140,6 +140,14 @@ pub struct Scratch {
 impl Scratch {
     pub fn new() -> Scratch {
         Scratch::default()
+    }
+
+    /// Rebind one positional parameter of the program last bound into
+    /// this scratch, leaving the others as bound.
+    pub(crate) fn set_value(&mut self, slot: usize, v: i128) {
+        if let Some(x) = self.vals.get_mut(slot) {
+            *x = Some(v);
+        }
     }
 
     fn ensure(&mut self, p: &EvalProgram) {

@@ -2,16 +2,39 @@
 //! all-or-nothing, hot-reload swaps changed machines atomically under
 //! stable [`mira_serve::KernelId`]s, answer caches self-invalidate on
 //! reload, and fleet-reloaded answers are bit-identical to the symbolic
-//! tree walk under the edited description.
+//! tree walk under the edited description. Compilation follows the
+//! analysis key: admission compiles once per key, a ceilings-only reload
+//! analyzes and compiles nothing, and the key itself covers everything
+//! analysis reads of a description.
 
 use std::fs;
 use std::path::PathBuf;
 
 use mira_arch::desc::DEFAULT_DESCRIPTION;
-use mira_arch::{ArchDescription, LoadError};
+use mira_arch::{ArchDescription, Bandwidths, CacheLevel, LoadError, PeakParams};
 use mira_core::{analyze_source, MiraOptions};
-use mira_roofline::{Ceilings, KernelRoofline, MemLevel, Placement};
+use mira_roofline::{AnalysisKey, Ceilings, KernelRoofline, MemLevel, Placement};
 use mira_serve::{machines, AnswerCache, FleetError, MachineFleet, Scratch, ServeError};
+
+/// The seven serving kernels, as `bench_serve` serves them.
+const SERVING: [(&str, &str); 7] = [
+    ("triad", mira_workloads::memval::TRIAD_SRC),
+    ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
+    ("dgemm_tiled", mira_workloads::roofval::DGEMM_TILED_SRC),
+    ("triad_blocked", mira_workloads::roofval::TRIAD_BLOCKED_SRC),
+    ("trisolve", mira_workloads::compose::TRISOLVE_SRC),
+    ("blur", mira_workloads::compose::STENCIL_SWEEP_SRC),
+    ("cg_solve", mira_workloads::minife::MINIFE_SRC),
+];
+
+/// The spans of analysis and compilation: none may run while a reload
+/// only swaps ceilings.
+const PIPELINE_SPANS: [&str; 4] = [
+    "phase.frontend",
+    "phase.metrics",
+    "roofline.analyze",
+    "serve.compile",
+];
 
 /// A fresh temp directory holding the two stock machine descriptions.
 fn fleet_dir(tag: &str) -> PathBuf {
@@ -46,18 +69,49 @@ fn assert_bit_identical(a: &Placement, b: &Placement, ctx: &str) {
     }
 }
 
+/// The tree-walk roofline of `func` under a description.
+fn roofline(arch: &ArchDescription, func: &str, src: &str) -> KernelRoofline {
+    let opts = MiraOptions {
+        arch: arch.clone(),
+        ..Default::default()
+    };
+    let analysis = analyze_source(src, &opts).expect("workload analyzes");
+    KernelRoofline::analyze(&analysis, func).expect("roofline analyzes")
+}
+
 /// The tree walk's placement of `func` under a description text, for
 /// differential comparison against fleet-served answers.
 fn tree_walk(desc_text: &str, func: &str, src: &str, values: &[(&str, i128)]) -> Placement {
     let arch = ArchDescription::parse(desc_text).expect("description parses");
-    let opts = MiraOptions {
-        arch,
-        ..Default::default()
-    };
-    let analysis = analyze_source(src, &opts).expect("workload analyzes");
-    let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
-    let c = Ceilings::from_arch(&analysis.arch);
-    kr.place(&c, &mira_sym::bindings(values)).expect("tree walk places")
+    let kr = roofline(&arch, func, src);
+    kr.place(&Ceilings::from_arch(&arch), &mira_sym::bindings(values))
+        .expect("tree walk places")
+}
+
+/// Every kernel the fleet serves on `machine` answers like the tree walk
+/// under `desc_text`, bit for bit, across regimes (n = 8 … 1M).
+fn assert_serves_tree_walk(
+    fleet: &MachineFleet,
+    machine: &str,
+    desc_text: &str,
+    kernels: &[(&str, &str)],
+) {
+    let arch = ArchDescription::parse(desc_text).expect("description parses");
+    let c = Ceilings::from_arch(&arch);
+    let mut s = Scratch::new();
+    for (func, src) in kernels {
+        let kr = roofline(&arch, func, src);
+        let id = fleet.find(func, machine).expect("kernel served");
+        let params = fleet.index().kernel(id).expect("kernel").params().to_vec();
+        for n in [8, 300, 4096, 1 << 20] {
+            let vals = base_values(fleet, id, n);
+            let q = fleet.index().query(id, &vals).expect("query builds");
+            let served = fleet.index().place(&q, &mut s).expect("places");
+            let b = params.iter().cloned().zip(vals.iter().copied()).collect();
+            let walked = kr.place(&c, &b).expect("tree walk places");
+            assert_bit_identical(&walked, &served, &format!("{func}@{machine} n={n}"));
+        }
+    }
 }
 
 #[test]
@@ -176,7 +230,7 @@ fn reload_swaps_changed_machines_under_stable_ids() {
     let report = fleet.reload().expect("reload succeeds");
     assert_eq!(report.changed, ["avx2-fma"]);
     assert!(report.added.is_empty() && report.removed.is_empty());
-    assert_eq!(report.recompiled, 2, "both kernels recompiled for the edited machine");
+    assert_eq!(report.recompiled, 2, "both entries of the edited machine swapped");
 
     // same id, new answers — through the cache, which self-invalidates
     assert_eq!(fleet.find("triad", machines::AVX2_FMA), Some(id), "id stable");
@@ -280,7 +334,10 @@ fn cached_refusals_match_uncached() {
     let id = fleet
         .admit_source("triad", mira_workloads::memval::TRIAD_SRC)
         .expect("triad admits")[0];
-    let huge = base_values(&fleet, id, i64::MAX as i128);
+    // every parameter astronomical: the triad's n·reps products leave
+    // the i128 range (n alone no longer does — its closed form cancels
+    // to 2·n·reps FLOPs, evaluated once through the shared primitive)
+    let huge = vec![i64::MAX as i128; base_values(&fleet, id, 1).len()];
     let q = fleet.index().query(id, &huge).expect("query builds");
     let mut s = Scratch::new();
     let mut cache = AnswerCache::new(64);
@@ -294,5 +351,182 @@ fn cached_refusals_match_uncached() {
     assert_eq!(cold, first, "cold vs cache-miss");
     assert_eq!(cold, second, "cold vs cache-hit");
     assert!(cache.probe().hits >= 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The fleet shares one analysis and one compiled program among the
+/// machines of an [`AnalysisKey`], which is sound only while analysis
+/// reads nothing else of a description. Change every field outside the
+/// key — all three bandwidths, the peak, the vector width and lanes,
+/// both cache levels and the name — and every serving kernel must
+/// analyze to the identical roofline: closed forms, `vectorized` and
+/// the nest model. Change the line size and the footprints must move.
+#[test]
+fn analysis_reads_nothing_outside_the_sharing_key() {
+    let generic = ArchDescription::default();
+    let mut other = generic.clone();
+    other.machine.name = "elsewhere".to_string();
+    other.machine.bandwidth = Bandwidths {
+        l1: 96,
+        l2: 40,
+        dram: 12,
+    };
+    other.machine.peak = PeakParams {
+        fp_pipes: 3,
+        fma: true,
+    };
+    other.machine.fp_lanes_per_vector = 8;
+    other.machine.vector_bits = 512;
+    other.machine.l1 = CacheLevel {
+        size_bytes: 49152,
+        assoc: 12,
+    };
+    other.machine.l2 = CacheLevel {
+        size_bytes: 1 << 21,
+        assoc: 16,
+    };
+    assert_eq!(AnalysisKey::of(&other), AnalysisKey::of(&generic));
+    let (cg, co) = (Ceilings::from_arch(&generic), Ceilings::from_arch(&other));
+    assert_ne!(cg.peak_scalar, co.peak_scalar);
+    assert_ne!(cg.peak_vector, co.peak_vector);
+    for l in 0..3 {
+        assert_ne!(cg.bandwidth[l], co.bandwidth[l], "bandwidth {l}");
+    }
+    assert_ne!(cg.capacity_above[1], co.capacity_above[1]);
+    assert_ne!(cg.capacity_above[2], co.capacity_above[2]);
+
+    let mut wide = generic.clone();
+    wide.machine.cache_line_bytes = 128;
+    assert_ne!(AnalysisKey::of(&wide), AnalysisKey::of(&generic));
+
+    for (func, src) in SERVING {
+        let base = roofline(&generic, func, src);
+        let moved = roofline(&other, func, src);
+        // Debug prints every field: each closed form, footprint_known,
+        // vectorized and the whole nest model
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{moved:?}"),
+            "{func}: analysis read a description field outside the sharing key"
+        );
+        assert_eq!(base.vectorized, moved.vectorized, "{func}");
+        let widened = roofline(&wide, func, src);
+        assert_ne!(
+            base.footprint_lines, widened.footprint_lines,
+            "{func}: the line size must reach the footprint"
+        );
+    }
+}
+
+/// Admission compiles once per analysis key, not once per machine: the
+/// two bundled machines share a key, so K kernels cost K compilations
+/// for 2K served entries — and each machine's entries still answer like
+/// the tree walk under its own description.
+#[test]
+fn admission_compiles_once_per_analysis_key() {
+    let dir = fleet_dir("admit_key");
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let keys: Vec<AnalysisKey> = fleet.machines().map(|m| AnalysisKey::of(&m.desc)).collect();
+    assert_eq!(keys.len(), 2);
+    assert_eq!(keys[0], keys[1], "the bundled machines share an analysis key");
+    let ((), trace) = mira_probe::capture(|| {
+        for (func, src) in SERVING {
+            fleet.admit_source(func, src).expect("kernel admits");
+        }
+    });
+    assert_eq!(fleet.index().len(), 2 * SERVING.len());
+    let k = SERVING.len() as u64;
+    assert_eq!(trace.span_count("serve.compile"), k, "one program per kernel");
+    assert_eq!(trace.span_count("roofline.analyze"), k);
+    assert_eq!(trace.span_count("phase.frontend"), k);
+    assert_serves_tree_walk(&fleet, machines::GENERIC, DEFAULT_DESCRIPTION, &SERVING);
+    assert_serves_tree_walk(
+        &fleet,
+        machines::AVX2_FMA,
+        machines::AVX2_FMA_DESCRIPTION,
+        &SERVING,
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A reload after a bandwidth, peak or L2-size edit re-attaches the new
+/// ceilings to the programs already compiled: no analysis, no
+/// compilation — and the answers are bit-identical to the tree walk
+/// under the edited file.
+#[test]
+fn ceilings_only_reloads_compile_nothing() {
+    let dir = fleet_dir("ceilings");
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let kernels = &SERVING[..2];
+    for (func, src) in kernels {
+        fleet.admit_source(func, src).expect("kernel admits");
+    }
+    let edits = [
+        (
+            "[bandwidth dram]\nbytes_per_cycle = 8",
+            "[bandwidth dram]\nbytes_per_cycle = 16",
+        ),
+        ("fp_pipes = 2\nfma = yes", "fp_pipes = 3\nfma = yes"),
+        (
+            "[cache l2]\nsize_bytes = 1048576",
+            "[cache l2]\nsize_bytes = 65536",
+        ),
+    ];
+    let mut text = machines::AVX2_FMA_DESCRIPTION.to_string();
+    for (from, to) in edits {
+        let edited = text.replace(from, to);
+        assert_ne!(edited, text, "edit `{to}` applies");
+        text = edited;
+        fs::write(dir.join("avx2.ini"), &text).expect("edit avx2");
+        let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
+        assert_eq!(report.changed, [machines::AVX2_FMA], "{to}");
+        assert_eq!(report.recompiled, kernels.len(), "every entry swapped: {to}");
+        for span in PIPELINE_SPANS {
+            assert_eq!(trace.span_count(span), 0, "{span} ran for `{to}`");
+        }
+        assert_serves_tree_walk(&fleet, machines::AVX2_FMA, &text, kernels);
+    }
+    assert_serves_tree_walk(&fleet, machines::GENERIC, DEFAULT_DESCRIPTION, kernels);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `cache_line_bytes` edit changes the machine's analysis key: its
+/// kernels are analyzed and compiled under the new line size (and still
+/// match the tree walk), while the untouched machine keeps its programs.
+/// Editing the line size back re-shares the other machine's programs
+/// without compiling.
+#[test]
+fn line_size_edit_recompiles_and_matches_the_tree_walk() {
+    let dir = fleet_dir("line");
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let kernels = &SERVING[..2];
+    for (func, src) in kernels {
+        fleet.admit_source(func, src).expect("kernel admits");
+    }
+    let wide = machines::AVX2_FMA_DESCRIPTION
+        .replace("cache_line_bytes = 64", "cache_line_bytes = 128");
+    assert_ne!(wide, machines::AVX2_FMA_DESCRIPTION, "edit applies");
+    fs::write(dir.join("avx2.ini"), &wide).expect("edit avx2");
+    let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
+    assert_eq!(report.changed, [machines::AVX2_FMA]);
+    assert_eq!(report.recompiled, kernels.len());
+    assert_eq!(
+        trace.span_count("serve.compile"),
+        kernels.len() as u64,
+        "the new key compiles every kernel once"
+    );
+    assert_serves_tree_walk(&fleet, machines::AVX2_FMA, &wide, kernels);
+    assert_serves_tree_walk(&fleet, machines::GENERIC, DEFAULT_DESCRIPTION, kernels);
+
+    fs::write(dir.join("avx2.ini"), machines::AVX2_FMA_DESCRIPTION).expect("restore avx2");
+    let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
+    assert_eq!(report.changed, [machines::AVX2_FMA]);
+    assert_eq!(trace.span_count("serve.compile"), 0, "the old key is still served");
+    assert_serves_tree_walk(
+        &fleet,
+        machines::AVX2_FMA,
+        machines::AVX2_FMA_DESCRIPTION,
+        kernels,
+    );
     let _ = fs::remove_dir_all(&dir);
 }

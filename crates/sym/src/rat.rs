@@ -21,6 +21,11 @@ fn gcd(a: i128, b: i128) -> i128 {
     // almost always fit u64, where the loop runs on hardware division
     if a <= u64::MAX as i128 && b <= u64::MAX as i128 {
         let (mut a, mut b) = (a as u64, b as u64);
+        // one side a power of two (halves, line sizes, bandwidths): the
+        // gcd is the largest power of two dividing both, no division
+        if a != 0 && b != 0 && (a.is_power_of_two() || b.is_power_of_two()) {
+            return 1i128 << a.trailing_zeros().min(b.trailing_zeros());
+        }
         while b != 0 {
             let t = a % b;
             a = b;
@@ -36,6 +41,26 @@ fn gcd(a: i128, b: i128) -> i128 {
     a
 }
 
+/// `a / b` for `b > 0`, on hardware division when both fit `i64` (the
+/// `i128` operator is a library call; the quotient is the same).
+#[inline]
+fn div(a: i128, b: i128) -> i128 {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => (a / b) as i128,
+        _ => a / b,
+    }
+}
+
+/// `a · b`, checked — one widening hardware multiply when both fit
+/// `i64`, where the product cannot overflow `i128`.
+#[inline]
+fn mul(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(a as i128 * b as i128),
+        _ => a.checked_mul(b),
+    }
+}
+
 impl Rat {
     pub const ZERO: Rat = Rat { num: 0, den: 1 };
     pub const ONE: Rat = Rat { num: 1, den: 1 };
@@ -47,8 +72,8 @@ impl Rat {
         let g = gcd(num, den).max(1);
         let sign = if den < 0 { -1 } else { 1 };
         Rat {
-            num: sign * num / g,
-            den: sign * den / g,
+            num: div(sign * num, g),
+            den: div(sign * den, g),
         }
     }
 
@@ -120,11 +145,11 @@ impl Rat {
         // terms since gcd(a, b) = 1 — same value and overflow points as
         // the general path (whose cross terms are a·1 and c·b), no gcds
         if o.den == 1 {
-            let num = self.num.checked_add(o.num.checked_mul(self.den)?)?;
+            let num = self.num.checked_add(mul(o.num, self.den)?)?;
             return Some(Rat { num, den: self.den });
         }
         if self.den == 1 {
-            let num = o.num.checked_add(self.num.checked_mul(o.den)?)?;
+            let num = o.num.checked_add(mul(self.num, o.den)?)?;
             return Some(Rat { num, den: o.den });
         }
         // a/b + c/d = (a*d + c*b) / (b*d), reduce via gcd of denominators
@@ -141,23 +166,26 @@ impl Rat {
         // i64 the widening product cannot overflow i128, skipping the
         // checked multiply's software path entirely
         if self.den == 1 && o.den == 1 {
-            if let (Ok(a), Ok(b)) = (i64::try_from(self.num), i64::try_from(o.num)) {
-                return Some(Rat::int(a as i128 * b as i128));
-            }
-            return self.num.checked_mul(o.num).map(Rat::int);
+            return mul(self.num, o.num).map(Rat::int);
         }
         // one side integer: a/b · c = (a·(c/g)) / (b/g) with
         // g = gcd(c, b); reduced because gcd(a, b/g) = 1 and
         // gcd(c/g, b/g) = 1 — one gcd instead of three
         if o.den == 1 {
             let g = gcd(o.num, self.den).max(1);
-            let num = self.num.checked_mul(o.num / g)?;
-            return Some(Rat { num, den: self.den / g });
+            let num = mul(self.num, div(o.num, g))?;
+            return Some(Rat {
+                num,
+                den: div(self.den, g),
+            });
         }
         if self.den == 1 {
             let g = gcd(self.num, o.den).max(1);
-            let num = o.num.checked_mul(self.num / g)?;
-            return Some(Rat { num, den: o.den / g });
+            let num = mul(o.num, div(self.num, g))?;
+            return Some(Rat {
+                num,
+                den: div(o.den, g),
+            });
         }
         let g1 = gcd(self.num, o.den).max(1);
         let g2 = gcd(o.num, self.den).max(1);
@@ -211,7 +239,12 @@ impl Rat {
     /// Approximate value as `f64` (display / plotting only; never used for
     /// counting).
     pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
+        // integer → f64 conversion rounds to nearest from any width, so
+        // the i64 instruction gives the i128 library call's bits
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(n), Ok(d)) => n as f64 / d as f64,
+            _ => self.num as f64 / self.den as f64,
+        }
     }
 
     /// Round to the nearest integer, half away from zero — the rounding
@@ -350,6 +383,23 @@ mod tests {
             let lhs = x.checked_mul(y.checked_add(z).unwrap()).unwrap();
             let rhs = x.checked_mul(y).unwrap().checked_add(x.checked_mul(z).unwrap()).unwrap();
             prop_assert_eq!(lhs, rhs);
+        }
+
+        #[test]
+        fn prop_hardware_fast_paths_keep_values(a in -(1i128 << 70)..(1i128 << 70), b in 1i128..100_000, c in -(1i128 << 40)..(1i128 << 40)) {
+            let x = Rat::new(a, b);
+            if let Some(n) = a.checked_mul(c) {
+                prop_assert_eq!(x.checked_mul(Rat::int(c)), Some(Rat::new(n, b)));
+                prop_assert_eq!(Rat::int(c).checked_mul(x), Some(Rat::new(n, b)));
+            }
+            prop_assert_eq!(x.to_f64().to_bits(), (x.num() as f64 / x.den() as f64).to_bits());
+            // the power-of-two gcd shortcut agrees with Euclid
+            let (p, q) = (b.unsigned_abs() as u64, 1u64 << (c.unsigned_abs() % 63));
+            let (mut m, mut n) = (p, q);
+            while n != 0 {
+                (m, n) = (n, m % n);
+            }
+            prop_assert_eq!(gcd(p as i128, q as i128), m as i128);
         }
 
         #[test]

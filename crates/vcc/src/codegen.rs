@@ -95,13 +95,6 @@ struct VarBinding {
     is_array: bool,
 }
 
-#[derive(Clone, Debug)]
-#[allow(dead_code)] // retained for future interprocedural passes
-struct FnSig {
-    ret: Type,
-    params: Vec<Type>,
-}
-
 /// Compile a checked program to an object.
 pub fn compile_program(program: &Program, options: &Options) -> Result<mira_vobj::Object, CompileError> {
     let _sp = mira_probe::span("vcc.compile_program", "vcc");
@@ -136,28 +129,9 @@ pub fn compile_program(program: &Program, options: &Options) -> Result<mira_vobj
         sym_ids.insert(n.clone(), (func_names.len() + i) as u32);
     }
 
-    let mut sigs: HashMap<String, FnSig> = HashMap::new();
-    for f in program.functions() {
-        sigs.insert(
-            f.name.clone(),
-            FnSig {
-                ret: f.ret.clone(),
-                params: f.params.iter().map(|p| p.ty.clone()).collect(),
-            },
-        );
-    }
-    for e in program.externs() {
-        sigs.entry(e.name.clone()).or_insert(FnSig {
-            ret: e.ret.clone(),
-            params: e.params.clone(),
-        });
-    }
-
     let mut funcs = Vec::new();
     for f in program.functions() {
-        funcs.push(
-            compile_function(f, options, &sym_ids, &sigs).map_err(|e| e.with_func(&f.name))?,
-        );
+        funcs.push(compile_function(f, options, &sym_ids).map_err(|e| e.with_func(&f.name))?);
     }
     for name in libm_names {
         funcs.push(libm::build(name).expect("libm body"));
@@ -174,7 +148,6 @@ fn compile_function(
     f: &Func,
     options: &Options,
     sym_ids: &HashMap<String, u32>,
-    sigs: &HashMap<String, FnSig>,
 ) -> Result<FuncAsm, CompileError> {
     let mut sp = mira_probe::span("vcc.compile_function", "vcc");
     sp.arg("func", &f.name);
@@ -187,14 +160,14 @@ fn compile_function(
         let _a = mira_probe::accum("vcc.regalloc");
         let alloc = regalloc::allocate(f, cap_int, cap_fp);
         drop(_a);
-        let mut cg = Codegen::new(f, options, &alloc, Vec::new(), sym_ids, sigs);
+        let mut cg = Codegen::new(f, options, &alloc, Vec::new(), sym_ids);
         match cg.gen_function(f) {
             Ok(()) => {
                 let saves = cg.written_callee_saved();
                 if saves.is_empty() {
                     return Ok(cg.asm);
                 }
-                let mut cg = Codegen::new(f, options, &alloc, saves, sym_ids, sigs);
+                let mut cg = Codegen::new(f, options, &alloc, saves, sym_ids);
                 cg.gen_function(f)?;
                 return Ok(cg.asm);
             }
@@ -217,7 +190,6 @@ pub struct Codegen<'a> {
     pub asm: FuncAsm,
     pub options: &'a Options,
     sym_ids: &'a HashMap<String, u32>,
-    sigs: &'a HashMap<String, FnSig>,
     alloc: &'a Allocation,
     /// Declarations seen so far — the index into the allocation.
     decl_idx: usize,
@@ -248,7 +220,6 @@ impl<'a> Codegen<'a> {
         alloc: &'a Allocation,
         saves: Vec<Home>,
         sym_ids: &'a HashMap<String, u32>,
-        sigs: &'a HashMap<String, FnSig>,
     ) -> Codegen<'a> {
         let mut asm = FuncAsm::new(&f.name);
         asm.cur_line = f.span.line;
@@ -285,7 +256,6 @@ impl<'a> Codegen<'a> {
             asm,
             options,
             sym_ids,
-            sigs,
             alloc,
             decl_idx: 0,
             saves,
@@ -1413,7 +1383,6 @@ impl<'a> Codegen<'a> {
                 _ => {}
             }
         }
-        let _ = self.sigs; // signatures currently only needed by sema
         Ok(result)
     }
 }

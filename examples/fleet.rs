@@ -1,9 +1,11 @@
 //! `MachineFleet` end to end: serve a *directory* of machine
-//! descriptions, compile DGEMM and triad against every machine, answer
-//! queries through the bounded answer cache, then edit one `*.ini` on
-//! disk and hot-reload — the changed machine's models are recompiled
-//! and swapped atomically under stable `KernelId`s, the cache
-//! self-invalidates, and the new ceilings are served immediately.
+//! descriptions, compile DGEMM and triad once for the machines that
+//! share an analysis key, answer queries through the bounded answer
+//! cache, then edit one `*.ini` on disk and hot-reload — the changed
+//! machine's entries get the new ceilings attached (a bandwidth edit
+//! compiles nothing) and are swapped atomically under stable
+//! `KernelId`s, the cache self-invalidates, and the new ceilings are
+//! served immediately.
 //!
 //! Run with: `cargo run --release --example fleet`
 
@@ -32,7 +34,7 @@ fn main() {
         .admit_source("dgemm", mira_workloads::dgemm::DGEMM_SRC)
         .expect("dgemm admits on every machine");
     println!(
-        "fleet over {}: {} machines x {} kernels = {} compiled models",
+        "fleet over {}: {} machines x {} kernels = {} served entries",
         dir.display(),
         fleet.machines().count(),
         fleet.funcs().count(),
@@ -70,10 +72,14 @@ fn main() {
         "[bandwidth dram]\nbytes_per_cycle = 16",
     );
     fs::write(dir.join("avx2.ini"), edited).expect("avx2.ini rewrites");
-    let report = fleet.reload().expect("reload swaps the edited machine");
+    let (report, trace) =
+        mira_probe::capture(|| fleet.reload().expect("reload swaps the edited machine"));
     println!(
-        "reload: changed = {:?}, {} models recompiled (ids stable)",
-        report.changed, report.recompiled,
+        "reload: changed = {:?}, {} entries swapped to the new ceilings \
+         ({} programs compiled, ids stable)",
+        report.changed,
+        report.recompiled,
+        trace.span_count("serve.compile"),
     );
 
     // same query, same id, same cache handle: the swap generation
