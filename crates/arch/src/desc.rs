@@ -36,9 +36,32 @@ pub struct CacheLevel {
 }
 
 impl CacheLevel {
-    /// Number of sets at a given line size.
+    /// Whether one set fits in the level: `line_bytes × assoc` is nonzero
+    /// and neither overflows nor exceeds `size_bytes`.
+    /// [`ArchDescription::parse`] refuses levels that fail this.
+    pub fn fits(&self, line_bytes: u32) -> bool {
+        line_bytes
+            .checked_mul(self.assoc)
+            .is_some_and(|b| b > 0 && b <= self.size_bytes)
+    }
+
+    /// Number of sets at a given line size, at least one. Total for
+    /// hand-built levels too: zero ways count as one, and a set whose
+    /// byte size overflows (or is zero) means one set.
     pub fn sets(&self, line_bytes: u32) -> u32 {
-        (self.size_bytes / (line_bytes * self.assoc)).max(1)
+        match line_bytes.checked_mul(self.assoc.max(1)) {
+            Some(b) if b > 0 => (self.size_bytes / b).max(1),
+            _ => 1,
+        }
+    }
+
+    /// Ways per set at a given line size: the declared associativity,
+    /// at least one, and never more lines than the whole level holds.
+    /// The cap only bites on hand-built levels that fail [`Self::fits`];
+    /// with it `sets × ways × line_bytes ≤ max(size_bytes, line_bytes)`.
+    pub fn ways(&self, line_bytes: u32) -> u32 {
+        let lines = self.size_bytes.checked_div(line_bytes).unwrap_or(0);
+        self.assoc.min(lines).max(1)
     }
 }
 
@@ -268,6 +291,10 @@ impl ArchDescription {
         let mut machine = MachineParams::default();
         let mut metrics: BTreeMap<String, Vec<Category>> = BTreeMap::new();
         let mut section = Section::None;
+        // per cache level, the last key that changed its geometry (its own
+        // keys or the shared line size) — blamed if one set ends up wider
+        // than the whole level
+        let mut geometry_key: [(usize, &str); 2] = [(0, "cache_line_bytes"); 2];
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -356,6 +383,7 @@ impl ArchDescription {
                             });
                         }
                         machine.cache_line_bytes = v;
+                        geometry_key = [(lineno, "cache_line_bytes"); 2];
                     }
                     "vector_bits" => {
                         machine.vector_bits = value.parse().map_err(|_| DescError::BadValue {
@@ -403,6 +431,7 @@ impl ArchDescription {
                             })
                         }
                     }
+                    geometry_key[usize::from(*is_l2)] = (lineno, key);
                 }
                 Section::Peak => match key {
                     "fp_pipes" => {
@@ -486,6 +515,17 @@ impl ArchDescription {
                         })
                     }
                 },
+            }
+        }
+        // a set wider than its level (or one whose byte size overflows)
+        // has no meaningful geometry: the simulator's way table and the
+        // static capacity models would disagree about it
+        for (level, (line, key)) in [machine.l1, machine.l2].into_iter().zip(geometry_key) {
+            if !level.fits(machine.cache_line_bytes) {
+                return Err(DescError::BadValue {
+                    line,
+                    key: key.to_string(),
+                });
             }
         }
         Ok(ArchDescription { machine, metrics })
@@ -696,6 +736,61 @@ mod tests {
             Err(DescError::BadValue { .. })
         ));
         assert!(ArchDescription::parse("[machine]\ncache_line_bytes = 32\n").is_ok());
+    }
+
+    #[test]
+    fn set_wider_than_its_level_is_refused() {
+        // 64-byte lines × 2^26 ways is 2^32 bytes: the product wraps to 0
+        // in u32, so `sets()` used to divide by zero (or trap on overflow)
+        // when the VM built its cache simulator from this description
+        let text = DEFAULT_DESCRIPTION.replacen("assoc = 8", "assoc = 67108864", 1);
+        let line = 1 + text.lines().position(|l| l == "assoc = 67108864").unwrap();
+        assert_eq!(
+            ArchDescription::parse(&text),
+            Err(DescError::BadValue {
+                line,
+                key: "assoc".to_string()
+            })
+        );
+        // no overflow, but one set (8 × 64 B) is larger than the level
+        assert_eq!(
+            ArchDescription::parse("[cache l2]\nsize_bytes = 256\n"),
+            Err(DescError::BadValue {
+                line: 2,
+                key: "size_bytes".to_string()
+            })
+        );
+        // the shared line size can be what breaks a level
+        assert_eq!(
+            ArchDescription::parse("[machine]\ncache_line_bytes = 8192\n"),
+            Err(DescError::BadValue {
+                line: 2,
+                key: "cache_line_bytes".to_string()
+            })
+        );
+        // exactly one set spanning the level is fine (fully associative)
+        assert!(ArchDescription::parse("[cache l1]\nassoc = 512\n").is_ok());
+    }
+
+    #[test]
+    fn sets_and_ways_are_total_for_hand_built_levels() {
+        let level = |size_bytes, assoc| CacheLevel { size_bytes, assoc };
+        for (l, line, sets, ways) in [
+            (level(32768, 67_108_864), 64, 1, 512), // line × assoc wraps to 0
+            (level(32768, u32::MAX), 64, 1, 512),   // overflows
+            (level(32768, 0), 64, 512, 1),          // no ways: direct-mapped
+            (level(32768, 8), 0, 1, 1),             // no line size
+            (level(32, 8), 64, 1, 1),               // smaller than one line
+        ] {
+            assert!(!l.fits(line), "{l:?}");
+            assert_eq!((l.sets(line), l.ways(line)), (sets, ways), "{l:?}");
+            let bytes = sets as u64 * ways as u64 * line as u64;
+            assert!(bytes <= (l.size_bytes as u64).max(line as u64), "{l:?}");
+        }
+        // valid levels keep their declared geometry
+        let l = level(3 * 4 * 64, 4);
+        assert!(l.fits(64));
+        assert_eq!((l.sets(64), l.ways(64)), (3, 4));
     }
 
     #[test]

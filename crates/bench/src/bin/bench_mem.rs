@@ -12,11 +12,15 @@
 //! default.
 //!
 //! Usage: `cargo run --release -p mira-bench --bin bench_mem
-//! [--quick] [--trace <out.json>]`
-//! (`--quick` shrinks sizes for the CI smoke run; `--trace` captures the
-//! whole run with `mira-probe` and writes a Chrome trace-event JSON).
-//! The file also carries a `phase_wall_ms` breakdown of the static
-//! pipeline's per-phase wall time, taken from the probe spans.
+//! [--quick|--check] [--trace <out.json>]`
+//! (`--quick` shrinks sizes for the CI smoke run; `--check` re-runs the
+//! workloads at the committed sizes and fails on any difference in
+//! bytes, fills, misses or write-backs from the committed
+//! BENCH_mem.json, without timing anything or writing the file;
+//! `--trace` captures the whole run with `mira-probe` and writes a
+//! Chrome trace-event JSON). The file also carries a `phase_wall_ms`
+//! breakdown of the static pipeline's per-phase wall time, taken from
+//! the probe spans.
 
 use mira_workloads::memval::{self, MemRow};
 
@@ -25,7 +29,72 @@ struct Entry {
     sim_overhead: f64,
 }
 
+/// Every row, in file order, with its simulator overhead when `timed`
+/// (NaN otherwise, and for the rows that never time it).
+fn entries(quick: bool, timed: bool) -> Vec<Entry> {
+    let (stream_n, reps, dgemm_n, grid) = if quick {
+        (1024i64, 2i64, 12i64, 5i64)
+    } else {
+        (20_000, 2, 40, 8)
+    };
+    // one overhead measurement per kernel shape (the slowest part of this
+    // bench); the SIMD triad shares the scalar STREAM number
+    let (stream_ovhd, dgemm_ovhd) = if timed {
+        (
+            memval::stream_sim_overhead(stream_n, reps, 3),
+            memval::dgemm_sim_overhead(dgemm_n, 3),
+        )
+    } else {
+        (f64::NAN, f64::NAN)
+    };
+    vec![
+        Entry {
+            row: memval::triad_row(stream_n, reps, false),
+            sim_overhead: stream_ovhd,
+        },
+        Entry {
+            row: memval::triad_row(stream_n, reps, true),
+            sim_overhead: f64::NAN, // overhead measured once on the scalar path
+        },
+        Entry {
+            row: memval::stream_row(stream_n, reps),
+            sim_overhead: stream_ovhd,
+        },
+        Entry {
+            row: memval::dgemm_row(dgemm_n, 1),
+            sim_overhead: dgemm_ovhd,
+        },
+        Entry {
+            row: memval::minife_row(grid, 2000, 1e-8),
+            sim_overhead: f64::NAN, // dominated by the solve; see stream/dgemm
+        },
+    ]
+}
+
+/// A row's exact fields in file order: everything but the timing.
+fn exact_fields(r: &MemRow) -> [(&'static str, String); 13] {
+    [
+        ("static_load_bytes", r.static_load_bytes.to_string()),
+        ("static_store_bytes", r.static_store_bytes.to_string()),
+        ("dynamic_load_bytes", r.dynamic.load_bytes.to_string()),
+        ("dynamic_store_bytes", r.dynamic.store_bytes.to_string()),
+        ("bytes_exact", r.bytes_exact().to_string()),
+        ("static_lines", r.static_lines.to_string()),
+        ("data_l1_fills", r.dynamic.data_l1_fills.to_string()),
+        ("l1_misses", r.dynamic.l1.misses.to_string()),
+        ("l2_misses", r.dynamic.l2.misses.to_string()),
+        ("l1_writebacks", r.dynamic.l1.writebacks.to_string()),
+        ("l2_writebacks", r.dynamic.l2.writebacks.to_string()),
+        ("flops", r.static_flops.to_string()),
+        ("bytes_ai", format!("{:.4}", r.bytes_ai)),
+    ]
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--check") {
+        check();
+        return;
+    }
     match mira_bench::trace::trace_arg() {
         Some(path) => {
             let (json, trace) = mira_probe::capture(run);
@@ -55,57 +124,18 @@ fn finish_json(json: String, trace: &mira_probe::Trace) {
 
 fn run() -> String {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (stream_n, reps, dgemm_n, grid) = if quick {
-        (1024i64, 2i64, 12i64, 5i64)
-    } else {
-        (20_000, 2, 40, 8)
-    };
-
-    // one overhead measurement per kernel shape (the slowest part of this
-    // bench); the SIMD triad shares the scalar STREAM number
-    let stream_ovhd = memval::stream_sim_overhead(stream_n, reps, 3);
-    let entries = vec![
-        Entry {
-            row: memval::triad_row(stream_n, reps, false),
-            sim_overhead: stream_ovhd,
-        },
-        Entry {
-            row: memval::triad_row(stream_n, reps, true),
-            sim_overhead: f64::NAN, // overhead measured once on the scalar path
-        },
-        Entry {
-            row: memval::stream_row(stream_n, reps),
-            sim_overhead: stream_ovhd,
-        },
-        Entry {
-            row: memval::dgemm_row(dgemm_n, 1),
-            sim_overhead: memval::dgemm_sim_overhead(dgemm_n, 3),
-        },
-        Entry {
-            row: memval::minife_row(grid, 2000, 1e-8),
-            sim_overhead: f64::NAN, // dominated by the solve; see stream/dgemm
-        },
-    ];
+    let entries = entries(quick, true);
 
     let mut json = String::from("{\n  \"bench\": \"mem_traffic\",\n  \"workloads\": [\n");
     for (i, e) in entries.iter().enumerate() {
-        let r = &e.row;
+        let fields: Vec<String> = exact_fields(&e.row)
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"static_load_bytes\": {}, \"static_store_bytes\": {}, \"dynamic_load_bytes\": {}, \"dynamic_store_bytes\": {}, \"bytes_exact\": {}, \"static_lines\": {}, \"data_l1_fills\": {}, \"l1_misses\": {}, \"l2_misses\": {}, \"l1_writebacks\": {}, \"l2_writebacks\": {}, \"flops\": {}, \"bytes_ai\": {:.4}, \"sim_overhead\": {}}}{}\n",
-            r.workload,
-            r.static_load_bytes,
-            r.static_store_bytes,
-            r.dynamic.load_bytes,
-            r.dynamic.store_bytes,
-            r.bytes_exact(),
-            r.static_lines,
-            r.dynamic.data_l1_fills,
-            r.dynamic.l1.misses,
-            r.dynamic.l2.misses,
-            r.dynamic.l1.writebacks,
-            r.dynamic.l2.writebacks,
-            r.static_flops,
-            r.bytes_ai,
+            "    {{\"workload\": \"{}\", {}, \"sim_overhead\": {}}}{}\n",
+            e.row.workload,
+            fields.join(", "),
             if e.sim_overhead.is_nan() {
                 "null".to_string()
             } else {
@@ -151,3 +181,36 @@ fn run() -> String {
     json
 }
 
+/// `--check`: re-run every row at the committed sizes (untimed) and fail
+/// when any exact field differs from the committed BENCH_mem.json.
+fn check() {
+    let committed = std::fs::read_to_string("BENCH_mem.json")
+        .expect("BENCH_mem.json not found — run bench_mem once to create the baseline");
+    let mut failed = false;
+    for e in entries(false, false) {
+        let r = &e.row;
+        let changed: Vec<String> = exact_fields(r)
+            .into_iter()
+            .filter_map(|(name, value)| {
+                let com = mira_bench::committed_field(&committed, &r.workload, name);
+                (com.as_deref() != Some(value.as_str()))
+                    .then(|| format!("{name} {} → {value}", com.as_deref().unwrap_or("MISSING")))
+            })
+            .collect();
+        failed |= !changed.is_empty() || !r.bytes_exact();
+        println!(
+            "{:<18} {}",
+            r.workload,
+            if changed.is_empty() {
+                "ok".to_string()
+            } else {
+                format!("CHANGED: {}", changed.join(", "))
+            }
+        );
+    }
+    if failed {
+        eprintln!("\nbench_mem --check: counters differ from the committed baseline — failing");
+        std::process::exit(1);
+    }
+    println!("\nbench_mem --check: every counter matches the committed baseline");
+}

@@ -191,8 +191,8 @@ fn check_placements(
         "workload", "com.static", "static", "com.dyn", "dynamic"
     );
     for (k, r) in rows {
-        let com_s = committed_field(&committed, k, "static_bound");
-        let com_d = committed_field(&committed, k, "dynamic_bound");
+        let com_s = mira_bench::committed_field(&committed, k, "static_bound");
+        let com_d = mira_bench::committed_field(&committed, k, "dynamic_bound");
         let (cur_s, cur_d) = (r.static_p.binding.to_string(), r.dynamic_p.binding.to_string());
         let ok = com_s.as_deref() == Some(cur_s.as_str())
             && com_d.as_deref() == Some(cur_d.as_str())
@@ -216,7 +216,7 @@ fn check_placements(
                 ("from", x.from.to_string()),
                 ("to", x.to.to_string()),
             ] {
-                let com = committed_field(&committed, "dgemm_crossover", field);
+                let com = mira_bench::committed_field(&committed, "dgemm_crossover", field);
                 if com.as_deref() == Some(cur.as_str()) {
                     println!("dgemm crossover {field} = {cur}: ok");
                 } else {
@@ -238,24 +238,4 @@ fn check_placements(
         std::process::exit(1);
     }
     println!("\nbench_roofline --check: all placements match the committed baseline");
-}
-
-/// Pull `"field": value` out of the entry whose line mentions
-/// `"workload": "<key>"` (or the `dgemm_crossover` object). No serde in
-/// this offline environment — the file is written by this very binary,
-/// one JSON object per line, so line-scoped scanning is exact.
-fn committed_field(json: &str, entry_key: &str, field: &str) -> Option<String> {
-    let needle_a = format!("\"workload\": \"{entry_key}\"");
-    let needle_b = format!("\"{entry_key}\"");
-    let line = json
-        .lines()
-        .find(|l| l.contains(&needle_a) || (entry_key == "dgemm_crossover" && l.contains(&needle_b)))?;
-    let at = line.find(&format!("\"{field}\": "))?;
-    let rest = &line[at + field.len() + 4..];
-    let value: String = rest
-        .chars()
-        .skip_while(|c| *c == ' ')
-        .take_while(|c| !",}".contains(*c))
-        .collect();
-    Some(value.trim().trim_matches('"').to_string())
 }

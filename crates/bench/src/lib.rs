@@ -47,6 +47,30 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
+/// Pull `"field": value` out of a committed `BENCH_*.json` baseline, for
+/// the `--check` gates: from the entry whose line mentions
+/// `"workload": "<entry_key>"`, or else from the top-level object line
+/// opening `"<entry_key>": {` (e.g. `dgemm_crossover`). Quotes are
+/// stripped from string values. No serde in this offline environment —
+/// the files are written by the bench binaries themselves, one JSON
+/// object per line, so line-scoped scanning is exact.
+pub fn committed_field(json: &str, entry_key: &str, field: &str) -> Option<String> {
+    let row = format!("\"workload\": \"{entry_key}\"");
+    let object = format!("\"{entry_key}\": {{");
+    let line = json
+        .lines()
+        .find(|l| l.contains(&row))
+        .or_else(|| json.lines().find(|l| l.trim_start().starts_with(&object)))?;
+    let at = line.find(&format!("\"{field}\": "))?;
+    let rest = &line[at + field.len() + 4..];
+    let value: String = rest
+        .chars()
+        .skip_while(|c| *c == ' ')
+        .take_while(|c| !",}".contains(*c))
+        .collect();
+    Some(value.trim().trim_matches('"').to_string())
+}
+
 /// Shared `--trace` plumbing for the bench binaries: argument parsing,
 /// Chrome trace emission, and the `phase_wall_ms` JSON fragment recorded
 /// into the `BENCH_*.json` files.
@@ -96,5 +120,20 @@ mod tests {
         let r = fmt_row("2M", "stream_bench", 1000, 990);
         assert!(r.contains("1.0000%"), "{r}");
         assert!(header("Array size").contains("Mira"));
+    }
+
+    #[test]
+    fn committed_fields_are_line_scoped() {
+        let json = "{\n  \"workloads\": [\n    \
+            {\"workload\": \"triad\", \"l1_misses\": 15003, \"bytes_exact\": true},\n    \
+            {\"workload\": \"triad_simd\", \"l1_misses\": 7, \"bound\": \"dram\"}\n  ],\n  \
+            \"dgemm_crossover\": {\"solved\": 9, \"from\": \"dram\"}\n}\n";
+        let field = |key, name| committed_field(json, key, name);
+        assert_eq!(field("triad", "l1_misses").as_deref(), Some("15003"));
+        assert_eq!(field("triad", "bytes_exact").as_deref(), Some("true"));
+        assert_eq!(field("triad_simd", "bound").as_deref(), Some("dram"));
+        assert_eq!(field("dgemm_crossover", "from").as_deref(), Some("dram"));
+        assert_eq!(field("triad", "bound"), None);
+        assert_eq!(field("stream", "l1_misses"), None);
     }
 }
