@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceiling, Ceilings, KernelRoofline, MemLevel, Placement};
 use mira_serve::{
-    machines, AnswerCache, CrossoverRow, MachineFleet, Query, Scratch, ServeError,
-    ServeIndex,
+    machines, AnswerCache, CompiledKernel, CrossoverRow, MachineFleet, Query, Scratch,
+    ServeError, ServeIndex,
 };
 use mira_sym::{bindings, Bindings};
 
@@ -83,7 +83,10 @@ fn build_rows(index: &mut ServeIndex, n_hi: i128) -> Vec<Row> {
                 ..Default::default()
             };
             let analysis = analyze_source(src, &opts).expect("workload analyzes");
-            let id = index.add(&analysis, func).expect("kernel admits");
+            let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
+            let k = CompiledKernel::build(&kr, &Ceilings::from_arch(arch), &arch.machine.name)
+                .expect("kernel compiles");
+            let id = index.insert(k).expect("kernel admits");
             let k = index.kernel(id).expect("kernel exists");
             let machine = k.machine().to_string();
             let base: Vec<i128> = k

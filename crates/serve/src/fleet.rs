@@ -315,7 +315,7 @@ impl MachineFleet {
             }
             report.recompiled = built.len();
             for k in built {
-                self.index.replace_compiled(k);
+                self.index.replace(k);
             }
         } else {
             // a machine left the fleet: rebuild the index over the

@@ -27,7 +27,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use mira_core::Analysis;
 use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
 use mira_model::ModelError;
 use mira_probe as probe;
@@ -51,16 +50,15 @@ pub const MAX_QUERY_PARAMS: usize = 4;
 pub enum BuildError {
     /// The roofline analysis itself refused the function.
     Model(ModelError),
-    /// The closed forms do not fit the bytecode (nesting or size), or
-    /// the kernel needs more than [`MAX_QUERY_PARAMS`] parameters, or
-    /// its evaluation depth exceeds [`budget::MAX_DEPTH`] — the tree
-    /// walk would refuse every placement, so serving it compiled would
-    /// change answers.
+    /// The closed forms do not compile: they nest deeper than
+    /// [`budget::MAX_DEPTH`] (the tree walk refuses them on depth), they
+    /// exceed the bytecode's address space, or the kernel needs more
+    /// than [`MAX_QUERY_PARAMS`] parameters.
     Compile(CompileError),
     /// Building the placement expressions tripped the analysis budget.
     Budget(BudgetError),
     /// The index already holds an entry for this `(func, machine)` pair.
-    /// [`ServeIndex::add`] never shadows a live kernel — re-registering
+    /// [`ServeIndex::insert`] never shadows a live kernel — re-registering
     /// (what a machine-description hot-reload does) must go through
     /// [`ServeIndex::replace`], which swaps the compiled model while
     /// keeping the [`KernelId`] stable.
@@ -99,8 +97,8 @@ pub enum ServeError {
     UnknownParam(String),
     /// The value list does not match the kernel's parameter count.
     BadArity { expected: usize, got: usize },
-    /// The placement itself refused (overflow, missing parameter,
-    /// tripped budget) — the same typed errors the tree walk raises.
+    /// The placement itself refused (overflow, missing parameter) — the
+    /// same typed errors the tree walk raises.
     Eval(EvalError),
 }
 
@@ -286,12 +284,6 @@ impl PlacementProgram {
             None => None,
         };
         let program = b.finish();
-        if program.max_height() > budget::MAX_DEPTH {
-            // the tree walk (always under a scope in place()) would
-            // refuse every placement on depth; unguarded compiled runs
-            // would not — refuse admission instead of diverging
-            return Err(BuildError::Compile(CompileError::TooDeep));
-        }
         if program.params().len() > MAX_QUERY_PARAMS {
             return Err(BuildError::Compile(CompileError::TooLarge));
         }
@@ -518,9 +510,12 @@ pub const SHARD_MIN_BATCH: usize = 1024;
 /// A precompiled serving index over (kernel × machine) placement
 /// models.
 ///
-/// Entries are keyed by `(func, machine)`: duplicate registration is a
-/// typed refusal ([`BuildError::Duplicate`]), never a silent shadow —
-/// [`ServeIndex::replace`] is the explicit swap used by hot-reload.
+/// Kernels are compiled outside the index ([`CompiledKernel::build`])
+/// and registered with [`ServeIndex::insert`] or
+/// [`ServeIndex::replace`]. Entries are keyed by `(func, machine)`:
+/// duplicate insertion is a typed refusal ([`BuildError::Duplicate`]),
+/// never a silent shadow — `replace` is the explicit swap used by
+/// hot-reload.
 #[derive(Default)]
 pub struct ServeIndex {
     kernels: Vec<CompiledKernel>,
@@ -542,57 +537,10 @@ impl ServeIndex {
         ServeIndex::default()
     }
 
-    /// Analyze `func` in `analysis` and admit its compiled placement
-    /// model. The machine name is the analysis' architecture description
-    /// name — serve one kernel on two machines by analyzing it under two
-    /// descriptions. Refuses ([`BuildError::Duplicate`]) if the
-    /// `(func, machine)` pair is already registered.
-    pub fn add(&mut self, analysis: &Analysis, func: &str) -> Result<KernelId, BuildError> {
-        let kr = KernelRoofline::analyze(analysis, func).map_err(BuildError::Model)?;
-        let c = Ceilings::from_arch(&analysis.arch);
-        let machine = analysis.arch.machine.name.clone();
-        let k = CompiledKernel::build(&kr, &c, &machine)?;
-        self.insert(k)
-    }
-
-    /// Admit an already-analyzed roofline under explicit ceilings.
-    /// Refuses duplicates like [`ServeIndex::add`].
-    pub fn add_roofline(
-        &mut self,
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<KernelId, BuildError> {
-        let k = CompiledKernel::build(kr, c, machine)?;
-        self.insert(k)
-    }
-
-    /// Re-analyze `func` under (possibly changed) ceilings and swap the
-    /// compiled model in place — the hot-reload path. The `(func,
-    /// machine)` pair keeps its [`KernelId`], so queries built against
-    /// the old model address the new one; a pair not yet registered is
-    /// added. Compilation happens *before* the swap: on refusal the old
-    /// kernel keeps serving.
-    pub fn replace(&mut self, analysis: &Analysis, func: &str) -> Result<KernelId, BuildError> {
-        let kr = KernelRoofline::analyze(analysis, func).map_err(BuildError::Model)?;
-        let c = Ceilings::from_arch(&analysis.arch);
-        let machine = analysis.arch.machine.name.clone();
-        let k = CompiledKernel::build(&kr, &c, &machine)?;
-        Ok(self.replace_compiled(k))
-    }
-
-    /// [`ServeIndex::replace`] for an already-analyzed roofline.
-    pub fn replace_roofline(
-        &mut self,
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<KernelId, BuildError> {
-        let k = CompiledKernel::build(kr, c, machine)?;
-        Ok(self.replace_compiled(k))
-    }
-
-    /// Admit a pre-built kernel, refusing duplicates.
+    /// Admit a compiled kernel ([`CompiledKernel::build`] or
+    /// [`CompiledKernel::attach`]). Refuses
+    /// ([`BuildError::Duplicate`]) if its `(func, machine)` pair is
+    /// already registered.
     pub fn insert(&mut self, k: CompiledKernel) -> Result<KernelId, BuildError> {
         let key = (k.func().to_string(), k.machine.clone());
         if self.by_key.contains_key(&key) {
@@ -607,11 +555,13 @@ impl ServeIndex {
         Ok(KernelId(slot))
     }
 
-    /// Swap in a pre-built kernel (or add it if its `(func, machine)`
-    /// pair is new), bumping the invalidation generation. The fleet
-    /// reload path: build every replacement first, then swap them
-    /// one by one — a failed build never unseats a serving kernel.
-    pub fn replace_compiled(&mut self, k: CompiledKernel) -> KernelId {
+    /// Swap in a compiled kernel — the hot-reload path. The `(func,
+    /// machine)` pair keeps its [`KernelId`], so queries built against
+    /// the old kernel address the new one, and the swap generation is
+    /// bumped so answer caches self-invalidate; a pair not yet
+    /// registered is added. Build every replacement first, then swap:
+    /// a failed build never unseats a serving kernel.
+    pub fn replace(&mut self, k: CompiledKernel) -> KernelId {
         let key = (k.func().to_string(), k.machine.clone());
         match self.by_key.get(&key) {
             Some(&slot) => {
@@ -887,7 +837,7 @@ impl ServeIndex {
             kernel: k,
             slot,
             values,
-            next: lo,
+            next: Some(lo),
             hi,
             scratch: Scratch::new(),
         })
@@ -974,7 +924,7 @@ impl ServeIndex {
             .collect();
         // window width → placements per bisection, so the shard policy
         // prices a table row like the batch of queries it really is
-        let per_pair = 2 + (128 - (hi - lo).max(1).leading_zeros() as usize);
+        let per_pair = 2 + (128 - hi.abs_diff(lo).max(1).leading_zeros() as usize);
         let workers =
             Self::effective_workers(ids.len().saturating_mul(per_pair), workers);
         sp.arg("workers", workers);
@@ -1069,7 +1019,8 @@ pub struct Sweep<'a> {
     kernel: &'a CompiledKernel,
     slot: usize,
     values: [i128; MAX_QUERY_PARAMS],
-    next: i128,
+    /// The next value to place; `None` once `hi = i128::MAX` was placed.
+    next: Option<i128>,
     hi: i128,
     scratch: Scratch,
 }
@@ -1078,11 +1029,8 @@ impl Iterator for Sweep<'_> {
     type Item = (i128, Result<Placement, ServeError>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next > self.hi {
-            return None;
-        }
-        let v = self.next;
-        self.next += 1;
+        let v = self.next.filter(|&v| v <= self.hi)?;
+        self.next = v.checked_add(1);
         self.values[self.slot] = v;
         let n = self.kernel.n_params();
         Some((

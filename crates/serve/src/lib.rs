@@ -19,18 +19,19 @@
 //!   compile-time common-subexpression elimination, emitting every
 //!   checked arithmetic step in exactly the tree walk's order, so
 //!   values **and refusals** ([`mira_sym::EvalError`]) are
-//!   bit-identical — including budget-depth refusals, via explicit
-//!   depth ops that cost nothing when no budget scope is active.
+//!   bit-identical. Depth is checked once, at compile time: an
+//!   expression the tree walk would refuse on depth inside a budget
+//!   scope does not compile ([`CompileError::TooDeep`]).
 //! * [`index`] — the query service. A [`PlacementProgram`] compiles a
 //!   kernel's machine-independent placement forms once; a
 //!   [`CompiledKernel`] serves it on one machine by attaching that
 //!   machine's ceilings, and places through the same loop as the tree
 //!   walk ([`mira_roofline::place_with`]). [`ServeIndex`] holds one
-//!   [`CompiledKernel`] per kernel × machine entry (keyed by `(func,
-//!   machine)` — duplicate registration is a typed refusal, swapping a
-//!   live kernel is the explicit [`ServeIndex::replace`]) and answers
-//!   [`Query`] batches single-threaded (allocation-free after warm-up)
-//!   or sharded across scoped worker threads with bit-identical
+//!   [`CompiledKernel`] per kernel × machine entry, keyed by `(func,
+//!   machine)`: [`ServeIndex::insert`] admits a kernel and refuses a
+//!   duplicate (typed), [`ServeIndex::replace`] swaps a live one. It
+//!   answers [`Query`] batches single-threaded (allocation-free after
+//!   warm-up) or sharded across scoped worker threads with bit-identical
 //!   results; [`ServeIndex::sweep`] streams parameter sweeps,
 //!   [`ServeIndex::crossover`] solves regime changes through the same
 //!   bisection core as the tree walk, and
@@ -51,13 +52,14 @@
 //!   analyzing or compiling anything.
 //!
 //! The equivalence story has one compile-time escape hatch:
-//! [`ServeIndex`] refuses (typed [`BuildError`]) any kernel whose
-//! compiled program could *not* behave identically to the tree walk —
-//! deeper than [`mira_sym::budget::MAX_DEPTH`], wider than a query's
-//! parameter slots, or beyond the bytecode's address space. Admitted
-//! kernels answer every query the tree walk can, with the same
-//! `Placement` bit for bit (pinned by this crate's differential tests
-//! over a generated corpus and every workload model).
+//! [`CompiledKernel::build`] refuses (typed [`BuildError`]) any kernel
+//! whose compiled program could *not* behave identically to the tree
+//! walk — deeper than [`mira_sym::budget::MAX_DEPTH`], wider than a
+//! query's parameter slots, or beyond the bytecode's address space.
+//! Every kernel that builds answers every query the tree walk can, with
+//! the same `Placement` bit for bit (pinned by this crate's
+//! differential tests over a generated corpus and every workload
+//! model).
 
 pub mod cache;
 pub mod fleet;
@@ -72,7 +74,6 @@ pub use index::{
 };
 pub use program::{
     CompileError, CompiledExpr, EvalProgram, OutId, ProgramBuilder, Scratch, SecId,
-    MAX_COMPILE_DEPTH,
 };
 
 /// Machine descriptions for cross-machine serving comparisons.

@@ -7,24 +7,24 @@
 //! Every checked multiply, every checked add, every floor and clamp is
 //! emitted in the order the tree walk performs it, so the compiled
 //! program produces bit-identical values **and bit-identical refusals**
-//! ([`EvalError::Overflow`], [`EvalError::MissingParam`],
-//! [`EvalError::Budget`]) — the differential tests in this crate pin
-//! that equivalence over a generated corpus and every workload model.
+//! ([`EvalError::Overflow`], [`EvalError::MissingParam`]) — the
+//! differential tests in this crate pin that equivalence over a
+//! generated corpus and every workload model.
 //!
-//! Two things make the flat program faster than the tree walk without
-//! breaking the equivalence:
+//! The tree walk's remaining refusal — [`EvalError::Budget`] when
+//! composite atoms nest deeper than [`budget::MAX_DEPTH`] inside a
+//! budget scope — depends on the expression, never on the values bound,
+//! so it is decided at compile time. The builder tracks every
+//! subexpression's composite-atom height and refuses with
+//! [`CompileError::TooDeep`] as soon as one would cross the cap. A
+//! program that compiles never reaches it, scoped or not, so the
+//! interpreter keeps no depth state: one op stream, one loop.
 //!
-//! * **Compile-time CSE.** Repeated atoms and repeated subexpressions
-//!   compile once and are reused by register. Reuse skips the descends
-//!   the tree walk would re-perform, which matters only under an active
-//!   [`budget`] scope near [`budget::MAX_DEPTH`]; a `Op::Probe` op is
-//!   emitted at each reuse point carrying the subtree's height, so the
-//!   guarded interpreter refuses exactly where the re-walk would have.
-//! * **Budget ops that cost nothing when no budget is active.** The
-//!   interpreter is monomorphized over whether a budget scope is live
-//!   (checked once per section run): the hot serving path — no scope —
-//!   skips `Op::Enter`/`Op::Exit`/`Op::Probe` entirely, matching
-//!   the tree walk's own behavior of never refusing outside a scope.
+//! **Compile-time CSE** makes the flat program faster than the tree
+//! walk: repeated atoms and repeated subexpressions compile once and are
+//! reused by register. A reuse stands in for a subtree the tree walk
+//! would re-descend at the reuse point's depth, so the depth check counts
+//! it at that depth.
 //!
 //! Programs are built in **sections** (contiguous op ranges) so one
 //! program can carry a whole kernel's placement forms: mandatory
@@ -38,18 +38,14 @@ use std::collections::HashMap;
 use mira_sym::budget;
 use mira_sym::{Atom, Bindings, EvalError, Rat, SymExpr};
 
-/// Recursion cap of the compiler itself (composite-atom nesting). Far
-/// above [`budget::MAX_DEPTH`], so anything the tree walk could ever
-/// evaluate inside a budget scope compiles; anything deeper is refused
-/// with a typed error instead of a host stack overflow.
-pub const MAX_COMPILE_DEPTH: u32 = 512;
-
 /// Compilation refusals. Like the analysis budgets, these are typed
 /// errors, never panics: an adversarial expression costs the caller a
 /// refusal, not a crash.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CompileError {
-    /// Composite-atom nesting exceeds [`MAX_COMPILE_DEPTH`].
+    /// Composite atoms nest deeper than [`budget::MAX_DEPTH`] — counting
+    /// a CSE reuse at the depth it is reused — so the tree walk refuses
+    /// on depth inside a budget scope.
     TooDeep,
     /// The program needs more registers or parameters than the bytecode
     /// can address (`u16`).
@@ -60,7 +56,7 @@ impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileError::TooDeep => {
-                write!(f, "expression nesting exceeds the compiler's recursion cap")
+                write!(f, "expression nesting exceeds the evaluation depth cap")
             }
             CompileError::TooLarge => {
                 write!(f, "program exceeds the bytecode's register or parameter space")
@@ -103,16 +99,6 @@ enum Op {
     /// section needs a rounded count *before* later ops run so the
     /// error order matches the tree walk exactly.
     Count { dst: u16, src: u16 },
-    /// Descend into a composite atom (guarded runs only) — mirrors the
-    /// recursion-depth charge of [`Atom::eval`].
-    Enter,
-    /// Leave a composite atom (guarded runs only).
-    Exit,
-    /// A CSE reuse point: the tree walk would re-descend a subtree of
-    /// this height here. Guarded runs refuse iff the current depth plus
-    /// the height exceeds [`budget::MAX_DEPTH`] — exactly when the
-    /// deterministic, previously-successful re-walk would have.
-    Probe { height: u32 },
 }
 
 /// Handle to one output value of an [`EvalProgram`].
@@ -168,13 +154,6 @@ pub struct EvalProgram {
     ops: Vec<Op>,
     /// Section op ranges, in seal order.
     sections: Vec<(u32, u32)>,
-    /// The same program with every depth op (`Enter`/`Exit`/`Probe`)
-    /// stripped — the stream unguarded runs execute, so the serving hot
-    /// path never even dispatches on ops that are no-ops without a
-    /// budget scope.
-    lean_ops: Vec<Op>,
-    /// Section ranges into `lean_ops`, same seal order.
-    lean_sections: Vec<(u32, u32)>,
     /// Parameter table; binding is by name ([`EvalProgram::bind`]) or by
     /// position in this order ([`EvalProgram::bind_positional`]).
     params: Vec<String>,
@@ -182,7 +161,6 @@ pub struct EvalProgram {
     outputs: Vec<u16>,
     n_regs: u32,
     cse_hits: u64,
-    max_height: u32,
 }
 
 impl EvalProgram {
@@ -199,15 +177,6 @@ impl EvalProgram {
     /// `serve.cse_hits` probe counter).
     pub fn cse_hits(&self) -> u64 {
         self.cse_hits
-    }
-
-    /// The deepest composite-atom chain any output evaluates through —
-    /// the maximum recursion depth the equivalent tree walk reaches. A
-    /// program with `max_height() <= budget::MAX_DEPTH` can never refuse
-    /// on depth, so running it unguarded agrees with the tree walk under
-    /// a fresh budget scope.
-    pub fn max_height(&self) -> u32 {
-        self.max_height
     }
 
     /// Bind parameters by name: fills the scratch's value table from the
@@ -242,61 +211,12 @@ impl EvalProgram {
     /// read registers the mandatory prefix computed.
     pub fn run_section(&self, sec: SecId, s: &mut Scratch) -> Result<(), EvalError> {
         self.ensure_scratch(s);
-        // monomorphize on budget-scope liveness once per run: the hot
-        // serving path (no scope) runs the lean stream, which has the
-        // depth ops stripped out entirely
-        if budget::active() {
-            let (start, end) = self
-                .sections
-                .get(sec.0 as usize)
-                .copied()
-                .unwrap_or((0, 0));
-            self.exec::<true>(&self.ops, start as usize, end as usize, s)
-        } else {
-            let (start, end) = self
-                .lean_sections
-                .get(sec.0 as usize)
-                .copied()
-                .unwrap_or((0, 0));
-            self.exec::<false>(&self.lean_ops, start as usize, end as usize, s)
-        }
-    }
-
-    /// Read an output register. Valid after the section that computes it
-    /// has run.
-    pub fn output(&self, out: OutId, s: &Scratch) -> Rat {
-        let reg = self.outputs.get(out.0 as usize).copied().unwrap_or(0);
-        s.regs.get(reg as usize).copied().unwrap_or(Rat::ZERO)
-    }
-
-    fn exec<const GUARDED: bool>(
-        &self,
-        stream: &[Op],
-        start: usize,
-        end: usize,
-        s: &mut Scratch,
-    ) -> Result<(), EvalError> {
-        let mut entered: u32 = 0;
-        let r = self.exec_loop::<GUARDED>(stream, start, end, s, &mut entered);
-        if GUARDED && r.is_err() {
-            // the tree walk's RAII descend guards unwind on error; the
-            // flat loop rebalances the thread-local depth by hand
-            for _ in 0..entered {
-                budget::depth_exit();
-            }
-        }
-        r
-    }
-
-    fn exec_loop<const GUARDED: bool>(
-        &self,
-        stream: &[Op],
-        start: usize,
-        end: usize,
-        s: &mut Scratch,
-        entered: &mut u32,
-    ) -> Result<(), EvalError> {
-        let ops = stream.get(start..end).unwrap_or(&[]);
+        let (start, end) = self
+            .sections
+            .get(sec.0 as usize)
+            .copied()
+            .unwrap_or((0, 0));
+        let ops = self.ops.get(start as usize..end as usize).unwrap_or(&[]);
         let regs = &mut s.regs;
         let vals = &s.vals;
         for op in ops {
@@ -364,26 +284,16 @@ impl EvalProgram {
                         .ok_or(EvalError::Overflow)?;
                     regs[dst as usize] = Rat::int(v);
                 }
-                Op::Enter => {
-                    if GUARDED {
-                        budget::depth_enter().map_err(EvalError::Budget)?;
-                        *entered += 1;
-                    }
-                }
-                Op::Exit => {
-                    if GUARDED {
-                        budget::depth_exit();
-                        *entered = entered.saturating_sub(1);
-                    }
-                }
-                Op::Probe { height } => {
-                    if GUARDED {
-                        budget::depth_probe(height).map_err(EvalError::Budget)?;
-                    }
-                }
             }
         }
         Ok(())
+    }
+
+    /// Read an output register. Valid after the section that computes it
+    /// has run.
+    pub fn output(&self, out: OutId, s: &Scratch) -> Rat {
+        let reg = self.outputs.get(out.0 as usize).copied().unwrap_or(0);
+        s.regs.get(reg as usize).copied().unwrap_or(Rat::ZERO)
     }
 }
 
@@ -395,6 +305,8 @@ pub struct ProgramBuilder {
     next_reg: u32,
     /// Recyclable term-accumulator registers (never CSE'd).
     free: Vec<u16>,
+    /// Compiled atoms and subexpressions: result register and
+    /// composite-atom height.
     atom_cache: HashMap<Atom, (u16, u32)>,
     expr_cache: HashMap<SymExpr, (u16, u32)>,
     /// Cache keys inserted since the last seal, purged when a transient
@@ -405,7 +317,6 @@ pub struct ProgramBuilder {
     sec_start: u32,
     outputs: Vec<u16>,
     cse_hits: u64,
-    max_height: u32,
 }
 
 impl Default for ProgramBuilder {
@@ -430,15 +341,14 @@ impl ProgramBuilder {
             sec_start: 0,
             outputs: Vec::new(),
             cse_hits: 0,
-            max_height: 0,
         }
     }
 
     /// Compile `e` into the open section and register its value as an
-    /// output.
+    /// output. On a refusal the builder is left partially filled and
+    /// must be dropped.
     pub fn add_output(&mut self, e: &SymExpr) -> Result<OutId, CompileError> {
-        let (reg, h) = self.compile_expr(e, 0)?;
-        self.max_height = self.max_height.max(h);
+        let (reg, _) = self.compile_expr(e, 0)?;
         self.outputs.push(reg);
         Ok(OutId(self.outputs.len() as u32 - 1))
     }
@@ -449,8 +359,7 @@ impl ProgramBuilder {
     /// follow the count in the same run, so a rounding refusal surfaces
     /// before them — exactly where the tree walk raises it.
     pub fn add_count_output(&mut self, e: &SymExpr) -> Result<OutId, CompileError> {
-        let (reg, h) = self.compile_expr(e, 0)?;
-        self.max_height = self.max_height.max(h);
+        let (reg, _) = self.compile_expr(e, 0)?;
         let dst = self.alloc()?;
         self.ops.push(Op::Count { dst, src: reg });
         self.outputs.push(dst);
@@ -484,29 +393,13 @@ impl ProgramBuilder {
     }
 
     pub fn finish(self) -> EvalProgram {
-        // derive the unguarded stream: identical ops minus the depth
-        // ops, with section ranges remapped into it
-        let mut lean_ops = Vec::with_capacity(self.ops.len());
-        let mut lean_sections = Vec::with_capacity(self.sections.len());
-        for &(start, end) in &self.sections {
-            let s = lean_ops.len() as u32;
-            for op in &self.ops[start as usize..end as usize] {
-                if !matches!(op, Op::Enter | Op::Exit | Op::Probe { .. }) {
-                    lean_ops.push(*op);
-                }
-            }
-            lean_sections.push((s, lean_ops.len() as u32));
-        }
         EvalProgram {
             ops: self.ops,
             sections: self.sections,
-            lean_ops,
-            lean_sections,
             params: self.params,
             outputs: self.outputs,
             n_regs: self.next_reg,
             cse_hits: self.cse_hits,
-            max_height: self.max_height,
         }
     }
 
@@ -539,17 +432,25 @@ impl ProgramBuilder {
         Ok(p)
     }
 
-    /// Lower one polynomial, mirroring [`SymExpr::eval`] op for op:
-    /// accumulator zeroed, then per term the coefficient is loaded and
-    /// multiplied by each atom's value `pow` times (atom evaluated once),
-    /// then added — every checked step in tree-walk order.
+    /// A CSE reuse at nesting `depth` stands in for re-walking a subtree
+    /// of height `h` there, which reaches depth `depth + h`.
+    fn reuse(&mut self, (reg, h): (u16, u32), depth: u32) -> Result<(u16, u32), CompileError> {
+        if depth + h > budget::MAX_DEPTH {
+            return Err(CompileError::TooDeep);
+        }
+        self.cse_hits += 1;
+        Ok((reg, h))
+    }
+
+    /// Lower one polynomial evaluated at composite-atom nesting `depth`,
+    /// mirroring [`SymExpr::eval`] op for op: accumulator zeroed, then
+    /// per term the coefficient is loaded and multiplied by each atom's
+    /// value `pow` times (atom evaluated once), then added — every
+    /// checked step in tree-walk order. Returns the result register and
+    /// the expression's composite-atom height.
     fn compile_expr(&mut self, e: &SymExpr, depth: u32) -> Result<(u16, u32), CompileError> {
-        if let Some(&(reg, h)) = self.expr_cache.get(e) {
-            self.cse_hits += 1;
-            if h > 0 {
-                self.ops.push(Op::Probe { height: h });
-            }
-            return Ok((reg, h));
+        if let Some(&hit) = self.expr_cache.get(e) {
+            return self.reuse(hit, depth);
         }
         let acc = self.alloc()?;
         self.ops.push(Op::Const {
@@ -618,13 +519,18 @@ impl ProgramBuilder {
         Ok((acc, height))
     }
 
+    /// Compile the operand of a composite atom at nesting `depth`: the
+    /// tree walk evaluates it one level down, refusing beyond the cap.
+    fn compile_operand(&mut self, e: &SymExpr, depth: u32) -> Result<(u16, u32), CompileError> {
+        if depth >= budget::MAX_DEPTH {
+            return Err(CompileError::TooDeep);
+        }
+        self.compile_expr(e, depth + 1)
+    }
+
     fn compile_atom(&mut self, atom: &Atom, depth: u32) -> Result<(u16, u32), CompileError> {
-        if let Some(&(reg, h)) = self.atom_cache.get(atom) {
-            self.cse_hits += 1;
-            if h > 0 {
-                self.ops.push(Op::Probe { height: h });
-            }
-            return Ok((reg, h));
+        if let Some(&hit) = self.atom_cache.get(atom) {
+            return self.reuse(hit, depth);
         }
         let (reg, h) = match atom {
             Atom::Param(name) => {
@@ -634,25 +540,15 @@ impl ProgramBuilder {
                 (dst, 0)
             }
             Atom::FloorDiv(e, d) => {
-                if depth >= MAX_COMPILE_DEPTH {
-                    return Err(CompileError::TooDeep);
-                }
-                self.ops.push(Op::Enter);
-                let (src, eh) = self.compile_expr(e, depth + 1)?;
+                let (src, eh) = self.compile_operand(e, depth)?;
                 let dst = self.alloc()?;
                 self.ops.push(Op::FloorDiv { dst, src, d: *d });
-                self.ops.push(Op::Exit);
                 (dst, eh + 1)
             }
             Atom::Clamp(e) => {
-                if depth >= MAX_COMPILE_DEPTH {
-                    return Err(CompileError::TooDeep);
-                }
-                self.ops.push(Op::Enter);
-                let (src, eh) = self.compile_expr(e, depth + 1)?;
+                let (src, eh) = self.compile_operand(e, depth)?;
                 let dst = self.alloc()?;
                 self.ops.push(Op::Clamp { dst, src });
-                self.ops.push(Op::Exit);
                 (dst, eh + 1)
             }
         };

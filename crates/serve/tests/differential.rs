@@ -1,17 +1,20 @@
 //! Differential pinning of the compiled evaluator against the
 //! symbolic tree walk: values, rounding, `i64` refusals, missing
-//! parameters, overflow, and budget-depth refusals must all be
-//! bit-identical — over a generated expression corpus, and over every
-//! workload model's closed forms and placements on both machine
-//! descriptions.
+//! parameters and overflow must all be bit-identical — over a generated
+//! expression corpus, and over every workload model's closed forms and
+//! placements on both machine descriptions. Budget-depth refusals are
+//! compile-time refusals: what the scoped tree walk refuses on depth
+//! does not compile.
 
 use std::rc::Rc;
 
-use mira_core::{analyze_source, MiraOptions};
+use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceilings, KernelRoofline, Placement};
 use mira_serve::{
-    machines, AnswerCache, CompiledExpr, CompiledKernel, Scratch, ServeError, ServeIndex,
+    machines, AnswerCache, CompileError, CompiledExpr, CompiledKernel, KernelId, ProgramBuilder,
+    Scratch, ServeError, ServeIndex,
 };
+use mira_sym::budget::BudgetError;
 use mira_sym::{bindings, budget, Atom, Bindings, Rat, SymExpr};
 use proptest::test_runner::TestRng;
 
@@ -106,60 +109,86 @@ fn generated_corpus_matches_tree_walk() {
     );
 }
 
-/// A floor-div chain deeper than the budget's depth limit: both
-/// evaluators succeed outside a scope and refuse identically inside
-/// one.
-#[test]
-fn budget_depth_refusals_match() {
+/// A floor-div chain of `height` composite atoms over `n`.
+fn chain(height: u32) -> SymExpr {
     let mut e = SymExpr::param("n");
-    for i in 0..budget::MAX_DEPTH + 2 {
+    for i in 0..height {
         e = SymExpr::from_atom(Atom::FloorDiv(Rc::new(e), 1 + i as i64 % 3));
     }
-    let ce = CompiledExpr::compile(&e).expect("deep chain compiles");
-    let b = bindings(&[("n", 1_000_000)]);
-    let mut s = Scratch::new();
-    let unscoped = e.eval(&b);
-    assert!(unscoped.is_ok(), "no scope, no depth limit");
-    assert_eq!(unscoped, ce.eval_with(&b, &mut s));
-    let tree = budget::with_default_budget(|| e.eval(&b));
-    let compiled = budget::with_default_budget(|| ce.eval_with(&b, &mut s));
-    assert!(tree.is_err(), "scoped tree walk refuses on depth");
-    assert_eq!(tree, compiled);
+    e
 }
 
-/// A deep subtree shared by two composite atoms: the second occurrence
-/// compiles to a CSE reuse with a depth probe, which must refuse
-/// exactly when the tree walk's re-descent would — and not before.
+/// Depth is decided at compile time: a chain at the budget's depth
+/// limit compiles and equals the tree walk, scoped and unscoped; one
+/// level deeper does not compile, and the scoped tree walk refuses it.
 #[test]
-fn cse_reuse_probes_depth_like_a_rewalk() {
-    let mut chain = SymExpr::param("n");
-    for _ in 0..budget::MAX_DEPTH - 1 {
-        chain = SymExpr::from_atom(Atom::FloorDiv(Rc::new(chain), 2));
-    }
-    // both atoms sit exactly at the depth limit: scoped evaluation
-    // reaches MAX_DEPTH but never exceeds it
-    let at_limit = SymExpr::from_atom(Atom::FloorDiv(Rc::new(chain.clone()), 3))
-        .add_expr(&SymExpr::from_atom(Atom::FloorDiv(Rc::new(chain.clone()), 5)));
-    let ce = CompiledExpr::compile(&at_limit).expect("compiles");
-    assert!(ce.program().cse_hits() > 0, "the shared chain must be CSE'd");
-    let b = bindings(&[("n", i64::MAX as i128)]);
+fn depth_limit_is_a_compile_time_refusal() {
+    let b = bindings(&[("n", 1_000_000)]);
+    let at = chain(budget::MAX_DEPTH);
+    let ce = CompiledExpr::compile(&at).expect("a chain at the limit compiles");
     let mut s = Scratch::new();
-    let tree = budget::with_default_budget(|| at_limit.eval(&b));
+    assert!(at.eval(&b).is_ok());
+    assert_eq!(at.eval(&b), ce.eval_with(&b, &mut s));
+    let tree = budget::with_default_budget(|| at.eval(&b));
     let compiled = budget::with_default_budget(|| ce.eval_with(&b, &mut s));
-    assert!(matches!(&tree, Ok(Ok(_))), "at the limit both succeed: {tree:?}");
+    assert!(
+        matches!(&tree, Ok(Ok(_))),
+        "at the limit the scope holds: {tree:?}"
+    );
     assert_eq!(tree, compiled);
-    // one layer deeper: both must refuse under a scope, agree without
-    let over = SymExpr::from_atom(Atom::Clamp(Rc::new(at_limit)));
-    let ce = CompiledExpr::compile(&over).expect("compiles");
-    assert_eq!(over.eval(&b), ce.eval_with(&b, &mut s));
-    let tree = budget::with_default_budget(|| over.eval(&b));
-    let compiled = budget::with_default_budget(|| ce.eval_with(&b, &mut s));
-    assert!(tree.is_err(), "over the limit the scope trips");
+
+    let over = chain(budget::MAX_DEPTH + 1);
+    assert_eq!(
+        CompiledExpr::compile(&over).err(),
+        Some(CompileError::TooDeep)
+    );
+    assert_eq!(
+        budget::with_default_budget(|| over.eval(&b)),
+        Err(BudgetError::DepthExceeded)
+    );
+}
+
+/// A CSE reuse stands in for re-walking the reused subtree where it is
+/// reused. A chain one level below the limit, compiled as one output,
+/// compiles again one level deeper inside a second output; two levels
+/// deeper is refused, exactly where the scoped tree walk refuses.
+#[test]
+fn cse_reuse_counts_at_its_reuse_depth() {
+    let b = bindings(&[("n", i64::MAX as i128)]);
+    let base = chain(budget::MAX_DEPTH - 1);
+    let wrap = |e: &SymExpr| SymExpr::from_atom(Atom::Clamp(Rc::new(e.clone())));
+    let one = wrap(&base);
+    let two = wrap(&one);
+
+    let mut pb = ProgramBuilder::new();
+    pb.add_output(&base).expect("the chain compiles");
+    let out = pb.add_output(&one).expect("one level deeper compiles");
+    let sec = pb.seal_section(true);
+    let p = pb.finish();
+    assert!(p.cse_hits() > 0, "the chain must be reused, not recompiled");
+    let mut s = Scratch::new();
+    let compiled = budget::with_default_budget(|| {
+        p.bind(&b, &mut s);
+        p.run_section(sec, &mut s).map(|()| p.output(out, &s))
+    });
+    let tree = budget::with_default_budget(|| one.eval(&b));
+    assert!(
+        matches!(&tree, Ok(Ok(_))),
+        "one level deeper the scope holds: {tree:?}"
+    );
     assert_eq!(tree, compiled);
+
+    let mut pb = ProgramBuilder::new();
+    pb.add_output(&base).expect("the chain compiles");
+    assert_eq!(pb.add_output(&two).err(), Some(CompileError::TooDeep));
+    assert_eq!(
+        budget::with_default_budget(|| two.eval(&b)),
+        Err(BudgetError::DepthExceeded)
+    );
 }
 
 /// Every workload kernel, on both machine descriptions.
-fn workload_cases() -> Vec<(String, mira_core::Analysis)> {
+fn workload_cases() -> Vec<(String, Analysis)> {
     let sources: &[(&str, &str)] = &[
         ("triad", mira_workloads::memval::TRIAD_SRC),
         ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
@@ -271,6 +300,19 @@ fn workload_placements_match_tree_walk_bit_for_bit() {
     }
 }
 
+/// Compile `func` under the analysis' machine and insert it; returns
+/// the id plus the tree walker it must agree with.
+fn admit(
+    index: &mut ServeIndex,
+    analysis: &Analysis,
+    func: &str,
+) -> (KernelId, KernelRoofline, Ceilings) {
+    let kr = KernelRoofline::analyze(analysis, func).expect("roofline analyzes");
+    let c = Ceilings::from_arch(&analysis.arch);
+    let k = CompiledKernel::build(&kr, &c, &analysis.arch.machine.name).expect("kernel compiles");
+    (index.insert(k).expect("kernel admits"), kr, c)
+}
+
 /// Bit-identity between two served answers: placements compare by f64
 /// bit pattern, refusals by the typed error.
 fn assert_bit_identical(
@@ -308,10 +350,7 @@ fn cached_answers_match_uncached_and_tree_walk() {
     let mut index = ServeIndex::new();
     let mut walkers = Vec::new();
     for (func, analysis) in workload_cases() {
-        let kr = KernelRoofline::analyze(&analysis, &func).expect("roofline analyzes");
-        let c = Ceilings::from_arch(&analysis.arch);
-        let id = index.add(&analysis, &func).expect("kernel admits");
-        walkers.push((id, kr, c));
+        walkers.push(admit(&mut index, &analysis, &func));
     }
     let mut cache = AnswerCache::new(1 << 12);
     let mut s_cold = Scratch::new();
@@ -352,9 +391,7 @@ fn crossover_table_matches_tree_walk() {
     let mut index = ServeIndex::new();
     let mut walkers = Vec::new();
     for (func, analysis) in workload_cases() {
-        let kr = KernelRoofline::analyze(&analysis, &func).expect("roofline analyzes");
-        let c = Ceilings::from_arch(&analysis.arch);
-        index.add(&analysis, &func).expect("kernel admits");
+        let (_, kr, c) = admit(&mut index, &analysis, &func);
         walkers.push((func, analysis.arch.machine.name.clone(), kr, c));
     }
     let defaults: &[(&str, i128)] =

@@ -12,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mira_core::{analyze_source, MiraOptions};
-use mira_serve::{Query, Scratch, ServeIndex};
+use mira_roofline::{Ceilings, KernelRoofline};
+use mira_serve::{CompiledKernel, Query, Scratch, ServeIndex};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -44,7 +45,11 @@ fn warm_query_batches_do_not_allocate() {
     ] {
         let analysis =
             analyze_source(src, &MiraOptions::default()).expect("workload analyzes");
-        index.add(&analysis, func).expect("kernel admits");
+        let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
+        let c = Ceilings::from_arch(&analysis.arch);
+        let k = CompiledKernel::build(&kr, &c, &analysis.arch.machine.name)
+            .expect("kernel compiles");
+        index.insert(k).expect("kernel admits");
     }
     let mut queries: Vec<Query> = Vec::new();
     for (id, k) in index.kernels() {

@@ -4,10 +4,18 @@
 //! for bad queries, and the compiled crossover reproduces the tree
 //! walk's pinned DGEMM regime exit.
 
-use mira_core::{analyze_source, MiraOptions};
+use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceiling, Ceilings, KernelRoofline, MemLevel};
-use mira_serve::{machines, Query, Scratch, ServeError, ServeIndex};
+use mira_serve::{machines, CompiledKernel, KernelId, Query, Scratch, ServeError, ServeIndex};
 use mira_sym::bindings;
+
+/// Compile `func` under the analysis' machine and insert it.
+fn admit(index: &mut ServeIndex, analysis: &Analysis, func: &str) -> KernelId {
+    let kr = KernelRoofline::analyze(analysis, func).expect("roofline analyzes");
+    let c = Ceilings::from_arch(&analysis.arch);
+    let k = CompiledKernel::build(&kr, &c, &analysis.arch.machine.name).expect("kernel compiles");
+    index.insert(k).expect("kernel admits")
+}
 
 /// An index over triad + DGEMM on both machine descriptions.
 fn build_index() -> ServeIndex {
@@ -26,7 +34,7 @@ fn build_index() -> ServeIndex {
                 ..Default::default()
             };
             let analysis = analyze_source(src, &opts).expect("workload analyzes");
-            index.add(&analysis, func).expect("kernel admits");
+            admit(&mut index, &analysis, func);
         }
     }
     index
@@ -34,7 +42,7 @@ fn build_index() -> ServeIndex {
 
 /// Positional base values for a kernel: `n` slots get `n0`, `reps`-like
 /// slots get 1.
-fn base_values(index: &ServeIndex, id: mira_serve::KernelId, n0: i128) -> Vec<i128> {
+fn base_values(index: &ServeIndex, id: KernelId, n0: i128) -> Vec<i128> {
     index
         .kernel(id)
         .expect("kernel exists")
@@ -108,18 +116,21 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
 
+    let build = |c: &Ceilings, machine: &str| {
+        CompiledKernel::build(&kr, c, machine).expect("kernel compiles")
+    };
     let mut index = ServeIndex::new();
-    let id = index.add_roofline(&kr, &c, "m").expect("first add admits");
+    let id = index.insert(build(&c, "m")).expect("first insert admits");
 
     // the old behavior: a second add slipped in and `find` kept serving
     // the first — now it refuses, typed
-    match index.add_roofline(&kr, &c, "m") {
+    match index.insert(build(&c, "m")) {
         Err(mira_serve::BuildError::Duplicate { func, machine }) => {
             assert_eq!((func.as_str(), machine.as_str()), ("triad", "m"));
         }
         other => panic!("expected Duplicate, got {:?}", other.map(|_| ())),
     }
-    assert_eq!(index.len(), 1, "the refused add did not grow the index");
+    assert_eq!(index.len(), 1, "the refused insert did not grow the index");
 
     let base = base_values(&index, id, 4096);
     let q = index.query(id, &base).expect("query builds");
@@ -131,7 +142,7 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     let mut c2 = c;
     c2.bandwidth[MemLevel::Dram.index()] *= 2;
     let gen0 = index.generation();
-    let id2 = index.replace_roofline(&kr, &c2, "m").expect("replace admits");
+    let id2 = index.replace(build(&c2, "m"));
     assert_eq!(id2, id, "replace keeps the KernelId stable");
     assert_eq!(index.len(), 1);
     assert!(index.generation() > gen0, "replace bumps the swap generation");
@@ -145,8 +156,8 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
         after.mem_cycles[MemLevel::Dram.index()],
     );
 
-    // replace of an unregistered pair is an add
-    let id3 = index.replace_roofline(&kr, &c, "m2").expect("new pair admits");
+    // replace of an unregistered pair is an insert
+    let id3 = index.replace(build(&c, "m2"));
     assert_ne!(id3, id);
     assert_eq!(index.len(), 2);
 }
@@ -166,9 +177,8 @@ fn find_matches_the_linear_scan_on_a_100_kernel_fleet() {
 
     let mut index = ServeIndex::new();
     for i in 0..100 {
-        index
-            .add_roofline(&kr, &c, &format!("machine-{i:03}"))
-            .expect("admits");
+        let k = CompiledKernel::build(&kr, &c, &format!("machine-{i:03}")).expect("compiles");
+        index.insert(k).expect("admits");
     }
     assert_eq!(index.len(), 100);
 
@@ -215,6 +225,45 @@ fn sweep_streams_the_same_answers() {
     assert_eq!(count, 64);
 }
 
+/// A sweep whose window ends at `i128::MAX` stops after placing it; the
+/// cursor must not step past the last value (a debug-build overflow
+/// panic, a release-build wrap to `i128::MIN` that never ends).
+#[test]
+fn sweep_ending_at_i128_max_yields_once() {
+    let index = build_index();
+    let id = index.find("triad", machines::GENERIC).expect("triad");
+    let base = base_values(&index, id, 1);
+    let swept: Vec<_> = index
+        .sweep(id, "n", &base, i128::MAX, i128::MAX)
+        .expect("sweep builds")
+        .take(3)
+        .collect();
+    assert_eq!(swept.len(), 1, "{swept:?}");
+    let (n, answer) = &swept[0];
+    assert_eq!(*n, i128::MAX);
+    let q = index
+        .query(id, &base_values(&index, id, i128::MAX))
+        .expect("query builds");
+    assert_eq!(answer, &index.place(&q, &mut Scratch::new()));
+}
+
+/// The crossover table over the widest window `[-1, i128::MAX]` prices
+/// its shard policy without overflowing the window width and answers
+/// one typed row per pair, equal to the single-pair crossover.
+#[test]
+fn crossover_table_over_the_widest_window_returns_typed_rows() {
+    let index = build_index();
+    for workers in [1, 4] {
+        let rows = index.crossover_table("n", &[], -1, i128::MAX, workers);
+        assert_eq!(rows.len(), index.len(), "one row per pair");
+        for (row, (id, _)) in rows.iter().zip(index.kernels()) {
+            assert_eq!(row.kernel, id);
+            let single = index.crossover(id, "n", &base_values(&index, id, 1), -1, i128::MAX);
+            assert_eq!(row.result, single, "{}@{}", row.func, row.machine);
+        }
+    }
+}
+
 #[test]
 fn typed_refusals_for_bad_queries() {
     let index = build_index();
@@ -256,7 +305,7 @@ fn compiled_crossover_matches_tree_walk_pinned_dgemm() {
         .expect("DGEMM leaves the DRAM roof in [2, 64]");
 
     let mut index = ServeIndex::new();
-    let id = index.add(&analysis, "dgemm").expect("dgemm admits");
+    let id = admit(&mut index, &analysis, "dgemm");
     let base = base_values(&index, id, 2);
     let served = index
         .crossover(id, "n", &base, 2, 64)

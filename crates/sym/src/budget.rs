@@ -204,50 +204,6 @@ pub(crate) fn descend() -> Option<DepthGuard> {
     Some(DepthGuard)
 }
 
-/// One recursion level for a *flat* (non-recursive) evaluator. A
-/// compiled evaluator (`mira-serve`'s `EvalProgram`) executes the same
-/// composite atoms as [`crate::SymExpr::eval`] but as a linear op
-/// stream, so it cannot hold the RAII guard of the tree walk across its
-/// dispatch loop. `depth_enter`/[`depth_exit`] mirror the internal
-/// `descend` guard exactly: entering beyond [`MAX_DEPTH`] inside an
-/// active scope trips it and refuses (the caller must unwind any levels
-/// it already entered via [`depth_exit`]). Outside a scope the depth is
-/// still tracked but unlimited, exactly like the tree walk.
-pub fn depth_enter() -> Result<(), BudgetError> {
-    let depth = DEPTH.with(|d| {
-        let v = d.get() + 1;
-        d.set(v);
-        v
-    });
-    if active() && depth > MAX_DEPTH {
-        trip(BudgetError::DepthExceeded);
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        return Err(BudgetError::DepthExceeded);
-    }
-    Ok(())
-}
-
-/// Leave one [`depth_enter`] level.
-pub fn depth_exit() {
-    DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-}
-
-/// A memoized subexpression result is standing in for re-walking a
-/// subtree whose composite-atom nesting height is `h`: the re-walk
-/// would have descended `h` levels below the current depth, so the
-/// stand-in must trip the scope exactly when that walk would have.
-/// Evaluation is deterministic and side-effect-free, so depth is the
-/// only ambient state that can make a re-walk of a previously
-/// successful subtree fail — this probe is the whole parity obligation
-/// of a compile-time CSE cache.
-pub fn depth_probe(h: u32) -> Result<(), BudgetError> {
-    if active() && DEPTH.with(|d| d.get()).saturating_add(h) > MAX_DEPTH {
-        trip(BudgetError::DepthExceeded);
-        return Err(BudgetError::DepthExceeded);
-    }
-    Ok(())
-}
-
 /// Report coefficient overflow: trips the scope when one is active,
 /// panics with `msg` otherwise (the pre-budget behavior).
 #[inline]
@@ -326,32 +282,6 @@ mod tests {
             SymExpr::param("n") * SymExpr::param("m")
         });
         assert!(r.is_ok());
-        assert!(!active());
-    }
-
-    #[test]
-    fn flat_depth_hooks_match_descend() {
-        // outside a scope: tracked but unlimited, like the tree walk
-        for _ in 0..(MAX_DEPTH + 10) {
-            assert!(depth_enter().is_ok());
-        }
-        assert!(depth_probe(1_000).is_ok());
-        for _ in 0..(MAX_DEPTH + 10) {
-            depth_exit();
-        }
-        // inside: entering past MAX_DEPTH trips; a probe trips exactly
-        // when the simulated re-walk would cross the cap
-        let r = with_default_budget(|| {
-            for _ in 0..MAX_DEPTH {
-                depth_enter().expect("within the cap");
-            }
-            assert!(depth_probe(0).is_ok());
-            assert_eq!(depth_probe(1), Err(BudgetError::DepthExceeded));
-            for _ in 0..MAX_DEPTH {
-                depth_exit();
-            }
-        });
-        assert_eq!(r, Err(BudgetError::DepthExceeded));
         assert!(!active());
     }
 

@@ -15,11 +15,14 @@ pub struct Rat {
     den: i128,
 }
 
+/// Greatest common divisor of the magnitudes, taken unsigned so that
+/// `i128::MIN` (whose magnitude `abs` overflows) is exact. Every caller
+/// passes a nonzero denominator, which keeps the result within `i128`.
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     // i128 division lowers to a library call; coefficient magnitudes
     // almost always fit u64, where the loop runs on hardware division
-    if a <= u64::MAX as i128 && b <= u64::MAX as i128 {
+    if a <= u64::MAX as u128 && b <= u64::MAX as u128 {
         let (mut a, mut b) = (a as u64, b as u64);
         // one side a power of two (halves, line sizes, bandwidths): the
         // gcd is the largest power of two dividing both, no division
@@ -38,7 +41,7 @@ fn gcd(a: i128, b: i128) -> i128 {
         a = b;
         b = t;
     }
-    a
+    a as i128
 }
 
 /// `a / b` for `b > 0`, on hardware division when both fit `i64` (the
@@ -342,6 +345,21 @@ mod tests {
         assert_eq!(a.checked_mul(b).unwrap(), Rat::new(1, 6));
         assert_eq!(a.checked_div(b).unwrap(), Rat::new(3, 2));
         assert_eq!(Rat::ZERO.recip(), None);
+    }
+
+    /// `i128::MIN` has no positive counterpart, so its gcd is taken on
+    /// the unsigned magnitude: exact, where `abs` overflowed (a panic in
+    /// debug builds, a wrong reduction in release).
+    #[test]
+    fn i128_min_reduces_exactly() {
+        assert_eq!(gcd(i128::MIN, 6), 2);
+        assert_eq!(gcd(3, i128::MIN), 1);
+        let third = Rat::new(1, 3).checked_mul(Rat::int(i128::MIN));
+        assert_eq!(third.map(|r| (r.num(), r.den())), Some((i128::MIN, 3)));
+        assert_eq!(
+            Rat::new(1, 2).checked_mul(Rat::int(i128::MIN)),
+            Some(Rat::int(i128::MIN / 2))
+        );
     }
 
     #[test]

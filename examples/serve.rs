@@ -7,11 +7,12 @@
 //! Run with: `cargo run --release --example serve`
 
 use mira_core::{analyze_source, MiraOptions};
-use mira_serve::{machines, ServeIndex};
+use mira_roofline::{Ceilings, KernelRoofline};
+use mira_serve::{machines, CompiledKernel, ServeIndex};
 
 fn main() {
     // one index, one kernel, two machines: analyze DGEMM under each
-    // architecture description and admit both compiled models
+    // architecture description, compile, and admit both models
     let mut index = ServeIndex::new();
     let arches = [
         mira_arch::ArchDescription::default(),
@@ -24,7 +25,10 @@ fn main() {
         };
         let analysis =
             analyze_source(mira_workloads::dgemm::DGEMM_SRC, &opts).expect("dgemm analyzes");
-        index.add(&analysis, "dgemm").expect("dgemm admits");
+        let kr = KernelRoofline::analyze(&analysis, "dgemm").expect("roofline analyzes");
+        let k = CompiledKernel::build(&kr, &Ceilings::from_arch(arch), &arch.machine.name)
+            .expect("dgemm compiles");
+        index.insert(k).expect("dgemm admits");
     }
 
     for arch in &arches {

@@ -1,10 +1,16 @@
 //! Adversarial fuzzing of the whole analysis pipeline: random token
 //! soup, mutated valid programs, and adversarial loop nests (zero trip
 //! counts, deep nesting, huge constants and extents) are pushed through
-//! front-end → compile → model generation → roofline under
-//! `catch_unwind`. The single property: **every input yields `Ok` or a
+//! front-end → compile → model generation → roofline → serving tier
+//! under `catch_unwind`. The property: **every input yields `Ok` or a
 //! typed error — never a panic**, and refusals come back through the
-//! [`mira_core::MiraError`] taxonomy with a phase attached.
+//! [`mira_core::MiraError`] taxonomy with a phase attached. Every
+//! roofline that analyzes is also compiled and served: it must refuse
+//! with a typed `BuildError` or answer bit-identically to the tree walk,
+//! refusals included, and adversarial queries (wrong arity, `i128`
+//! extremes, negative sizes) must come back as typed `ServeError`s. A
+//! served answer that differs from the tree walk is reported as a
+//! divergence, with the kernel and the query, not as a panic.
 //!
 //! Inputs are drawn from the in-tree proptest shim's deterministic RNG,
 //! so any failure reproduces by rerunning the same test. The case count
@@ -13,8 +19,9 @@
 //! i.e. ≥2,100 inputs total).
 
 use mira_core::{analyze_source, MiraOptions};
-use mira_roofline::{Ceilings, KernelRoofline};
-use mira_sym::Bindings;
+use mira_roofline::{Ceilings, KernelRoofline, Placement};
+use mira_serve::{CompiledKernel, Scratch, ServeError, ServeIndex};
+use mira_sym::{Bindings, EvalError};
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -25,10 +32,11 @@ fn cases(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Drive one source through the full pipeline. Panics (and thereby fails
-/// the test) only if some phase panics instead of refusing.
+/// Drive one source through the full pipeline and the serving tier.
+/// Panics (and thereby fails the test) if some phase panics instead of
+/// refusing, or if a served answer diverges from the tree walk.
 fn drive(src: &str, huge_bindings: bool) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
         let analysis = match analyze_source(src, &MiraOptions::default()) {
             Ok(a) => a,
             Err(e) => {
@@ -36,7 +44,7 @@ fn drive(src: &str, huge_bindings: bool) {
                 let _ = e.phase();
                 let _ = format!("{e}");
                 let _ = std::error::Error::source(&e);
-                return;
+                return Ok(());
             }
         };
         let value: i128 = if huge_bindings { i64::MAX as i128 / 2 } else { 17 };
@@ -46,6 +54,7 @@ fn drive(src: &str, huge_bindings: bool) {
             .map(|p| (p, value))
             .collect();
         let ceilings = Ceilings::from_arch(&analysis.arch);
+        let mut index = ServeIndex::new();
         let funcs: Vec<String> = analysis.model.functions.keys().cloned().collect();
         for f in funcs {
             // native evaluation: Ok or typed ModelError (overflow refusal)
@@ -56,9 +65,12 @@ fn drive(src: &str, huge_bindings: bool) {
             // (overflow / missing param) — both typed
             match KernelRoofline::analyze(&analysis, &f) {
                 Ok(k) => {
-                    if let Err(e) = k.place(&ceilings, &b) {
+                    let walked = k.place(&ceilings, &b);
+                    if let Err(e) = &walked {
                         let _ = format!("{e}");
                     }
+                    let machine = &analysis.arch.machine.name;
+                    serve(&mut index, &k, &ceilings, machine, &b, &walked)?;
                 }
                 Err(e) => {
                     let _ = format!("{e}");
@@ -67,11 +79,141 @@ fn drive(src: &str, huge_bindings: bool) {
         }
         // the emitted Python must always materialize
         let _ = analysis.python_model();
+        // one table over every served kernel and the widest window
+        let rows = index.crossover_table("n", &[], -1, i128::MAX, 2);
+        if rows.len() != index.len() {
+            return Err(format!(
+                "crossover_table: {} rows for {} pairs",
+                rows.len(),
+                index.len()
+            ));
+        }
+        Ok(())
     }));
-    assert!(
-        outcome.is_ok(),
-        "pipeline panicked instead of refusing on:\n{src}"
-    );
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(divergence)) => {
+            panic!("served answer diverges from the tree walk: {divergence}\non:\n{src}")
+        }
+        Err(_) => panic!("pipeline panicked instead of refusing on:\n{src}"),
+    }
+}
+
+/// Two answers agree bit for bit: placements by binding roof and the
+/// bit patterns of every cycle bound, refusals by typed error.
+fn same<E: PartialEq>(a: &Result<Placement, E>, b: &Result<Placement, E>) -> bool {
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            x.binding == y.binding
+                && x.compute_cycles.to_bits() == y.compute_cycles.to_bits()
+                && x.mem_cycles.map(f64::to_bits) == y.mem_cycles.map(f64::to_bits)
+        }
+        (Err(x), Err(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Parameter values no query may panic on.
+const EXTREMES: [i128; 4] = [i128::MIN, i64::MIN as i128, -1, i128::MAX];
+
+/// Compile one analyzed roofline and serve it. It must refuse with a
+/// typed `BuildError`, or place bit-identically to the tree walk
+/// (`walked`, at the fuzzer's bindings `b`) and then answer adversarial
+/// queries as placements or typed `ServeError`s that again match the
+/// tree walk. Returns the first divergence.
+fn serve(
+    index: &mut ServeIndex,
+    kr: &KernelRoofline,
+    c: &Ceilings,
+    machine: &str,
+    b: &Bindings,
+    walked: &Result<Placement, EvalError>,
+) -> Result<(), String> {
+    let k = match CompiledKernel::build(kr, c, machine) {
+        Ok(k) => k,
+        Err(e) => {
+            let _ = format!("{e}");
+            return Ok(());
+        }
+    };
+    let f = &kr.func;
+    let served = k.place(b, &mut Scratch::new());
+    if !same(walked, &served) {
+        return Err(format!(
+            "`{f}` at {b:?}: tree walk {walked:?}, compiled {served:?}"
+        ));
+    }
+    let params = k.params().to_vec();
+    let id = index.insert(k).map_err(|e| format!("`{f}`: {e}"))?;
+    // wrong arity is a typed refusal on every entry point
+    let long = vec![1; params.len() + 1];
+    for (what, r) in [
+        ("query", index.query(id, &long).map(drop)),
+        ("sweep", index.sweep(id, "n", &long, 0, 1).map(drop)),
+        ("crossover", index.crossover(id, "n", &long, 0, 1).map(drop)),
+    ] {
+        if !matches!(r, Err(ServeError::BadArity { .. })) {
+            return Err(format!("`{f}` {what} of {} values: {r:?}", long.len()));
+        }
+    }
+    let mut s = Scratch::new();
+    for v in EXTREMES {
+        let vals = vec![v; params.len()];
+        let all: Bindings = params.iter().map(|p| (p.clone(), v)).collect();
+        let at = |p: &str, x: i128| {
+            let mut b = all.clone();
+            b.insert(p.to_string(), x);
+            b
+        };
+        let q = index
+            .query(id, &vals)
+            .map_err(|e| format!("`{f}` query {vals:?}: {e}"))?;
+        let served = index.place(&q, &mut s);
+        let walked = kr.place(c, &all).map_err(ServeError::Eval);
+        if !same(&walked, &served) {
+            return Err(format!(
+                "`{f}` at {vals:?}: tree walk {walked:?}, served {served:?}"
+            ));
+        }
+        for p in &params {
+            for (lo, hi) in [(i128::MIN, i128::MAX), (-1, i128::MAX), (i128::MIN, -1)] {
+                let served = index.crossover(id, p, &vals, lo, hi);
+                let walked = kr.crossover(c, p, &all, lo, hi).map_err(ServeError::Eval);
+                if served != walked {
+                    return Err(format!(
+                        "`{f}` crossover of {p} in [{lo}, {hi}] from {vals:?}: \
+                         tree walk {walked:?}, served {served:?}"
+                    ));
+                }
+            }
+            for (lo, hi) in [
+                (i128::MAX - 1, i128::MAX),
+                (i128::MIN, i128::MIN + 1),
+                (-2, 1),
+            ] {
+                let sweep = index
+                    .sweep(id, p, &vals, lo, hi)
+                    .map_err(|e| format!("`{f}` sweep of {p}: {e}"))?;
+                let mut points = 0;
+                for (x, served) in sweep.take(8) {
+                    let walked = kr.place(c, &at(p, x)).map_err(ServeError::Eval);
+                    if !same(&walked, &served) {
+                        return Err(format!(
+                            "`{f}` sweep of {p} at {x} from {vals:?}: \
+                             tree walk {walked:?}, served {served:?}"
+                        ));
+                    }
+                    points += 1;
+                }
+                if points != hi - lo + 1 {
+                    return Err(format!(
+                        "`{f}` sweep of {p} in [{lo}, {hi}] placed {points} points"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- soup
