@@ -13,7 +13,8 @@
 //!
 //! Usage: `cargo run --release -p mira-bench --bin bench_mem
 //! [--quick|--check] [--trace <out.json>]`
-//! (`--quick` shrinks sizes for the CI smoke run; `--check` re-runs the
+//! (`--quick` shrinks sizes for the CI smoke run and writes
+//! `target/bench-quick/BENCH_mem.json`; `--check` re-runs the
 //! workloads at the committed sizes and fails on any difference in
 //! bytes, fills, misses or write-backs from the committed
 //! BENCH_mem.json, without timing anything or writing the file;
@@ -22,6 +23,7 @@
 //! breakdown of the static pipeline's per-phase wall time, taken from
 //! the probe spans.
 
+use mira_bench::{json_open, Bench};
 use mira_workloads::memval::{self, MemRow};
 
 struct Entry {
@@ -91,60 +93,39 @@ fn exact_fields(r: &MemRow) -> [(&'static str, String); 13] {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        check();
-        return;
+    let bench = Bench::from_args("mem");
+    if bench.check {
+        return check(&bench);
     }
-    match mira_bench::trace::trace_arg() {
-        Some(path) => {
-            let (json, trace) = mira_probe::capture(run);
-            finish_json(json, &trace);
-            mira_bench::trace::write(&path, &trace);
-        }
-        None => {
-            // capture construction + analysis anyway: this bench's timed
-            // section (sim_overhead) runs inside run() with probes on,
-            // but the overhead ratio divides two equally-probed runs, so
-            // the comparison stays fair
-            let (json, trace) = mira_probe::capture(run);
-            finish_json(json, &trace);
-        }
-    }
+    // capture construction + analysis: this bench's timed section
+    // (sim_overhead) runs inside run() with probes on, but the overhead
+    // ratio divides two equally-probed runs, so the comparison stays fair
+    let (json, trace) = mira_probe::capture(|| run(bench.quick));
+    bench.write(Some(json), &trace);
 }
 
-fn finish_json(json: String, trace: &mira_probe::Trace) {
-    let mut json = json;
-    json.push_str(&format!(
-        "  \"phase_wall_ms\": {}\n}}\n",
-        mira_bench::trace::phase_wall_ms_json(trace)
-    ));
-    std::fs::write("BENCH_mem.json", &json).expect("write BENCH_mem.json");
-    println!("\nwrote BENCH_mem.json");
-}
-
-fn run() -> String {
-    let quick = std::env::args().any(|a| a == "--quick");
+fn run(quick: bool) -> String {
     let entries = entries(quick, true);
-
-    let mut json = String::from("{\n  \"bench\": \"mem_traffic\",\n  \"workloads\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let fields: Vec<String> = exact_fields(&e.row)
-            .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", {}, \"sim_overhead\": {}}}{}\n",
-            e.row.workload,
-            fields.join(", "),
-            if e.sim_overhead.is_nan() {
+    let rows: Vec<String> = entries
+        .iter()
+        .map(|e| {
+            let fields: Vec<String> = exact_fields(&e.row)
+                .iter()
+                .map(|(name, value)| format!("\"{name}\": {value}"))
+                .collect();
+            let sim_overhead = if e.sim_overhead.is_nan() {
                 "null".to_string()
             } else {
                 format!("{:.2}", e.sim_overhead)
-            },
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+            };
+            format!(
+                "{{\"workload\": \"{}\", {}, \"sim_overhead\": {sim_overhead}}}",
+                e.row.workload,
+                fields.join(", "),
+            )
+        })
+        .collect();
+    let json = json_open(&[("bench", "mem_traffic")], "workloads", &rows);
 
     println!(
         "{:<18} {:>14} {:>14} {:>6} {:>10} {:>10} {:>10} {:>8} {:>9}",
@@ -183,34 +164,14 @@ fn run() -> String {
 
 /// `--check`: re-run every row at the committed sizes (untimed) and fail
 /// when any exact field differs from the committed BENCH_mem.json.
-fn check() {
-    let committed = std::fs::read_to_string("BENCH_mem.json")
-        .expect("BENCH_mem.json not found — run bench_mem once to create the baseline");
-    let mut failed = false;
+fn check(bench: &Bench) {
+    let mut check = bench.baseline();
     for e in entries(false, false) {
         let r = &e.row;
-        let changed: Vec<String> = exact_fields(r)
-            .into_iter()
-            .filter_map(|(name, value)| {
-                let com = mira_bench::committed_field(&committed, &r.workload, name);
-                (com.as_deref() != Some(value.as_str()))
-                    .then(|| format!("{name} {} → {value}", com.as_deref().unwrap_or("MISSING")))
-            })
-            .collect();
-        failed |= !changed.is_empty() || !r.bytes_exact();
-        println!(
-            "{:<18} {}",
-            r.workload,
-            if changed.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("CHANGED: {}", changed.join(", "))
-            }
-        );
+        for (name, value) in exact_fields(r) {
+            check.exact(&r.workload, name, value);
+        }
+        check.holds(&r.workload, "bytes_exact", r.bytes_exact());
     }
-    if failed {
-        eprintln!("\nbench_mem --check: counters differ from the committed baseline — failing");
-        std::process::exit(1);
-    }
-    println!("\nbench_mem --check: every counter matches the committed baseline");
+    check.finish();
 }

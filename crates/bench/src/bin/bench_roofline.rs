@@ -11,16 +11,18 @@
 //!
 //! Usage: `cargo run --release -p mira-bench --bin bench_roofline
 //! [--quick|--check] [--trace <out.json>]` — `--quick` shrinks sizes for
-//! the CI smoke run; `--check` re-derives the placements at the
-//! committed sizes and exits non-zero when any bound classification (or
-//! the crossover) changed versus the committed `BENCH_roofline.json`,
-//! the regression gate that turns silent regime changes into failures;
+//! the CI smoke run and writes `target/bench-quick/BENCH_roofline.json`;
+//! `--check` re-derives the placements at the committed sizes and exits
+//! non-zero when any bound classification (or the crossover) changed
+//! versus the committed `BENCH_roofline.json`, the regression gate that
+//! turns silent regime changes into failures;
 //! `--trace` captures the whole run with `mira-probe` and writes a
 //! Chrome trace-event JSON (every pipeline `Phase` span, the
 //! fuel-annotated `sym.budget` spans, and the roofline placement /
 //! crossover spans). The file also carries a `phase_wall_ms` breakdown
 //! of the static pipeline's per-phase wall time.
 
+use mira_bench::{json_open, Bench};
 use mira_workloads::roofval::{self, RoofRow};
 
 /// The trajectory rows, each under a stable key (the workload name plus
@@ -72,60 +74,49 @@ fn rows(quick: bool) -> Vec<(String, RoofRow)> {
 }
 
 fn main() {
+    let bench = Bench::from_args("roofline");
     // always capture: the placements are deterministic cycle bounds, so
     // probes never skew a measurement here, and the capture both feeds
     // the phase_wall_ms breakdown and (with --trace) the Chrome trace
-    let (json, trace) = mira_probe::capture(run);
-    if let Some(mut json) = json {
-        json.push_str(&format!(
-            "  \"phase_wall_ms\": {}\n}}\n",
-            mira_bench::trace::phase_wall_ms_json(&trace)
-        ));
-        std::fs::write("BENCH_roofline.json", &json).expect("write BENCH_roofline.json");
-        println!("wrote BENCH_roofline.json");
-    }
-    if let Some(path) = mira_bench::trace::trace_arg() {
-        mira_bench::trace::write(&path, &trace);
-    }
+    let (json, trace) = mira_probe::capture(|| run(&bench));
+    bench.write(json, &trace);
 }
 
-fn run() -> Option<String> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
-    // --check always measures at the committed sizes
-    let rows = rows(quick && !check);
+fn run(bench: &Bench) -> Option<String> {
+    let rows = rows(bench.quick);
     let (solved, swept) = roofval::dgemm_crossover(2, 64);
 
-    if check {
-        check_placements(&rows, &solved, &swept);
+    if bench.check {
+        check_placements(bench, &rows, &solved, &swept);
         return None;
     }
 
-    let mut json = String::from("{\n  \"bench\": \"roofline\",\n  \"workloads\": [\n");
-    for (i, (k, r)) in rows.iter().enumerate() {
-        let sp = &r.static_p;
-        let dp = &r.dynamic_p;
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"flops\": {}, \"static_data_bytes\": {}, \"dynamic_data_bytes\": {}, \"data_bytes_exact\": {}, \"footprint_lines\": {}, \"static_bound\": \"{}\", \"dynamic_bound\": \"{}\", \"agree\": {}, \"compute_cycles\": {:.0}, \"static_l1_cycles\": {:.0}, \"static_l2_cycles\": {:.0}, \"static_dram_cycles\": {:.0}, \"dynamic_l2_cycles\": {:.0}, \"dynamic_dram_cycles\": {:.0}}}{}\n",
-            k,
-            r.flops,
-            r.static_data_bytes,
-            r.dynamic_data_bytes,
-            r.data_bytes_exact(),
-            r.footprint_lines,
-            sp.binding,
-            dp.binding,
-            r.agrees(),
-            sp.compute_cycles,
-            sp.mem_cycles[0],
-            sp.mem_cycles[1],
-            sp.mem_cycles[2],
-            dp.mem_cycles[1],
-            dp.mem_cycles[2],
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+    let entries: Vec<String> = rows
+        .iter()
+        .map(|(k, r)| {
+            let sp = &r.static_p;
+            let dp = &r.dynamic_p;
+            format!(
+                "{{\"workload\": \"{}\", \"flops\": {}, \"static_data_bytes\": {}, \"dynamic_data_bytes\": {}, \"data_bytes_exact\": {}, \"footprint_lines\": {}, \"static_bound\": \"{}\", \"dynamic_bound\": \"{}\", \"agree\": {}, \"compute_cycles\": {:.0}, \"static_l1_cycles\": {:.0}, \"static_l2_cycles\": {:.0}, \"static_dram_cycles\": {:.0}, \"dynamic_l2_cycles\": {:.0}, \"dynamic_dram_cycles\": {:.0}}}",
+                k,
+                r.flops,
+                r.static_data_bytes,
+                r.dynamic_data_bytes,
+                r.data_bytes_exact(),
+                r.footprint_lines,
+                sp.binding,
+                dp.binding,
+                r.agrees(),
+                sp.compute_cycles,
+                sp.mem_cycles[0],
+                sp.mem_cycles[1],
+                sp.mem_cycles[2],
+                dp.mem_cycles[1],
+                dp.mem_cycles[2],
+            )
+        })
+        .collect();
+    let mut json = json_open(&[("bench", "roofline")], "workloads", &entries);
     let x = solved.expect("DGEMM crosses regimes in [2, 64]");
     json.push_str(&format!(
         "  \"dgemm_crossover\": {{\"param\": \"n\", \"solved\": {}, \"swept\": {}, \"from\": \"{}\", \"to\": \"{}\", \"match\": {}}},\n",
@@ -176,66 +167,27 @@ fn run() -> Option<String> {
 }
 
 /// `--check`: re-derive every placement at the committed sizes and fail
-/// when any bound classification changed versus BENCH_roofline.json.
+/// when any bound classification or the crossover changed versus
+/// BENCH_roofline.json.
 fn check_placements(
+    bench: &Bench,
     rows: &[(String, RoofRow)],
     solved: &Option<mira_roofline::Crossover>,
     swept: &Option<mira_roofline::Crossover>,
 ) {
-    let committed = std::fs::read_to_string("BENCH_roofline.json").expect(
-        "BENCH_roofline.json not found — run bench_roofline once to create the baseline",
-    );
-    let mut failed = false;
-    println!(
-        "{:<22} {:>10} {:>10} {:>10} {:>10}  verdict",
-        "workload", "com.static", "static", "com.dyn", "dynamic"
-    );
+    let mut check = bench.baseline();
     for (k, r) in rows {
-        let com_s = mira_bench::committed_field(&committed, k, "static_bound");
-        let com_d = mira_bench::committed_field(&committed, k, "dynamic_bound");
-        let (cur_s, cur_d) = (r.static_p.binding.to_string(), r.dynamic_p.binding.to_string());
-        let ok = com_s.as_deref() == Some(cur_s.as_str())
-            && com_d.as_deref() == Some(cur_d.as_str())
-            && r.agrees();
-        if !ok {
-            failed = true;
-        }
-        println!(
-            "{k:<22} {:>10} {cur_s:>10} {:>10} {cur_d:>10}  {}",
-            com_s.as_deref().unwrap_or("MISSING"),
-            com_d.as_deref().unwrap_or("MISSING"),
-            if ok { "ok" } else { "CHANGED" }
-        );
+        check.exact(k, "static_bound", r.static_p.binding);
+        check.exact(k, "dynamic_bound", r.dynamic_p.binding);
+        check.holds(k, "agree", r.agrees());
     }
-    match (solved, swept) {
-        (Some(x), Some(y)) if x == y => {
-            // value AND both roof names: a switch that stays at the same
-            // n but lands on a different roof is still a regime change
-            for (field, cur) in [
-                ("solved", x.value.to_string()),
-                ("from", x.from.to_string()),
-                ("to", x.to.to_string()),
-            ] {
-                let com = mira_bench::committed_field(&committed, "dgemm_crossover", field);
-                if com.as_deref() == Some(cur.as_str()) {
-                    println!("dgemm crossover {field} = {cur}: ok");
-                } else {
-                    failed = true;
-                    println!(
-                        "dgemm crossover {field} = {cur} (committed {}): CHANGED",
-                        com.as_deref().unwrap_or("MISSING")
-                    );
-                }
-            }
-        }
-        _ => {
-            failed = true;
-            println!("dgemm crossover: solver and sweep disagree — {solved:?} vs {swept:?}");
-        }
+    check.holds("dgemm_crossover", "solved == swept", solved.is_some() && solved == swept);
+    if let Some(x) = solved {
+        // value AND both roof names: a switch that stays at the same n
+        // but lands on a different roof is still a regime change
+        check.exact("dgemm_crossover", "solved", x.value);
+        check.exact("dgemm_crossover", "from", x.from);
+        check.exact("dgemm_crossover", "to", x.to);
     }
-    if failed {
-        eprintln!("\nbench_roofline --check: bound classifications changed — failing");
-        std::process::exit(1);
-    }
-    println!("\nbench_roofline --check: all placements match the committed baseline");
+    check.finish();
 }

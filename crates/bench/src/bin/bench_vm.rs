@@ -14,16 +14,17 @@
 //!
 //! Usage: `cargo run --release -p mira-bench --bin bench_vm
 //! [--quick|--pairs|--check|--hot] [--trace <out.json>]`
-//! (`--quick` shrinks sizes and rounds for CI smoke runs; `--pairs`
-//! prints the execution-weighted adjacent-instruction pairs the µop
-//! fusion table in `mira_vm::uop` is tuned against, instead of timing;
-//! `--check` re-measures the dynamic step counts at the committed sizes
-//! and exits non-zero when any workload regressed more than 2% versus
-//! the committed `BENCH_vm.json` — the CI gate that turns step-count
-//! regressions into failures instead of printed numbers; `--hot` runs
-//! each workload with `VmOptions::block_profile` and prints the
-//! hottest basic blocks plus µop fusion rates; `--trace` captures the
-//! whole run with `mira-probe` and writes a Chrome trace-event JSON).
+//! (`--quick` shrinks sizes and rounds for CI smoke runs and writes
+//! `target/bench-quick/BENCH_vm.json`; `--pairs` prints the
+//! execution-weighted adjacent-instruction pairs the µop fusion table in
+//! `mira_vm::uop` is tuned against, instead of timing; `--check`
+//! re-measures the dynamic step counts at the committed sizes and exits
+//! non-zero when any workload regressed more than 2% versus the committed
+//! `BENCH_vm.json` — the CI gate that turns step-count regressions into
+//! failures instead of printed numbers; `--hot` runs each workload with
+//! `VmOptions::block_profile` and prints the hottest basic blocks plus
+//! µop fusion rates; `--trace` captures the whole run with `mira-probe`
+//! and writes a Chrome trace-event JSON).
 //!
 //! Each JSON row also records `analysis_ms` — the wall time of that
 //! workload's full static pipeline (parse → compile → disassemble →
@@ -33,8 +34,11 @@
 //! around construction: the timed interpreter loops run with probes
 //! disabled.
 
+use mira_bench::{json_open, Bench};
 use mira_vm::reference::ReferenceVm;
 use mira_vm::{HostVal, Vm, VmOptions};
+use mira_vobj::Object;
+use mira_workloads::minife::{SolveAlloc, SolveBuffers};
 use mira_workloads::{dgemm::Dgemm, minife::MiniFe, stream::Stream};
 use std::time::Instant;
 
@@ -74,62 +78,126 @@ fn best_of<F: FnMut() -> u64>(rounds: usize, mut f: F) -> (u64, f64) {
     (steps, best)
 }
 
-macro_rules! timed_call {
-    ($vmty:ty, $obj:expr, $setup:expr, $func:expr) => {{
-        let mut vm = <$vmty>::load($obj, VmOptions::default()).unwrap();
-        #[allow(clippy::redundant_closure_call)]
-        let args = ($setup)(&mut vm);
-        vm.call($func, &args).unwrap();
-        vm.steps()
-    }};
+/// The surface of the two interpreters this bench drives (both count
+/// retired steps with an inherent `steps()`).
+trait Engine: SolveAlloc + Sized {
+    fn load(obj: &Object, options: VmOptions) -> Self;
+    fn alloc(&mut self, data: &[f64]) -> u64;
+    fn call(&mut self, func: &str, args: &[HostVal]);
+    fn reset(&mut self);
+}
+
+impl Engine for Vm {
+    fn load(obj: &Object, options: VmOptions) -> Self {
+        Vm::load(obj, options).expect("workload object loads")
+    }
+    fn alloc(&mut self, data: &[f64]) -> u64 {
+        self.alloc_f64(data)
+    }
+    fn call(&mut self, func: &str, args: &[HostVal]) {
+        Vm::call(self, func, args).expect("workload runs");
+    }
+    fn reset(&mut self) {
+        self.reset_counters();
+    }
+}
+
+impl Engine for ReferenceVm {
+    fn load(obj: &Object, options: VmOptions) -> Self {
+        ReferenceVm::load(obj, options).expect("workload object loads")
+    }
+    fn alloc(&mut self, data: &[f64]) -> u64 {
+        self.alloc_f64(data)
+    }
+    fn call(&mut self, func: &str, args: &[HostVal]) {
+        ReferenceVm::call(self, func, args).expect("workload runs");
+    }
+    fn reset(&mut self) {
+        self.reset_counters();
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Kernel {
+    Stream,
+    Dgemm,
+    MiniFe,
+}
+
+/// One row's workload: a compiled object, its kernel and its size (array
+/// length, matrix order or grid edge).
+#[derive(Clone, Copy)]
+struct Workload<'a> {
+    name: &'static str,
+    kernel: Kernel,
+    obj: &'a Object,
+    size: i64,
+}
+
+impl Workload<'_> {
+    /// Run on a fresh engine and hand it back, its counters covering what
+    /// the row counts. miniFE counts the CG solve only: the assembly runs
+    /// first and its counts are reset away, like the paper scopes TAU to
+    /// the solve. The allocation shape and call contracts live in
+    /// `mira_workloads::minife` (`SolveBuffers`).
+    fn run<V: Engine>(&self, options: VmOptions) -> V {
+        let mut vm = V::load(self.obj, options);
+        let n = self.size;
+        match self.kernel {
+            Kernel::Stream => {
+                let a = vm.alloc(&vec![1.0; n as usize]);
+                let b = vm.alloc(&vec![2.0; n as usize]);
+                let c = vm.alloc(&vec![0.0; n as usize]);
+                let [a, b, c] = [a, b, c].map(|p| HostVal::Int(p as i64));
+                vm.call("stream_kernels", &[HostVal::Int(n), HostVal::Int(2), a, b, c, HostVal::Fp(3.0)]);
+            }
+            Kernel::Dgemm => {
+                let sz = (n * n) as usize;
+                let a = vm.alloc(&vec![1.0; sz]);
+                let b = vm.alloc(&vec![2.0; sz]);
+                let c = vm.alloc(&vec![0.0; sz]);
+                let [a, b, c] = [a, b, c].map(|p| HostVal::Int(p as i64));
+                vm.call("dgemm_bench", &[HostVal::Int(n), HostVal::Int(1), a, b, c]);
+            }
+            Kernel::MiniFe => {
+                let cells = (n * n * n) as usize;
+                let bufs = SolveBuffers::alloc(&mut vm, cells);
+                vm.call("assemble", &bufs.assemble_args(n, n, n));
+                vm.reset();
+                vm.call("cg_solve", &bufs.solve_args(cells as i64, 500, 1e-8));
+            }
+        }
+        vm
+    }
 }
 
 fn main() {
-    match mira_bench::trace::trace_arg() {
-        Some(path) => {
-            // one capture covers the whole run — pipeline phase spans,
-            // budget spans, VM calls — and lands in a Chrome trace
-            let ((json, _), trace) = mira_probe::capture(run);
-            finish_json(json, &trace);
-            mira_bench::trace::write(&path, &trace);
-        }
-        None => {
-            // probes stay disabled through the timed interpreter loops;
-            // run() captures the construction phase internally and
-            // returns that trace for the phase_wall_ms breakdown
-            let (json, ctrace) = run();
-            finish_json(json, &ctrace.unwrap_or_default());
-        }
-    }
-}
-
-/// Close the pending BENCH_vm.json body with the per-phase wall-time
-/// breakdown and write it. `None` in `--pairs`/`--check`/`--hot` modes.
-fn finish_json(json: Option<String>, trace: &mira_probe::Trace) {
-    if let Some(mut json) = json {
-        json.push_str(&format!(
-            "  \"phase_wall_ms\": {}\n}}\n",
-            mira_bench::trace::phase_wall_ms_json(trace)
-        ));
-        std::fs::write("BENCH_vm.json", &json).expect("write BENCH_vm.json");
-        println!("\nwrote BENCH_vm.json");
-    }
+    let bench = Bench::from_args("vm");
+    let (json, trace) = if bench.trace.is_some() {
+        // one capture covers the whole run — pipeline phase spans,
+        // budget spans, VM calls — and lands in a Chrome trace
+        let ((json, _), trace) = mira_probe::capture(|| run(&bench));
+        (json, trace)
+    } else {
+        // probes stay disabled through the timed interpreter loops;
+        // run() captures the construction phase internally and returns
+        // that trace for the phase_wall_ms breakdown
+        let (json, trace) = run(&bench);
+        (json, trace.unwrap_or_default())
+    };
+    bench.write(json, &trace);
 }
 
 /// The whole benchmark; returns the pending JSON body (through the
-/// workloads array) when this run writes one, plus the construction-
+/// workloads array) when this run records one, plus the construction-
 /// phase trace when one was captured locally (no enclosing `--trace`).
-fn run() -> (Option<String>, Option<mira_probe::Trace>) {
-    let quick = std::env::args().any(|a| a == "--quick");
+fn run(bench: &Bench) -> (Option<String>, Option<mira_probe::Trace>) {
     let pairs = std::env::args().any(|a| a == "--pairs");
-    let check = std::env::args().any(|a| a == "--check");
     let hot = std::env::args().any(|a| a == "--hot");
-    let rounds = if quick { 2 } else { 5 };
-    let (stream_n, dgemm_n, grid) = if quick && !check {
+    let rounds = if bench.quick { 2 } else { 5 };
+    let (stream_n, dgemm_n, grid) = if bench.quick {
         (500i64, 12i64, 6i64)
     } else {
-        // --check always measures at the committed sizes, or the
-        // comparison would be apples to oranges
         (20_000, 40, 10)
     };
 
@@ -154,131 +222,71 @@ fn run() -> (Option<String>, Option<mira_probe::Trace>) {
         (b, Some(t))
     };
     let (stream, stream_ms, dgemm, dgemm_ms, minife, minife_ms) = built;
+    let workloads = [
+        Workload { name: "stream_triad", kernel: Kernel::Stream, obj: &stream.analysis.object, size: stream_n },
+        Workload { name: "dgemm", kernel: Kernel::Dgemm, obj: &dgemm.analysis.object, size: dgemm_n },
+        Workload { name: "minife_cg", kernel: Kernel::MiniFe, obj: &minife.analysis.object, size: grid },
+    ];
 
     if pairs {
-        print_pairs(&stream, &dgemm, &minife, stream_n, dgemm_n, grid);
+        print_pairs(&workloads);
         return (None, ctrace);
     }
     if hot {
-        print_hot(&stream, &dgemm, &minife, stream_n, dgemm_n, grid);
+        print_hot(&workloads);
         return (None, ctrace);
     }
-    if check {
-        check_steps(&stream, &dgemm, &minife, stream_n, dgemm_n, grid);
+    if bench.check {
+        check_steps(bench, &workloads);
         return (None, ctrace);
     }
 
     let spill = mira_vcc::Options::spill_everything();
-    let stream_spill = Stream::with_compiler(spill);
-    let dgemm_spill = Dgemm::with_compiler(spill);
-    let minife_spill = MiniFe::with_compiler(spill);
-    let mut rows = Vec::new();
+    let spilled = [
+        Stream::with_compiler(spill).analysis.object,
+        Dgemm::with_compiler(spill).analysis.object,
+        MiniFe::with_compiler(spill).analysis.object,
+    ];
+    let opts = VmOptions::default();
 
     // sanity: the two engines must agree bit for bit before we compare speed
-    {
-        let mut a = Vm::new(&stream.analysis.object).unwrap();
-        let mut b = ReferenceVm::new(&stream.analysis.object).unwrap();
-        let args_a = stream_args(&mut a, 200);
-        let args_b = stream_args_r(&mut b, 200);
-        a.call("stream_kernels", &args_a).unwrap();
-        b.call("stream_kernels", &args_b).unwrap();
-        assert_eq!(a.profile(), b.profile(), "engines diverge — do not trust the numbers");
+    let probe = Workload { size: 200, ..workloads[0] };
+    let (a, b): (Vm, ReferenceVm) = (probe.run(opts), probe.run(opts));
+    assert_eq!(a.profile(), b.profile(), "engines diverge — do not trust the numbers");
+
+    let mut rows = Vec::new();
+    for ((w, spilled), analysis_ms) in workloads.iter().zip(&spilled).zip([stream_ms, dgemm_ms, minife_ms]) {
+        let (steps, engine_ns) = best_of(rounds, || w.run::<Vm>(opts).steps());
+        let (rsteps, reference_ns) = best_of(rounds, || w.run::<ReferenceVm>(opts).steps());
+        assert_eq!(steps, rsteps);
+        let baseline_steps = Workload { obj: spilled, ..*w }.run::<Vm>(opts).steps();
+        rows.push(Row {
+            workload: w.name,
+            analysis_ms,
+            steps,
+            baseline_steps,
+            engine_ns,
+            reference_ns,
+        });
     }
 
-    // STREAM triad (plus the other three kernels — the paper's Table III path)
-    {
-        let (steps, engine_ns) = best_of(rounds, || {
-            timed_call!(Vm, &stream.analysis.object, |vm: &mut Vm| stream_args(vm, stream_n), "stream_kernels")
-        });
-        let (rsteps, reference_ns) = best_of(rounds, || {
-            timed_call!(
-                ReferenceVm,
-                &stream.analysis.object,
-                |vm: &mut ReferenceVm| stream_args_r(vm, stream_n),
-                "stream_kernels"
+    let entries: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"workload\": \"{}\", \"analysis_ms\": {:.1}, \"steps\": {}, \"baseline_steps\": {}, \"step_reduction\": {:.2}, \"engine_minst_per_s\": {:.1}, \"reference_minst_per_s\": {:.1}, \"speedup\": {:.2}}}",
+                r.workload,
+                r.analysis_ms,
+                r.steps,
+                r.baseline_steps,
+                r.step_reduction(),
+                r.engine_minst_s(),
+                r.reference_minst_s(),
+                r.speedup(),
             )
-        });
-        assert_eq!(steps, rsteps);
-        let baseline_steps = timed_call!(
-            Vm,
-            &stream_spill.analysis.object,
-            |vm: &mut Vm| stream_args(vm, stream_n),
-            "stream_kernels"
-        );
-        rows.push(Row {
-            workload: "stream_triad",
-            analysis_ms: stream_ms,
-            steps,
-            baseline_steps,
-            engine_ns,
-            reference_ns,
-        });
-    }
-
-    // DGEMM (Table IV path)
-    {
-        let (steps, engine_ns) = best_of(rounds, || {
-            timed_call!(Vm, &dgemm.analysis.object, |vm: &mut Vm| dgemm_args(vm, dgemm_n), "dgemm_bench")
-        });
-        let (rsteps, reference_ns) = best_of(rounds, || {
-            timed_call!(
-                ReferenceVm,
-                &dgemm.analysis.object,
-                |vm: &mut ReferenceVm| dgemm_args_r(vm, dgemm_n),
-                "dgemm_bench"
-            )
-        });
-        assert_eq!(steps, rsteps);
-        let baseline_steps = timed_call!(
-            Vm,
-            &dgemm_spill.analysis.object,
-            |vm: &mut Vm| dgemm_args(vm, dgemm_n),
-            "dgemm_bench"
-        );
-        rows.push(Row {
-            workload: "dgemm",
-            analysis_ms: dgemm_ms,
-            steps,
-            baseline_steps,
-            engine_ns,
-            reference_ns,
-        });
-    }
-
-    // miniFE CG solve (Table V deep-call path): assembly excluded, like the
-    // paper scopes TAU to the solve
-    {
-        let (steps, engine_ns) = best_of(rounds, || minife_solve_steps::<Vm>(&minife, grid));
-        let (rsteps, reference_ns) =
-            best_of(rounds, || minife_solve_steps::<ReferenceVm>(&minife, grid));
-        assert_eq!(steps, rsteps);
-        let baseline_steps = minife_solve_steps::<Vm>(&minife_spill, grid);
-        rows.push(Row {
-            workload: "minife_cg",
-            analysis_ms: minife_ms,
-            steps,
-            baseline_steps,
-            engine_ns,
-            reference_ns,
-        });
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"vm_throughput\",\n  \"unit\": \"Minst/s\",\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"analysis_ms\": {:.1}, \"steps\": {}, \"baseline_steps\": {}, \"step_reduction\": {:.2}, \"engine_minst_per_s\": {:.1}, \"reference_minst_per_s\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            r.workload,
-            r.analysis_ms,
-            r.steps,
-            r.baseline_steps,
-            r.step_reduction(),
-            r.engine_minst_s(),
-            r.reference_minst_s(),
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+        })
+        .collect();
+    let json = json_open(&[("bench", "vm_throughput"), ("unit", "Minst/s")], "workloads", &entries);
 
     println!(
         "{:<14} {:>12} {:>14} {:>10} {:>16} {:>16} {:>9}",
@@ -302,18 +310,12 @@ fn run() -> (Option<String>, Option<mira_probe::Trace>) {
 /// `--hot`: run each workload with `VmOptions::block_profile` and print
 /// the hottest basic blocks (by retired steps), the µop fusion rates,
 /// and the slow-tier step count.
-fn print_hot(
-    stream: &Stream,
-    dgemm: &Dgemm,
-    minife: &MiniFe,
-    stream_n: i64,
-    dgemm_n: i64,
-    grid: i64,
-) {
+fn print_hot(workloads: &[Workload]) {
     let opts = VmOptions { block_profile: true, ..VmOptions::default() };
-    let report = |name: &str, vm: &Vm| {
+    for w in workloads {
+        let vm: Vm = w.run(opts);
         let total = vm.steps().max(1);
-        println!("== {name}: hottest blocks ({} retired steps) ==", vm.steps());
+        println!("== {}: hottest blocks ({} retired steps) ==", w.name, vm.steps());
         println!(
             "{:<22} {:>6} {:>6} {:>12} {:>12} {:>7} {:>7}",
             "func", "line", "addr", "execs", "steps", "%steps", "fused%"
@@ -345,242 +347,32 @@ fn print_hot(
             );
         }
         println!("slow-tier steps: {} ({:.3}% of total)\n", vm.slow_steps(), 100.0 * vm.slow_steps() as f64 / total as f64);
-    };
-    {
-        let mut vm = Vm::load(&stream.analysis.object, opts).unwrap();
-        let args = stream_args(&mut vm, stream_n);
-        vm.call("stream_kernels", &args).unwrap();
-        report("stream", &vm);
-    }
-    {
-        let mut vm = Vm::load(&dgemm.analysis.object, opts).unwrap();
-        let args = dgemm_args(&mut vm, dgemm_n);
-        vm.call("dgemm_bench", &args).unwrap();
-        report("dgemm", &vm);
-    }
-    {
-        let n = (grid * grid * grid) as usize;
-        let mut vm = Vm::load(&minife.analysis.object, opts).unwrap();
-        let bufs = mira_workloads::minife::SolveBuffers::alloc(&mut vm, n);
-        vm.call("assemble", &bufs.assemble_args(grid, grid, grid)).unwrap();
-        vm.reset_counters();
-        vm.call("cg_solve", &bufs.solve_args(n as i64, 500, 1e-8)).unwrap();
-        report("minife", &vm);
     }
 }
 
 /// `--check`: re-measure dynamic step counts (deterministic — no timing)
 /// and fail when any workload retired more than 2% extra steps versus
 /// the committed BENCH_vm.json.
-fn check_steps(
-    stream: &Stream,
-    dgemm: &Dgemm,
-    minife: &MiniFe,
-    stream_n: i64,
-    dgemm_n: i64,
-    grid: i64,
-) {
-    let committed = std::fs::read_to_string("BENCH_vm.json")
-        .expect("BENCH_vm.json not found — run bench_vm once to create the baseline");
-    let current: Vec<(&str, u64)> = vec![
-        (
-            "stream_triad",
-            timed_call!(Vm, &stream.analysis.object, |vm: &mut Vm| stream_args(vm, stream_n), "stream_kernels"),
-        ),
-        (
-            "dgemm",
-            timed_call!(Vm, &dgemm.analysis.object, |vm: &mut Vm| dgemm_args(vm, dgemm_n), "dgemm_bench"),
-        ),
-        ("minife_cg", minife_solve_steps::<Vm>(minife, grid)),
-    ];
-    let mut failed = false;
-    println!(
-        "{:<14} {:>14} {:>14} {:>9}  verdict",
-        "workload", "committed", "current", "delta"
-    );
-    for (name, steps) in &current {
-        let Some(baseline) = committed_steps(&committed, name) else {
-            println!("{name:<14} {:>14} {steps:>14} {:>9}  MISSING from BENCH_vm.json", "-", "-");
-            failed = true;
-            continue;
-        };
-        let delta = 100.0 * (*steps as f64 - baseline as f64) / baseline as f64;
-        let regressed = *steps as f64 > baseline as f64 * 1.02;
-        if regressed {
-            failed = true;
-        }
-        println!(
-            "{name:<14} {baseline:>14} {steps:>14} {delta:>+8.2}%  {}",
-            if regressed {
-                "REGRESSED (>2%)"
-            } else if delta < -2.0 {
-                "improved — consider regenerating BENCH_vm.json"
-            } else {
-                "ok"
-            }
-        );
+fn check_steps(bench: &Bench, workloads: &[Workload]) {
+    let mut check = bench.baseline();
+    for w in workloads {
+        let steps = w.run::<Vm>(VmOptions::default()).steps();
+        let committed = check.number(w.name, "steps");
+        check.compare(w.name, "steps", committed, steps as f64, |com, cur| cur <= com * 1.02);
     }
-    if failed {
-        eprintln!("\nbench_vm --check: step-count regression beyond 2% — failing");
-        std::process::exit(1);
-    }
-    println!("\nbench_vm --check: all step counts within 2% of the committed baseline");
-}
-
-/// Pull `"steps": N` for one workload out of the committed JSON (no
-/// serde in this offline environment — the file is written by this very
-/// binary, so the shape is known).
-fn committed_steps(json: &str, workload: &str) -> Option<u64> {
-    let key = format!("\"workload\": \"{workload}\"");
-    let at = json.find(&key)?;
-    let rest = &json[at..];
-    let steps_at = rest.find("\"steps\": ")?;
-    let digits: String = rest[steps_at + 9..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    check.finish();
 }
 
 /// `--pairs`: print the execution-weighted adjacent-pair histograms the
-/// µop fusion table is tuned against.
-fn print_pairs(
-    stream: &Stream,
-    dgemm: &Dgemm,
-    minife: &MiniFe,
-    stream_n: i64,
-    dgemm_n: i64,
-    grid: i64,
-) {
-    let report = |name: &str, vm: &Vm| {
-        println!("== {name}: top adjacent pairs (execution-weighted) ==");
+/// µop fusion table is tuned against, over exactly what the benchmark
+/// counts.
+fn print_pairs(workloads: &[Workload]) {
+    for w in workloads {
+        let vm: Vm = w.run(VmOptions::default());
+        println!("== {}: top adjacent pairs (execution-weighted) ==", w.name);
         for ((a, b), n) in vm.pair_profile().into_iter().take(20) {
             println!("{n:>12}  {a} + {b}");
         }
         println!();
-    };
-    {
-        let mut vm = Vm::new(&stream.analysis.object).unwrap();
-        let args = stream_args(&mut vm, stream_n);
-        vm.call("stream_kernels", &args).unwrap();
-        report("stream", &vm);
-    }
-    {
-        let mut vm = Vm::new(&dgemm.analysis.object).unwrap();
-        let args = dgemm_args(&mut vm, dgemm_n);
-        vm.call("dgemm_bench", &args).unwrap();
-        report("dgemm", &vm);
-    }
-    {
-        // same assemble-then-reset scoping as the timed path, so the
-        // histogram covers exactly what the benchmark counts
-        let vm: Vm = minife_solve(minife, grid);
-        report("minife", &vm);
     }
 }
-
-fn stream_args(vm: &mut Vm, n: i64) -> Vec<HostVal> {
-    let a = vm.alloc_f64(&vec![1.0; n as usize]);
-    let b = vm.alloc_f64(&vec![2.0; n as usize]);
-    let c = vm.alloc_f64(&vec![0.0; n as usize]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(2),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-        HostVal::Fp(3.0),
-    ]
-}
-
-fn stream_args_r(vm: &mut ReferenceVm, n: i64) -> Vec<HostVal> {
-    let a = vm.alloc_f64(&vec![1.0; n as usize]);
-    let b = vm.alloc_f64(&vec![2.0; n as usize]);
-    let c = vm.alloc_f64(&vec![0.0; n as usize]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(2),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-        HostVal::Fp(3.0),
-    ]
-}
-
-fn dgemm_args(vm: &mut Vm, n: i64) -> Vec<HostVal> {
-    let sz = (n * n) as usize;
-    let a = vm.alloc_f64(&vec![1.0; sz]);
-    let b = vm.alloc_f64(&vec![2.0; sz]);
-    let c = vm.alloc_f64(&vec![0.0; sz]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(1),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-    ]
-}
-
-fn dgemm_args_r(vm: &mut ReferenceVm, n: i64) -> Vec<HostVal> {
-    let sz = (n * n) as usize;
-    let a = vm.alloc_f64(&vec![1.0; sz]);
-    let b = vm.alloc_f64(&vec![2.0; sz]);
-    let c = vm.alloc_f64(&vec![0.0; sz]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(1),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-    ]
-}
-
-/// Run assemble (untimed elsewhere — included in the closure but dominated
-/// by the solve at these grids) then CG; return solve-phase steps.
-fn minife_solve_steps<V: MiniFeVm>(m: &MiniFe, d: i64) -> u64 {
-    minife_solve::<V>(m, d).steps_()
-}
-
-/// Assemble the system, reset the counters, run the CG solve, and hand
-/// back the VM — counters cover the solve phase only. The allocation
-/// shape and call contracts live in `mira_workloads::minife`
-/// (`SolveBuffers`), shared with `run_dynamic` and the `memval` rows.
-fn minife_solve<V: MiniFeVm>(m: &MiniFe, d: i64) -> V {
-    let n = (d * d * d) as usize;
-    let mut vm = V::load_obj(&m.analysis.object);
-    let bufs = mira_workloads::minife::SolveBuffers::alloc(&mut vm, n);
-    vm.call_("assemble", &bufs.assemble_args(d, d, d));
-    vm.reset_counters_();
-    vm.call_("cg_solve", &bufs.solve_args(n as i64, 500, 1e-8));
-    vm
-}
-
-/// The common surface of the two engines, for the generic miniFE driver.
-trait MiniFeVm: mira_workloads::minife::SolveAlloc {
-    fn load_obj(obj: &mira_vobj::Object) -> Self;
-    fn call_(&mut self, func: &str, args: &[HostVal]);
-    fn reset_counters_(&mut self);
-    fn steps_(&self) -> u64;
-}
-
-macro_rules! impl_minife_vm {
-    ($t:ty) => {
-        impl MiniFeVm for $t {
-            fn load_obj(obj: &mira_vobj::Object) -> Self {
-                <$t>::load(obj, VmOptions::default()).unwrap()
-            }
-            fn call_(&mut self, func: &str, args: &[HostVal]) {
-                self.call(func, args).unwrap();
-            }
-            fn reset_counters_(&mut self) {
-                self.reset_counters();
-            }
-            fn steps_(&self) -> u64 {
-                self.steps()
-            }
-        }
-    };
-}
-
-impl_minife_vm!(Vm);
-impl_minife_vm!(ReferenceVm);

@@ -8,15 +8,13 @@ use mira_sym::Bindings;
 
 /// Render the integer points of a 2-D domain (outer variable on the Y axis,
 /// inner on the X axis) as an ASCII lattice plot. Points in the domain are
-/// `●`, excluded lattice positions inside the bounding box are `·`.
+/// `●`, lattice positions of the bounding box outside it are `·`.
 ///
-/// `holes`, if given, is a second domain; points in `domain` but *not* in
-/// `holes` are drawn as `●`, points in both as `●`, and points that the
-/// caller wants displayed as excluded-by-branch (in the box and in
-/// `domain`, but filtered out by `holes`) as `o`.
+/// `excluded`, if given, marks the points of `domain` that a branch or a
+/// modulo condition filters out: points in both domains are drawn `o`.
 pub fn render_2d(
     domain: &Polyhedron,
-    keep: Option<&Polyhedron>,
+    excluded: Option<&Polyhedron>,
     bindings: &Bindings,
     x_range: (i128, i128),
     y_range: (i128, i128),
@@ -41,17 +39,12 @@ pub fn render_2d(
     for y in (y_range.0..=y_range.1).rev() {
         out.push_str(&format!("{y:>3} |"));
         for x in x_range.0..=x_range.1 {
-            let in_dom = contains(domain, x, y);
-            let ch = match (in_dom, keep) {
-                (false, _) => " ·",
-                (true, None) => " ●",
-                (true, Some(k)) => {
-                    if contains(k, x, y) {
-                        " ●"
-                    } else {
-                        " o"
-                    }
-                }
+            let ch = if !contains(domain, x, y) {
+                " ·"
+            } else if excluded.is_some_and(|e| contains(e, x, y)) {
+                " o"
+            } else {
+                " ●"
             };
             out.push_str(ch);
         }
@@ -100,10 +93,25 @@ mod tests {
 
     #[test]
     fn renders_branch_filtered_points() {
-        // Fig 4(b): if (j > 4) keeps only j ≥ 5
-        let keep = listing2().with_constraint(SymExpr::param("j") - SymExpr::constant(5));
-        let s = render_2d(&listing2(), Some(&keep), &bindings(&[]), (0, 7), (0, 5));
+        // Fig 4(b): if (j > 4) excludes every j ≤ 4
+        let excluded = listing2().with_constraint(SymExpr::constant(4) - SymExpr::param("j"));
+        let s = render_2d(&listing2(), Some(&excluded), &bindings(&[]), (0, 7), (0, 5));
         assert_eq!(s.matches('●').count(), 8, "{s}");
         assert_eq!(s.matches('o').count(), 6, "{s}");
+    }
+
+    #[test]
+    fn renders_modulo_holes_in_their_column() {
+        // Fig 4(c): if (j % 4 != 0) leaves holes at j ≡ 0 (mod 4)
+        let holes = listing2().with_lattice("j", 4, 0);
+        let s = render_2d(&listing2(), Some(&holes), &bindings(&[]), (0, 7), (0, 5));
+        assert_eq!(s.matches('●').count(), 11, "{s}");
+        assert_eq!(s.matches('o').count(), 3, "{s}");
+        for line in s.lines().filter(|l| l.contains('o')) {
+            // cells follow the '|', two characters each, x = 0 first
+            let cells: Vec<char> = line.split_once('|').unwrap().1.chars().skip(1).step_by(2).collect();
+            assert_eq!(cells.iter().position(|&c| c == 'o'), Some(4), "{s}");
+            assert_eq!(cells.iter().filter(|&&c| c == 'o').count(), 1, "{s}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! # mira-probe — zero-cost tracing, metrics and hot-path profiling
 //!
 //! An in-tree, zero-dependency structured-observability layer for the
-//! whole Mira pipeline (like the `criterion`/`proptest` shims, it assumes
-//! no registry access). Three primitives, all routed through one
+//! whole Mira pipeline (like the `proptest` shim, it assumes no registry
+//! access). Three primitives, all routed through one
 //! thread-local collector:
 //!
 //! * **Spans** ([`span`]) — RAII guards that record a named, categorized
