@@ -541,15 +541,6 @@ impl ArchDescription {
         self.metric("fpi").unwrap_or(&[])
     }
 
-    pub fn metric_names(&self) -> Vec<&str> {
-        self.metrics.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Define or replace a metric group programmatically.
-    pub fn set_metric(&mut self, name: &str, cats: Vec<Category>) {
-        self.metrics.insert(name.to_string(), cats);
-    }
-
     /// The declared cache hierarchy (line size from `[machine]`, levels
     /// from the `[cache lN]` sections) — what the `mira-mem` simulator and
     /// distinct-line models are parameterized by.

@@ -36,11 +36,16 @@
 
 use mira_bench::{json_open, Bench};
 use mira_vm::reference::ReferenceVm;
-use mira_vm::{HostVal, Vm, VmOptions};
+use mira_vm::{Vm, VmOptions};
 use mira_vobj::Object;
-use mira_workloads::minife::{SolveAlloc, SolveBuffers};
+use mira_workloads::run::Shape;
 use mira_workloads::{dgemm::Dgemm, minife::MiniFe, stream::Stream};
 use std::time::Instant;
+
+/// The benchmark rows: name, compiled kernel, shape at the row's size
+/// and the function the row runs. `mira_workloads::run` owns how each
+/// shape is set up, on either engine; miniFE counts the CG solve only.
+type Rows<'a> = [(&'static str, &'a Object, Shape, &'static str)];
 
 struct Row {
     workload: &'static str,
@@ -76,99 +81,6 @@ fn best_of<F: FnMut() -> u64>(rounds: usize, mut f: F) -> (u64, f64) {
         best = best.min(t0.elapsed().as_nanos() as f64);
     }
     (steps, best)
-}
-
-/// The surface of the two interpreters this bench drives (both count
-/// retired steps with an inherent `steps()`).
-trait Engine: SolveAlloc + Sized {
-    fn load(obj: &Object, options: VmOptions) -> Self;
-    fn alloc(&mut self, data: &[f64]) -> u64;
-    fn call(&mut self, func: &str, args: &[HostVal]);
-    fn reset(&mut self);
-}
-
-impl Engine for Vm {
-    fn load(obj: &Object, options: VmOptions) -> Self {
-        Vm::load(obj, options).expect("workload object loads")
-    }
-    fn alloc(&mut self, data: &[f64]) -> u64 {
-        self.alloc_f64(data)
-    }
-    fn call(&mut self, func: &str, args: &[HostVal]) {
-        Vm::call(self, func, args).expect("workload runs");
-    }
-    fn reset(&mut self) {
-        self.reset_counters();
-    }
-}
-
-impl Engine for ReferenceVm {
-    fn load(obj: &Object, options: VmOptions) -> Self {
-        ReferenceVm::load(obj, options).expect("workload object loads")
-    }
-    fn alloc(&mut self, data: &[f64]) -> u64 {
-        self.alloc_f64(data)
-    }
-    fn call(&mut self, func: &str, args: &[HostVal]) {
-        ReferenceVm::call(self, func, args).expect("workload runs");
-    }
-    fn reset(&mut self) {
-        self.reset_counters();
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Kernel {
-    Stream,
-    Dgemm,
-    MiniFe,
-}
-
-/// One row's workload: a compiled object, its kernel and its size (array
-/// length, matrix order or grid edge).
-#[derive(Clone, Copy)]
-struct Workload<'a> {
-    name: &'static str,
-    kernel: Kernel,
-    obj: &'a Object,
-    size: i64,
-}
-
-impl Workload<'_> {
-    /// Run on a fresh engine and hand it back, its counters covering what
-    /// the row counts. miniFE counts the CG solve only: the assembly runs
-    /// first and its counts are reset away, like the paper scopes TAU to
-    /// the solve. The allocation shape and call contracts live in
-    /// `mira_workloads::minife` (`SolveBuffers`).
-    fn run<V: Engine>(&self, options: VmOptions) -> V {
-        let mut vm = V::load(self.obj, options);
-        let n = self.size;
-        match self.kernel {
-            Kernel::Stream => {
-                let a = vm.alloc(&vec![1.0; n as usize]);
-                let b = vm.alloc(&vec![2.0; n as usize]);
-                let c = vm.alloc(&vec![0.0; n as usize]);
-                let [a, b, c] = [a, b, c].map(|p| HostVal::Int(p as i64));
-                vm.call("stream_kernels", &[HostVal::Int(n), HostVal::Int(2), a, b, c, HostVal::Fp(3.0)]);
-            }
-            Kernel::Dgemm => {
-                let sz = (n * n) as usize;
-                let a = vm.alloc(&vec![1.0; sz]);
-                let b = vm.alloc(&vec![2.0; sz]);
-                let c = vm.alloc(&vec![0.0; sz]);
-                let [a, b, c] = [a, b, c].map(|p| HostVal::Int(p as i64));
-                vm.call("dgemm_bench", &[HostVal::Int(n), HostVal::Int(1), a, b, c]);
-            }
-            Kernel::MiniFe => {
-                let cells = (n * n * n) as usize;
-                let bufs = SolveBuffers::alloc(&mut vm, cells);
-                vm.call("assemble", &bufs.assemble_args(n, n, n));
-                vm.reset();
-                vm.call("cg_solve", &bufs.solve_args(cells as i64, 500, 1e-8));
-            }
-        }
-        vm
-    }
 }
 
 fn main() {
@@ -222,10 +134,27 @@ fn run(bench: &Bench) -> (Option<String>, Option<mira_probe::Trace>) {
         (b, Some(t))
     };
     let (stream, stream_ms, dgemm, dgemm_ms, minife, minife_ms) = built;
+    let stream_shape = |n| Shape::Stream { n, reps: 2 };
+    let square = Shape::Square {
+        n: dgemm_n,
+        reps: 1,
+    };
+    let solve = Shape::MiniFe {
+        nx: grid,
+        ny: grid,
+        nz: grid,
+        max_iter: 500,
+        tol: 1e-8,
+    };
     let workloads = [
-        Workload { name: "stream_triad", kernel: Kernel::Stream, obj: &stream.analysis.object, size: stream_n },
-        Workload { name: "dgemm", kernel: Kernel::Dgemm, obj: &dgemm.analysis.object, size: dgemm_n },
-        Workload { name: "minife_cg", kernel: Kernel::MiniFe, obj: &minife.analysis.object, size: grid },
+        (
+            "stream_triad",
+            &stream.analysis.object,
+            stream_shape(stream_n),
+            "stream_kernels",
+        ),
+        ("dgemm", &dgemm.analysis.object, square, "dgemm_bench"),
+        ("minife_cg", &minife.analysis.object, solve, "cg_solve"),
     ];
 
     if pairs {
@@ -250,18 +179,28 @@ fn run(bench: &Bench) -> (Option<String>, Option<mira_probe::Trace>) {
     let opts = VmOptions::default();
 
     // sanity: the two engines must agree bit for bit before we compare speed
-    let probe = Workload { size: 200, ..workloads[0] };
-    let (a, b): (Vm, ReferenceVm) = (probe.run(opts), probe.run(opts));
-    assert_eq!(a.profile(), b.profile(), "engines diverge — do not trust the numbers");
+    let (probe, obj) = (stream_shape(200), &stream.analysis.object);
+    let a = probe.run::<Vm>(obj, opts, "stream_kernels").vm.profile();
+    let b = probe
+        .run::<ReferenceVm>(obj, opts, "stream_kernels")
+        .vm
+        .profile();
+    assert_eq!(a, b, "engines diverge — do not trust the numbers");
 
     let mut rows = Vec::new();
-    for ((w, spilled), analysis_ms) in workloads.iter().zip(&spilled).zip([stream_ms, dgemm_ms, minife_ms]) {
-        let (steps, engine_ns) = best_of(rounds, || w.run::<Vm>(opts).steps());
-        let (rsteps, reference_ns) = best_of(rounds, || w.run::<ReferenceVm>(opts).steps());
+    let analysis_ms = [stream_ms, dgemm_ms, minife_ms];
+    for ((&(name, obj, shape, func), spilled), analysis_ms) in
+        workloads.iter().zip(&spilled).zip(analysis_ms)
+    {
+        // each timed round covers loading, setup and the call
+        let (steps, engine_ns) = best_of(rounds, || shape.run::<Vm>(obj, opts, func).vm.steps());
+        let (rsteps, reference_ns) = best_of(rounds, || {
+            shape.run::<ReferenceVm>(obj, opts, func).vm.steps()
+        });
         assert_eq!(steps, rsteps);
-        let baseline_steps = Workload { obj: spilled, ..*w }.run::<Vm>(opts).steps();
+        let baseline_steps = shape.run::<Vm>(spilled, opts, func).vm.steps();
         rows.push(Row {
-            workload: w.name,
+            workload: name,
             analysis_ms,
             steps,
             baseline_steps,
@@ -310,12 +249,15 @@ fn run(bench: &Bench) -> (Option<String>, Option<mira_probe::Trace>) {
 /// `--hot`: run each workload with `VmOptions::block_profile` and print
 /// the hottest basic blocks (by retired steps), the µop fusion rates,
 /// and the slow-tier step count.
-fn print_hot(workloads: &[Workload]) {
+fn print_hot(workloads: &Rows) {
     let opts = VmOptions { block_profile: true, ..VmOptions::default() };
-    for w in workloads {
-        let vm: Vm = w.run(opts);
+    for &(name, obj, shape, func) in workloads {
+        let vm = shape.run::<Vm>(obj, opts, func).vm;
         let total = vm.steps().max(1);
-        println!("== {}: hottest blocks ({} retired steps) ==", w.name, vm.steps());
+        println!(
+            "== {name}: hottest blocks ({} retired steps) ==",
+            vm.steps()
+        );
         println!(
             "{:<22} {:>6} {:>6} {:>12} {:>12} {:>7} {:>7}",
             "func", "line", "addr", "execs", "steps", "%steps", "fused%"
@@ -353,12 +295,14 @@ fn print_hot(workloads: &[Workload]) {
 /// `--check`: re-measure dynamic step counts (deterministic — no timing)
 /// and fail when any workload retired more than 2% extra steps versus
 /// the committed BENCH_vm.json.
-fn check_steps(bench: &Bench, workloads: &[Workload]) {
+fn check_steps(bench: &Bench, workloads: &Rows) {
     let mut check = bench.baseline();
-    for w in workloads {
-        let steps = w.run::<Vm>(VmOptions::default()).steps();
-        let committed = check.number(w.name, "steps");
-        check.compare(w.name, "steps", committed, steps as f64, |com, cur| cur <= com * 1.02);
+    for &(name, obj, shape, func) in workloads {
+        let steps = shape.run::<Vm>(obj, VmOptions::default(), func).vm.steps();
+        let committed = check.number(name, "steps");
+        check.compare(name, "steps", committed, steps as f64, |com, cur| {
+            cur <= com * 1.02
+        });
     }
     check.finish();
 }
@@ -366,10 +310,10 @@ fn check_steps(bench: &Bench, workloads: &[Workload]) {
 /// `--pairs`: print the execution-weighted adjacent-pair histograms the
 /// µop fusion table is tuned against, over exactly what the benchmark
 /// counts.
-fn print_pairs(workloads: &[Workload]) {
-    for w in workloads {
-        let vm: Vm = w.run(VmOptions::default());
-        println!("== {}: top adjacent pairs (execution-weighted) ==", w.name);
+fn print_pairs(workloads: &Rows) {
+    for &(name, obj, shape, func) in workloads {
+        let vm = shape.run::<Vm>(obj, VmOptions::default(), func).vm;
+        println!("== {name}: top adjacent pairs (execution-weighted) ==");
         for ((a, b), n) in vm.pair_profile().into_iter().take(20) {
             println!("{n:>12}  {a} + {b}");
         }

@@ -158,9 +158,10 @@ struct FuncInfo {
     nest_tainted: bool,
 }
 
-/// One loop of the function's loop forest as recorded by the walker; it
-/// outlives the walk (unlike the [`LoopDim`] stack) so working sets can
-/// be derived per nest level afterwards.
+/// One loop of the function's loop forest as recorded by the walker.
+/// During the walk the current loop path indexes into the forest; it
+/// outlives the walk so working sets can be derived per nest level
+/// afterwards.
 #[derive(Clone)]
 struct NodeBuild {
     parent: Option<usize>,
@@ -287,6 +288,47 @@ fn refused_func_info(f: &Func) -> FuncInfo {
     }
 }
 
+/// Formal → actual maps of one call site: each pointer formal to the
+/// caller's array, each value formal to the caller-side affine
+/// expression; `Err` where the argument is unanalyzable. Footprint
+/// composition ([`AccessModel::resolve`]) and nest splicing
+/// ([`AccessModel::flatten_nest`]) share them.
+#[allow(clippy::type_complexity)]
+fn formal_maps<'a>(
+    callee: &'a FuncInfo,
+    call: &'a CallSite,
+) -> (
+    BTreeMap<&'a str, Result<&'a str, ()>>,
+    BTreeMap<&'a str, Result<&'a SymExpr, ()>>,
+) {
+    let mut ptr_map = BTreeMap::new();
+    let mut val_map = BTreeMap::new();
+    let mut value_params = callee.value_params.iter();
+    for (i, formal) in callee.ptr_params.iter().enumerate() {
+        let actual = call.args.get(i);
+        match formal {
+            Some(name) => {
+                let v = match actual {
+                    Some(Ok(Arg::Ptr(p))) => Ok(p.as_str()),
+                    _ => Err(()),
+                };
+                ptr_map.insert(name.as_str(), v);
+            }
+            None => {
+                let Some(name) = value_params.next() else {
+                    continue;
+                };
+                let v = match actual {
+                    Some(Ok(Arg::Value(e))) => Ok(e),
+                    _ => Err(()),
+                };
+                val_map.insert(name.as_str(), v);
+            }
+        }
+    }
+    (ptr_map, val_map)
+}
+
 impl AccessModel {
     /// Resolve the footprint of `func`, composing callees (their formals
     /// substituted by the actual arguments, ranges united per caller-side
@@ -328,33 +370,7 @@ impl AccessModel {
                 continue;
             };
             let sub = self.resolve(&call.callee, depth + 1);
-            // formal → actual maps for this call site
-            let mut ptr_map: BTreeMap<&str, Result<&str, ()>> = BTreeMap::new();
-            let mut val_map: BTreeMap<&str, Result<&SymExpr, ()>> = BTreeMap::new();
-            for (i, formal) in callee.ptr_params.iter().enumerate() {
-                let actual = call.args.get(i);
-                if let Some(name) = formal {
-                    let v = match actual {
-                        Some(Ok(Arg::Ptr(p))) => Ok(p.as_str()),
-                        _ => Err(()),
-                    };
-                    ptr_map.insert(name, v);
-                }
-            }
-            {
-                let mut vi = 0;
-                for (i, formal) in callee.ptr_params.iter().enumerate() {
-                    if formal.is_none() {
-                        let name = &callee.value_params[vi];
-                        vi += 1;
-                        let v = match call.args.get(i) {
-                            Some(Ok(Arg::Value(e))) => Ok(e),
-                            _ => Err(()),
-                        };
-                        val_map.insert(name, v);
-                    }
-                }
-            }
+            let (ptr_map, val_map) = formal_maps(callee, call);
             let map_expr = |e: &SymExpr| -> Result<SymExpr, ()> {
                 let mut out = e.clone();
                 for p in e.params() {
@@ -758,40 +774,32 @@ fn is_ancestor(nodes: &[NodeBuild], a: usize, mut i: usize) -> bool {
     false
 }
 
-/// Recompute an affine reference's pinned-range ladder over the
-/// (possibly spliced) loop forest: entry `l` is the index range with the
-/// outermost `l` loops of `path` pinned and the rest swept
-/// ([`sweep_dims`], innermost-first) — the same construction as the
-/// walker's recording pass, now over composed nests. A pinned loop
-/// collapses to its lower bound, except ancestors consumed by a
-/// triangular child (`hi_pin`), which pin at their *upper* bound: that
-/// is where the child sweeps its widest range, so the ladder stays a
-/// maximal per-iteration working set.
+/// An affine reference's pinned-range ladder over the loop forest:
+/// entry `l` is the index range with the outermost `l` loops of `path`
+/// pinned and the rest swept ([`sweep_dims`], innermost-first). The
+/// walker records it over its current path; the nest model recomputes
+/// it over the (possibly spliced) forest. A pinned loop collapses to its
+/// lower bound, innermost-pinned first so tiled bounds resolve toward
+/// the outermost loop, except ancestors consumed by a triangular child
+/// (`hi_pin`), which pin at their *upper* bound: that is where the child
+/// sweeps its widest range, so the ladder stays a maximal per-iteration
+/// working set.
 fn ref_ladder(
     nodes: &[NodeBuild],
     path: &[usize],
     idx: &SymExpr,
     hi_pin: &std::collections::BTreeSet<String>,
 ) -> Option<Vec<(SymExpr, SymExpr)>> {
-    let dims: Vec<LoopDim> = path
-        .iter()
-        .map(|&n| LoopDim {
-            var: nodes[n].var.clone(),
-            lo: nodes[n].lo.clone(),
-            hi: nodes[n].hi.clone(),
-            step: nodes[n].step,
-        })
-        .collect();
-    let depth = dims.len();
-    let mut out = Vec::with_capacity(depth + 1);
-    for pin in 0..=depth {
+    let mut out = Vec::with_capacity(path.len() + 1);
+    for pin in 0..=path.len() {
         let mut min = idx.clone();
         let mut max = idx.clone();
         let mut unknown_sign = false;
-        if !sweep_dims(&dims[pin..], &mut min, &mut max, &mut unknown_sign) {
+        let swept = path[pin..].iter().map(|&n| &nodes[n]);
+        if !sweep_dims(swept, &mut min, &mut max, &mut unknown_sign) {
             return None;
         }
-        for dim in dims[..pin].iter().rev() {
+        for dim in path[..pin].iter().rev().map(|&n| &nodes[n]) {
             let at = if hi_pin.contains(&dim.var) {
                 &dim.hi
             } else {
@@ -873,33 +881,7 @@ impl AccessModel {
             let (cnodes, crefs) = self.flatten_nest(&call.callee, depth + 1, splice)?;
             *splice += 1;
             let tag = *splice;
-            // formal → actual maps, exactly as the footprint composition
-            // builds them
-            let mut ptr_map: BTreeMap<&str, Result<&str, ()>> = BTreeMap::new();
-            let mut val_map: BTreeMap<&str, Result<&SymExpr, ()>> = BTreeMap::new();
-            for (i, formal) in callee.ptr_params.iter().enumerate() {
-                if let Some(name) = formal {
-                    let v = match call.args.get(i) {
-                        Some(Ok(Arg::Ptr(p))) => Ok(p.as_str()),
-                        _ => Err(()),
-                    };
-                    ptr_map.insert(name, v);
-                }
-            }
-            {
-                let mut vi = 0;
-                for (i, formal) in callee.ptr_params.iter().enumerate() {
-                    if formal.is_none() {
-                        let name = &callee.value_params[vi];
-                        vi += 1;
-                        let v = match call.args.get(i) {
-                            Some(Ok(Arg::Value(e))) => Ok(e),
-                            _ => Err(()),
-                        };
-                        val_map.insert(name, v);
-                    }
-                }
-            }
+            let (ptr_map, val_map) = formal_maps(callee, call);
             // rename callee domain variables first (splice-unique `$tag`
             // suffix), then substitute actuals — an actual that mentions a
             // caller loop variable can no longer capture a callee one. An
@@ -1423,32 +1405,8 @@ fn sym_min_max(
 
 // ---- per-function walker ----
 
-/// One enclosing loop: the renamed induction variable and its bounds (in
-/// outer domain variables and parameters).
-struct LoopDim {
-    var: String,
-    lo: SymExpr,
-    hi: SymExpr,
-    /// Element stride per iteration contributed by the loop step
-    /// (`i += 4` → 4); 1 for unit loops.
-    step: i64,
-}
-
-impl LoopDim {
-    /// Trip count of this dimension: `(hi - lo)/step + 1`.
-    fn extent(&self) -> SymExpr {
-        let span = self.hi.sub_expr(&self.lo);
-        if self.step > 1 {
-            span.floor_div(self.step).add_expr(&SymExpr::constant(1))
-        } else {
-            span.add_expr(&SymExpr::constant(1))
-        }
-    }
-}
-
 struct Walker {
     scope: LoopScope,
-    loops: Vec<LoopDim>,
     /// Mutable scalar state collected by a pre-pass — declared locals and
     /// every assignment/increment target anywhere in the function, so a
     /// later mutation also poisons earlier references. Loop induction
@@ -1469,7 +1427,8 @@ struct Walker {
     unknown: Vec<String>,
     calls: Vec<CallSite>,
     var_counter: usize,
-    /// Loop forest and per-reference nest bookkeeping (see [`FuncInfo`]).
+    /// Loop forest and per-reference nest bookkeeping (see [`FuncInfo`]);
+    /// `node_path` is the current loop path, outermost first.
     nodes: Vec<NodeBuild>,
     node_path: Vec<usize>,
     nest_refs: Vec<NestRef>,
@@ -1590,7 +1549,6 @@ fn analyze_func(f: &Func) -> FuncInfo {
         .collect();
     let mut w = Walker {
         scope: LoopScope::new(),
-        loops: Vec::new(),
         poisoned,
         safe_params,
         branch_depth: 0,
@@ -1657,18 +1615,17 @@ impl Walker {
             }
             StmtKind::While { cond, body } => {
                 self.walk_expr(cond, false);
-                match s.annotation.as_ref().and_then(|a| self.annotated_while_dim(a)) {
-                    Some(dim) => {
+                match s.annotation.as_ref().and_then(|a| self.annotated_iters(a)) {
+                    Some(iters) => {
                         // `{lp_iters: t}` asserts the trip count: the loop
-                        // becomes a synthetic repetition dimension, so the
-                        // nest model sees how often the body re-sweeps —
-                        // the cg_solve outer-iteration shape
-                        let dom = dim.var.clone();
-                        self.push_node(&dom, &dim.lo, &dim.hi, dim.step);
-                        self.loops.push(dim);
-                        self.walk_stmt(body);
-                        self.loops.pop();
-                        self.node_path.pop();
+                        // becomes a synthetic repetition dimension
+                        // `[0, t - 1]`, so the nest model sees how often
+                        // the body re-sweeps — the cg_solve
+                        // outer-iteration shape, whose callees' nests it
+                        // carries
+                        let dom = self.fresh_var("while");
+                        let hi = iters.sub_expr(&SymExpr::constant(1));
+                        self.walk_loop(None, dom, SymExpr::zero(), hi, 1, body);
                     }
                     None => {
                         // a bare while loop is a data-dependent guard
@@ -1723,50 +1680,18 @@ impl Walker {
         };
         match scop {
             Some(scop) => {
-                let dom = format!("{}@{}", scop.var, self.var_counter);
-                self.var_counter += 1;
+                let dom = self.fresh_var(&scop.var);
                 let step = scop.stride.map(|(m, _)| m).unwrap_or(1);
-                self.loops.push(LoopDim {
-                    var: dom.clone(),
-                    lo: scop.lo.clone(),
-                    hi: scop.hi.clone(),
-                    step,
-                });
-                self.push_node(&dom, &scop.lo, &scop.hi, step);
-                let saved = self.scope.insert(scop.var.clone(), dom);
-                self.walk_stmt(body);
-                self.loops.pop();
-                self.node_path.pop();
-                match saved {
-                    Some(v) => {
-                        self.scope.insert(scop.var.clone(), v);
-                    }
-                    None => {
-                        self.scope.remove(&scop.var);
-                    }
-                }
+                self.walk_loop(Some(&scop.var), dom, scop.lo, scop.hi, step, body);
             }
             None => match self.cumulative_dim(init, ann) {
-                Some((var, dim)) => {
+                Some((var, lo, hi)) => {
                     // a `{lp_iters: t, lp_cumulative: yes}` annotation: the
                     // data-dependent loop sweeps a cumulative prefix across
                     // the enclosing nest, so it acts as one synthetic affine
                     // dimension of extent (enclosing trip count) · t
-                    let dom = dim.var.clone();
-                    self.push_node(&dom, &dim.lo, &dim.hi, dim.step);
-                    self.loops.push(dim);
-                    let saved = self.scope.insert(var.clone(), dom);
-                    self.walk_stmt(body);
-                    self.loops.pop();
-                    self.node_path.pop();
-                    match saved {
-                        Some(v) => {
-                            self.scope.insert(var.clone(), v);
-                        }
-                        None => {
-                            self.scope.remove(&var);
-                        }
-                    }
+                    let dom = self.fresh_var(&var);
+                    self.walk_loop(Some(&var), dom, lo, hi, 1, body);
                 }
                 None => {
                     // unanalyzable bounds: the induction variable is already
@@ -1796,25 +1721,65 @@ impl Walker {
         Some(e)
     }
 
-    /// The synthetic repetition dimension for an `lp_iters`-annotated
-    /// `while` loop: `[0, t - 1]` with `t = lp_iters · lp_scale`. The
-    /// annotation asserts the trip count the same way it does for the
-    /// FLOP model, so body references and calls repeat `t` times rather
-    /// than hiding behind a guard — this is what lets `cg_solve`'s
-    /// outer iteration loop carry its callees' nests.
-    fn annotated_while_dim(&mut self, ann: &Annotation) -> Option<LoopDim> {
-        let mut iters = self.annot_expr(ann, "lp_iters")?;
-        if let Some(AnnotValue::Num(f)) = ann.get("lp_scale") {
-            iters = iters.scale(Rat::new((f * 1_000_000_000.0).round() as i128, 1_000_000_000));
-        }
-        let dom = format!("while@{}", self.var_counter);
-        self.var_counter += 1;
-        Some(LoopDim {
-            var: dom,
-            lo: SymExpr::zero(),
-            hi: iters.sub_expr(&SymExpr::constant(1)),
-            step: 1,
+    /// The trip count an `lp_iters` annotation asserts:
+    /// `t = lp_iters · lp_scale`.
+    fn annotated_iters(&self, ann: &Annotation) -> Option<SymExpr> {
+        let iters = self.annot_expr(ann, "lp_iters")?;
+        Some(match ann.get("lp_scale") {
+            Some(AnnotValue::Num(f)) => iters.scale(Rat::new(
+                (f * 1_000_000_000.0).round() as i128,
+                1_000_000_000,
+            )),
+            _ => iters,
         })
+    }
+
+    /// A fresh domain variable `stem@k`, unique within the function.
+    fn fresh_var(&mut self, stem: &str) -> String {
+        let var = format!("{stem}@{}", self.var_counter);
+        self.var_counter += 1;
+        var
+    }
+
+    /// Walk `body` one loop deeper: the loop joins the forest under the
+    /// current path as domain variable `dom` over `[lo, hi]` in steps of
+    /// `step`, and inside the body the source induction variable `var`
+    /// (when there is one) names it.
+    fn walk_loop(
+        &mut self,
+        var: Option<&str>,
+        dom: String,
+        lo: SymExpr,
+        hi: SymExpr,
+        step: i64,
+        body: &Stmt,
+    ) {
+        let id = self.nodes.len();
+        self.nodes.push(NodeBuild {
+            parent: self.node_path.last().copied(),
+            var: dom.clone(),
+            lo,
+            hi,
+            step,
+        });
+        self.node_path.push(id);
+        let saved = var.map(|v| (v, self.scope.insert(v.to_string(), dom)));
+        self.walk_stmt(body);
+        self.node_path.pop();
+        match saved {
+            Some((v, Some(outer))) => {
+                self.scope.insert(v.to_string(), outer);
+            }
+            Some((v, None)) => {
+                self.scope.remove(v);
+            }
+            None => {}
+        }
+    }
+
+    /// The enclosing loops of the walk position, outermost first.
+    fn loops(&self) -> impl DoubleEndedIterator<Item = &NodeBuild> {
+        self.node_path.iter().map(|&n| &self.nodes[n])
     }
 
     /// The synthetic dimension for a `lp_cumulative` annotated loop:
@@ -1832,18 +1797,15 @@ impl Walker {
     /// of the same `[0, N·t)` range — exactly how an affine reference's
     /// range behaves under an enclosing reps loop.
     fn cumulative_dim(
-        &mut self,
+        &self,
         init: &Option<Box<Stmt>>,
         ann: Option<&Annotation>,
-    ) -> Option<(String, LoopDim)> {
+    ) -> Option<(String, SymExpr, SymExpr)> {
         let ann = ann?;
         if !ann.flag("lp_cumulative") {
             return None;
         }
-        let mut iters = self.annot_expr(ann, "lp_iters")?;
-        if let Some(AnnotValue::Num(f)) = ann.get("lp_scale") {
-            iters = iters.scale(Rat::new((f * 1_000_000_000.0).round() as i128, 1_000_000_000));
-        }
+        let iters = self.annotated_iters(ann)?;
         // the annotated loop's induction variable, from its init clause
         let var = match init.as_deref().map(|s| &s.kind) {
             Some(StmtKind::Decl { name, .. }) => name.clone(),
@@ -1858,7 +1820,7 @@ impl Walker {
         };
         // the parent iteration's ordinal `(v - lo)/step`, zero when the
         // annotated loop is outermost (a single prefix entry)
-        let ordinal = match self.loops.last() {
+        let ordinal = match self.loops().next_back() {
             Some(parent) => {
                 let pos = SymExpr::param(&parent.var).sub_expr(&parent.lo);
                 if parent.step > 1 {
@@ -1871,17 +1833,7 @@ impl Walker {
         };
         let lo = ordinal.mul_expr(&iters);
         let hi = lo.add_expr(&iters).sub_expr(&SymExpr::constant(1));
-        let dom = format!("{var}@{}", self.var_counter);
-        self.var_counter += 1;
-        Some((
-            var,
-            LoopDim {
-                var: dom,
-                lo,
-                hi,
-                step: 1,
-            },
-        ))
+        Some((var, lo, hi))
     }
 
     fn walk_expr(&mut self, e: &Expr, is_store: bool) {
@@ -1952,13 +1904,13 @@ impl Walker {
     /// An affine expression is safe when it only references loop domain
     /// variables and immutable value parameters.
     fn expr_is_safe(&self, e: &SymExpr) -> bool {
-        e.params().iter().all(|p| {
-            self.loops.iter().any(|l| &l.var == p) || self.safe_params.contains(p)
-        })
+        e.params()
+            .iter()
+            .all(|p| self.loops().any(|l| &l.var == p) || self.safe_params.contains(p))
     }
 
     fn has_loop_var(&self, e: &SymExpr) -> bool {
-        e.params().iter().any(|p| self.loops.iter().any(|l| &l.var == p))
+        e.params().iter().any(|p| self.loops().any(|l| &l.var == p))
     }
 
     /// Convert an index expression to a form affine in the loop variables
@@ -2010,19 +1962,6 @@ impl Walker {
         }
     }
 
-    /// Record the current loop as a node of the persistent loop forest.
-    fn push_node(&mut self, var: &str, lo: &SymExpr, hi: &SymExpr, step: i64) {
-        let id = self.nodes.len();
-        self.nodes.push(NodeBuild {
-            parent: self.node_path.last().copied(),
-            var: var.to_string(),
-            lo: lo.clone(),
-            hi: hi.clone(),
-            step,
-        });
-        self.node_path.push(id);
-    }
-
     fn record_ref(&mut self, base: &Expr, index: &Expr, store: bool) {
         let ExprKind::Var(array) = &base.kind else {
             return;
@@ -2066,7 +2005,8 @@ impl Walker {
             self.nest_tainted = true;
             return;
         }
-        let Some(ranges) = self.pinned_ranges(idx) else {
+        let no_hi_pin = std::collections::BTreeSet::new();
+        let Some(ranges) = ref_ladder(&self.nodes, &self.node_path, idx, &no_hi_pin) else {
             self.nest_tainted = true;
             return;
         };
@@ -2086,39 +2026,6 @@ impl Walker {
             stride_bytes: stride,
             gather: false,
         });
-    }
-
-    /// The index range with the outermost `l` enclosing loops pinned at
-    /// their first iteration and the rest swept, for every `l` in
-    /// `0..=depth` — the per-nest working-set ladder. The swept dims are
-    /// substituted innermost-first (the same [`sweep_dims`] step
-    /// [`Walker::range_of`] uses); pinned dims then collapse to their
-    /// lower bound, innermost-pinned first so tiled bounds resolve
-    /// toward the outermost loop.
-    fn pinned_ranges(&self, idx: &SymExpr) -> Option<Vec<(SymExpr, SymExpr)>> {
-        let depth = self.loops.len();
-        let mut out = Vec::with_capacity(depth + 1);
-        for pin in 0..=depth {
-            let mut min = idx.clone();
-            let mut max = idx.clone();
-            let mut unknown_sign = false;
-            if !sweep_dims(&self.loops[pin..], &mut min, &mut max, &mut unknown_sign) {
-                return None;
-            }
-            for dim in self.loops[..pin].iter().rev() {
-                for range in [&mut min, &mut max] {
-                    if range.degree_in(&dim.var) == 0 {
-                        continue;
-                    }
-                    if range.degree_in(&dim.var) > 1 || range.param_in_composite_atom(&dim.var) {
-                        return None;
-                    }
-                    *range = range.substitute(&dim.var, &dim.lo);
-                }
-            }
-            out.push((min, max));
-        }
-        Some(out)
     }
 
     /// An unanalyzable reference: inside an `idx_extent`-annotated loop it
@@ -2144,16 +2051,16 @@ impl Walker {
                 });
                 if self.branch_depth == 0 {
                     let range = (SymExpr::zero(), max);
+                    let idx = SymExpr::param(&self.fresh_var("gather"));
                     self.nest_refs.push(NestRef {
                         array: array.to_string(),
                         path: self.node_path.clone(),
                         ranges: vec![range; self.node_path.len() + 1],
-                        idx: SymExpr::param(&format!("gather@{}", self.var_counter)),
+                        idx,
                         stored: store,
                         stride_bytes: None,
                         gather: true,
                     });
-                    self.var_counter += 1;
                 } else {
                     self.nest_tainted = true;
                 }
@@ -2176,7 +2083,7 @@ impl Walker {
         let mut min = idx.clone();
         let mut max = idx.clone();
         let mut unknown_sign = false;
-        if !sweep_dims(&self.loops, &mut min, &mut max, &mut unknown_sign) {
+        if !sweep_dims(self.loops(), &mut min, &mut max, &mut unknown_sign) {
             return None;
         }
         let stride = if unknown_sign {
@@ -2201,7 +2108,7 @@ impl Walker {
             extent: SymExpr,
         }
         let mut contribs: Vec<Contrib> = Vec::new();
-        for dim in &self.loops {
+        for dim in self.loops() {
             if idx.degree_in(&dim.var) == 0 {
                 continue;
             }
@@ -2258,13 +2165,13 @@ impl Walker {
 /// when a dimension occurs non-affinely; sets `unknown_sign` when a
 /// coefficient's sign was undecidable (the range stays a valid hull but
 /// dense coverage must not be claimed).
-fn sweep_dims(
-    dims: &[LoopDim],
+fn sweep_dims<'a>(
+    dims: impl DoubleEndedIterator<Item = &'a NodeBuild>,
     min: &mut SymExpr,
     max: &mut SymExpr,
     unknown_sign: &mut bool,
 ) -> bool {
-    for dim in dims.iter().rev() {
+    for dim in dims.rev() {
         for (range, subst_lo_when_pos) in [(&mut *min, true), (&mut *max, false)] {
             if range.degree_in(&dim.var) == 0 {
                 continue;

@@ -72,20 +72,6 @@ impl LevelStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss ratio in `[0, 1]` (0 when the level was never probed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
-
-    /// Write-back traffic leaving this level, in bytes.
-    pub fn writeback_bytes(&self, line_bytes: u32) -> u64 {
-        self.writebacks * line_bytes as u64
-    }
 }
 
 /// Everything the simulator counts.
@@ -125,16 +111,6 @@ impl MemStats {
     /// Heap-data traffic only (frame/spill bytes excluded).
     pub fn data_bytes(&self) -> u64 {
         self.data_load_bytes + self.data_store_bytes
-    }
-
-    /// Bytes that had to come past L1 (line-fill traffic into L1).
-    pub fn l1_fill_bytes(&self, line_bytes: u32) -> u64 {
-        self.l1.misses * line_bytes as u64
-    }
-
-    /// Bytes that had to come past L2 (line-fill traffic into L2).
-    pub fn l2_fill_bytes(&self, line_bytes: u32) -> u64 {
-        self.l2.misses * line_bytes as u64
     }
 
     /// Traffic crossing the L1↔L2 boundary: fills into L1 plus dirty

@@ -399,8 +399,7 @@ impl Model {
     /// by the function's own statements: `line → (load bytes, store
     /// bytes)`. Call lines are not included — a callee's traffic
     /// belongs to the callee's own nests. This is the byte side of the
-    /// per-loop-nest roofline bounds (`mira_roofline::nest_bounds`) and
-    /// of the `<name>_line_bytes` helpers in the emitted Python.
+    /// `<name>_line_bytes` helpers in the emitted Python.
     pub fn line_data_bytes_exprs(
         &self,
         func: &str,

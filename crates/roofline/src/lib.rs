@@ -11,7 +11,7 @@
 //! * the distinct-cache-line footprints of [`mira_mem::access`], and
 //! * the machine's `[peak]`/`[bandwidth *]` sections from `mira-arch`
 //!
-//! into per-function (and per-loop-nest) **time bounds in cycles**: one
+//! into per-function **time bounds in cycles**: one
 //! compute ceiling (`FLOPs / peak`) against one memory ceiling per
 //! hierarchy boundary (`traffic / bandwidth`). The largest bound is the
 //! **binding ceiling**; a kernel is *memory-bound* when any memory
@@ -87,7 +87,7 @@
 use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
 use mira_mem::{BoundaryTraffic, MemStats};
-use mira_model::{Model, ModelError, ModelOp};
+use mira_model::ModelError;
 use mira_sym::{Bindings, EvalError, Rat, SymExpr};
 use std::fmt;
 
@@ -821,91 +821,6 @@ pub fn dynamic_placement(
     Placement::classify(compute, mem)
 }
 
-/// The compute and L1 time bounds of one statement (loop-nest body
-/// line), from the model's per-line attribution. Deeper ceilings need
-/// whole-function footprints and are not attributable per line, so nest
-/// bounds stop at the boundaries that are: issue rate and L1 bandwidth.
-#[derive(Clone, Debug)]
-pub struct NestBound {
-    pub line: u32,
-    /// Packed-aware FLOPs retired by this line per call.
-    pub flops: SymExpr,
-    /// Data bytes moved by this line per call (frame traffic excluded).
-    pub data_bytes: SymExpr,
-    pub vectorized: bool,
-}
-
-impl NestBound {
-    pub fn compute_cycles_expr(&self, c: &Ceilings) -> SymExpr {
-        self.flops.scale(Rat::new(1, c.peak(self.vectorized) as i128))
-    }
-
-    pub fn l1_cycles_expr(&self, c: &Ceilings) -> SymExpr {
-        self.data_bytes.scale(Rat::new(1, c.bandwidth[0] as i128))
-    }
-
-    /// Which of the two per-nest ceilings binds at a concrete size.
-    pub fn place(&self, c: &Ceilings, b: &Bindings) -> Result<Ceiling, EvalError> {
-        let compute = self.compute_cycles_expr(c).eval(b)?.to_f64();
-        let l1 = self.l1_cycles_expr(c).eval(b)?.to_f64();
-        Ok(if compute > l1 {
-            Ceiling::Compute
-        } else {
-            Ceiling::Mem(MemLevel::L1)
-        })
-    }
-}
-
-/// Per-line (loop-nest statement) bounds of `func`, from the directly
-/// owned model ops — call lines carry their callees' traffic inside the
-/// callee's own nest bounds, not here.
-pub fn nest_bounds(model: &Model, func: &str) -> Result<Vec<NestBound>, ModelError> {
-    let fm = model
-        .functions
-        .get(func)
-        .ok_or_else(|| ModelError::UnknownFunction(func.to_string()))?;
-    // the byte side comes from the model's per-line closed forms (the
-    // same expressions the emitted Python exposes as `<fn>_line_bytes`)
-    let line_bytes = model.line_data_bytes_exprs(func)?;
-    let mut by_line: std::collections::BTreeMap<u32, (SymExpr, SymExpr, bool)> =
-        std::collections::BTreeMap::new();
-    for (line, (load, store)) in line_bytes {
-        by_line.insert(line, (SymExpr::zero(), load.add_expr(&store), false));
-    }
-    for op in &fm.ops {
-        match op {
-            ModelOp::FlopAcc { line, count } => {
-                let e = by_line.entry(*line).or_insert_with(|| {
-                    (SymExpr::zero(), SymExpr::zero(), false)
-                });
-                e.0 = e.0.add_expr(count);
-            }
-            ModelOp::MemAcc {
-                line,
-                bytes_per_exec,
-                frame: false,
-                ..
-            } if *bytes_per_exec > 8 => {
-                // packed accesses mark a vectorized nest
-                if let Some(e) = by_line.get_mut(line) {
-                    e.2 = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(by_line
-        .into_iter()
-        .filter(|(_, (f, b, _))| !f.is_zero() || !b.is_zero())
-        .map(|(line, (flops, data_bytes, vectorized))| NestBound {
-            line,
-            flops,
-            data_bytes,
-            vectorized,
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1195,26 +1110,6 @@ mod tests {
         let sweep = k.streaming_cycles_expr(&c, MemLevel::L2).eval(&b).unwrap().to_f64();
         assert!(sweep > p.mem_cycles[0], "old model misclassified");
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::L1), "{p}");
-    }
-
-    #[test]
-    fn nest_bounds_attribute_lines() {
-        let analysis = analyze_source(TRIAD, &MiraOptions::default()).unwrap();
-        let c = Ceilings::from_arch(&analysis.arch);
-        let nests = nest_bounds(&analysis.model, "triad").unwrap();
-        // the kernel line dominates: 24 data bytes, 2 flops per n·reps
-        let b = bindings(&[("n", 100), ("reps", 1)]);
-        let kernel = nests
-            .iter()
-            .max_by_key(|nb| nb.data_bytes.eval_count(&b).unwrap())
-            .unwrap();
-        assert_eq!(kernel.line, 4);
-        assert_eq!(kernel.flops.eval_count(&b).unwrap(), 200);
-        assert_eq!(kernel.data_bytes.eval_count(&b).unwrap(), 2400);
-        // 75 cycles of L1 traffic vs 100 cycles of FP issue
-        assert_eq!(kernel.place(&c, &b).unwrap(), Ceiling::Compute);
-        assert!(!kernel.vectorized);
-        assert!(nest_bounds(&analysis.model, "nope").is_err());
     }
 
     #[test]

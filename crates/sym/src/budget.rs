@@ -131,17 +131,6 @@ pub fn tripped() -> Option<BudgetError> {
     }
 }
 
-/// Fuel left in the current scope, or `None` outside any scope. Probe
-/// spans in downstream crates use this to record per-operation fuel
-/// deltas without reaching into the thread-local state.
-pub fn fuel_remaining() -> Option<u64> {
-    if active() {
-        Some(FUEL.with(|c| c.get()))
-    } else {
-        None
-    }
-}
-
 /// Record a trip (first cause wins). No-op outside a scope.
 pub(crate) fn trip(e: BudgetError) {
     if active() {

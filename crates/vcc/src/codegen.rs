@@ -99,7 +99,7 @@ struct VarBinding {
 pub fn compile_program(program: &Program, options: &Options) -> Result<mira_vobj::Object, CompileError> {
     let _sp = mira_probe::span("vcc.compile_program", "vcc");
     let mut program = program.clone();
-    if options.opt_level >= 1 {
+    {
         let _sp = mira_probe::span("vcc.fold", "vcc");
         fold::fold_program(&mut program);
     }
@@ -107,12 +107,10 @@ pub fn compile_program(program: &Program, options: &Options) -> Result<mira_vobj
     // Symbol layout: user functions, then libm bodies, then leftover externs.
     let mut func_names: Vec<String> = program.functions().map(|f| f.name.clone()).collect();
     let mut libm_names: Vec<&str> = Vec::new();
-    if options.include_libm {
-        for name in libm::LIBM_FUNCS {
-            if !func_names.iter().any(|n| n == name) {
-                libm_names.push(name);
-                func_names.push(name.to_string());
-            }
+    for name in libm::LIBM_FUNCS {
+        if !func_names.iter().any(|n| n == name) {
+            libm_names.push(name);
+            func_names.push(name.to_string());
         }
     }
     let externs: Vec<String> = program
@@ -381,16 +379,28 @@ impl<'a> Codegen<'a> {
 
     // ---- frame ----
 
-    fn new_slot_bytes(&mut self, bytes: i32) -> i32 {
-        self.frame_top -= bytes;
-        self.frame_top
+    /// Reserve `bytes` more of the frame; the new slot's rbp offset. The
+    /// frame, rounded to 16 bytes, must fit the `i32` displacements that
+    /// address it.
+    fn new_slot_bytes(&mut self, bytes: i64) -> Result<i32, CompileError> {
+        let top = i64::from(self.frame_top)
+            .checked_sub(bytes)
+            .filter(|&top| top >= i64::from(i32::MIN) + 16)
+            .ok_or_else(|| CompileError::msg("stack frame exceeds 2 GiB"))?;
+        self.frame_top = top as i32;
+        Ok(self.frame_top)
     }
 
-    fn declare_var(&mut self, name: &str, ty: Type, array_len: Option<i64>) -> VarBinding {
+    fn declare_var(
+        &mut self,
+        name: &str,
+        ty: Type,
+        array_len: Option<i64>,
+    ) -> Result<VarBinding, CompileError> {
         let decl = self.decl_idx;
         self.decl_idx += 1;
         let binding = if let Some(n) = array_len {
-            let offset = self.new_slot_bytes((n as i32) * 8);
+            let offset = self.new_slot_bytes(n.saturating_mul(8))?;
             VarBinding {
                 loc: Loc::Slot(offset),
                 ty: Type::ptr_to(ty),
@@ -406,7 +416,7 @@ impl<'a> Codegen<'a> {
                     debug_assert!(ty == Type::Double, "fp home for non-double {name}");
                     Loc::FpReg(x)
                 }
-                None => Loc::Slot(self.new_slot_bytes(8)),
+                None => Loc::Slot(self.new_slot_bytes(8)?),
             };
             VarBinding {
                 loc,
@@ -418,7 +428,7 @@ impl<'a> Codegen<'a> {
             .last_mut()
             .expect("no scope")
             .insert(name.to_string(), binding.clone());
-        binding
+        Ok(binding)
     }
 
     fn lookup(&self, name: &str) -> &VarBinding {
@@ -439,7 +449,7 @@ impl<'a> Codegen<'a> {
 
         // save the callee-saved registers this function writes
         for h in self.saves.clone() {
-            let off = self.new_slot_bytes(8);
+            let off = self.new_slot_bytes(8)?;
             match h {
                 Home::Int(r) => self.asm.emit(Inst::Store(Mem::base_disp(RBP, off), r)),
                 Home::Fp(x) => self
@@ -457,7 +467,7 @@ impl<'a> Codegen<'a> {
         let mut fp_idx = 0;
         let mut stack_idx = 0;
         for p in &f.params {
-            let binding = self.declare_var(&p.name, p.ty.clone(), None);
+            let binding = self.declare_var(&p.name, p.ty.clone(), None)?;
             match p.ty {
                 Type::Double => {
                     if fp_idx >= XARG.len() {
@@ -548,7 +558,7 @@ impl<'a> Codegen<'a> {
                 array_len,
                 init,
             } => {
-                let binding = self.declare_var(name, ty.clone(), *array_len);
+                let binding = self.declare_var(name, ty.clone(), *array_len)?;
                 if let Some(e) = init {
                     let v = self.gen_expr(e)?;
                     self.store_to_binding(&binding, v);
@@ -1039,9 +1049,11 @@ impl<'a> Codegen<'a> {
         }
         let rb = self.value_ireg(b);
         // constant index folds into the displacement (strength reduction)
+        // when its byte offset fits one; otherwise it is indexed like any
+        // other value
         if let ExprKind::IntLit(k) = index.kind {
-            if self.options.opt_level >= 1 && (k * 8).abs() < i32::MAX as i64 {
-                return Ok((Mem::base_disp(rb, (k * 8) as i32), vec![b]));
+            if let Some(disp) = k.checked_mul(8).and_then(|d| i32::try_from(d).ok()) {
+                return Ok((Mem::base_disp(rb, disp), vec![b]));
             }
         }
         let mut i = self.gen_expr(index)?;
@@ -1305,12 +1317,12 @@ impl<'a> Codegen<'a> {
             .collect();
         let mut saves = Vec::new();
         for r in &live_ints {
-            let off = self.new_slot_bytes(8);
+            let off = self.new_slot_bytes(8)?;
             self.asm.emit(Inst::Store(Mem::base_disp(RBP, off), *r));
             saves.push((off, Value::I(*r)));
         }
         for x in &live_fps {
-            let off = self.new_slot_bytes(8);
+            let off = self.new_slot_bytes(8)?;
             self.asm.emit(Inst::MovsdStore(Mem::base_disp(RBP, off), *x));
             saves.push((off, Value::F(*x)));
         }
@@ -1399,7 +1411,7 @@ impl<'a> Codegen<'a> {
     }
 
     /// Allocate an anonymous 8-byte frame slot; returns its rbp offset.
-    pub(crate) fn scratch_slot(&mut self) -> i32 {
+    pub(crate) fn scratch_slot(&mut self) -> Result<i32, CompileError> {
         self.new_slot_bytes(8)
     }
 

@@ -113,15 +113,6 @@ impl FuncAsm {
         }
     }
 
-    /// Number of instruction items so far (used by peephole checks in
-    /// tests).
-    pub fn inst_count(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|i| matches!(i, Item::Inst { .. }))
-            .count()
-    }
-
     /// Resolve labels to function-local byte offsets, patch jumps, and
     /// return (bytes, per-instruction (offset, line) rows, label offsets).
     #[allow(clippy::type_complexity)]

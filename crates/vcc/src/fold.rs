@@ -1,4 +1,4 @@
-//! Constant folding and algebraic simplification (opt_level ≥ 1).
+//! Constant folding and algebraic simplification (always on).
 //!
 //! Folds literal arithmetic, strips `+0` / `*1` identities, and evaluates
 //! casts of literals. Runs on the typed AST before codegen; this is one of

@@ -6,9 +6,11 @@
 //! to be reproducible, this compiler must actually perform such
 //! transformations:
 //!
-//! * constant folding and algebraic simplification ([`fold`]);
+//! * constant folding and algebraic simplification ([`fold`]), always
+//!   on;
 //! * strength reduction (multiplications by powers of two become shifts,
-//!   index arithmetic folds into addressing modes);
+//!   index arithmetic folds into addressing modes; a constant index
+//!   folds into the displacement when its byte offset fits `i32`);
 //! * **register allocation** of scalar locals and loop induction
 //!   variables ([`regalloc`]): live ranges are computed per function and
 //!   the hottest variables are promoted from frame slots into
@@ -45,18 +47,12 @@ use mira_minic::Program;
 use mira_vobj::Object;
 use std::fmt;
 
-/// Compiler options.
+/// Compiler options. Constant folding and strength reduction always
+/// run, and the built-in math library ([`libm`]) is always linked.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Options {
-    /// 0 = straightforward codegen; 1 = constant folding + strength
-    /// reduction (default).
-    pub opt_level: u8,
     /// Enable SSE2 auto-vectorization of eligible innermost loops.
     pub vectorize: bool,
-    /// Link the built-in math library (`sqrt`, `fabs`, `fmin`, `fmax`);
-    /// when false, those remain extern symbols and calling them traps in
-    /// the VM.
-    pub include_libm: bool,
     /// Promote hot scalar locals and loop induction variables into
     /// callee-saved registers (see [`regalloc`]). On by default; when
     /// disabled every value lives in a frame slot — the seed's
@@ -68,9 +64,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            opt_level: 1,
             vectorize: false,
-            include_libm: true,
             regalloc: true,
         }
     }
@@ -267,15 +261,59 @@ double dot(int n, double* x, double* y) {
     fn libm_included_by_default() {
         let obj = compile_source("extern double sqrt(double);\ndouble f(double x) { return sqrt(x); }", &Options::default()).unwrap();
         assert!(obj.find_func("sqrt").is_some());
-        let no_libm = compile_source(
-            "extern double sqrt(double);\ndouble f(double x) { return sqrt(x); }",
-            &Options {
-                include_libm: false,
-                ..Options::default()
-            },
+    }
+
+    /// A local array whose frame the `i32` displacements cannot address
+    /// is refused with a typed error. 2^29 doubles overflow `i32` when
+    /// scaled to bytes; 2^32 + 1 overflows it as an element count.
+    #[test]
+    fn oversized_local_array_is_refused() {
+        for len in ["536870912", "4294967297"] {
+            let src = format!(
+                "double f() {{ double a[{len}]; double s = 2.0; a[5] = 1.0; return a[5] + s; }}"
+            );
+            let err = compile_source(&src, &Options::default()).unwrap_err();
+            assert!(
+                matches!(&err, CompileError::Codegen { msg, .. } if msg.contains("stack frame")),
+                "{err}"
+            );
+            assert_eq!(err.function(), Some("f"));
+        }
+        // a 1 GiB array still fits
+        compile_source(
+            "double f() { double a[134217728]; a[5] = 1.0; return a[5]; }",
+            &Options::default(),
         )
         .unwrap();
-        assert!(no_libm.find_func("sqrt").is_none());
-        assert!(no_libm.find_symbol("sqrt").is_some()); // extern symbol
+    }
+
+    /// A constant index whose byte offset does not fit a displacement
+    /// (2^60 · 8 overflows even `i64`) is indexed through a register, so
+    /// the access faults in the VM instead of reading `a[0]`.
+    #[test]
+    fn huge_constant_index_is_not_folded() {
+        use mira_isa::Inst;
+        use mira_vm::{HostVal, Vm, VmError};
+        let src = "double f(double* a) { return a[1152921504606846976]; }";
+        let obj = compile_source(src, &Options::default()).unwrap();
+        let ast = disassemble(&obj).unwrap();
+        let loads: Vec<_> = ast
+            .function("f")
+            .unwrap()
+            .instructions
+            .iter()
+            .filter_map(|i| match i.inst {
+                Inst::MovsdLoad(_, m) => Some(m),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !loads.is_empty() && loads.iter().all(|m| m.index.is_some()),
+            "{loads:?}"
+        );
+        let mut vm = Vm::new(&obj).unwrap();
+        let a = vm.alloc_f64(&[7.0; 8]);
+        let err = vm.call("f", &[HostVal::Int(a as i64)]).unwrap_err();
+        assert!(matches!(err, VmError::Fault { .. }), "{err:?}");
     }
 }

@@ -121,10 +121,10 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
     let bv = cg.gen_expr(bound)?;
     let bv = cg.pin_value(bv)?;
     let rb = cg.value_ireg(bv);
-    let slot_bound = cg.scratch_slot();
+    let slot_bound = cg.scratch_slot()?;
     cg.asm.emit(Inst::Store(Mem::base_disp(RBP, slot_bound), rb));
     cg.asm.emit(Inst::AddRI(rb, -1));
-    let slot_lim = cg.scratch_slot();
+    let slot_lim = cg.scratch_slot()?;
     cg.asm.emit(Inst::Store(Mem::base_disp(RBP, slot_lim), rb));
     cg.free(bv);
 

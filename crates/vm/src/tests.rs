@@ -112,14 +112,7 @@ double f(double a, double b) { return fmax(fabs(a), fmin(b, 2.0)); }
 #[test]
 fn unresolved_extern_traps() {
     let src = "extern double mystery(double);\ndouble f(double x) { return mystery(x); }";
-    let obj = compile_source(
-        src,
-        &Options {
-            include_libm: false,
-            ..Options::default()
-        },
-    )
-    .unwrap();
+    let obj = compile_source(src, &Options::default()).unwrap();
     let mut vm = Vm::new(&obj).unwrap();
     let err = vm.call("f", &[HostVal::Fp(1.0)]).unwrap_err();
     assert_eq!(err, VmError::UnresolvedExtern("mystery".to_string()));

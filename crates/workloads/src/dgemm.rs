@@ -2,10 +2,11 @@
 //! checksum pass over the diagonal — `2·reps·n³` FPI, the cubic shape of
 //! the paper's Table IV.
 
+use crate::run::{Run, Shape};
 use crate::ValidationRow;
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_sym::bindings;
-use mira_vm::{HostVal, Vm, VmOptions};
+use mira_vm::{Vm, VmOptions};
 
 pub const DGEMM_SRC: &str = r#"extern double sqrt(double);
 
@@ -70,31 +71,12 @@ impl Dgemm {
     }
 
     pub fn dynamic_fpi(&self, n: i64, reps: i64) -> i128 {
-        let mem = (3 * (n * n) as usize * 8 + (64 << 20)).max(64 << 20);
-        let mut vm = Vm::load(
+        let run: Run<Vm> = Shape::Square { n, reps }.run(
             &self.analysis.object,
-            VmOptions {
-                mem_size: mem,
-                ..VmOptions::default()
-            },
-        )
-        .expect("vm loads");
-        let nn = (n * n) as usize;
-        let a = vm.alloc_f64(&vec![0.5; nn]);
-        let b = vm.alloc_f64(&vec![0.25; nn]);
-        let c = vm.alloc_f64(&vec![0.0; nn]);
-        vm.call(
+            VmOptions::default(),
             "dgemm_bench",
-            &[
-                HostVal::Int(n),
-                HostVal::Int(reps),
-                HostVal::Int(a as i64),
-                HostVal::Int(b as i64),
-                HostVal::Int(c as i64),
-            ],
-        )
-        .expect("dgemm runs");
-        vm.profile().fpi("dgemm_bench", &self.analysis.arch)
+        );
+        run.vm.profile().fpi("dgemm_bench", &self.analysis.arch)
     }
 
     pub fn row(&self, n: i64, reps: i64) -> ValidationRow {
@@ -110,6 +92,7 @@ impl Dgemm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mira_vm::HostVal;
 
     #[test]
     fn dgemm_static_is_cubic() {

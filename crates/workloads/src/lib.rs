@@ -8,9 +8,14 @@
 //! * **dynamically** — the instrumented VM executes the same binary and
 //!   reports inclusive per-function counts (the TAU/PAPI stand-in).
 //!
-//! Each harness returns `(static FPI, dynamic FPI)` pairs from which the
-//! Table III–V reproduction binaries compute the error columns, plus a
-//! [`corpus`] of ten small applications standing in for the Table-I loop
+//! Every dynamic run goes through one runner, [`run`]: a [`run::Shape`]
+//! owns a kernel's VM memory size, inputs, arguments, unmeasured setup
+//! and static-side bindings, on either VM engine ([`run::Engine`]).
+//! The FPI harnesses ([`stream`], [`dgemm`], [`minife`]) return
+//! `(static FPI, dynamic FPI)` pairs from which the Table III–V
+//! reproduction binaries compute the error columns; [`memval`] and
+//! [`roofval`] hold the byte and roofline models to the cache simulator.
+//! A [`corpus`] of ten small applications stands in for the Table-I loop
 //! coverage survey.
 
 pub mod compose;
@@ -19,6 +24,7 @@ pub mod dgemm;
 pub mod memval;
 pub mod minife;
 pub mod roofval;
+pub mod run;
 pub mod stream;
 
 use mira_arch::ArchDescription;

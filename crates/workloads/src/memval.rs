@@ -15,11 +15,12 @@
 
 use crate::dgemm::Dgemm;
 use crate::minife::MiniFe;
+use crate::run::{Run, Shape};
 use crate::stream::Stream;
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_mem::MemStats;
-use mira_sym::{bindings, Bindings};
-use mira_vm::{HostVal, Vm, VmOptions};
+use mira_vm::{Vm, VmOptions};
+use std::time::{Duration, Instant};
 
 /// The STREAM triad alone — the kernel the paper's roofline argument
 /// leans on (`a[i] = b[i] + s*c[i]`).
@@ -76,63 +77,31 @@ impl MemRow {
     }
 }
 
-pub(crate) fn vm_for(analysis: &Analysis, mem_size: usize, profile: bool) -> Vm {
-    Vm::load(
-        &analysis.object,
-        VmOptions {
-            mem_size,
-            mem_profile: profile.then(|| analysis.arch.cache_hierarchy()),
-            ..VmOptions::default()
-        },
-    )
-    .expect("vm loads")
+/// Default VM options with the cache simulator on or off.
+pub(crate) fn sim_options(analysis: &Analysis, on: bool) -> VmOptions {
+    VmOptions {
+        mem_profile: on.then(|| analysis.arch.cache_hierarchy()),
+        ..VmOptions::default()
+    }
 }
 
-pub(crate) fn mem_vm(analysis: &Analysis, mem_size: usize) -> Vm {
-    vm_for(analysis, mem_size, true)
-}
-
-pub(crate) fn stream_mem_size(n: i64) -> usize {
-    (3 * n as usize * 8 + (64 << 20)).max(64 << 20)
-}
-
-/// Allocate the three STREAM-shaped arrays and build the six-argument
-/// call (shared by the triad and the four-kernel harnesses, rows and
-/// overhead timing alike).
-pub(crate) fn stream_shape_args(vm: &mut Vm, n: i64, reps: i64) -> Vec<HostVal> {
-    let a = vm.alloc_f64(&vec![1.0; n as usize]);
-    let b = vm.alloc_f64(&vec![2.0; n as usize]);
-    let c = vm.alloc_f64(&vec![0.0; n as usize]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(reps),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-        HostVal::Fp(3.0),
-    ]
-}
-
-pub(crate) fn dgemm_args(vm: &mut Vm, n: i64, reps: i64) -> Vec<HostVal> {
-    let nn = (n * n) as usize;
-    let a = vm.alloc_f64(&vec![0.5; nn]);
-    let b = vm.alloc_f64(&vec![0.25; nn]);
-    let c = vm.alloc_f64(&vec![0.0; nn]);
-    vec![
-        HostVal::Int(n),
-        HostVal::Int(reps),
-        HostVal::Int(a as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(c as i64),
-    ]
+/// The triad, scalar or SSE2-vectorized (`simd`).
+pub(crate) fn triad_analysis(simd: bool) -> Analysis {
+    let compiler = if simd {
+        mira_vcc::Options::vectorized()
+    } else {
+        mira_vcc::Options::default()
+    };
+    let opts = MiraOptions {
+        compiler,
+        ..MiraOptions::default()
+    };
+    analyze_source(TRIAD_SRC, &opts).expect("triad analyzes")
 }
 
 /// Best-of-`rounds` wall-clock ratio of an instrumented run over an
 /// uninstrumented one.
-fn overhead_ratio(
-    rounds: usize,
-    mut run: impl FnMut(bool) -> std::time::Duration,
-) -> f64 {
+fn overhead_ratio(rounds: usize, mut run: impl FnMut(bool) -> Duration) -> f64 {
     let mut best = |profile: bool| {
         (0..rounds.max(1))
             .map(|_| run(profile))
@@ -147,12 +116,9 @@ fn overhead_ratio(
 /// four STREAM kernels (best of `rounds` each way).
 pub fn stream_sim_overhead(n: i64, reps: i64, rounds: usize) -> f64 {
     let stream = Stream::new();
+    let shape = Shape::Stream { n, reps };
     overhead_ratio(rounds, |profile| {
-        let mut vm = vm_for(&stream.analysis, stream_mem_size(n), profile);
-        let args = stream_shape_args(&mut vm, n, reps);
-        let t0 = std::time::Instant::now();
-        vm.call("stream_kernels", &args).expect("stream runs");
-        t0.elapsed()
+        timed_call(&stream.analysis, shape, "stream_kernels", profile)
     })
 }
 
@@ -160,109 +126,62 @@ pub fn stream_sim_overhead(n: i64, reps: i64, rounds: usize) -> f64 {
 /// DGEMM kernel (best of `rounds` each way).
 pub fn dgemm_sim_overhead(n: i64, rounds: usize) -> f64 {
     let dgemm = Dgemm::new();
+    let shape = Shape::Square { n, reps: 1 };
     overhead_ratio(rounds, |profile| {
-        let mut vm = vm_for(&dgemm.analysis, stream_mem_size(n * n), profile);
-        let args = dgemm_args(&mut vm, n, 1);
-        let t0 = std::time::Instant::now();
-        vm.call("dgemm", &args).expect("dgemm runs");
-        t0.elapsed()
+        timed_call(&dgemm.analysis, shape, "dgemm", profile)
     })
 }
 
-fn static_side(
-    analysis: &Analysis,
-    func: &str,
-    binds: &Bindings,
-) -> (i128, i128, i128, f64, i128, bool) {
-    let report = analysis.report(func, binds).expect("model evaluates");
+/// Wall time of the measured call alone, on a freshly set-up VM.
+fn timed_call(analysis: &Analysis, shape: Shape, func: &str, profile: bool) -> Duration {
+    let mut run: Run<Vm> = shape.load(&analysis.object, sim_options(analysis, profile));
+    let t0 = Instant::now();
+    run.call(func);
+    t0.elapsed()
+}
+
+/// Run `func` of `analysis` as `shape` with the cache simulator on, and
+/// evaluate the static side at the run's bindings.
+fn row(workload: &str, analysis: &Analysis, func: &str, shape: Shape) -> MemRow {
+    let run: Run<Vm> = shape.run(&analysis.object, sim_options(analysis, true), func);
+    let binds = run.bindings();
+    let report = analysis.report(func, &binds).expect("model evaluates");
     let fp = mira_mem::footprints(analysis, func);
     let line_bytes = analysis.arch.cache_hierarchy().line_bytes;
-    let lines = fp
-        .total_lines_expr(line_bytes)
-        .eval_count(binds)
-        .expect("footprint evaluates");
-    (
-        report.load_bytes,
-        report.store_bytes,
-        report.flops,
-        report.bytes_arithmetic_intensity(),
-        lines,
-        fp.is_exact(line_bytes),
-    )
+    MemRow {
+        workload: workload.to_string(),
+        function: func.to_string(),
+        static_load_bytes: report.load_bytes,
+        static_store_bytes: report.store_bytes,
+        static_flops: report.flops,
+        static_lines: fp
+            .total_lines_expr(line_bytes)
+            .eval_count(&binds)
+            .expect("footprint evaluates"),
+        lines_exact: fp.is_exact(line_bytes),
+        dynamic: run.vm.mem_stats().expect("profiling on"),
+        bytes_ai: report.bytes_arithmetic_intensity(),
+    }
 }
 
 /// STREAM triad, scalar or vectorized (`simd`).
 pub fn triad_row(n: i64, reps: i64, simd: bool) -> MemRow {
-    let compiler = if simd {
-        mira_vcc::Options::vectorized()
-    } else {
-        mira_vcc::Options::default()
-    };
-    let opts = MiraOptions {
-        compiler,
-        ..MiraOptions::default()
-    };
-    let analysis = analyze_source(TRIAD_SRC, &opts).expect("triad analyzes");
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let (lb, sb, fl, ai, lines, exact) = static_side(&analysis, "triad", &binds);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n));
-    let args = stream_shape_args(&mut vm, n, reps);
-    vm.call("triad", &args).expect("triad runs");
-    MemRow {
-        workload: if simd { "triad_simd" } else { "triad" }.to_string(),
-        function: "triad".to_string(),
-        static_load_bytes: lb,
-        static_store_bytes: sb,
-        static_flops: fl,
-        static_lines: lines,
-        lines_exact: exact,
-        dynamic: vm.mem_stats().expect("profiling on"),
-        bytes_ai: ai,
-    }
+    let workload = if simd { "triad_simd" } else { "triad" };
+    let shape = Shape::Stream { n, reps };
+    row(workload, &triad_analysis(simd), "triad", shape)
 }
 
 /// All four STREAM kernels (`stream_kernels` — no external calls).
 pub fn stream_row(n: i64, reps: i64) -> MemRow {
     let stream = Stream::new();
-    let analysis = &stream.analysis;
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let (lb, sb, fl, ai, lines, exact) = static_side(analysis, "stream_kernels", &binds);
-    let mut vm = mem_vm(analysis, stream_mem_size(n));
-    let args = stream_shape_args(&mut vm, n, reps);
-    vm.call("stream_kernels", &args).expect("stream runs");
-    MemRow {
-        workload: "stream".to_string(),
-        function: "stream_kernels".to_string(),
-        static_load_bytes: lb,
-        static_store_bytes: sb,
-        static_flops: fl,
-        static_lines: lines,
-        lines_exact: exact,
-        dynamic: vm.mem_stats().expect("profiling on"),
-        bytes_ai: ai,
-    }
+    let shape = Shape::Stream { n, reps };
+    row("stream", &stream.analysis, "stream_kernels", shape)
 }
 
 /// The DGEMM kernel (`dgemm`, ikj order — no external calls).
 pub fn dgemm_row(n: i64, reps: i64) -> MemRow {
     let dgemm = Dgemm::new();
-    let analysis = &dgemm.analysis;
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let (lb, sb, fl, ai, lines, exact) = static_side(analysis, "dgemm", &binds);
-    let mut vm = mem_vm(analysis, stream_mem_size(n * n));
-    let args = dgemm_args(&mut vm, n, reps);
-    vm.call("dgemm", &args).expect("dgemm runs");
-    MemRow {
-        workload: "dgemm".to_string(),
-        function: "dgemm".to_string(),
-        static_load_bytes: lb,
-        static_store_bytes: sb,
-        static_flops: fl,
-        static_lines: lines,
-        lines_exact: exact,
-        dynamic: vm.mem_stats().expect("profiling on"),
-        bytes_ai: ai,
-    }
+    row("dgemm", &dgemm.analysis, "dgemm", Shape::Square { n, reps })
 }
 
 /// miniFE `cg_solve` on a `d³` cube: assemble, reset to a cold cache,
@@ -274,35 +193,15 @@ pub fn dgemm_row(n: i64, reps: i64) -> MemRow {
 /// harness-side estimates.
 pub fn minife_row(d: i64, max_iter: i64, tol: f64) -> MemRow {
     let minife = MiniFe::new();
-    let analysis = &minife.analysis;
-    let n = (d * d * d) as usize;
-    let mut vm = mem_vm(analysis, crate::minife::solve_mem_size(n));
-    let bufs = crate::minife::SolveBuffers::alloc(&mut vm, n);
-    vm.call("assemble", &bufs.assemble_args(d, d, d))
-        .expect("assemble runs");
-    vm.reset_counters(); // cold cache, solve-phase scope (like the paper)
-    vm.call("cg_solve", &bufs.solve_args(n as i64, max_iter, tol))
-        .expect("cg_solve runs");
-    let iterations = vm.int_return();
-    assert!(iterations < max_iter, "must converge by tolerance");
-
-    let binds = bindings(&[
-        ("n", n as i128),
-        ("nnz_row_milli", MiniFe::nnz_row_milli(d, d, d) as i128),
-        ("cg_iters", iterations as i128),
-    ]);
-    let (lb, sb, fl, ai, lines, exact) = static_side(analysis, "cg_solve", &binds);
-    MemRow {
-        workload: format!("minife_cg_{d}x{d}x{d}"),
-        function: "cg_solve".to_string(),
-        static_load_bytes: lb,
-        static_store_bytes: sb,
-        static_flops: fl,
-        static_lines: lines,
-        lines_exact: exact,
-        dynamic: vm.mem_stats().expect("profiling on"),
-        bytes_ai: ai,
-    }
+    let shape = Shape::MiniFe {
+        nx: d,
+        ny: d,
+        nz: d,
+        max_iter,
+        tol,
+    };
+    let workload = format!("minife_cg_{d}x{d}x{d}");
+    row(&workload, &minife.analysis, "cg_solve", shape)
 }
 
 #[cfg(test)]

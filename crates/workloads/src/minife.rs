@@ -15,6 +15,7 @@
 //!   user's iteration estimate (`cg_iters`) — the dominant source of
 //!   static-vs-dynamic error, growing with problem size like the paper's.
 
+use crate::run::{Engine, Run, Shape};
 use crate::ValidationRow;
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_sym::bindings;
@@ -98,9 +99,8 @@ int cg_solve(int n, int* row_ptr, int* cols, double* vals, double* b, double* x,
 }
 "#;
 
-/// CSR capacity (with slack) every harness allocates for an `n`-row
-/// system — one definition, so the dynamic harnesses here, in `memval`
-/// and in `bench_vm` can never drift apart.
+/// CSR capacity (with slack) allocated for an `n`-row system, by
+/// [`SolveBuffers::alloc`] and sized into [`solve_mem_size`].
 pub fn nnz_capacity(n: usize) -> usize {
     7 * n + 16
 }
@@ -111,7 +111,7 @@ pub fn solve_mem_size(n: usize) -> usize {
 }
 
 /// The eight solver buffers and the `assemble`/`cg_solve` calling
-/// contracts, shared by every harness that drives the solve.
+/// contracts: [`Shape::MiniFe`] runs the solve through them.
 pub struct SolveBuffers {
     pub row_ptr: u64,
     pub cols: u64,
@@ -125,17 +125,17 @@ pub struct SolveBuffers {
 
 impl SolveBuffers {
     /// Allocate the buffers in the canonical order on either VM engine.
-    pub fn alloc<A: SolveAlloc>(vm: &mut A, n: usize) -> SolveBuffers {
+    pub fn alloc<E: Engine>(vm: &mut E, n: usize) -> SolveBuffers {
         let cap = nnz_capacity(n);
         SolveBuffers {
-            row_ptr: vm.host_alloc_i64(&vec![0; n + 1]),
-            cols: vm.host_alloc_i64(&vec![0; cap]),
-            vals: vm.host_alloc_zeroed_f64(cap),
-            b: vm.host_alloc_zeroed_f64(n),
-            x: vm.host_alloc_zeroed_f64(n),
-            r: vm.host_alloc_zeroed_f64(n),
-            p: vm.host_alloc_zeroed_f64(n),
-            ap: vm.host_alloc_zeroed_f64(n),
+            row_ptr: vm.alloc_i64(&vec![0; n + 1]),
+            cols: vm.alloc_i64(&vec![0; cap]),
+            vals: vm.alloc_zeroed_f64(cap),
+            b: vm.alloc_zeroed_f64(n),
+            x: vm.alloc_zeroed_f64(n),
+            r: vm.alloc_zeroed_f64(n),
+            p: vm.alloc_zeroed_f64(n),
+            ap: vm.alloc_zeroed_f64(n),
         }
     }
 
@@ -165,31 +165,6 @@ impl SolveBuffers {
             HostVal::Int(max_iter),
             HostVal::Fp(tol),
         ]
-    }
-}
-
-/// Host-allocation surface shared by both VM engines, so one harness
-/// definition can drive either.
-pub trait SolveAlloc {
-    fn host_alloc_i64(&mut self, data: &[i64]) -> u64;
-    fn host_alloc_zeroed_f64(&mut self, n: usize) -> u64;
-}
-
-impl SolveAlloc for Vm {
-    fn host_alloc_i64(&mut self, data: &[i64]) -> u64 {
-        self.alloc_i64(data)
-    }
-    fn host_alloc_zeroed_f64(&mut self, n: usize) -> u64 {
-        self.alloc_zeroed_f64(n)
-    }
-}
-
-impl SolveAlloc for mira_vm::reference::ReferenceVm {
-    fn host_alloc_i64(&mut self, data: &[i64]) -> u64 {
-        self.alloc_i64(data)
-    }
-    fn host_alloc_zeroed_f64(&mut self, n: usize) -> u64 {
-        self.alloc_zeroed_f64(n)
     }
 }
 
@@ -268,38 +243,27 @@ impl MiniFe {
         i2 + (i2 - i1) * (d - d2) / (d2 - d1)
     }
 
-    /// Run the full pipeline dynamically (assembly is excluded from the
-    /// instrumented counts by resetting counters, matching how TAU scopes
-    /// measurement to the solve).
+    /// Run the solve dynamically ([`Shape::MiniFe`]: the assembly runs
+    /// first and is excluded from the counts, the way the paper scopes
+    /// TAU to the solve).
     pub fn run_dynamic(&self, nx: i64, ny: i64, nz: i64, max_iter: i64, tol: f64) -> MiniFeRun {
-        let n = (nx * ny * nz) as usize;
-        let mut vm = Vm::load(
-            &self.analysis.object,
-            VmOptions {
-                mem_size: solve_mem_size(n),
-                ..VmOptions::default()
-            },
-        )
-        .expect("vm loads");
-        let bufs = SolveBuffers::alloc(&mut vm, n);
-
-        vm.call("assemble", &bufs.assemble_args(nx, ny, nz))
-            .expect("assemble runs");
-        let nnz = vm.int_return();
-        assert_eq!(nnz, Self::nnz_formula(nx, ny, nz), "assembly nnz formula");
-
-        vm.reset_counters(); // measure the solve only, like the paper
-        vm.call("cg_solve", &bufs.solve_args(n as i64, max_iter, tol))
-            .expect("cg_solve runs");
-        let iterations = vm.int_return();
-        let prof = vm.profile();
+        let shape = Shape::MiniFe {
+            nx,
+            ny,
+            nz,
+            max_iter,
+            tol,
+        };
+        let run: Run<Vm> = shape.run(&self.analysis.object, VmOptions::default(), "cg_solve");
+        let prof = run.vm.profile();
         let arch = &self.analysis.arch;
         MiniFeRun {
             waxpby_fpi: prof.fpi("waxpby", arch),
             matvec_fpi: prof.fpi("matvec", arch),
             cg_solve_fpi: prof.fpi("cg_solve", arch),
-            iterations,
-            nnz,
+            iterations: run.vm.int_return(),
+            // the runner checked the assembly against the formula
+            nnz: Self::nnz_formula(nx, ny, nz),
             waxpby_calls: prof.function("waxpby").map(|f| f.calls).unwrap_or(0),
             matvec_calls: prof.function("matvec").map(|f| f.calls).unwrap_or(0),
         }
@@ -399,51 +363,17 @@ mod tests {
         let (nx, ny, nz) = (5, 4, 3);
         let n = (nx * ny * nz) as usize;
         let mut vm = Vm::new(&m.analysis.object).unwrap();
-        let nnz_cap = 7 * n + 16;
-        let row_ptr = vm.alloc_i64(&vec![0; n + 1]);
-        let cols = vm.alloc_i64(&vec![0; nnz_cap]);
-        let vals = vm.alloc_zeroed_f64(nnz_cap);
-        let b = vm.alloc_zeroed_f64(n);
-        let x = vm.alloc_zeroed_f64(n);
-        let r = vm.alloc_zeroed_f64(n);
-        let p = vm.alloc_zeroed_f64(n);
-        let ap = vm.alloc_zeroed_f64(n);
-        vm.call(
-            "assemble",
-            &[
-                HostVal::Int(nx),
-                HostVal::Int(ny),
-                HostVal::Int(nz),
-                HostVal::Int(row_ptr as i64),
-                HostVal::Int(cols as i64),
-                HostVal::Int(vals as i64),
-                HostVal::Int(b as i64),
-            ],
-        )
-        .unwrap();
+        let bufs = SolveBuffers::alloc(&mut vm, n);
+        vm.call("assemble", &bufs.assemble_args(nx, ny, nz))
+            .unwrap();
         let nnz = vm.int_return() as usize;
-        vm.call(
-            "cg_solve",
-            &[
-                HostVal::Int(n as i64),
-                HostVal::Int(row_ptr as i64),
-                HostVal::Int(cols as i64),
-                HostVal::Int(vals as i64),
-                HostVal::Int(b as i64),
-                HostVal::Int(x as i64),
-                HostVal::Int(r as i64),
-                HostVal::Int(p as i64),
-                HostVal::Int(ap as i64),
-                HostVal::Int(500),
-                HostVal::Fp(1e-10),
-            ],
-        )
-        .unwrap();
-        let rp = vm.read_i64(row_ptr, n + 1);
-        let cl = vm.read_i64(cols, nnz);
-        let vl = vm.read_f64(vals, nnz);
-        let xs = vm.read_f64(x, n);
-        let bs = vm.read_f64(b, n);
+        vm.call("cg_solve", &bufs.solve_args(n as i64, 500, 1e-10))
+            .unwrap();
+        let rp = vm.read_i64(bufs.row_ptr, n + 1);
+        let cl = vm.read_i64(bufs.cols, nnz);
+        let vl = vm.read_f64(bufs.vals, nnz);
+        let xs = vm.read_f64(bufs.x, n);
+        let bs = vm.read_f64(bufs.b, n);
         // residual ||Ax - b||_inf
         let mut worst: f64 = 0.0;
         for i in 0..n {

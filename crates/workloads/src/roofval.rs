@@ -18,15 +18,14 @@
 //! write-backs.
 
 use crate::dgemm::Dgemm;
+use crate::memval::{sim_options, triad_analysis};
 use crate::minife::MiniFe;
+use crate::run::{Run, Shape};
 use crate::stream::Stream;
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{dynamic_placement, Ceilings, Crossover, KernelRoofline, Placement};
-use mira_sym::{bindings, Bindings};
+use mira_sym::bindings;
 use mira_vm::Vm;
-
-use crate::memval::{dgemm_args, mem_vm, stream_mem_size, stream_shape_args, TRIAD_SRC};
-use mira_vm::HostVal;
 
 /// One static-vs-dynamic roofline validation row.
 #[derive(Clone, Debug)]
@@ -60,30 +59,32 @@ impl RoofRow {
     }
 }
 
-fn row(
-    workload: &str,
-    analysis: &Analysis,
-    func: &str,
-    binds: &Bindings,
-    mut vm: Vm,
-    run: impl FnOnce(&mut Vm),
-) -> RoofRow {
+/// Run `func` of `analysis` as `shape` under the cache simulator, flush
+/// the end-of-run stores into the write-back counters, and place both
+/// sides at the run's bindings.
+fn row(workload: &str, analysis: &Analysis, func: &str, shape: Shape) -> RoofRow {
+    let mut run: Run<Vm> = shape.run(&analysis.object, sim_options(analysis, true), func);
+    run.vm.flush_mem();
+    let stats = run.vm.mem_stats().expect("profiling on");
+    let binds = run.bindings();
     let ceilings = Ceilings::from_arch(&analysis.arch);
     let kernel = KernelRoofline::analyze(analysis, func).expect("kernel analyzes");
-    let static_p = kernel.place(&ceilings, binds).expect("placement evaluates");
-    let flops = kernel.flops.eval_count(binds).expect("flops evaluate");
-    run(&mut vm);
-    vm.flush_mem(); // end-of-run stores must reach the write-back counters
-    let stats = vm.mem_stats().expect("profiling on");
+    let static_p = kernel
+        .place(&ceilings, &binds)
+        .expect("placement evaluates");
+    let flops = kernel.flops.eval_count(&binds).expect("flops evaluate");
     RoofRow {
         workload: workload.to_string(),
         function: func.to_string(),
         flops,
-        static_data_bytes: kernel.data_bytes().eval_count(binds).expect("bytes evaluate"),
+        static_data_bytes: kernel
+            .data_bytes()
+            .eval_count(&binds)
+            .expect("bytes evaluate"),
         dynamic_data_bytes: stats.data_bytes(),
         footprint_lines: kernel
             .footprint_lines
-            .eval_count(binds)
+            .eval_count(&binds)
             .expect("footprint evaluates"),
         static_p,
         dynamic_p: dynamic_placement(flops, &stats, &ceilings, kernel.vectorized),
@@ -92,51 +93,22 @@ fn row(
 
 /// STREAM triad, scalar or SSE2-vectorized.
 pub fn triad_roof(n: i64, reps: i64, simd: bool) -> RoofRow {
-    let compiler = if simd {
-        mira_vcc::Options::vectorized()
-    } else {
-        mira_vcc::Options::default()
-    };
-    let opts = MiraOptions {
-        compiler,
-        ..MiraOptions::default()
-    };
-    let analysis = analyze_source(TRIAD_SRC, &opts).expect("triad analyzes");
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n));
-    let args = stream_shape_args(&mut vm, n, reps);
-    row(
-        if simd { "triad_simd" } else { "triad" },
-        &analysis,
-        "triad",
-        &binds,
-        vm,
-        |vm| {
-            vm.call("triad", &args).expect("triad runs");
-        },
-    )
+    let workload = if simd { "triad_simd" } else { "triad" };
+    let shape = Shape::Stream { n, reps };
+    row(workload, &triad_analysis(simd), "triad", shape)
 }
 
 /// All four STREAM kernels.
 pub fn stream_roof(n: i64, reps: i64) -> RoofRow {
     let stream = Stream::new();
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let mut vm = mem_vm(&stream.analysis, stream_mem_size(n));
-    let args = stream_shape_args(&mut vm, n, reps);
-    row("stream", &stream.analysis, "stream_kernels", &binds, vm, |vm| {
-        vm.call("stream_kernels", &args).expect("stream runs");
-    })
+    let shape = Shape::Stream { n, reps };
+    row("stream", &stream.analysis, "stream_kernels", shape)
 }
 
 /// DGEMM (ikj order).
 pub fn dgemm_roof(n: i64, reps: i64) -> RoofRow {
     let dgemm = Dgemm::new();
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let mut vm = mem_vm(&dgemm.analysis, stream_mem_size(n * n));
-    let args = dgemm_args(&mut vm, n, reps);
-    row("dgemm", &dgemm.analysis, "dgemm", &binds, vm, |vm| {
-        vm.call("dgemm", &args).expect("dgemm runs");
-    })
+    row("dgemm", &dgemm.analysis, "dgemm", Shape::Square { n, reps })
 }
 
 /// miniFE `cg_solve` on a `d³` cube (assembled first, counters and cache
@@ -144,30 +116,15 @@ pub fn dgemm_roof(n: i64, reps: i64) -> RoofRow {
 /// count — the same scoping as `memval::minife_row`).
 pub fn minife_roof(d: i64, max_iter: i64, tol: f64) -> RoofRow {
     let minife = MiniFe::new();
-    let analysis = &minife.analysis;
-    let n = (d * d * d) as usize;
-    let mut vm = mem_vm(analysis, crate::minife::solve_mem_size(n));
-    let bufs = crate::minife::SolveBuffers::alloc(&mut vm, n);
-    vm.call("assemble", &bufs.assemble_args(d, d, d))
-        .expect("assemble runs");
-    vm.reset_counters();
-    vm.call("cg_solve", &bufs.solve_args(n as i64, max_iter, tol))
-        .expect("cg_solve runs");
-    let iterations = vm.int_return();
-    assert!(iterations < max_iter, "must converge by tolerance");
-    let binds = bindings(&[
-        ("n", n as i128),
-        ("nnz_row_milli", MiniFe::nnz_row_milli(d, d, d) as i128),
-        ("cg_iters", iterations as i128),
-    ]);
-    row(
-        &format!("minife_cg_{d}x{d}x{d}"),
-        analysis,
-        "cg_solve",
-        &binds,
-        vm,
-        |_| {}, // already ran — the row helper only flushes and reads
-    )
+    let shape = Shape::MiniFe {
+        nx: d,
+        ny: d,
+        nz: d,
+        max_iter,
+        tol,
+    };
+    let workload = format!("minife_cg_{d}x{d}x{d}");
+    row(&workload, &minife.analysis, "cg_solve", shape)
 }
 
 /// Tiled (blocked) ikj DGEMM with fixed 8×8 i/k tiles — `n` must be a
@@ -213,12 +170,8 @@ pub fn dgemm_tiled_roof(n: i64, reps: i64) -> RoofRow {
     assert_eq!(n % 8, 0, "tile size divides n");
     let analysis =
         analyze_source(DGEMM_TILED_SRC, &MiraOptions::default()).expect("tiled DGEMM analyzes");
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n * n));
-    let args = dgemm_args(&mut vm, n, reps);
-    row("dgemm_tiled", &analysis, "dgemm_tiled", &binds, vm, |vm| {
-        vm.call("dgemm_tiled", &args).expect("tiled dgemm runs");
-    })
+    let shape = Shape::Square { n, reps };
+    row("dgemm_tiled", &analysis, "dgemm_tiled", shape)
 }
 
 /// Blocked STREAM triad (1024-element blocks, reps inside the block).
@@ -226,19 +179,8 @@ pub fn triad_blocked_roof(n: i64, reps: i64) -> RoofRow {
     assert_eq!(n % 1024, 0, "block size divides n");
     let analysis =
         analyze_source(TRIAD_BLOCKED_SRC, &MiraOptions::default()).expect("blocked triad analyzes");
-    let binds = bindings(&[("n", n as i128), ("reps", reps as i128)]);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n));
-    let args = stream_shape_args(&mut vm, n, reps);
-    row(
-        "triad_blocked",
-        &analysis,
-        "triad_blocked",
-        &binds,
-        vm,
-        |vm| {
-            vm.call("triad_blocked", &args).expect("blocked triad runs");
-        },
-    )
+    let shape = Shape::Stream { n, reps };
+    row("triad_blocked", &analysis, "triad_blocked", shape)
 }
 
 /// Dense forward triangular solve ([`crate::compose::TRISOLVE_SRC`]):
@@ -248,20 +190,7 @@ pub fn triad_blocked_roof(n: i64, reps: i64) -> RoofRow {
 pub fn trisolve_roof(n: i64) -> RoofRow {
     let analysis = analyze_source(crate::compose::TRISOLVE_SRC, &MiraOptions::default())
         .expect("trisolve analyzes");
-    let binds = bindings(&[("n", n as i128)]);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n * n));
-    let l = vm.alloc_f64(&vec![1.0; (n * n) as usize]);
-    let b = vm.alloc_f64(&vec![1.0; n as usize]);
-    let x = vm.alloc_f64(&vec![0.0; n as usize]);
-    let args = [
-        HostVal::Int(n),
-        HostVal::Int(l as i64),
-        HostVal::Int(b as i64),
-        HostVal::Int(x as i64),
-    ];
-    row("trisolve", &analysis, "trisolve", &binds, vm, |vm| {
-        vm.call("trisolve", &args).expect("trisolve runs");
-    })
+    row("trisolve", &analysis, "trisolve", Shape::Trisolve { n })
 }
 
 /// Composed ping-pong stencil sweep
@@ -271,25 +200,11 @@ pub fn trisolve_roof(n: i64) -> RoofRow {
 pub fn stencil_sweep_roof(n: i64, steps: i64) -> RoofRow {
     let analysis = analyze_source(crate::compose::STENCIL_SWEEP_SRC, &MiraOptions::default())
         .expect("stencil sweep analyzes");
-    let binds = bindings(&[("n", n as i128), ("steps", steps as i128)]);
-    let mut vm = mem_vm(&analysis, stream_mem_size(n));
-    let u = vm.alloc_f64(&vec![1.0; n as usize]);
-    let v = vm.alloc_f64(&vec![0.0; n as usize]);
-    let args = [
-        HostVal::Int(n),
-        HostVal::Int(steps),
-        HostVal::Int(u as i64),
-        HostVal::Int(v as i64),
-    ];
     row(
         "stencil_sweep",
         &analysis,
         "stencil_sweep",
-        &binds,
-        vm,
-        |vm| {
-            vm.call("stencil_sweep", &args).expect("stencil sweep runs");
-        },
+        Shape::StencilSweep { n, steps },
     )
 }
 

@@ -3,10 +3,11 @@
 //! FPI per repetition is `4·n` (scale 1, add 1, triad 2 per element) — the
 //! scalar shape behind the paper's Table III counts.
 
+use crate::run::{Run, Shape};
 use crate::ValidationRow;
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_sym::bindings;
-use mira_vm::{HostVal, Vm, VmOptions};
+use mira_vm::{Vm, VmOptions};
 
 /// STREAM in MiniC. The final validation calls the external `sqrt` — code
 /// the dynamic measurement sees but static analysis cannot (paper §IV-D1).
@@ -98,31 +99,12 @@ impl Stream {
 
     /// Dynamic (instrumented execution) FPI for `stream_bench`.
     pub fn dynamic_fpi(&self, n: i64, reps: i64) -> i128 {
-        let mem = (3 * n as usize * 8 + (64 << 20)).max(64 << 20);
-        let mut vm = Vm::load(
+        let run: Run<Vm> = Shape::Stream { n, reps }.run(
             &self.analysis.object,
-            VmOptions {
-                mem_size: mem,
-                ..VmOptions::default()
-            },
-        )
-        .expect("vm loads");
-        let a = vm.alloc_f64(&vec![1.0; n as usize]);
-        let b = vm.alloc_f64(&vec![2.0; n as usize]);
-        let c = vm.alloc_f64(&vec![0.0; n as usize]);
-        vm.call(
+            VmOptions::default(),
             "stream_bench",
-            &[
-                HostVal::Int(n),
-                HostVal::Int(reps),
-                HostVal::Int(a as i64),
-                HostVal::Int(b as i64),
-                HostVal::Int(c as i64),
-                HostVal::Fp(3.0),
-            ],
-        )
-        .expect("stream runs");
-        vm.profile().fpi("stream_bench", &self.analysis.arch)
+        );
+        run.vm.profile().fpi("stream_bench", &self.analysis.arch)
     }
 
     /// A Table-III style validation row.

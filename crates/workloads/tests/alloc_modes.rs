@@ -22,6 +22,7 @@ use mira_vm::{HostVal, Vm};
 use mira_workloads::corpus::corpus;
 use mira_workloads::dgemm::DGEMM_SRC;
 use mira_workloads::minife::MINIFE_SRC;
+use mira_workloads::run::Engine;
 use mira_workloads::stream::STREAM_SRC;
 
 /// Array length handed to every pointer parameter — large enough for
@@ -62,8 +63,8 @@ struct RunState {
 
 /// Call every function of the program in order inside one VM, feeding
 /// deterministic arguments by parameter type. Returns the observable
-/// state plus the total retired-step count.
-fn drive(analysis: &Analysis, vm: &mut dyn Driver) -> RunState {
+/// state.
+fn drive<E: Engine>(analysis: &Analysis, vm: &mut E) -> RunState {
     let mut state = RunState::default();
     let mut f64_addrs = Vec::new();
     let mut i64_addrs = Vec::new();
@@ -74,78 +75,36 @@ fn drive(analysis: &Analysis, vm: &mut dyn Driver) -> RunState {
                 Type::Int => args.push(HostVal::Int(INT_ARG)),
                 Type::Double => args.push(HostVal::Fp(FP_ARG)),
                 Type::Ptr(inner) if **inner == Type::Int => {
-                    let a = vm.alloc_ints(&[0; ARR]);
+                    let a = vm.alloc_i64(&[0; ARR]);
                     i64_addrs.push(a);
                     args.push(HostVal::Int(a as i64));
                 }
                 Type::Ptr(_) => {
-                    let a = vm.alloc_fps(&pattern(fi * 16 + pi));
+                    let a = vm.alloc_f64(&pattern(fi * 16 + pi));
                     f64_addrs.push(a);
                     args.push(HostVal::Int(a as i64));
                 }
                 other => panic!("unsupported parameter type {other}"),
             }
         }
-        vm.call_fn(&f.name, &args);
+        vm.call(&f.name, &args)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", f.name));
         state.returns.push(if f.ret == Type::Double {
-            vm.fp_ret().to_bits()
+            vm.fp_return().to_bits()
         } else {
-            vm.int_ret() as u64
+            vm.int_return() as u64
         });
     }
     for a in f64_addrs {
         state
             .f64_arrays
-            .push(vm.read_fps(a, ARR).iter().map(|v| v.to_bits()).collect());
+            .push(vm.read_f64(a, ARR).iter().map(|v| v.to_bits()).collect());
     }
     for a in i64_addrs {
-        state.i64_arrays.push(vm.read_ints(a, ARR));
+        state.i64_arrays.push(vm.read_i64(a, ARR));
     }
     state
 }
-
-/// The slice of the two engines' APIs the driver needs.
-trait Driver {
-    fn alloc_fps(&mut self, data: &[f64]) -> u64;
-    fn alloc_ints(&mut self, data: &[i64]) -> u64;
-    fn read_fps(&self, addr: u64, n: usize) -> Vec<f64>;
-    fn read_ints(&self, addr: u64, n: usize) -> Vec<i64>;
-    fn call_fn(&mut self, name: &str, args: &[HostVal]);
-    fn fp_ret(&self) -> f64;
-    fn int_ret(&self) -> i64;
-}
-
-macro_rules! impl_driver {
-    ($t:ty) => {
-        impl Driver for $t {
-            fn alloc_fps(&mut self, data: &[f64]) -> u64 {
-                self.alloc_f64(data)
-            }
-            fn alloc_ints(&mut self, data: &[i64]) -> u64 {
-                self.alloc_i64(data)
-            }
-            fn read_fps(&self, addr: u64, n: usize) -> Vec<f64> {
-                self.read_f64(addr, n)
-            }
-            fn read_ints(&self, addr: u64, n: usize) -> Vec<i64> {
-                self.read_i64(addr, n)
-            }
-            fn call_fn(&mut self, name: &str, args: &[HostVal]) {
-                self.call(name, args)
-                    .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-            }
-            fn fp_ret(&self) -> f64 {
-                self.fp_return()
-            }
-            fn int_ret(&self) -> i64 {
-                self.int_return()
-            }
-        }
-    };
-}
-
-impl_driver!(Vm);
-impl_driver!(ReferenceVm);
 
 /// All the sources the suite covers.
 fn suite() -> Vec<(&'static str, &'static str)> {
