@@ -133,7 +133,10 @@ impl FuncFootprints {
 }
 
 /// Per-function access summaries plus the call edges needed to resolve
-/// footprints interprocedurally.
+/// footprints interprocedurally — of a whole program
+/// ([`analyze_program`]) or of one function's call closure
+/// ([`analyze_closure`]), which answers only for that function and its
+/// callees.
 pub struct AccessModel {
     functions: BTreeMap<String, FuncInfo>,
 }
@@ -254,17 +257,53 @@ pub fn analyze_program(program: &Program) -> AccessModel {
     let _sp = mira_probe::span("mem.analyze_program", "mem");
     let mut functions = BTreeMap::new();
     for f in program.functions() {
-        let mut sp = mira_probe::span("mem.analyze_func", "mem");
-        sp.arg("func", &f.name);
-        let analyzed = mira_sym::budget::with_default_budget(|| analyze_func(f));
-        if analyzed.is_err() {
-            sp.arg("refused", "budget");
-            mira_probe::add("mem.func_refusals", 1);
-        }
-        let info = analyzed.unwrap_or_else(|_| refused_func_info(f));
-        functions.insert(f.name.clone(), info);
+        functions.insert(f.name.clone(), analyze_budgeted(f));
     }
     AccessModel { functions }
+}
+
+/// Analyze `func` and the functions it calls, directly or transitively,
+/// and nothing else: all that [`AccessModel::footprint`] and
+/// [`AccessModel::nest_model`] of `func` read, so both answer exactly as
+/// on [`analyze_program`]'s model. Each function goes through the same
+/// budgeted analysis; a refused one has no call edges to follow.
+pub fn analyze_closure(program: &Program, func: &str) -> AccessModel {
+    let mut sp = mira_probe::span("mem.analyze_closure", "mem");
+    sp.arg("func", func);
+    // the last definition of a name wins, as in `analyze_program`
+    let by_name: BTreeMap<&str, &Func> =
+        program.functions().map(|f| (f.name.as_str(), f)).collect();
+    let mut functions = BTreeMap::new();
+    let mut work = vec![func];
+    while let Some(name) = work.pop() {
+        let Some(&f) = by_name.get(name) else {
+            continue;
+        };
+        if functions.contains_key(name) {
+            continue;
+        }
+        let info = analyze_budgeted(f);
+        work.extend(
+            info.calls
+                .iter()
+                .filter_map(|c| by_name.get_key_value(c.callee.as_str()).map(|(&k, _)| k)),
+        );
+        functions.insert(name.to_string(), info);
+    }
+    AccessModel { functions }
+}
+
+/// One function's access analysis under its own budget scope, or the
+/// conservative refusal when the scope trips.
+fn analyze_budgeted(f: &Func) -> FuncInfo {
+    let mut sp = mira_probe::span("mem.analyze_func", "mem");
+    sp.arg("func", &f.name);
+    let analyzed = mira_sym::budget::with_default_budget(|| analyze_func(f));
+    if analyzed.is_err() {
+        sp.arg("refused", "budget");
+        mira_probe::add("mem.func_refusals", 1);
+    }
+    analyzed.unwrap_or_else(|_| refused_func_info(f))
 }
 
 /// The conservative stand-in for a function whose analysis tripped the
@@ -2095,17 +2134,57 @@ impl Walker {
     }
 
     /// Does the loop nest touch the index range with bounded gaps?
-    /// `Some(stride_bytes)` when the per-variable strides chain up:
-    /// trying the contributing variables in every order (≤ 3 dims in
-    /// practice), the first stride must be a constant — it becomes the
-    /// coverage gap, in bytes — and each next stride must equal the
-    /// extent covered so far. The caller compares the gap against the
-    /// line size ([`ArrayFootprint::exact_for`]); SSE2 packed accesses
-    /// are just adjacent elements and need no special case.
+    /// `Some(stride_bytes)` when the per-variable strides chain up in
+    /// some order of the contributing variables: the first stride must
+    /// be a constant — it becomes the coverage gap, in bytes — and each
+    /// next stride must equal the extent covered so far. The caller
+    /// compares the gap against the line size
+    /// ([`ArrayFootprint::exact_for`]); SSE2 packed accesses are just
+    /// adjacent elements and need no special case.
     fn dense_coverage(&self, idx: &SymExpr) -> Option<i128> {
         struct Contrib {
             coeff: SymExpr,
             extent: SymExpr,
+        }
+        /// Order `order[at..]` behind `covered`, the extent the loops in
+        /// `order[..at]` cover (`None` before the first), trying the
+        /// orders a swap-based permutation search visits, in its order,
+        /// and leaving the first that chains in `order`. Each loop is
+        /// checked as it is placed, so a mismatch skips every order with
+        /// that prefix; a loop equal in stride and extent to one already
+        /// tried at this position would root the same failed subtree.
+        fn chain(
+            contribs: &[Contrib],
+            order: &mut [usize],
+            at: usize,
+            covered: Option<&SymExpr>,
+        ) -> bool {
+            if at == order.len() {
+                return true;
+            }
+            for i in at..order.len() {
+                let c = &contribs[order[i]];
+                let tried = order[at..i]
+                    .iter()
+                    .any(|&j| contribs[j].coeff == c.coeff && contribs[j].extent == c.extent);
+                if tried {
+                    continue;
+                }
+                let next = match covered {
+                    // the first stride must be a constant: it is the gap
+                    None if c.coeff.as_int().is_none() => continue,
+                    None => c.coeff.mul_expr(&c.extent),
+                    // each next stride must equal the extent covered so far
+                    Some(cov) if !c.coeff.sub_expr(cov).is_zero() => continue,
+                    Some(cov) => cov.mul_expr(&c.extent),
+                };
+                order.swap(at, i);
+                if chain(contribs, order, at + 1, Some(&next)) {
+                    return true;
+                }
+                order.swap(at, i);
+            }
+            false
         }
         let mut contribs: Vec<Contrib> = Vec::new();
         for dim in self.loops() {
@@ -2135,26 +2214,14 @@ impl Walker {
         if contribs.is_empty() {
             return Some(ELEM_BYTES as i128); // a single element
         }
-        let n = contribs.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut best: Option<i128> = None;
-        permute_check(&mut order, 0, &mut |perm: &[usize]| {
-            let first = &contribs[perm[0]];
-            let Some(c) = first.coeff.as_constant().and_then(|c| c.as_integer()) else {
-                return false;
-            };
-            let mut covered = first.coeff.mul_expr(&contribs[perm[0]].extent);
-            for &k in &perm[1..] {
-                let contrib = &contribs[k];
-                if !contrib.coeff.sub_expr(&covered).is_zero() {
-                    return false;
-                }
-                covered = covered.mul_expr(&contrib.extent);
-            }
-            best = Some(c * ELEM_BYTES as i128);
-            true
-        });
-        best
+        let mut order: Vec<usize> = (0..contribs.len()).collect();
+        if !chain(&contribs, &mut order, 0, None) {
+            return None;
+        }
+        contribs[order[0]]
+            .coeff
+            .as_int()
+            .map(|c| c * ELEM_BYTES as i128)
     }
 }
 
@@ -2211,22 +2278,6 @@ fn sign_of(e: &SymExpr) -> Option<bool> {
     } else {
         None
     }
-}
-
-/// Try all permutations of `order[at..]`; true if `check` accepts any.
-fn permute_check(order: &mut Vec<usize>, at: usize, check: &mut dyn FnMut(&[usize]) -> bool) -> bool {
-    if at == order.len() {
-        return check(order);
-    }
-    for i in at..order.len() {
-        order.swap(at, i);
-        if permute_check(order, at + 1, check) {
-            order.swap(at, i);
-            return true;
-        }
-        order.swap(at, i);
-    }
-    false
 }
 
 #[cfg(test)]
@@ -2793,6 +2844,45 @@ mod tests {
         let t = nm.boundary_traffic(64, &b).unwrap();
         assert_eq!(t.fill_lines, 2);
         assert_eq!(t.writeback_lines, 2);
+    }
+
+    /// A 16-deep nest around `a[index]`, each loop's bound given by
+    /// `bound(level)`.
+    fn deep_nest(bound: impl Fn(usize) -> String, index: &str) -> String {
+        let mut src = String::from("void f(int n, double* a) {\n");
+        for k in 0..16 {
+            src.push_str(&format!(
+                "for (int i{k} = 0; i{k} < {}; i{k}++) {{\n",
+                bound(k)
+            ));
+        }
+        src.push_str(&format!("a[{index}] = 1.0;\n"));
+        src.push_str(&"}\n".repeat(17));
+        src
+    }
+
+    #[test]
+    fn dense_coverage_search_is_bounded_on_deep_nests() {
+        // every stride is `n`, never a constant: no order can chain, and
+        // checking each prefix as it is placed says so at the first loop
+        // (all 16! orders were built before any was checked)
+        let every: Vec<String> = (0..16).map(|k| format!("i{k} * n")).collect();
+        let fp = footprint(&deep_nest(|_| "n".into(), &every.join(" + ")), "f");
+        assert!(fp.unknown.is_empty(), "{:?}", fp.unknown);
+        assert_eq!(fp.array("a").unwrap().stride_bytes, None);
+        // fifteen equal unit-stride, unit-extent loops and one stride-2
+        // loop: no order chains, and the ties are tried once per position
+        // instead of in every arrangement
+        let mut ties: Vec<String> = (0..15).map(|k| format!("i{k}")).collect();
+        ties.push("2 * i15".into());
+        let bound = |k: usize| if k < 15 { "1".into() } else { "n".into() };
+        let fp = footprint(&deep_nest(bound, &ties.join(" + ")), "f");
+        assert!(fp.unknown.is_empty(), "{:?}", fp.unknown);
+        assert_eq!(fp.array("a").unwrap().stride_bytes, None);
+        // and a chain found behind the ties is the one the full search
+        // found first: stride 1 after fifteen unit extents
+        let fp = footprint(&deep_nest(bound, &ties[..15].join(" + ")), "f");
+        assert_eq!(fp.array("a").unwrap().stride_bytes, Some(8));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod access;
 pub mod cachesim;
 
 pub use access::{
-    analyze_program, AccessModel, ArrayFootprint, BoundaryTraffic, FuncFootprints, GroupExpr,
-    GroupShape, NestGroup, NestModel, NestNode, NestShape,
+    analyze_closure, analyze_program, AccessModel, ArrayFootprint, BoundaryTraffic, FuncFootprints,
+    GroupExpr, GroupShape, NestGroup, NestModel, NestNode, NestShape,
 };
 pub use cachesim::{CacheSim, LevelStats, MemStats};
 
@@ -96,12 +96,12 @@ pub fn traffic_table(
 }
 
 /// Distinct-line footprints for `func`, derived from the analysis'
-/// source program. (For the per-nest working-set model, build one
-/// [`AccessModel`] with [`analyze_program`] and call
-/// [`AccessModel::nest_model`] on it — footprints and nest model then
-/// share the analysis.)
+/// source program: `func` and its callees are analyzed, nothing else.
+/// (For the per-nest working-set model, build one [`AccessModel`] with
+/// [`analyze_closure`] and call [`AccessModel::nest_model`] on it —
+/// footprints and nest model then share the analysis.)
 pub fn footprints(analysis: &Analysis, func: &str) -> FuncFootprints {
-    analyze_program(&analysis.program).footprint(func)
+    analyze_closure(&analysis.program, func).footprint(func)
 }
 
 #[cfg(test)]

@@ -372,9 +372,10 @@ impl KernelRoofline {
     ///
     /// Runs under a [`mira_sym::budget`] scope: if combining the model's
     /// closed forms trips the analysis budget, the kernel is refused with
-    /// a typed error instead of hanging. (The access analysis and nest
-    /// model inside are separately budgeted and degrade on their own —
-    /// see [`mira_mem::analyze_program`].)
+    /// a typed error instead of hanging. (The access analysis — of
+    /// `func` and its callees only, [`mira_mem::analyze_closure`] — and
+    /// the nest model inside are separately budgeted and degrade on their
+    /// own.)
     pub fn analyze(analysis: &Analysis, func: &str) -> Result<KernelRoofline, ModelError> {
         let mut sp = mira_probe::span("roofline.analyze", "roofline");
         sp.arg("func", func);
@@ -394,7 +395,7 @@ impl KernelRoofline {
         // scalar code the two closed forms coincide
         let fpi = model.fpi_expr(func, &analysis.arch)?;
         let vectorized = !flops.sub_expr(&fpi).is_zero();
-        let access = mira_mem::analyze_program(&analysis.program);
+        let access = mira_mem::analyze_closure(&analysis.program, func);
         let fp = access.footprint(func);
         let line = analysis.arch.machine.cache_line_bytes;
         let mut stored = SymExpr::zero();
@@ -850,6 +851,38 @@ mod tests {
         .unwrap();
         let c = Ceilings::from_arch(&analysis.arch);
         (KernelRoofline::analyze(&analysis, "triad").unwrap(), c)
+    }
+
+    /// A kernel's analysis reads its own call closure only: the unrelated
+    /// function is never analyzed, and the model is the one built from a
+    /// program without it.
+    #[test]
+    fn analysis_reads_only_the_call_closure() {
+        const CALLEE: &str = "void scale(int n, double* x, double s) {\n\
+             for (int i = 0; i < n; i++) { x[i] = s * x[i]; }\n}\n";
+        const OTHER: &str = "double other(int m, double* y) {\n\
+             double t = 0.0;\n\
+             for (int j = 0; j < m; j++) { t += y[j]; }\n\
+             return t;\n}\n";
+        const F: &str = "void f(int n, int reps, double* a) {\n\
+             for (int r = 0; r < reps; r++) { scale(n, a, 2.0); }\n}\n";
+        let opts = MiraOptions::default();
+        let with = analyze_source(&format!("{CALLEE}{OTHER}{F}"), &opts).unwrap();
+        let (kr, trace) = mira_probe::capture(|| KernelRoofline::analyze(&with, "f"));
+        let mut analyzed: Vec<&str> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "mem.analyze_func")
+            .flat_map(|e| e.args.iter().filter(|(k, _)| *k == "func"))
+            .map(|(_, v)| v.as_str())
+            .collect();
+        analyzed.sort_unstable();
+        assert_eq!(analyzed, ["f", "scale"]);
+        let without = analyze_source(&format!("{CALLEE}{F}"), &opts).unwrap();
+        let alone = KernelRoofline::analyze(&without, "f").unwrap();
+        let kr = kr.unwrap();
+        assert!(kr.nest_model.is_some() && kr.footprint_known, "{kr:?}");
+        assert_eq!(format!("{kr:?}"), format!("{alone:?}"));
     }
 
     #[test]

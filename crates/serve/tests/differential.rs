@@ -42,9 +42,9 @@ fn check_parity(e: &SymExpr, b: &Bindings) {
 fn gen_atom(rng: &mut TestRng, depth: u32) -> Atom {
     let choices = if depth == 0 { 3 } else { 5 };
     match rng.next_u64() % choices {
-        0 => Atom::Param("n".to_string()),
-        1 => Atom::Param("m".to_string()),
-        2 => Atom::Param("k".to_string()),
+        0 => Atom::Param("n".into()),
+        1 => Atom::Param("m".into()),
+        2 => Atom::Param("k".into()),
         3 => Atom::FloorDiv(
             Rc::new(gen_expr(rng, depth - 1)),
             1 + (rng.next_u64() % 7) as i64,

@@ -35,6 +35,12 @@
 //! Scopes nest: an inner scope gets its own fuel allowance, but the fuel
 //! it consumes is also deducted from the enclosing scope on exit, so an
 //! outer budget stays a global bound.
+//!
+//! Charges are part of the contract. A fast path in [`crate::SymExpr`]
+//! (a product with a single-term side, a term that substitution passes
+//! through unchanged, a sum accumulated in place) charges exactly the
+//! fuel of the general path it stands for, so the fuel a scope spends
+//! and the point where it trips never depend on which path ran.
 
 use std::cell::Cell;
 use std::fmt;
@@ -164,6 +170,13 @@ pub(crate) fn charge(n: u64) -> bool {
         trip(BudgetError::FuelExhausted);
     }
     ok
+}
+
+/// Fuel left in the current scope (the reference differential compares
+/// what each kernel spends).
+#[cfg(test)]
+pub(crate) fn fuel_left() -> u64 {
+    FUEL.with(|c| c.get())
 }
 
 /// RAII guard for one level of recursion through composite atoms.

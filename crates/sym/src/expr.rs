@@ -11,7 +11,8 @@
 use crate::budget;
 use crate::rat::Rat;
 use crate::Bindings;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 use std::rc::Rc;
@@ -20,7 +21,9 @@ use std::rc::Rc;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Atom {
     /// A named model parameter (problem size, annotation variable, ...).
-    Param(String),
+    /// The name is shared: cloning a monomial bumps a count instead of
+    /// copying the string.
+    Param(Rc<str>),
     /// `floor(expr / d)` with `d > 0`. The inner expression is
     /// reference-counted: atoms are cloned wholesale by `substitute`,
     /// `simplify` and polynomial arithmetic, and an `Rc` bump is O(1)
@@ -35,9 +38,9 @@ impl Atom {
     fn eval(&self, b: &Bindings) -> Result<i128, EvalError> {
         match self {
             Atom::Param(name) => b
-                .get(name)
+                .get(&**name)
                 .copied()
-                .ok_or_else(|| EvalError::MissingParam(name.clone())),
+                .ok_or_else(|| EvalError::MissingParam(name.to_string())),
             Atom::FloorDiv(e, d) => {
                 let _g = budget::descend().ok_or(EvalError::Budget(
                     budget::BudgetError::DepthExceeded,
@@ -129,7 +132,7 @@ impl SymExpr {
     }
 
     pub fn param(name: &str) -> SymExpr {
-        SymExpr::from_atom(Atom::Param(name.to_string()))
+        SymExpr::from_atom(Atom::Param(name.into()))
     }
 
     pub fn from_atom(a: Atom) -> SymExpr {
@@ -163,38 +166,31 @@ impl SymExpr {
         self.as_constant().and_then(|r| r.as_integer())
     }
 
-    fn from_map(map: BTreeMap<Vec<(Atom, u32)>, Rat>) -> SymExpr {
-        let terms = map
-            .into_iter()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(monomial, coeff)| Term { coeff, monomial })
-            .collect();
-        SymExpr { terms }
-    }
-
-    fn to_map(&self) -> BTreeMap<Vec<(Atom, u32)>, Rat> {
-        self.terms
-            .iter()
-            .map(|t| (t.monomial.clone(), t.coeff))
-            .collect()
-    }
-
+    /// `self + o`: one pass over the two canonical term lists.
     pub fn add_expr(&self, o: &SymExpr) -> SymExpr {
         if !budget::charge(self.terms.len() as u64 + o.terms.len() as u64 + 1) {
             return SymExpr::zero();
         }
-        let mut map = self.to_map();
-        for t in &o.terms {
-            let e = map.entry(t.monomial.clone()).or_insert(Rat::ZERO);
-            match e.checked_add(t.coeff) {
-                Some(v) => *e = v,
-                None => {
-                    budget::overflow("SymExpr coefficient overflow in add");
-                    return SymExpr::zero();
-                }
+        match merge_terms(&self.terms, &o.terms) {
+            Some(terms) => SymExpr { terms },
+            None => {
+                budget::overflow("SymExpr coefficient overflow in add");
+                SymExpr::zero()
             }
         }
-        SymExpr::from_map(map)
+    }
+
+    /// `*self = self.add_expr(&o)` — the same fuel, terms and overflow
+    /// outcome — moving the terms of both sides instead of cloning them.
+    fn add_assign(&mut self, o: SymExpr) {
+        if !budget::charge(self.terms.len() as u64 + o.terms.len() as u64 + 1) {
+            self.terms.clear();
+            return;
+        }
+        match merge_terms(std::mem::take(&mut self.terms), o.terms) {
+            Some(terms) => self.terms = terms,
+            None => budget::overflow("SymExpr coefficient overflow in add"),
+        }
     }
 
     pub fn neg_expr(&self) -> SymExpr {
@@ -242,6 +238,26 @@ impl SymExpr {
         if !budget::charge(work + 1) {
             return SymExpr::zero();
         }
+        if self.terms.len() == 1 || o.terms.len() == 1 {
+            // one monomial times distinct monomials gives distinct
+            // monomials, and nonzero coefficients give nonzero products:
+            // nothing combines, the products only need sorting
+            let mut terms = Vec::with_capacity(self.terms.len() * o.terms.len());
+            for a in &self.terms {
+                for b in &o.terms {
+                    let Some(coeff) = a.coeff.checked_mul(b.coeff) else {
+                        budget::overflow("SymExpr coefficient overflow in mul");
+                        return SymExpr::zero();
+                    };
+                    terms.push(Term {
+                        coeff,
+                        monomial: merge_monomials(&a.monomial, &b.monomial),
+                    });
+                }
+            }
+            terms.sort_unstable_by(|x, y| x.monomial.cmp(&y.monomial));
+            return SymExpr { terms };
+        }
         let mut map: BTreeMap<Vec<(Atom, u32)>, Rat> = BTreeMap::new();
         for a in &self.terms {
             for b in &o.terms {
@@ -260,7 +276,12 @@ impl SymExpr {
                 }
             }
         }
-        SymExpr::from_map(map)
+        let terms = map
+            .into_iter()
+            .filter(|(_, c)| !c.is_zero())
+            .map(|(monomial, coeff)| Term { coeff, monomial })
+            .collect();
+        SymExpr { terms }
     }
 
     pub fn pow(&self, p: u32) -> SymExpr {
@@ -370,29 +391,47 @@ impl SymExpr {
         }
         let mut out = SymExpr::zero();
         for t in &self.terms {
-            let mut factor = SymExpr::from_rat(t.coeff);
-            for (atom, p) in &t.monomial {
-                let atom_expr = match atom {
-                    Atom::Param(n) if n == name => repl.clone(),
-                    Atom::Param(_) => SymExpr::from_atom(atom.clone()),
-                    Atom::FloorDiv(inner, d) => inner.substitute_rec(name, repl).floor_div(*d),
-                    Atom::Clamp(inner) => inner.substitute_rec(name, repl).clamp0(),
-                };
-                factor = factor.mul_expr(&atom_expr.pow(*p));
-            }
-            out = out.add_expr(&factor);
+            let untouched = t
+                .monomial
+                .iter()
+                .all(|(atom, _)| matches!(atom, Atom::Param(n) if &**n != name));
+            let factor = if untouched {
+                // the chain below would rebuild `t` as it is, through
+                // `p` single-term products per `atom^p` and one more into
+                // the factor, 2 fuel each: charge that, skip the work
+                let muls: u64 = t.monomial.iter().map(|(_, p)| *p as u64 + 1).sum();
+                if muls > 0 && !budget::charge(2 * muls) {
+                    return SymExpr::zero();
+                }
+                SymExpr {
+                    terms: vec![t.clone()],
+                }
+            } else {
+                let mut factor = SymExpr::from_rat(t.coeff);
+                for (atom, p) in &t.monomial {
+                    let atom_expr = match atom {
+                        Atom::Param(n) if &**n == name => repl.clone(),
+                        Atom::Param(_) => SymExpr::from_atom(atom.clone()),
+                        Atom::FloorDiv(inner, d) => inner.substitute_rec(name, repl).floor_div(*d),
+                        Atom::Clamp(inner) => inner.substitute_rec(name, repl).clamp0(),
+                    };
+                    factor = factor.mul_expr(&atom_expr.pow(*p));
+                }
+                factor
+            };
+            out.add_assign(factor);
         }
         out
     }
 
     /// All parameter names referenced anywhere in the expression.
     pub fn params(&self) -> Vec<String> {
-        let mut out = std::collections::BTreeSet::new();
+        let mut out = BTreeSet::new();
         self.collect_params(&mut out);
-        out.into_iter().collect()
+        out.into_iter().map(str::to_string).collect()
     }
 
-    fn collect_params(&self, out: &mut std::collections::BTreeSet<String>) {
+    fn collect_params<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
         let Some(_g) = budget::descend() else {
             return;
         };
@@ -400,7 +439,7 @@ impl SymExpr {
             for (atom, _) in &t.monomial {
                 match atom {
                     Atom::Param(n) => {
-                        out.insert(n.clone());
+                        out.insert(n);
                     }
                     Atom::FloorDiv(e, _) | Atom::Clamp(e) => e.collect_params(out),
                 }
@@ -431,7 +470,7 @@ impl SymExpr {
             .map(|t| {
                 t.monomial
                     .iter()
-                    .filter(|(a, _)| matches!(a, Atom::Param(n) if n == name))
+                    .filter(|(a, _)| matches!(a, Atom::Param(n) if &**n == name))
                     .map(|(_, p)| *p)
                     .sum::<u32>()
             })
@@ -448,7 +487,7 @@ impl SymExpr {
             let mut k = 0usize;
             let mut rest = Vec::new();
             for (atom, p) in &t.monomial {
-                if matches!(atom, Atom::Param(n) if n == name) {
+                if matches!(atom, Atom::Param(n) if &**n == name) {
                     k += *p as usize;
                 } else {
                     rest.push((atom.clone(), *p));
@@ -460,7 +499,7 @@ impl SymExpr {
                     monomial: rest,
                 }],
             };
-            coeffs[k] = coeffs[k].add_expr(&part);
+            coeffs[k].add_assign(part);
         }
         coeffs
     }
@@ -503,12 +542,103 @@ impl SymExpr {
     }
 }
 
+/// The product of two monomials: one pass over the two sorted atom
+/// lists, adding the powers of shared atoms.
 fn merge_monomials(a: &[(Atom, u32)], b: &[(Atom, u32)]) -> Vec<(Atom, u32)> {
-    let mut map: BTreeMap<Atom, u32> = BTreeMap::new();
-    for (atom, p) in a.iter().chain(b.iter()) {
-        *map.entry(atom.clone()).or_insert(0) += p;
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j].clone());
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((a[i].0.clone(), a[i].1 + b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    map.into_iter().collect()
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// A term of a list being merged: borrowed terms are cloned into the
+/// result, owned ones moved.
+trait MergeTerm {
+    fn term(&self) -> &Term;
+    fn into_term(self) -> Term;
+}
+
+impl MergeTerm for Term {
+    fn term(&self) -> &Term {
+        self
+    }
+    fn into_term(self) -> Term {
+        self
+    }
+}
+
+impl MergeTerm for &Term {
+    fn term(&self) -> &Term {
+        self
+    }
+    fn into_term(self) -> Term {
+        self.clone()
+    }
+}
+
+/// The sum of two canonical term lists, in one pass: like monomials
+/// add their coefficients (`a`'s first) and drop out when they cancel.
+/// `None` on coefficient overflow.
+fn merge_terms<A: MergeTerm, B: MergeTerm>(
+    a: impl IntoIterator<Item = A, IntoIter: ExactSizeIterator>,
+    b: impl IntoIterator<Item = B, IntoIter: ExactSizeIterator>,
+) -> Option<Vec<Term>> {
+    let (mut a, mut b) = (a.into_iter(), b.into_iter());
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (Some(s), Some(t)) => match s.term().monomial.cmp(&t.term().monomial) {
+                Ordering::Less => {
+                    out.push(s.into_term());
+                    (x, y) = (a.next(), Some(t));
+                }
+                Ordering::Greater => {
+                    out.push(t.into_term());
+                    (x, y) = (Some(s), b.next());
+                }
+                Ordering::Equal => {
+                    let coeff = s.term().coeff.checked_add(t.term().coeff)?;
+                    if !coeff.is_zero() {
+                        out.push(Term {
+                            coeff,
+                            monomial: s.into_term().monomial,
+                        });
+                    }
+                    (x, y) = (a.next(), b.next());
+                }
+            },
+            (Some(s), None) => {
+                out.push(s.into_term());
+                out.extend(a.map(A::into_term));
+                return Some(out);
+            }
+            (None, Some(t)) => {
+                out.push(t.into_term());
+                out.extend(b.map(B::into_term));
+                return Some(out);
+            }
+            (None, None) => return Some(out),
+        }
+    }
 }
 
 impl Add for SymExpr {
@@ -592,6 +722,9 @@ impl fmt::Display for SymExpr {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -57,7 +57,7 @@ pub fn to_python(e: &SymExpr) -> String {
 
 fn atom_to_python(a: &Atom) -> String {
     match a {
-        Atom::Param(n) => n.clone(),
+        Atom::Param(n) => n.to_string(),
         Atom::FloorDiv(e, d) => format!("(({}) // {d})", to_python(e)),
         Atom::Clamp(e) => format!("max(0, {})", to_python(e)),
     }

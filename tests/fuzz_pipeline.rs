@@ -380,14 +380,20 @@ fn adversarial_nest(rng: &mut TestRng) -> String {
     }
     let inner = format!("i{}", depth - 1);
     // huge extents / strides in the body indexing
-    let stmt = match rng.next_u64() % 4 {
+    let stmt = match rng.next_u64() % 5 {
         0 => format!("s += a[{inner}];"),
         1 => format!("s += a[{inner} * {}];", 1 + rng.next_u64() % 1_000_000_007),
         2 => format!("a[{inner}] = s * 2.0;"),
-        _ => format!(
+        3 => format!(
             "s += a[{inner} + {}];",
             rng.next_u64() % 4_000_000_000_000u64
         ),
+        _ => {
+            // every loop variable strides the index: the dense-coverage
+            // search must not try every order of the loops
+            let every: Vec<String> = (0..depth).map(|l| format!("i{l} * n")).collect();
+            format!("s += a[{}];", every.join(" + "))
+        }
     };
     src.push_str(&format!("{indent}{stmt}\n"));
     for _ in 0..depth {
