@@ -19,9 +19,11 @@
 //! machine already has.
 //!
 //! Reloads are atomic: every program a reload needs is built before any
-//! entry is swapped, a [`KernelId`] survives its kernel being swapped,
-//! and the index's swap generation advances so [`AnswerCache`]s
-//! self-invalidate.
+//! entry is swapped, and a [`KernelId`] survives its kernel being
+//! swapped. An [`AnswerCache`] needs no notice: its entries are keyed by
+//! compiled program, so after a ceilings-only reload every entry still
+//! serves (under the new ceilings), and a kernel recompiled under a new
+//! key is a new program that fills entries of its own.
 //!
 //! [`AnswerCache`]: crate::AnswerCache
 
@@ -256,8 +258,8 @@ impl MachineFleet {
     ///
     /// * **changed** files (text comparison, not timestamps) get every
     ///   kernel swapped in place under the new description —
-    ///   [`KernelId`]s stable, swap generation bumped so answer caches
-    ///   self-invalidate;
+    ///   [`KernelId`]s stable, answer-cache entries of reused programs
+    ///   still valid;
     /// * **added** files get every admitted kernel added;
     /// * **removed** files force a full index rebuild (ids void).
     ///
@@ -319,8 +321,7 @@ impl MachineFleet {
             }
         } else {
             // a machine left the fleet: rebuild the index over the
-            // remaining cross product, carrying the generation forward
-            // so stale caches still self-invalidate
+            // remaining cross product
             let mut index = ServeIndex::new();
             for m in &fresh {
                 for k in attach(&programs, m) {
@@ -329,7 +330,6 @@ impl MachineFleet {
                     }
                 }
             }
-            index.set_generation(self.index.generation() + 1);
             self.index = index;
         }
         self.machines = fresh;

@@ -17,6 +17,16 @@
 //! `mira-roofline`, the nest regime rules in
 //! [`mira_mem::NestShape::traffic`].
 //!
+//! A placement reads the forms through one evaluator, `Sections`,
+//! over a table of the point's already-known values: an
+//! [`AnswerCache`] entry keyed by the program's id and the values
+//! ([`ServeIndex::place_cached`]), or an empty table on the stack for
+//! every uncached path (single queries, batches, sweeps, crossovers).
+//! A form missing from the table is a section run — after the
+//! mandatory sections it reads, since those share CSE registers — and
+//! its value is kept when exact, so cached and uncached answers come
+//! from one code path.
+//!
 //! [`ServeIndex`] holds many compiled kernels and answers
 //! [`Query`] batches — single-threaded into a caller scratch
 //! (allocation-free after warm-up), or sharded across worker threads
@@ -25,6 +35,7 @@
 //! tests).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
@@ -37,7 +48,7 @@ use mira_roofline::{
 use mira_sym::budget::{self, BudgetError};
 use mira_sym::{Bindings, EvalError, Rat, SymExpr};
 
-use crate::cache::AnswerCache;
+use crate::cache::{AnswerCache, Cells, FormCell};
 use crate::program::{CompileError, EvalProgram, OutId, ProgramBuilder, Scratch, SecId};
 
 /// Maximum parameters a [`Query`] can bind. Every workload model in the
@@ -130,13 +141,6 @@ impl std::error::Error for ServeError {}
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KernelId(u32);
 
-impl KernelId {
-    /// The raw slot index — the answer cache's key component.
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
-}
-
 /// One roofline query: a kernel and its parameter values, in
 /// [`CompiledKernel::params`] order. `Copy`, so batches are plain
 /// buffers.
@@ -162,16 +166,27 @@ struct NestPlan {
     group_secs: Vec<[(SecId, OutId); 4]>,
 }
 
+/// Source of [`PlacementProgram`] ids: every compiled program gets a
+/// new one, so an id names one immutable program for the life of the
+/// process.
+static NEXT_PROGRAM: AtomicU64 = AtomicU64::new(1);
+
 /// One kernel's machine-independent placement program: every form
 /// [`place_with`] can request, compiled once and shared (`Arc`) by the
 /// [`CompiledKernel`] of every machine with the kernel's
 /// [`AnalysisKey`](mira_roofline::AnalysisKey). Pure data,
-/// `Send + Sync`.
+/// `Send + Sync`. Its id, unique per compilation, keys its
+/// [`AnswerCache`] entries.
 #[derive(Debug)]
 pub struct PlacementProgram {
+    id: u64,
     func: String,
     shape: KernelShape,
     program: EvalProgram,
+    /// The mandatory sections (FLOPs, footprint, data bytes), in seal
+    /// order. They share CSE registers, so each reads the ones before
+    /// it, and every transient section reads them all.
+    prefix: Vec<SecId>,
     flops: Form,
     /// Present iff the footprint is fully known (the only case the
     /// fits-above test may trust it).
@@ -189,18 +204,32 @@ struct Form {
     sec: SecId,
     out: OutId,
     content: Rat,
+    /// The form's position in [`PlacementProgram::prefix`]; `None` for a
+    /// transient form.
+    mandatory: Option<usize>,
 }
 
-/// Compile the primitive of `e` into its own section. Forms that differ
-/// by a constant factor share a primitive, so in a persistent section
-/// the second one costs no ops (the builder's CSE reuses the register).
-fn form(b: &mut ProgramBuilder, e: &SymExpr, persistent: bool) -> Result<Form, CompileError> {
+/// Compile the primitive of `e` into its own section, appended to
+/// `prefix` when the form is mandatory. Forms that differ by a constant
+/// factor share a primitive, so in a mandatory section the second one
+/// costs no ops (the builder's CSE reuses the register).
+fn form(
+    b: &mut ProgramBuilder,
+    e: &SymExpr,
+    prefix: Option<&mut Vec<SecId>>,
+) -> Result<Form, CompileError> {
     let f = ScaledForm::split(e);
     let out = b.add_output(&f.primitive)?;
+    let sec = b.seal_section(prefix.is_some());
+    let mandatory = prefix.map(|p| {
+        p.push(sec);
+        p.len() - 1
+    });
     Ok(Form {
-        sec: b.seal_section(persistent),
+        sec,
         out,
         content: f.content,
+        mandatory,
     })
 }
 
@@ -232,15 +261,16 @@ impl PlacementProgram {
         // footprint count (known-footprint kernels only), data bytes —
         // sealed as separate sections so refusals interleave with the
         // placement loop exactly where the tree walk raises them
-        let flops = form(&mut b, &kr.flops, true)?;
+        let mut prefix = Vec::with_capacity(3);
+        let flops = form(&mut b, &kr.flops, Some(&mut prefix))?;
         let footprint = match kr.footprint_known {
-            true => Some(form(&mut b, &kr.footprint_lines, true)?),
+            true => Some(form(&mut b, &kr.footprint_lines, Some(&mut prefix))?),
             false => None,
         };
-        let data_bytes = form(&mut b, &kr.data_bytes(), true)?;
+        let data_bytes = form(&mut b, &kr.data_bytes(), Some(&mut prefix))?;
         // the regime forms run lazily, at most once per placement
-        let resident = form(&mut b, &kr.resident_lines(), false)?;
-        let streaming = form(&mut b, &kr.streaming_bytes(), false)?;
+        let resident = form(&mut b, &kr.resident_lines(), None)?;
+        let streaming = form(&mut b, &kr.streaming_bytes(), None)?;
         let nest = match &kr.nest_model {
             Some(nm) => {
                 let mut ws_out = Vec::with_capacity(nm.nodes.len());
@@ -288,9 +318,11 @@ impl PlacementProgram {
             return Err(BuildError::Compile(CompileError::TooLarge));
         }
         Ok(PlacementProgram {
+            id: NEXT_PROGRAM.fetch_add(1, Ordering::Relaxed),
             func: kr.func.clone(),
             shape: kr.shape(),
             program,
+            prefix,
             flops,
             footprint,
             data_bytes,
@@ -358,56 +390,109 @@ impl PlacementProgram {
     }
 }
 
-/// The compiled evaluator of the placement forms: every form is a
-/// section run over the values bound into the scratch.
+/// The compiled evaluator of the placement forms at one point: a form's
+/// value comes from its cell when the point's table holds it, and
+/// otherwise from a section run over the values bound into the scratch,
+/// kept in the table when exact. The table is an answer-cache entry
+/// ([`ServeIndex::place_cached`]) or, on every uncached path, an empty
+/// one on the stack — one code path either way.
 struct Sections<'a> {
     p: &'a PlacementProgram,
     s: &'a mut Scratch,
+    cells: &'a mut Cells,
+    /// Mandatory sections run in the scratch at this point, in order.
+    ran: usize,
     /// The nest header is staged in the scratch for this placement.
     staged: bool,
 }
 
 impl Sections<'_> {
-    /// [`ScaledForm::eval`], with the primitive computed by its section.
-    fn run(&mut self, f: Form) -> Result<Rat, EvalError> {
-        self.p.program.run_section(f.sec, self.s)?;
-        self.p
-            .program
-            .output(f.out, self.s)
-            .checked_mul(f.content)
-            .ok_or(EvalError::Overflow)
+    /// Run the mandatory sections up to `upto` (exclusive) not yet run
+    /// at this point. A filled cell was computed after every section
+    /// before its own ran at these values, so re-running them cannot
+    /// refuse.
+    fn catch_up(&mut self, upto: usize) -> Result<(), EvalError> {
+        let p = self.p;
+        for &sec in p.prefix.get(self.ran..upto).unwrap_or(&[]) {
+            p.program.run_section(sec, self.s)?;
+            self.ran += 1;
+        }
+        Ok(())
+    }
+
+    /// Run `f`'s section fresh. Mandatory sections share CSE registers,
+    /// so a mandatory section first re-runs every earlier one, and a
+    /// transient one needs the whole prefix.
+    fn fresh(&mut self, f: Form) -> Result<Rat, EvalError> {
+        match f.mandatory {
+            Some(i) => self.catch_up(i + 1)?,
+            None => {
+                self.catch_up(self.p.prefix.len())?;
+                self.p.program.run_section(f.sec, self.s)?;
+            }
+        }
+        Ok(self.p.program.output(f.out, self.s))
+    }
+
+    /// [`ScaledForm::eval`], with the primitive read from its cell or
+    /// computed by its section. A primitive has integer coefficients, so
+    /// its value is an integer unless the form could not be split.
+    fn run(&mut self, f: Form, cell: FormCell) -> Result<Rat, EvalError> {
+        let primitive = match self.cells.get(cell) {
+            Some(v) => Rat::int(v),
+            None => {
+                let v = self.fresh(f)?;
+                if v.is_integer() {
+                    self.cells.put(cell, v.num());
+                }
+                v
+            }
+        };
+        primitive.checked_mul(f.content).ok_or(EvalError::Overflow)
     }
 }
 
 impl PlacementForms for Sections<'_> {
     fn flops(&mut self) -> Result<Rat, EvalError> {
-        self.run(self.p.flops)
+        self.run(self.p.flops, FormCell::Flops)
     }
 
     fn footprint_lines(&mut self) -> Result<i128, EvalError> {
         match self.p.footprint {
-            Some(f) => self.run(f)?.round_count().ok_or(EvalError::Overflow),
+            Some(f) => self
+                .run(f, FormCell::Footprint)?
+                .round_count()
+                .ok_or(EvalError::Overflow),
             None => Ok(0),
         }
     }
 
     fn data_bytes(&mut self) -> Result<Rat, EvalError> {
-        self.run(self.p.data_bytes)
+        self.run(self.p.data_bytes, FormCell::DataBytes)
     }
 
     fn resident_lines(&mut self) -> Result<Rat, EvalError> {
-        self.run(self.p.resident)
+        self.run(self.p.resident, FormCell::Resident)
     }
 
     fn streaming_bytes(&mut self) -> Result<Rat, EvalError> {
-        self.run(self.p.streaming)
+        self.run(self.p.streaming, FormCell::Streaming)
     }
 
     fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError> {
-        match &self.p.nest {
-            Some(nest) => self.p.nest_traffic(nest, cap_bytes, self.s, &mut self.staged),
-            None => Ok(BoundaryTraffic::default()),
+        let Some(nest) = &self.p.nest else {
+            return Ok(BoundaryTraffic::default());
+        };
+        if let Some(t) = self.cells.nest(cap_bytes) {
+            return Ok(t);
         }
+        // the header and group sections are transient
+        self.catch_up(self.p.prefix.len())?;
+        let t = self
+            .p
+            .nest_traffic(nest, cap_bytes, self.s, &mut self.staged)?;
+        self.cells.put_nest(cap_bytes, t);
+        Ok(t)
     }
 }
 
@@ -475,25 +560,38 @@ impl CompiledKernel {
     /// type.
     pub fn place(&self, b: &Bindings, s: &mut Scratch) -> Result<Placement, EvalError> {
         self.program().bind(b, s);
-        self.place_bound(s)
+        self.place_bound(s, &mut Cells::default())
     }
 
     /// Compiled placement with positional values (the serving hot path).
     pub fn place_values(&self, values: &[i128], s: &mut Scratch) -> Result<Placement, ServeError> {
+        self.place_in(values, s, &mut Cells::default())
+    }
+
+    /// Placement with positional values over a table of the point's
+    /// known values (an answer-cache entry or an empty table).
+    fn place_in(
+        &self,
+        values: &[i128],
+        s: &mut Scratch,
+        cells: &mut Cells,
+    ) -> Result<Placement, ServeError> {
         if !self.program().bind_positional(values, s) {
             return Err(ServeError::BadArity {
                 expected: self.n_params(),
                 got: values.len(),
             });
         }
-        Ok(self.place_bound(s)?)
+        Ok(self.place_bound(s, cells)?)
     }
 
     /// The placement loop over the values already bound into `s`.
-    fn place_bound(&self, s: &mut Scratch) -> Result<Placement, EvalError> {
+    fn place_bound(&self, s: &mut Scratch, cells: &mut Cells) -> Result<Placement, EvalError> {
         let mut forms = Sections {
             p: &self.program,
             s,
+            cells,
+            ran: 0,
             staged: false,
         };
         place_with(&self.roof, self.program.shape, &mut forms)
@@ -526,10 +624,6 @@ pub struct ServeIndex {
     /// register files are the difference between sharding paying off
     /// and sharding being a per-batch re-warm-up tax.
     pool: Mutex<Vec<Scratch>>,
-    /// Bumped on every [`ServeIndex::replace`]: answer caches compare
-    /// their fill generation against this and self-invalidate, so a
-    /// hot-reload can never serve a stale cached placement.
-    generation: u64,
 }
 
 impl ServeIndex {
@@ -557,16 +651,16 @@ impl ServeIndex {
 
     /// Swap in a compiled kernel — the hot-reload path. The `(func,
     /// machine)` pair keeps its [`KernelId`], so queries built against
-    /// the old kernel address the new one, and the swap generation is
-    /// bumped so answer caches self-invalidate; a pair not yet
-    /// registered is added. Build every replacement first, then swap:
-    /// a failed build never unseats a serving kernel.
+    /// the old kernel address the new one; a pair not yet registered is
+    /// added. Answer caches need no notice: their entries are keyed by
+    /// compiled program, and the new kernel's own ceilings apply to
+    /// whatever it reads from them. Build every replacement first, then
+    /// swap: a failed build never unseats a serving kernel.
     pub fn replace(&mut self, k: CompiledKernel) -> KernelId {
         let key = (k.func().to_string(), k.machine.clone());
         match self.by_key.get(&key) {
             Some(&slot) => {
                 self.kernels[slot as usize] = k;
-                self.generation += 1;
                 KernelId(slot)
             }
             None => {
@@ -584,20 +678,6 @@ impl ServeIndex {
 
     pub fn is_empty(&self) -> bool {
         self.kernels.is_empty()
-    }
-
-    /// The kernel-swap generation: bumped by every replace. Answer
-    /// caches use it to self-invalidate after a hot-reload.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Force the swap generation — the fleet's full-rebuild path
-    /// (machine removed from the directory) constructs a fresh index and
-    /// must still advance past the old one so caches filled against it
-    /// self-invalidate.
-    pub(crate) fn set_generation(&mut self, g: u64) {
-        self.generation = g;
     }
 
     /// Look up an entry by kernel function and machine name — one hash
@@ -764,30 +844,25 @@ impl ServeIndex {
         });
     }
 
-    /// Answer one query through `cache`: repeated sweep points are
-    /// served from the cache with bit-identical placements *and*
-    /// bit-identical refusals (both are cached). A cache filled before
-    /// a [`ServeIndex::replace`] self-invalidates against the index's
-    /// [`ServeIndex::generation`], so hot-reloads never serve stale
-    /// answers.
+    /// Answer one query through `cache`: the placement loop runs under
+    /// the kernel's ceilings over the cache entry of its compiled
+    /// program at these values, running sections only for values the
+    /// entry does not hold yet. Placements *and* refusals are
+    /// bit-identical to [`ServeIndex::place`]. Every machine the program
+    /// is attached to shares the entry, and nothing can go stale: a
+    /// [`ServeIndex::replace`] or fleet reload attaches a program to new
+    /// ceilings or brings a new program, never changes one.
     pub fn place_cached(
         &self,
         q: &Query,
         cache: &mut AnswerCache,
         s: &mut Scratch,
     ) -> Result<Placement, ServeError> {
-        cache.sync_generation(self.generation);
         let k = self.kernel(q.kernel)?;
-        let n = k.n_params().min(MAX_QUERY_PARAMS);
-        // key on the *effective* values only: slots past the kernel's
-        // arity are ignored by place, so they must not split cache lines
-        let vals = &q.values[..n];
-        if let Some(hit) = cache.lookup(q.kernel.raw(), vals) {
-            return hit;
-        }
-        let answer = k.place_values(vals, s);
-        cache.store(q.kernel.raw(), vals, &answer);
-        answer
+        // key on the *live* values only: slots past the kernel's arity
+        // are ignored by place, so they must not split entries
+        let vals = q.values.get(..k.n_params()).unwrap_or(&q.values[..]);
+        k.place_in(vals, s, cache.cells(k.program.id, vals))
     }
 
     /// [`ServeIndex::run_batch`] through an answer cache.
@@ -889,7 +964,7 @@ impl ServeIndex {
             .ok_or_else(|| ServeError::UnknownParam(param.to_string()))?;
         crossover_bisect(lo, hi, |v| {
             s.set_value(slot, v);
-            Ok(k.place_bound(s)?.binding)
+            Ok(k.place_bound(s, &mut Cells::default())?.binding)
         })
         .map_err(ServeError::Eval)
     }

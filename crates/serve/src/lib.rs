@@ -37,19 +37,22 @@
 //!   bisection core as the tree walk, and
 //!   [`ServeIndex::crossover_table`] bisects every kernel × machine
 //!   pair in one sharded pass.
-//! * [`cache`] — the [`AnswerCache`]: a bounded FNV-keyed memo table in
-//!   front of `place_values` for sweep-heavy traffic, serving repeated
-//!   points with bit-identical placements *and* refusals, hit/miss
-//!   counters via [`AnswerCache::probe`], and self-invalidation against
-//!   the index's swap generation.
+//! * [`cache`] — the [`AnswerCache`]: a bounded, 4-way set-associative
+//!   table for sweep-heavy traffic, keyed by `(compiled program, live
+//!   values)`. An entry holds the machine-independent values a placement
+//!   reads, in fixed-size `i64` cells (exact values only; refusals are
+//!   re-derived, never stored), so every machine serving a program
+//!   shares it and no swap or reload can make it stale. Answers are
+//!   bit-identical to uncached ones; hit/miss/eviction counters via
+//!   [`AnswerCache::probe`].
 //! * [`fleet`] — [`MachineFleet`]: a directory of `*.ini` machine
 //!   descriptions with every admitted kernel served on every machine,
 //!   compiled once per [`AnalysisKey`](mira_roofline::AnalysisKey) (line
 //!   size and `[metric fpi]` categories) rather than once per machine,
 //!   and [`MachineFleet::reload`] hot-swapping the entries of edited
-//!   files atomically ([`KernelId`]s stable, caches invalidated). A
-//!   bandwidth, peak or capacity edit re-attaches ceilings without
-//!   analyzing or compiling anything.
+//!   files atomically ([`KernelId`]s stable). A bandwidth, peak or
+//!   capacity edit re-attaches ceilings without analyzing or compiling
+//!   anything, and answer caches keep every entry across it.
 //!
 //! The equivalence story has one compile-time escape hatch:
 //! [`CompiledKernel::build`] refuses (typed [`BuildError`]) any kernel

@@ -6,13 +6,15 @@
 //! compile-time refusals: what the scoped tree walk refuses on depth
 //! does not compile.
 
+use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceilings, KernelRoofline, Placement};
 use mira_serve::{
-    machines, AnswerCache, CompileError, CompiledExpr, CompiledKernel, KernelId, ProgramBuilder,
-    Scratch, ServeError, ServeIndex,
+    machines, AnswerCache, CompileError, CompiledExpr, CompiledKernel, KernelId, PlacementProgram,
+    ProgramBuilder, Scratch, ServeError, ServeIndex,
 };
 use mira_sym::budget::BudgetError;
 use mira_sym::{bindings, budget, Atom, Bindings, Rat, SymExpr};
@@ -187,24 +189,26 @@ fn cse_reuse_counts_at_its_reuse_depth() {
     );
 }
 
+/// Every workload kernel.
+const SOURCES: [(&str, &str); 7] = [
+    ("triad", mira_workloads::memval::TRIAD_SRC),
+    ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
+    ("dgemm_tiled", mira_workloads::roofval::DGEMM_TILED_SRC),
+    ("triad_blocked", mira_workloads::roofval::TRIAD_BLOCKED_SRC),
+    ("trisolve", mira_workloads::compose::TRISOLVE_SRC),
+    ("blur", mira_workloads::compose::STENCIL_SWEEP_SRC),
+    ("cg_solve", mira_workloads::minife::MINIFE_SRC),
+];
+
 /// Every workload kernel, on both machine descriptions.
 fn workload_cases() -> Vec<(String, Analysis)> {
-    let sources: &[(&str, &str)] = &[
-        ("triad", mira_workloads::memval::TRIAD_SRC),
-        ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
-        ("dgemm_tiled", mira_workloads::roofval::DGEMM_TILED_SRC),
-        ("triad_blocked", mira_workloads::roofval::TRIAD_BLOCKED_SRC),
-        ("trisolve", mira_workloads::compose::TRISOLVE_SRC),
-        ("blur", mira_workloads::compose::STENCIL_SWEEP_SRC),
-        ("cg_solve", mira_workloads::minife::MINIFE_SRC),
-    ];
     let arches = [
         mira_arch::ArchDescription::default(),
         machines::avx2_fma().expect("second machine parses"),
     ];
     let mut cases = Vec::new();
     for arch in &arches {
-        for (func, src) in sources {
+        for (func, src) in &SOURCES {
             let opts = MiraOptions {
                 arch: arch.clone(),
                 ..Default::default()
@@ -380,6 +384,147 @@ fn cached_answers_match_uncached_and_tree_walk() {
     let st = cache.probe();
     assert!(st.hits > 0, "second pass must hit: {st:?}");
     assert!(st.misses > 0, "first pass must miss: {st:?}");
+}
+
+/// One program per workload kernel, attached to four machines of one
+/// analysis key with different L1/L2 capacities, serves every query
+/// through one small answer cache exactly like the uncached path and the
+/// tree walk. Queries interleave a few points at a time across the
+/// machines, so entries filled on one machine are read on another (with
+/// nest traffic asked at capacities the entry does not hold yet), other
+/// points run in the shared scratch in between, entries are evicted,
+/// and the grid holds values past `i64` (cells stay empty) and refusals.
+#[test]
+fn shared_programs_serve_every_machine_through_one_cache() {
+    let base = mira_arch::ArchDescription::default();
+    let resized = |name: &str, l1: u32, l2: u32| {
+        let mut a = base.clone();
+        a.machine.name = name.to_string();
+        a.machine.l1.size_bytes = l1;
+        a.machine.l2.size_bytes = l2;
+        a
+    };
+    let arches = [
+        base.clone(),
+        machines::avx2_fma().expect("second machine parses"),
+        resized("small", 8 << 10, 64 << 10),
+        resized("large", 64 << 10, 8 << 20),
+    ];
+    let key = mira_roofline::AnalysisKey::of(&base);
+    assert!(arches
+        .iter()
+        .all(|a| mira_roofline::AnalysisKey::of(a) == key));
+    let ceilings: Vec<Ceilings> = arches.iter().map(Ceilings::from_arch).collect();
+
+    let mut index = ServeIndex::new();
+    // per kernel: its tree walker and its ids, in machine order
+    let mut kernels = Vec::new();
+    for (func, src) in SOURCES {
+        let analysis = analyze_source(src, &MiraOptions::default()).expect("workload analyzes");
+        let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
+        let program = Arc::new(PlacementProgram::compile(&kr).expect("program compiles"));
+        let ids: Vec<KernelId> = arches
+            .iter()
+            .zip(&ceilings)
+            .map(|(a, c)| {
+                let k = CompiledKernel::attach(program.clone(), c, &a.machine.name);
+                index.insert(k).expect("kernel admits")
+            })
+            .collect();
+        kernels.push((kr, ids));
+    }
+    let mut points = Vec::new();
+    for (k, (_, ids)) in kernels.iter().enumerate() {
+        let params = index
+            .kernel(ids[0])
+            .expect("kernel exists")
+            .params()
+            .to_vec();
+        // n = ⌊√i64::MAX⌋: trisolve's FLOPs primitive (n²) fits `i64`,
+        // its data bytes' (n² + 2n) does not, so a hit reads the earlier
+        // mandatory cells and runs the data-bytes section fresh
+        for n in [
+            1i128,
+            9,
+            64,
+            300,
+            4096,
+            1 << 20,
+            1 << 22,
+            3_037_000_499,
+            1 << 40,
+            1 << 60,
+            i64::MAX as i128,
+        ] {
+            for reps in [1i128, 3, i64::MAX as i128] {
+                let vals: Vec<i128> = params
+                    .iter()
+                    .map(|p| match p.as_str() {
+                        "n" => n,
+                        "reps" | "cg_iters" => reps,
+                        "nnz_row_milli" => 26_144,
+                        _ => 2,
+                    })
+                    .collect();
+                if !points.contains(&(k, vals.clone())) {
+                    points.push((k, vals));
+                }
+            }
+        }
+    }
+
+    let mut rng = TestRng::deterministic("serve-shared-cache");
+    let mut cache = AnswerCache::new(32);
+    let (mut s, mut s_cold) = (Scratch::new(), Scratch::new());
+    let mut last_machine: HashMap<(usize, Vec<i128>), usize> = HashMap::new();
+    let (mut cross_hits, mut refusals) = (0, 0);
+    for pass in 0..2 {
+        let mut order = points.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        for (chunk_ix, chunk) in order.chunks(4).enumerate() {
+            for step in 0..arches.len() {
+                let m = (step + chunk_ix) % arches.len();
+                for (k, vals) in chunk {
+                    let (kr, ids) = &kernels[*k];
+                    let q = index.query(ids[m], vals).expect("query builds");
+                    let hits = cache.probe().hits;
+                    let cached = index.place_cached(&q, &mut cache, &mut s);
+                    let hit = cache.probe().hits > hits;
+                    let prev = last_machine.insert((*k, vals.clone()), m);
+                    if hit && prev.is_some_and(|p| p != m) {
+                        cross_hits += 1;
+                    }
+                    let uncached = index.place(&q, &mut s_cold);
+                    let b: Bindings = index
+                        .kernel(ids[m])
+                        .expect("kernel exists")
+                        .params()
+                        .iter()
+                        .cloned()
+                        .zip(vals.iter().copied())
+                        .collect();
+                    let walked = kr.place(&ceilings[m], &b).map_err(ServeError::Eval);
+                    let ctx = format!(
+                        "pass {pass} {}@{} {vals:?}",
+                        kr.func, arches[m].machine.name
+                    );
+                    assert_bit_identical(&uncached, &cached, &ctx);
+                    assert_bit_identical(&walked, &cached, &ctx);
+                    refusals += cached.is_err() as usize;
+                }
+            }
+        }
+    }
+    let st = cache.probe();
+    assert!(
+        cross_hits > 0,
+        "entries must be read on another machine: {st:?}"
+    );
+    assert!(st.evictions > 0, "the cache must evict: {st:?}");
+    assert!(refusals > 0, "the grid must refuse somewhere");
+    assert_eq!(st.invalidations, 0);
 }
 
 /// [`ServeIndex::crossover_table`] rows — every kernel × machine pair,

@@ -1,11 +1,12 @@
 //! Fleet serving contracts: directory-loading refusals are typed and
 //! all-or-nothing, hot-reload swaps changed machines atomically under
-//! stable [`mira_serve::KernelId`]s, answer caches self-invalidate on
-//! reload, and fleet-reloaded answers are bit-identical to the symbolic
-//! tree walk under the edited description. Compilation follows the
-//! analysis key: admission compiles once per key, a ceilings-only reload
-//! analyzes and compiles nothing, and the key itself covers everything
-//! analysis reads of a description.
+//! stable [`mira_serve::KernelId`]s, answer caches filled before a
+//! reload serve the new ceilings' answers, and fleet-reloaded answers
+//! are bit-identical to the symbolic tree walk under the edited
+//! description. Compilation follows the analysis key: admission
+//! compiles once per key, a ceilings-only reload analyzes and compiles
+//! nothing, and the key itself covers everything analysis reads of a
+//! description.
 
 use std::fs;
 use std::path::PathBuf;
@@ -169,23 +170,57 @@ fn reload_is_atomic_against_a_malformed_edit() {
         .expect("query builds");
     let mut s = Scratch::new();
     let before = fleet.index().place(&q, &mut s).expect("places");
+    let mut cache = AnswerCache::new(64);
+    let filled = fleet.index().place_cached(&q, &mut cache, &mut s);
+    assert_eq!(filled, Ok(before), "the cache is filled before any reload");
 
     // an untouched directory reloads as a no-op
     let report = fleet.reload().expect("noop reload");
     assert!(report.is_noop());
     assert_eq!(report.recompiled, 0);
 
-    // corrupt one file: reload refuses (typed, names the file) and the
-    // fleet keeps serving exactly its pre-reload answers
-    fs::write(dir.join("generic.ini"), "[machine\nname oops").expect("corrupt");
-    match fleet.reload() {
-        Err(FleetError::Load(LoadError::Parse { path, .. })) => {
-            assert!(path.ends_with("generic.ini"));
+    // corrupt one file — malformed, truncated mid-line, not UTF-8: each
+    // reload refuses (typed, names the file) and the fleet keeps serving
+    // exactly its pre-reload answers, uncached and through the cache
+    let cut = DEFAULT_DESCRIPTION
+        .find("[cache l1]")
+        .expect("has an l1 section")
+        + 4;
+    let mut not_utf8 = DEFAULT_DESCRIPTION.as_bytes().to_vec();
+    not_utf8.splice(10..10, [0xff, 0xfe]);
+    let edits: [(&str, &[u8]); 3] = [
+        ("malformed", b"[machine\nname oops"),
+        ("truncated", &DEFAULT_DESCRIPTION.as_bytes()[..cut]),
+        ("non-UTF-8", &not_utf8),
+    ];
+    for (what, bytes) in edits {
+        fs::write(dir.join("generic.ini"), bytes).expect("corrupt");
+        match (what, fleet.reload()) {
+            ("non-UTF-8", Err(FleetError::Load(LoadError::Io { path, .. })))
+            | (_, Err(FleetError::Load(LoadError::Parse { path, .. }))) => {
+                assert!(path.ends_with("generic.ini"), "{what}: {path:?}");
+            }
+            (_, other) => panic!(
+                "{what}: expected a typed Load refusal, got {:?}",
+                other.map(|_| ())
+            ),
         }
-        other => panic!("expected Load(Parse), got {:?}", other.map(|_| ())),
+        let after = fleet.index().place(&q, &mut s).expect("still places");
+        assert_bit_identical(
+            &before,
+            &after,
+            &format!("{what}: refused reload changes nothing"),
+        );
+        let cached = fleet
+            .index()
+            .place_cached(&q, &mut cache, &mut s)
+            .expect("still places through the cache");
+        assert_bit_identical(
+            &before,
+            &cached,
+            &format!("{what}: cached answer unchanged"),
+        );
     }
-    let after = fleet.index().place(&q, &mut s).expect("still places");
-    assert_bit_identical(&before, &after, "refused reload changes nothing");
 
     // restoring the original text reloads as a no-op again
     fs::write(dir.join("generic.ini"), DEFAULT_DESCRIPTION).expect("restore");
@@ -194,10 +229,11 @@ fn reload_is_atomic_against_a_malformed_edit() {
 }
 
 /// The tentpole regression: edit a machine description, reload, and the
-/// *new* model answers — under the same [`mira_serve::KernelId`], with
-/// a filled [`AnswerCache`] self-invalidating, and bit-identical to the
-/// tree walk under the edited description. Exactly the sequence the old
-/// first-match index turned into silent stale serving.
+/// *new* model answers — under the same [`mira_serve::KernelId`],
+/// through an [`AnswerCache`] filled before the reload, and
+/// bit-identical to the tree walk under the edited description. Exactly
+/// the sequence the old first-match index turned into silent stale
+/// serving.
 #[test]
 fn reload_swaps_changed_machines_under_stable_ids() {
     let dir = fleet_dir("swap");
@@ -232,13 +268,14 @@ fn reload_swaps_changed_machines_under_stable_ids() {
     assert!(report.added.is_empty() && report.removed.is_empty());
     assert_eq!(report.recompiled, 2, "both entries of the edited machine swapped");
 
-    // same id, new answers — through the cache, which self-invalidates
+    // same id, new answers — through the cache, whose entry survives:
+    // the reload attached the new ceilings to the same program
     assert_eq!(fleet.find("triad", machines::AVX2_FMA), Some(id), "id stable");
     let after = fleet
         .index()
         .place_cached(&q, &mut cache, &mut s)
         .expect("places after reload");
-    assert!(cache.probe().invalidations >= 1, "reload invalidated the cache");
+    assert_eq!(cache.probe().hits, 1, "the entry filled before the reload serves");
     let dram = MemLevel::Dram.index();
     assert!(
         after.mem_cycles[dram] < before.mem_cycles[dram],
@@ -304,23 +341,43 @@ fn reload_adds_and_removes_machines() {
         .expect("query builds");
     assert!(fleet.index().place(&q, &mut s).is_ok());
 
-    // it disappears again: rebuild, ids void, generation still advances
-    // so caches filled before the removal cannot serve stale answers
-    let gen_before = fleet.index().generation();
+    // fill a cache on every machine, then remove one: rebuild, ids void
+    let mut cache = AnswerCache::new(64);
+    for machine in [machines::GENERIC, machines::AVX2_FMA, "charlie"] {
+        let id = fleet.find("triad", machine).expect("triad served");
+        let q = fleet
+            .index()
+            .query(id, &base_values(&fleet, id, 1024))
+            .expect("query builds");
+        assert!(fleet.index().place_cached(&q, &mut cache, &mut s).is_ok(), "{machine}");
+    }
     fs::remove_file(dir.join("charlie.ini")).expect("remove charlie");
     let report = fleet.reload().expect("reload");
     assert_eq!(report.removed, ["charlie"]);
     assert_eq!(report.recompiled, 2, "full rebuild over the remaining machines");
     assert_eq!(fleet.index().len(), 2);
     assert!(fleet.find("triad", "charlie").is_none());
-    assert!(fleet.index().generation() > gen_before);
-    for machine in [machines::GENERIC, machines::AVX2_FMA] {
+    // the survivors, re-found, answer through the cache filled before
+    // the removal exactly like the tree walk under their descriptions
+    for (machine, text) in [
+        (machines::GENERIC, DEFAULT_DESCRIPTION),
+        (machines::AVX2_FMA, machines::AVX2_FMA_DESCRIPTION),
+    ] {
         let id = fleet.find("triad", machine).expect("survivor serves");
-        let q = fleet
+        let vals = base_values(&fleet, id, 1024);
+        let q = fleet.index().query(id, &vals).expect("query builds");
+        let cached = fleet
             .index()
-            .query(id, &base_values(&fleet, id, 1024))
-            .expect("query builds");
-        assert!(fleet.index().place(&q, &mut s).is_ok(), "{machine}");
+            .place_cached(&q, &mut cache, &mut s)
+            .expect("survivor places through the cache");
+        let params = fleet.index().kernel(id).expect("kernel").params().to_vec();
+        let binds: Vec<(&str, i128)> = params
+            .iter()
+            .map(String::as_str)
+            .zip(vals.iter().copied())
+            .collect();
+        let walked = tree_walk(text, "triad", mira_workloads::memval::TRIAD_SRC, &binds);
+        assert_bit_identical(&walked, &cached, machine);
     }
     let _ = fs::remove_dir_all(&dir);
 }

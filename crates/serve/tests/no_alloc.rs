@@ -1,7 +1,9 @@
 //! The hot-loop allocation contract: after warm-up (scratch sized,
 //! output vector at capacity), answering query batches through
 //! [`ServeIndex::run_batch`] allocates nothing — the serving path is
-//! pure register arithmetic over reused buffers.
+//! pure register arithmetic over reused buffers — and neither does
+//! [`ServeIndex::run_batch_cached`]: answer-cache slots are fixed-size
+//! and allocated when the cache is built.
 //!
 //! Pinned with a counting global allocator; the harness itself
 //! allocates, so the assertion brackets only the batch runs. The
@@ -13,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mira_core::{analyze_source, MiraOptions};
 use mira_roofline::{Ceilings, KernelRoofline};
-use mira_serve::{CompiledKernel, Query, Scratch, ServeIndex};
+use mira_serve::{AnswerCache, CompiledKernel, Query, Scratch, ServeIndex};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -81,4 +83,25 @@ fn warm_query_batches_do_not_allocate() {
         10 * queries.len()
     );
     assert!(out.iter().all(|r| r.is_ok()));
+
+    // through a cache smaller than the batch, so warm batches both hit
+    // and miss (evict)
+    let mut cache = AnswerCache::new(512);
+    let uncached = out.clone();
+    index.run_batch_cached(&queries, &mut cache, &mut s, &mut out);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..10 {
+        index.run_batch_cached(&queries, &mut cache, &mut s, &mut out);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    let st = cache.probe();
+    assert_eq!(
+        after - before,
+        0,
+        "warm cached serving allocated {} times over {} queries ({st:?})",
+        after - before,
+        10 * queries.len()
+    );
+    assert!(st.hits > 0 && st.evictions > 0, "{st:?}");
+    assert_eq!(out, uncached);
 }

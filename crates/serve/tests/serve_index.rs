@@ -4,9 +4,14 @@
 //! for bad queries, and the compiled crossover reproduces the tree
 //! walk's pinned DGEMM regime exit.
 
+use std::sync::Arc;
+
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceiling, Ceilings, KernelRoofline, MemLevel};
-use mira_serve::{machines, CompiledKernel, KernelId, Query, Scratch, ServeError, ServeIndex};
+use mira_serve::{
+    machines, AnswerCache, CompiledKernel, KernelId, PlacementProgram, Query, Scratch, ServeError,
+    ServeIndex,
+};
 use mira_sym::bindings;
 
 /// Compile `func` under the analysis' machine and insert it.
@@ -105,7 +110,8 @@ fn effective_workers_degrades_small_batches_and_caps_at_the_host() {
 /// Satellite regression (stale-kernel shadowing): duplicate `(func,
 /// machine)` registration is a typed refusal, and `replace` swaps the
 /// model under the *same* [`mira_serve::KernelId`] so the new answers —
-/// not the originals — are served.
+/// not the originals — are served, also through an answer cache filled
+/// before the swap.
 #[test]
 fn duplicate_is_refused_and_replace_serves_new_answers() {
     let analysis = analyze_source(
@@ -115,10 +121,9 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     .expect("triad analyzes");
     let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
+    let program = Arc::new(PlacementProgram::compile(&kr).expect("program compiles"));
 
-    let build = |c: &Ceilings, machine: &str| {
-        CompiledKernel::build(&kr, c, machine).expect("kernel compiles")
-    };
+    let build = |c: &Ceilings, machine: &str| CompiledKernel::attach(program.clone(), c, machine);
     let mut index = ServeIndex::new();
     let id = index.insert(build(&c, "m")).expect("first insert admits");
 
@@ -136,16 +141,17 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     let q = index.query(id, &base).expect("query builds");
     let mut s = Scratch::new();
     let before = index.place(&q, &mut s).expect("places");
+    let mut cache = AnswerCache::new(64);
+    let cached = index.place_cached(&q, &mut cache, &mut s);
+    assert_eq!(cached, Ok(before), "the cache is filled before the swap");
 
     // re-register with doubled DRAM bandwidth: same pair, same id, new
-    // answers — what a machine-description hot-reload does
+    // answers — what a ceilings-only hot-reload does
     let mut c2 = c;
     c2.bandwidth[MemLevel::Dram.index()] *= 2;
-    let gen0 = index.generation();
     let id2 = index.replace(build(&c2, "m"));
     assert_eq!(id2, id, "replace keeps the KernelId stable");
     assert_eq!(index.len(), 1);
-    assert!(index.generation() > gen0, "replace bumps the swap generation");
 
     let after = index.place(&q, &mut s).expect("places after replace");
     assert!(
@@ -155,6 +161,29 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
         before.mem_cycles[MemLevel::Dram.index()],
         after.mem_cycles[MemLevel::Dram.index()],
     );
+    // the entry filled before the swap still serves, under the new
+    // ceilings, bit-identical to the tree walk
+    let hits = cache.probe().hits;
+    let cached = index
+        .place_cached(&q, &mut cache, &mut s)
+        .expect("places through the cache after replace");
+    assert_eq!(cache.probe().hits, hits + 1, "the entry survives the swap");
+    let params = index.kernel(id).expect("kernel").params().to_vec();
+    let b = params.into_iter().zip(base.iter().copied()).collect();
+    let walked = kr.place(&c2, &b).expect("tree walk places");
+    for (what, p) in [("uncached", &after), ("cached", &cached)] {
+        assert_eq!(p.binding, walked.binding, "{what}");
+        assert_eq!(
+            p.compute_cycles.to_bits(),
+            walked.compute_cycles.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            p.mem_cycles.map(f64::to_bits),
+            walked.mem_cycles.map(f64::to_bits),
+            "{what}"
+        );
+    }
 
     // replace of an unregistered pair is an insert
     let id3 = index.replace(build(&c, "m2"));

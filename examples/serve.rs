@@ -43,32 +43,43 @@ fn main() {
         // every parameter pinned to 1; the sweep rebinds "n" per size
         let base: Vec<i128> = k.params().iter().map(|_| 1).collect();
         let mut last = None;
+        // the first regime change after n = 2, read off the sweep
+        let mut exit = None;
         let landmarks = [1i128, 8, 64, 512];
         for (n, r) in index
             .sweep(id, "n", &base, 1, 512)
             .expect("sweep builds")
         {
             let p = r.expect("placement evaluates");
-            let regime = format!("{}", p.binding);
-            let changed = last.as_ref() != Some(&regime);
+            let changed = last.is_some_and(|b| b != p.binding);
+            if changed && n > 2 && n <= 64 && exit.is_none() {
+                exit = Some((last, p.binding, n));
+            }
             if changed || landmarks.contains(&n) {
                 println!(
                     "  n = {n:>3}: {} {p}",
                     if changed { "->" } else { "  " },
                 );
             }
-            last = Some(regime);
+            last = Some(p.binding);
         }
 
         // the same regime exit, solved by bisection over the compiled
         // evaluator instead of read off the sweep
-        match index.crossover(id, "n", &base, 2, 64) {
-            Ok(Some(x)) => println!(
+        let crossover = index
+            .crossover(id, "n", &base, 2, 64)
+            .expect("crossover solves");
+        match crossover {
+            Some(x) => println!(
                 "  crossover: leaves {} for {} at n = {}\n",
                 x.from, x.to, x.value
             ),
-            Ok(None) => println!("  crossover: no regime change in [2, 64]\n"),
-            Err(e) => println!("  crossover refused: {e}\n"),
+            None => println!("  crossover: no regime change in [2, 64]\n"),
         }
+        assert_eq!(
+            crossover.map(|x| (Some(x.from), x.to, x.value)),
+            exit,
+            "the bisected crossover is the sweep's regime exit"
+        );
     }
 }

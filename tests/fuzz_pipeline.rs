@@ -5,12 +5,15 @@
 //! under `catch_unwind`. The property: **every input yields `Ok` or a
 //! typed error — never a panic**, and refusals come back through the
 //! [`mira_core::MiraError`] taxonomy with a phase attached. Every
-//! roofline that analyzes is also compiled and served: it must refuse
-//! with a typed `BuildError` or answer bit-identically to the tree walk,
-//! refusals included, and adversarial queries (wrong arity, `i128`
-//! extremes, negative sizes) must come back as typed `ServeError`s. A
-//! served answer that differs from the tree walk is reported as a
-//! divergence, with the kernel and the query, not as a panic.
+//! roofline that analyzes is also compiled, once, and served on both
+//! bundled machines (which share an analysis key): it must refuse with
+//! a typed `BuildError` or answer bit-identically to each machine's tree
+//! walk, refusals included, uncached and through one answer cache shared
+//! by every kernel and machine of the input, and adversarial queries
+//! (wrong arity, `i128` extremes, negative sizes) must come back as
+//! typed `ServeError`s. A served answer that differs from the tree walk
+//! is reported as a divergence, with the kernel and the query, not as a
+//! panic.
 //!
 //! Inputs are drawn from the in-tree proptest shim's deterministic RNG,
 //! so any failure reproduces by rerunning the same test. The case count
@@ -20,10 +23,13 @@
 
 use mira_core::{analyze_source, MiraOptions};
 use mira_roofline::{Ceilings, KernelRoofline, Placement};
-use mira_serve::{CompiledKernel, Scratch, ServeError, ServeIndex};
-use mira_sym::{Bindings, EvalError};
+use mira_serve::{
+    machines, AnswerCache, CompiledKernel, PlacementProgram, Scratch, ServeError, ServeIndex,
+};
+use mira_sym::Bindings;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 fn cases(default: usize) -> usize {
     std::env::var("MIRA_FUZZ_CASES")
@@ -53,8 +59,18 @@ fn drive(src: &str, huge_bindings: bool) {
             .into_iter()
             .map(|p| (p, value))
             .collect();
-        let ceilings = Ceilings::from_arch(&analysis.arch);
+        // the analysis' machine and the second bundled one, which share
+        // its analysis key: one program serves both
+        let avx2 = machines::avx2_fma().map_err(|e| format!("second machine: {e}"))?;
+        let served_on = [
+            (
+                analysis.arch.machine.name.clone(),
+                Ceilings::from_arch(&analysis.arch),
+            ),
+            (avx2.machine.name.clone(), Ceilings::from_arch(&avx2)),
+        ];
         let mut index = ServeIndex::new();
+        let mut cache = AnswerCache::new(64);
         let funcs: Vec<String> = analysis.model.functions.keys().cloned().collect();
         for f in funcs {
             // native evaluation: Ok or typed ModelError (overflow refusal)
@@ -64,14 +80,7 @@ fn drive(src: &str, huge_bindings: bool) {
             // roofline: analysis may refuse (budget), placement may refuse
             // (overflow / missing param) — both typed
             match KernelRoofline::analyze(&analysis, &f) {
-                Ok(k) => {
-                    let walked = k.place(&ceilings, &b);
-                    if let Err(e) = &walked {
-                        let _ = format!("{e}");
-                    }
-                    let machine = &analysis.arch.machine.name;
-                    serve(&mut index, &k, &ceilings, machine, &b, &walked)?;
-                }
+                Ok(k) => serve(&mut index, &mut cache, &k, &served_on, &b)?,
                 Err(e) => {
                     let _ = format!("{e}");
                 }
@@ -116,35 +125,56 @@ fn same<E: PartialEq>(a: &Result<Placement, E>, b: &Result<Placement, E>) -> boo
 /// Parameter values no query may panic on.
 const EXTREMES: [i128; 4] = [i128::MIN, i64::MIN as i128, -1, i128::MAX];
 
-/// Compile one analyzed roofline and serve it. It must refuse with a
-/// typed `BuildError`, or place bit-identically to the tree walk
-/// (`walked`, at the fuzzer's bindings `b`) and then answer adversarial
-/// queries as placements or typed `ServeError`s that again match the
+/// Compile one analyzed roofline once and serve it on every machine of
+/// `served_on`. It must refuse with a typed `BuildError`, or place
+/// bit-identically to each machine's tree walk (at the fuzzer's bindings
+/// `b`) and then answer adversarial queries, uncached and through
+/// `cache`, as placements or typed `ServeError`s that again match the
 /// tree walk. Returns the first divergence.
 fn serve(
     index: &mut ServeIndex,
+    cache: &mut AnswerCache,
     kr: &KernelRoofline,
-    c: &Ceilings,
-    machine: &str,
+    served_on: &[(String, Ceilings)],
     b: &Bindings,
-    walked: &Result<Placement, EvalError>,
 ) -> Result<(), String> {
-    let k = match CompiledKernel::build(kr, c, machine) {
-        Ok(k) => k,
+    let program = match PlacementProgram::compile(kr) {
+        Ok(p) => Arc::new(p),
         Err(e) => {
             let _ = format!("{e}");
             return Ok(());
         }
     };
+    for (machine, c) in served_on {
+        let k = CompiledKernel::attach(program.clone(), c, machine);
+        serve_on(index, cache, kr, k, c, b)?;
+    }
+    Ok(())
+}
+
+/// [`serve`] on one machine with ceilings `c`.
+fn serve_on(
+    index: &mut ServeIndex,
+    cache: &mut AnswerCache,
+    kr: &KernelRoofline,
+    k: CompiledKernel,
+    c: &Ceilings,
+    b: &Bindings,
+) -> Result<(), String> {
     let f = &kr.func;
+    let m = k.machine().to_string();
+    let walked = kr.place(c, b);
+    if let Err(e) = &walked {
+        let _ = format!("{e}");
+    }
     let served = k.place(b, &mut Scratch::new());
-    if !same(walked, &served) {
+    if !same(&walked, &served) {
         return Err(format!(
-            "`{f}` at {b:?}: tree walk {walked:?}, compiled {served:?}"
+            "`{f}`@{m} at {b:?}: tree walk {walked:?}, compiled {served:?}"
         ));
     }
     let params = k.params().to_vec();
-    let id = index.insert(k).map_err(|e| format!("`{f}`: {e}"))?;
+    let id = index.insert(k).map_err(|e| format!("`{f}`@{m}: {e}"))?;
     // wrong arity is a typed refusal on every entry point
     let long = vec![1; params.len() + 1];
     for (what, r) in [
@@ -153,7 +183,7 @@ fn serve(
         ("crossover", index.crossover(id, "n", &long, 0, 1).map(drop)),
     ] {
         if !matches!(r, Err(ServeError::BadArity { .. })) {
-            return Err(format!("`{f}` {what} of {} values: {r:?}", long.len()));
+            return Err(format!("`{f}`@{m} {what} of {} values: {r:?}", long.len()));
         }
     }
     let mut s = Scratch::new();
@@ -167,13 +197,17 @@ fn serve(
         };
         let q = index
             .query(id, &vals)
-            .map_err(|e| format!("`{f}` query {vals:?}: {e}"))?;
-        let served = index.place(&q, &mut s);
+            .map_err(|e| format!("`{f}`@{m} query {vals:?}: {e}"))?;
         let walked = kr.place(c, &all).map_err(ServeError::Eval);
-        if !same(&walked, &served) {
-            return Err(format!(
-                "`{f}` at {vals:?}: tree walk {walked:?}, served {served:?}"
-            ));
+        for (how, served) in [
+            ("served", index.place(&q, &mut s)),
+            ("cached", index.place_cached(&q, cache, &mut s)),
+        ] {
+            if !same(&walked, &served) {
+                return Err(format!(
+                    "`{f}`@{m} at {vals:?}: tree walk {walked:?}, {how} {served:?}"
+                ));
+            }
         }
         for p in &params {
             for (lo, hi) in [(i128::MIN, i128::MAX), (-1, i128::MAX), (i128::MIN, -1)] {
@@ -181,7 +215,7 @@ fn serve(
                 let walked = kr.crossover(c, p, &all, lo, hi).map_err(ServeError::Eval);
                 if served != walked {
                     return Err(format!(
-                        "`{f}` crossover of {p} in [{lo}, {hi}] from {vals:?}: \
+                        "`{f}`@{m} crossover of {p} in [{lo}, {hi}] from {vals:?}: \
                          tree walk {walked:?}, served {served:?}"
                     ));
                 }
@@ -193,13 +227,13 @@ fn serve(
             ] {
                 let sweep = index
                     .sweep(id, p, &vals, lo, hi)
-                    .map_err(|e| format!("`{f}` sweep of {p}: {e}"))?;
+                    .map_err(|e| format!("`{f}`@{m} sweep of {p}: {e}"))?;
                 let mut points = 0;
                 for (x, served) in sweep.take(8) {
                     let walked = kr.place(c, &at(p, x)).map_err(ServeError::Eval);
                     if !same(&walked, &served) {
                         return Err(format!(
-                            "`{f}` sweep of {p} at {x} from {vals:?}: \
+                            "`{f}`@{m} sweep of {p} at {x} from {vals:?}: \
                              tree walk {walked:?}, served {served:?}"
                         ));
                     }
@@ -207,7 +241,7 @@ fn serve(
                 }
                 if points != hi - lo + 1 {
                     return Err(format!(
-                        "`{f}` sweep of {p} in [{lo}, {hi}] placed {points} points"
+                        "`{f}`@{m} sweep of {p} in [{lo}, {hi}] placed {points} points"
                     ));
                 }
             }
