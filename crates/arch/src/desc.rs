@@ -295,6 +295,9 @@ impl ArchDescription {
         // keys or the shared line size) — blamed if one set ends up wider
         // than the whole level
         let mut geometry_key: [(usize, &str); 2] = [(0, "cache_line_bytes"); 2];
+        // the last key that changed the peak FLOP rate — blamed if the
+        // vector rate overflows `u32`
+        let mut peak_key: (usize, &str) = (0, "fp_pipes");
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -396,7 +399,8 @@ impl ArchDescription {
                             value.parse().map_err(|_| DescError::BadValue {
                                 line: lineno,
                                 key: key.to_string(),
-                            })?
+                            })?;
+                        peak_key = (lineno, "fp_lanes_per_vector");
                     }
                     other => {
                         return Err(DescError::UnknownKey {
@@ -446,6 +450,7 @@ impl ArchDescription {
                             });
                         }
                         machine.peak.fp_pipes = v;
+                        peak_key = (lineno, "fp_pipes");
                     }
                     "fma" => {
                         machine.peak.fma = match value {
@@ -457,7 +462,8 @@ impl ArchDescription {
                                     key: key.to_string(),
                                 })
                             }
-                        }
+                        };
+                        peak_key = (lineno, "fma");
                     }
                     other => {
                         return Err(DescError::UnknownKey {
@@ -527,6 +533,18 @@ impl ArchDescription {
                     key: key.to_string(),
                 });
             }
+        }
+        // a peak rate past `u32` would wrap (or trap) in
+        // `vector_flops_per_cycle` and divide the compute ceiling by zero
+        let peak = machine.peak;
+        let scalar = peak.fp_pipes.checked_mul(if peak.fma { 2 } else { 1 });
+        let lanes = machine.fp_lanes_per_vector.max(1);
+        if scalar.and_then(|s| s.checked_mul(lanes)).is_none() {
+            let (line, key) = peak_key;
+            return Err(DescError::BadValue {
+                line,
+                key: key.to_string(),
+            });
         }
         Ok(ArchDescription { machine, metrics })
     }
@@ -817,6 +835,38 @@ mod tests {
         assert_eq!(d, d2);
         let d3 = ArchDescription::parse(&d2.to_ini()).unwrap();
         assert_eq!(d2, d3);
+    }
+
+    #[test]
+    fn peak_rate_past_u32_is_refused() {
+        // 2^31 pipes with FMA retire 2^32 FLOPs a cycle: the product
+        // wrapped to 0 in release builds and the compute ceiling divided
+        // by it; debug builds trapped on the multiplication
+        let text = DEFAULT_DESCRIPTION
+            .replace("fp_pipes = 2", "fp_pipes = 2147483648")
+            .replace("fma = no", "fma = yes");
+        let line = 1 + text.lines().position(|l| l == "fma = yes").unwrap();
+        assert_eq!(
+            ArchDescription::parse(&text),
+            Err(DescError::BadValue {
+                line,
+                key: "fma".to_string()
+            })
+        );
+        // the lane count can be what overflows
+        assert_eq!(
+            ArchDescription::parse("[machine]\nfp_lanes_per_vector = 4294967295\n"),
+            Err(DescError::BadValue {
+                line: 2,
+                key: "fp_lanes_per_vector".to_string()
+            })
+        );
+        // the largest rate that fits parses, and its peaks are exact
+        let d = ArchDescription::parse(
+            "[machine]\nfp_lanes_per_vector = 1\n[peak]\nfp_pipes = 2147483647\nfma = yes\n",
+        )
+        .unwrap();
+        assert_eq!(d.machine.peak.vector_flops_per_cycle(1), u32::MAX - 1);
     }
 
     #[test]

@@ -543,7 +543,8 @@ struct AggregateGates {
 /// admits triad, edits one description on disk (doubling its DRAM
 /// bandwidth), reloads, and asserts the *changed* ceiling is served —
 /// under the same [`mira_serve::KernelId`], through a filled answer
-/// cache, bit-identical to the tree walk under the edited description.
+/// cache, bit-identical to the tree walk under the edited description —
+/// and that a second read is answered by the placement the cache kept.
 fn fleet_smoke() {
     let dir = std::env::temp_dir().join(format!("mira_bench_fleet_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -594,6 +595,21 @@ fn fleet_smoke() {
         1,
         "the entry filled before the reload serves the new ceilings"
     );
+    assert_eq!(
+        cache.probe().memo_hits,
+        0,
+        "the reloaded kernel's ceilings have no kept placement yet"
+    );
+    let again = fleet
+        .index()
+        .place_cached(&q, &mut cache, &mut s)
+        .expect("places again after reload");
+    assert_eq!(again, after, "the kept placement is the answer");
+    assert_eq!(
+        (cache.probe().hits, cache.probe().memo_hits),
+        (2, 1),
+        "the second read after the reload is answered by the placement kept for it"
+    );
 
     // differential against the tree walk under the edited description
     let arch = mira_arch::ArchDescription::parse(&edited).expect("edited description parses");
@@ -618,7 +634,8 @@ fn fleet_smoke() {
     let _ = std::fs::remove_dir_all(&dir);
     println!(
         "fleet smoke: reload served the changed ceiling ({:.0} -> {:.0} dram cycles), \
-         id stable, served through the cache filled before the reload, tree walk agrees",
+         id stable, served through the cache filled before the reload and then from the \
+         placement kept for the new ceilings, tree walk agrees",
         before.mem_cycles[dram], after.mem_cycles[dram]
     );
 }

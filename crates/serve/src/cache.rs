@@ -1,5 +1,6 @@
 //! The answer cache: a bounded table of the machine-independent values
-//! a placement reads, keyed by compiled program and parameter values.
+//! a placement reads, keyed by compiled program and parameter values,
+//! with the finished placements of the last two ceilings that read them.
 //!
 //! A placement is a machine's ceilings applied to a handful of
 //! machine-independent values ([`mira_roofline::PlacementForms`]): the
@@ -8,19 +9,28 @@
 //! kernel's compiled [`PlacementProgram`](crate::PlacementProgram) and
 //! the live parameter values, so an entry is keyed by `(program id,
 //! live values)` and holds those values (each form as the output of its
-//! primitive section, before the constant content scales it), not a
-//! finished placement. [`ServeIndex::place_cached`] runs the one
-//! placement loop over an entry under the querying kernel's own
-//! ceilings, running program sections only for the values the entry
-//! does not hold yet. Every machine a program is attached to shares its
-//! entries: sweeping a kernel on a second machine reads what the first
-//! one computed.
+//! primitive section, before the constant content scales it).
+//! [`ServeIndex::place_cached`] runs the one placement loop over an
+//! entry under the querying kernel's own ceilings, running program
+//! sections only for the values the entry does not hold yet. Every
+//! machine a program is attached to shares its entries: sweeping a
+//! kernel on a second machine reads what the first one computed.
+//!
+//! Beside its values an entry keeps the finished [`Placement`] under the
+//! last 2 attached ceilings that read it, each under the id
+//! [`CompiledKernel::attach`] drew for those ceilings. A query whose
+//! kernel's id is kept is answered by that placement alone: no section
+//! run and no ceiling product. Otherwise the loop runs over the values as
+//! above and an `Ok` answer is kept in place of the least recently read
+//! one; a refusal is never kept.
 //!
 //! Nothing can go stale. Programs are immutable and numbered when they
-//! are compiled, so a swap ([`ServeIndex::replace`]) or a fleet reload
-//! that only re-attaches ceilings keeps every entry valid, and a
-//! recompiled kernel is a new program with new keys. There is no
-//! invalidation: [`CacheStats::invalidations`] reads 0.
+//! are compiled, and every attach draws a new id, so a swap
+//! ([`ServeIndex::replace`]) or a fleet reload that only re-attaches
+//! ceilings keeps every value valid, and its new ids simply miss the
+//! placements kept under the old ones; a recompiled kernel is a new
+//! program with new keys. There is no invalidation:
+//! [`CacheStats::invalidations`] reads 0.
 //!
 //! Each value lives in a fixed-size `i64` cell and is stored only when
 //! it is exact there: a fraction (a form whose content could not be
@@ -28,23 +38,29 @@
 //! and is re-derived on every query. Nest traffic is kept for the 4
 //! capacities asked last. So a cached answer comes out of the same
 //! placement loop over the same values as an uncached one, and is
-//! bit-identical to it, refusals included.
+//! bit-identical to it, refusals included; a kept placement is such an
+//! answer.
 //!
-//! The table is 4-way set-associative over a power-of-two slot array:
+//! The table is 8-way set-associative over a power-of-two slot array:
 //! one hash of the key picks a set, a full set evicts its least recently
-//! used way (by access stamp). Every slot is 224 bytes (key, stamp and
-//! cells), allocated once at construction with no per-entry heap, so
-//! serving through the cache never allocates.
+//! used way (by access stamp). Every slot is 320 bytes (key, stamp, cells
+//! and the two kept placements), allocated once at construction with no
+//! per-entry heap, so serving through the cache never allocates.
 //!
 //! [`ServeIndex::place_cached`]: crate::ServeIndex::place_cached
 //! [`ServeIndex::replace`]: crate::ServeIndex::replace
+//! [`CompiledKernel::attach`]: crate::CompiledKernel::attach
 
 use mira_mem::BoundaryTraffic;
+use mira_roofline::Placement;
 
 use crate::index::MAX_QUERY_PARAMS;
 
 /// Ways per set.
-const WAYS: usize = 4;
+const WAYS: usize = 8;
+
+/// Attached ceilings an entry keeps a finished placement for.
+const MEMOS: usize = 2;
 
 /// Capacities whose nest traffic an entry keeps.
 const NEST_CAPS: usize = 4;
@@ -56,11 +72,18 @@ pub struct CacheStats {
     /// Probes that found their `(program, values)` entry. A hit may
     /// still run sections for values its entry does not hold.
     pub hits: u64,
+    /// The hits answered by a placement the entry kept for the querying
+    /// kernel's ceilings: no section ran and no ceiling product.
+    pub memo_hits: u64,
     pub misses: u64,
     /// Entries displaced from a full set (least recently used first) —
     /// high eviction counts at low occupancy mean the traffic wants a
     /// bigger table.
     pub evictions: u64,
+    /// Kept placements displaced by the placement of a third ceilings
+    /// (the least recently read first): queries alternating over more
+    /// machines than an entry keeps placements for.
+    pub memo_evictions: u64,
     /// Always 0: entries are keyed by immutable compiled programs, so
     /// no swap or reload ever invalidates one.
     pub invalidations: u64,
@@ -158,6 +181,29 @@ struct Slot {
     /// The live values, zero-padded: a program fixes its arity.
     values: [i128; MAX_QUERY_PARAMS],
     cells: Cells,
+    /// `(attach id, placement)`, most recently read first.
+    memos: [Option<(u64, Placement)>; MEMOS],
+}
+
+impl Slot {
+    /// The placement kept under `attach`; a hit becomes the most recent.
+    fn memo(&mut self, attach: u64) -> Option<Placement> {
+        let i = self
+            .memos
+            .iter()
+            .position(|m| m.is_some_and(|(a, _)| a == attach))?;
+        self.memos[..=i].rotate_right(1);
+        self.memos[0].map(|(_, p)| p)
+    }
+
+    /// Keep `p` under `attach` (absent before), dropping the least
+    /// recently read placement when full. True if one was dropped.
+    fn keep(&mut self, attach: u64, p: Placement) -> bool {
+        let dropped = self.memos[MEMOS - 1].is_some();
+        self.memos.rotate_right(1);
+        self.memos[0] = Some((attach, p));
+        dropped
+    }
 }
 
 /// A bounded table of placement values in front of the compiled
@@ -174,13 +220,15 @@ pub struct AnswerCache {
     clock: u64,
     len: usize,
     hits: u64,
+    memo_hits: u64,
     misses: u64,
     evictions: u64,
+    memo_evictions: u64,
 }
 
 impl AnswerCache {
     /// A cache with at least `capacity` slots (rounded up to a power of
-    /// two, minimum 16). Memory is bounded at construction (224 bytes a
+    /// two, minimum 16). Memory is bounded at construction (320 bytes a
     /// slot): serving never grows the table.
     pub fn new(capacity: usize) -> AnswerCache {
         let cap = capacity.clamp(16, 1 << 24).next_power_of_two();
@@ -190,8 +238,10 @@ impl AnswerCache {
             clock: 0,
             len: 0,
             hits: 0,
+            memo_hits: 0,
             misses: 0,
             evictions: 0,
+            memo_evictions: 0,
         }
     }
 
@@ -199,8 +249,10 @@ impl AnswerCache {
     pub fn probe(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
+            memo_hits: self.memo_hits,
             misses: self.misses,
             evictions: self.evictions,
+            memo_evictions: self.memo_evictions,
             invalidations: 0,
             len: self.len,
             capacity: self.slots.len(),
@@ -228,11 +280,35 @@ impl AnswerCache {
         h.checked_shr(64 - self.set_bits).unwrap_or(0) as usize
     }
 
-    /// The cells of `(program, values)`: a hit refreshes the entry's
-    /// stamp, a miss installs empty cells in the set's least recently
-    /// used way. `values` are a program's live values, at most
-    /// [`MAX_QUERY_PARAMS`] of them.
-    pub(crate) fn cells(&mut self, program: u64, values: &[i128]) -> &mut Cells {
+    /// Answer `(program, values)` under the ceilings attached as
+    /// `attach`: the placement the entry keeps for them, or else
+    /// `place` run over the entry's cells, its `Ok` answer kept in place
+    /// of the least recently read one. `values` are a program's live
+    /// values, at most [`MAX_QUERY_PARAMS`] of them.
+    pub(crate) fn place<E>(
+        &mut self,
+        program: u64,
+        attach: u64,
+        values: &[i128],
+        place: impl FnOnce(&mut Cells) -> Result<Placement, E>,
+    ) -> Result<Placement, E> {
+        let i = self.way(program, values);
+        let slot = &mut self.slots[i];
+        if let Some(p) = slot.memo(attach) {
+            self.memo_hits += 1;
+            return Ok(p);
+        }
+        let r = place(&mut slot.cells);
+        if let Ok(p) = r {
+            self.memo_evictions += slot.keep(attach, p) as u64;
+        }
+        r
+    }
+
+    /// The slot of `(program, values)`: a hit refreshes the entry's
+    /// stamp, a miss installs an empty entry in the set's least recently
+    /// used way.
+    fn way(&mut self, program: u64, values: &[i128]) -> usize {
         let mut key = [0i128; MAX_QUERY_PARAMS];
         for (k, v) in key.iter_mut().zip(values) {
             *k = *v;
@@ -262,22 +338,27 @@ impl AnswerCache {
                     _ => self.evictions += 1,
                 }
                 set[lru] = Slot {
-                    stamp: 0,
                     program,
                     values: key,
-                    cells: Cells::default(),
+                    ..Slot::default()
                 };
                 lru
             }
         };
         set[way].stamp = self.clock;
-        &mut set[way].cells
+        first + way
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cells of `(program, values)`, looked up like a query does.
+    fn cells<'a>(c: &'a mut AnswerCache, program: u64, values: &[i128]) -> &'a mut Cells {
+        let i = c.way(program, values);
+        &mut c.slots[i].cells
+    }
 
     fn traffic(fill: i128, writeback: i128) -> BoundaryTraffic {
         BoundaryTraffic {
@@ -296,17 +377,17 @@ mod tests {
     /// The slot size the docs state.
     #[test]
     fn slots_are_fixed_size() {
-        assert_eq!(std::mem::size_of::<Slot>(), 224);
+        assert_eq!(std::mem::size_of::<Slot>(), 320);
     }
 
     #[test]
     fn hit_after_fill_miss_before() {
         let mut c = AnswerCache::new(64);
-        c.cells(1, &[3, 1]).put(FormCell::Flops, 10);
-        assert_eq!(c.cells(1, &[3, 1]).get(FormCell::Flops), Some(10));
+        cells(&mut c, 1, &[3, 1]).put(FormCell::Flops, 10);
+        assert_eq!(cells(&mut c, 1, &[3, 1]).get(FormCell::Flops), Some(10));
         // another program with the same values is another key
-        assert_eq!(c.cells(2, &[3, 1]).get(FormCell::Flops), None);
-        assert_eq!(c.cells(1, &[3, 2]).get(FormCell::Flops), None);
+        assert_eq!(cells(&mut c, 2, &[3, 1]).get(FormCell::Flops), None);
+        assert_eq!(cells(&mut c, 1, &[3, 2]).get(FormCell::Flops), None);
         let st = c.probe();
         assert_eq!((st.hits, st.misses, st.len), (1, 3, 3));
         assert!(st.hit_rate() > 0.24 && st.hit_rate() < 0.26);
@@ -352,7 +433,7 @@ mod tests {
     fn eviction_keeps_the_table_bounded() {
         let mut c = AnswerCache::new(16);
         for n in 0..10_000i128 {
-            c.cells(1, &[n]);
+            cells(&mut c, 1, &[n]);
         }
         let st = c.probe();
         assert_eq!(st.capacity, 16);
@@ -371,13 +452,92 @@ mod tests {
             .take(WAYS + 1)
             .collect();
         for &k in &keys[..WAYS] {
-            c.cells(1, &[k]).put(FormCell::Flops, k);
+            cells(&mut c, 1, &[k]).put(FormCell::Flops, k);
         }
         // touch the oldest: the second key becomes the LRU way
-        assert_eq!(c.cells(1, &[keys[0]]).get(FormCell::Flops), Some(keys[0]));
-        c.cells(1, &[keys[WAYS]]);
+        assert_eq!(
+            cells(&mut c, 1, &[keys[0]]).get(FormCell::Flops),
+            Some(keys[0])
+        );
+        cells(&mut c, 1, &[keys[WAYS]]);
         assert_eq!(c.probe().evictions, 1);
-        assert_eq!(c.cells(1, &[keys[0]]).get(FormCell::Flops), Some(keys[0]));
-        assert_eq!(c.cells(1, &[keys[1]]).get(FormCell::Flops), None);
+        assert_eq!(
+            cells(&mut c, 1, &[keys[0]]).get(FormCell::Flops),
+            Some(keys[0])
+        );
+        assert_eq!(cells(&mut c, 1, &[keys[1]]).get(FormCell::Flops), None);
+    }
+
+    /// A placement whose compute bound tags which run produced it.
+    fn placed(tag: f64) -> Placement {
+        Placement::classify(tag, [0.0; 3])
+    }
+
+    /// Ask `(program 1, [5])` under `attach`; the loop, if it runs,
+    /// answers `placed(attach)`. Returns the answer and whether it ran.
+    fn ask(c: &mut AnswerCache, attach: u64) -> (Placement, bool) {
+        let mut ran = false;
+        let p = c
+            .place(1, attach, &[5], |_| {
+                ran = true;
+                Ok::<_, ()>(placed(attach as f64))
+            })
+            .expect("places");
+        (p, ran)
+    }
+
+    /// An entry keeps the placements of two attached ceilings; a third
+    /// displaces the least recently read, whose next query runs the loop
+    /// again.
+    #[test]
+    fn two_ceilings_are_kept_and_a_third_evicts_the_least_recent() {
+        let mut c = AnswerCache::new(16);
+        assert_eq!(ask(&mut c, 10), (placed(10.0), true));
+        assert_eq!(ask(&mut c, 11), (placed(11.0), true));
+        // both kept: neither runs, each answers its own placement
+        assert_eq!(ask(&mut c, 10), (placed(10.0), false));
+        assert_eq!(ask(&mut c, 11), (placed(11.0), false));
+        let st = c.probe();
+        assert_eq!((st.hits, st.memo_hits, st.memo_evictions), (3, 2, 0));
+        // 10 was read before 11: the third ceilings displace it
+        assert_eq!(ask(&mut c, 12), (placed(12.0), true));
+        assert_eq!(c.probe().memo_evictions, 1);
+        assert_eq!(ask(&mut c, 11), (placed(11.0), false));
+        assert_eq!(ask(&mut c, 12), (placed(12.0), false));
+        assert_eq!(ask(&mut c, 10), (placed(10.0), true));
+        let st = c.probe();
+        assert_eq!((st.memo_hits, st.memo_evictions, st.len), (4, 2, 1));
+    }
+
+    /// A refusal is never kept: the next query runs the loop again.
+    #[test]
+    fn refusals_are_not_kept() {
+        let mut c = AnswerCache::new(16);
+        for _ in 0..2 {
+            let mut ran = false;
+            let r = c.place(1, 7, &[5], |_| {
+                ran = true;
+                Err::<Placement, _>("refused")
+            });
+            assert_eq!(r, Err("refused"));
+            assert!(ran, "a refusal is re-derived");
+        }
+        let st = c.probe();
+        assert_eq!((st.hits, st.memo_hits), (1, 0));
+    }
+
+    /// A new entry keeps no placement of the entry it evicted.
+    #[test]
+    fn an_evicted_entry_takes_its_placements_along() {
+        let mut c = AnswerCache::new(16);
+        assert!(ask(&mut c, 3).1);
+        for n in 0..1000i128 {
+            cells(&mut c, 1, &[n]);
+        }
+        assert!(c.probe().evictions > 0);
+        assert!(
+            ask(&mut c, 3).1,
+            "the entry of [5] was evicted and refilled"
+        );
     }
 }

@@ -21,9 +21,10 @@
 //! Reloads are atomic: every program a reload needs is built before any
 //! entry is swapped, and a [`KernelId`] survives its kernel being
 //! swapped. An [`AnswerCache`] needs no notice: its entries are keyed by
-//! compiled program, so after a ceilings-only reload every entry still
-//! serves (under the new ceilings), and a kernel recompiled under a new
-//! key is a new program that fills entries of its own.
+//! compiled program, so after a ceilings-only reload every entry's values
+//! still serve (under the new ceilings), the re-attached kernels' new ids
+//! match no placement kept for the old ceilings, and a kernel recompiled
+//! under a new key is a new program that fills entries of its own.
 //!
 //! [`AnswerCache`]: crate::AnswerCache
 
@@ -71,10 +72,18 @@ impl std::fmt::Display for FleetError {
             FleetError::DuplicateKernel { func } => {
                 write!(f, "kernel `{func}` is already admitted to the fleet")
             }
-            FleetError::Analyze { func, machine, error } => {
+            FleetError::Analyze {
+                func,
+                machine,
+                error,
+            } => {
                 write!(f, "analyzing `{func}` for machine `{machine}`: {error}")
             }
-            FleetError::Build { func, machine, error } => {
+            FleetError::Build {
+                func,
+                machine,
+                error,
+            } => {
                 write!(f, "compiling `{func}` for machine `{machine}`: {error}")
             }
         }
@@ -359,8 +368,8 @@ fn compile(
         machine: m.name().to_string(),
         error,
     };
-    let kr = KernelRoofline::analyze(&analysis, &s.func)
-        .map_err(|e| build(BuildError::Model(e)))?;
+    let kr =
+        KernelRoofline::analyze(&analysis, &s.func).map_err(|e| build(BuildError::Model(e)))?;
     PlacementProgram::compile(&kr).map_err(build)
 }
 

@@ -27,6 +27,16 @@
 //! its value is kept when exact, so cached and uncached answers come
 //! from one code path.
 //!
+//! Every [`CompiledKernel::attach`] (and so every
+//! [`CompiledKernel::build`]) draws a new id from a process-wide
+//! counter, as compilation does for programs: an attach id names one
+//! program under one set of ceilings for the life of the process. An
+//! answer-cache entry keeps the finished placement of the last two
+//! attach ids that read it, and a query under a kept id is answered
+//! by that placement alone. A [`ServeIndex::replace`] or fleet reload
+//! installs kernels under new ids, so no kept placement outlives the
+//! ceilings it was computed under.
+//!
 //! [`ServeIndex`] holds many compiled kernels and answers
 //! [`Query`] batches — single-threaded into a caller scratch
 //! (allocation-free after warm-up), or sharded across worker threads
@@ -42,8 +52,8 @@ use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
 use mira_model::ModelError;
 use mira_probe as probe;
 use mira_roofline::{
-    crossover_bisect, place_with, CeilingFactors, Ceilings, Crossover, KernelRoofline,
-    KernelShape, Placement, PlacementForms, ScaledForm,
+    crossover_bisect, place_with, CeilingFactors, Ceilings, Crossover, KernelRoofline, KernelShape,
+    Placement, PlacementForms, ScaledForm,
 };
 use mira_sym::budget::{self, BudgetError};
 use mira_sym::{Bindings, EvalError, Rat, SymExpr};
@@ -125,7 +135,10 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownKernel => write!(f, "unknown kernel id"),
             ServeError::UnknownParam(p) => write!(f, "kernel has no parameter `{p}`"),
             ServeError::BadArity { expected, got } => {
-                write!(f, "query binds {got} values, kernel has {expected} parameters")
+                write!(
+                    f,
+                    "query binds {got} values, kernel has {expected} parameters"
+                )
             }
             ServeError::Eval(e) => write!(f, "evaluation refused: {e}"),
         }
@@ -170,6 +183,11 @@ struct NestPlan {
 /// new one, so an id names one immutable program for the life of the
 /// process.
 static NEXT_PROGRAM: AtomicU64 = AtomicU64::new(1);
+
+/// Source of [`CompiledKernel`] attach ids: every
+/// [`CompiledKernel::attach`] gets a new one, so an id names one program
+/// under one set of ceilings for the life of the process.
+static NEXT_ATTACH: AtomicU64 = AtomicU64::new(1);
 
 /// One kernel's machine-independent placement program: every form
 /// [`place_with`] can request, compiled once and shared (`Arc`) by the
@@ -285,8 +303,8 @@ impl PlacementProgram {
                 let mut group_secs = Vec::with_capacity(nm.groups.len());
                 for gi in 0..nm.groups.len() {
                     let mk = |b: &mut ProgramBuilder,
-                                  union: bool,
-                                  stored: bool|
+                              union: bool,
+                              stored: bool|
                      -> Result<(SecId, OutId), CompileError> {
                         let e = nm.group_expr(GroupExpr {
                             group: gi,
@@ -501,6 +519,10 @@ impl PlacementForms for Sections<'_> {
 /// clone, reusable from any worker thread.
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
+    /// Drawn by [`CompiledKernel::attach`]; keys the placements an
+    /// [`AnswerCache`] entry keeps. A clone shares it, and with it the
+    /// program and ceilings.
+    id: u64,
     machine: String,
     roof: CeilingFactors,
     program: Arc<PlacementProgram>,
@@ -521,9 +543,13 @@ impl CompiledKernel {
     /// Serve a compiled program on one machine — no analysis, no
     /// compilation. Answers equal [`KernelRoofline::place`] under `c`
     /// bit for bit when the program was analyzed under the machine's
-    /// [`AnalysisKey`](mira_roofline::AnalysisKey).
+    /// [`AnalysisKey`](mira_roofline::AnalysisKey). Each call draws a
+    /// new attach id, so placements an [`AnswerCache`] kept for an
+    /// earlier attach, even of the same program and ceilings, never
+    /// answer for this one.
     pub fn attach(program: Arc<PlacementProgram>, c: &Ceilings, machine: &str) -> CompiledKernel {
         CompiledKernel {
+            id: NEXT_ATTACH.fetch_add(1, Ordering::Relaxed),
             machine: machine.to_string(),
             roof: CeilingFactors::new(c),
             program,
@@ -653,9 +679,10 @@ impl ServeIndex {
     /// machine)` pair keeps its [`KernelId`], so queries built against
     /// the old kernel address the new one; a pair not yet registered is
     /// added. Answer caches need no notice: their entries are keyed by
-    /// compiled program, and the new kernel's own ceilings apply to
-    /// whatever it reads from them. Build every replacement first, then
-    /// swap: a failed build never unseats a serving kernel.
+    /// compiled program, the new kernel's own ceilings apply to whatever
+    /// it reads from them, and its attach id matches no placement they
+    /// kept for the old one. Build every replacement first, then swap: a
+    /// failed build never unseats a serving kernel.
     pub fn replace(&mut self, k: CompiledKernel) -> KernelId {
         let key = (k.func().to_string(), k.machine.clone());
         match self.by_key.get(&key) {
@@ -713,7 +740,10 @@ impl ServeIndex {
         }
         let mut v = [0i128; MAX_QUERY_PARAMS];
         v[..values.len()].copy_from_slice(values);
-        Ok(Query { kernel: id, values: v })
+        Ok(Query {
+            kernel: id,
+            values: v,
+        })
     }
 
     /// Answer one query into a reusable scratch.
@@ -844,14 +874,17 @@ impl ServeIndex {
         });
     }
 
-    /// Answer one query through `cache`: the placement loop runs under
-    /// the kernel's ceilings over the cache entry of its compiled
-    /// program at these values, running sections only for values the
-    /// entry does not hold yet. Placements *and* refusals are
+    /// Answer one query through `cache`. The cache entry of the
+    /// kernel's compiled program at these values answers with the
+    /// placement it keeps for the kernel's attach id, if any; otherwise
+    /// the placement loop runs under the kernel's ceilings over the
+    /// entry, running sections only for values it does not hold yet, and
+    /// an `Ok` answer is kept. Placements *and* refusals are
     /// bit-identical to [`ServeIndex::place`]. Every machine the program
-    /// is attached to shares the entry, and nothing can go stale: a
-    /// [`ServeIndex::replace`] or fleet reload attaches a program to new
-    /// ceilings or brings a new program, never changes one.
+    /// is attached to shares the entry's values, and nothing can go
+    /// stale: a [`ServeIndex::replace`] or fleet reload attaches a
+    /// program to new ceilings under a new id or brings a new program,
+    /// never changes one.
     pub fn place_cached(
         &self,
         q: &Query,
@@ -862,7 +895,7 @@ impl ServeIndex {
         // key on the *live* values only: slots past the kernel's arity
         // are ignored by place, so they must not split entries
         let vals = q.values.get(..k.n_params()).unwrap_or(&q.values[..]);
-        k.place_in(vals, s, cache.cells(k.program.id, vals))
+        cache.place(k.program.id, k.id, vals, |cells| k.place_in(vals, s, cells))
     }
 
     /// [`ServeIndex::run_batch`] through an answer cache.
@@ -1000,8 +1033,7 @@ impl ServeIndex {
         // window width → placements per bisection, so the shard policy
         // prices a table row like the batch of queries it really is
         let per_pair = 2 + (128 - hi.abs_diff(lo).max(1).leading_zeros() as usize);
-        let workers =
-            Self::effective_workers(ids.len().saturating_mul(per_pair), workers);
+        let workers = Self::effective_workers(ids.len().saturating_mul(per_pair), workers);
         sp.arg("workers", workers);
         let mut rows: Vec<Option<CrossoverRow>> = vec![None; ids.len()];
         if workers == 1 {
@@ -1020,11 +1052,9 @@ impl ServeIndex {
                 {
                     sc.spawn(move || {
                         let mut s = self.pool_take();
-                        for ((id, base), slot) in
-                            idc.iter().zip(basec.iter()).zip(rowc.iter_mut())
+                        for ((id, base), slot) in idc.iter().zip(basec.iter()).zip(rowc.iter_mut())
                         {
-                            *slot =
-                                Some(self.table_row(*id, param, base, lo, hi, &mut s));
+                            *slot = Some(self.table_row(*id, param, base, lo, hi, &mut s));
                         }
                         self.pool_put(s);
                     });
@@ -1110,7 +1140,8 @@ impl Iterator for Sweep<'_> {
         let n = self.kernel.n_params();
         Some((
             v,
-            self.kernel.place_values(&self.values[..n], &mut self.scratch),
+            self.kernel
+                .place_values(&self.values[..n], &mut self.scratch),
         ))
     }
 }

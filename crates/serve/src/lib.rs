@@ -37,13 +37,17 @@
 //!   bisection core as the tree walk, and
 //!   [`ServeIndex::crossover_table`] bisects every kernel × machine
 //!   pair in one sharded pass.
-//! * [`cache`] — the [`AnswerCache`]: a bounded, 4-way set-associative
+//! * [`cache`] — the [`AnswerCache`]: a bounded, 8-way set-associative
 //!   table for sweep-heavy traffic, keyed by `(compiled program, live
 //!   values)`. An entry holds the machine-independent values a placement
 //!   reads, in fixed-size `i64` cells (exact values only; refusals are
 //!   re-derived, never stored), so every machine serving a program
-//!   shares it and no swap or reload can make it stale. Answers are
-//!   bit-identical to uncached ones; hit/miss/eviction counters via
+//!   shares it, and the finished placements of the last two attached
+//!   ceilings that read it, keyed by the id each
+//!   [`CompiledKernel::attach`] draws: a repeated query is one lookup.
+//!   No swap or reload can make an entry stale: it changes no program and
+//!   attaches under new ids. Answers are bit-identical to uncached ones;
+//!   hit, kept-placement hit and eviction counters via
 //!   [`AnswerCache::probe`].
 //! * [`fleet`] — [`MachineFleet`]: a directory of `*.ini` machine
 //!   descriptions with every admitted kernel served on every machine,
@@ -52,7 +56,7 @@
 //!   and [`MachineFleet::reload`] hot-swapping the entries of edited
 //!   files atomically ([`KernelId`]s stable). A bandwidth, peak or
 //!   capacity edit re-attaches ceilings without analyzing or compiling
-//!   anything, and answer caches keep every entry across it.
+//!   anything, and answer caches keep every entry's values across it.
 //!
 //! The equivalence story has one compile-time escape hatch:
 //! [`CompiledKernel::build`] refuses (typed [`BuildError`]) any kernel
@@ -75,9 +79,7 @@ pub use index::{
     BuildError, CompiledKernel, CrossoverRow, KernelId, PlacementProgram, Query, ServeError,
     ServeIndex, Sweep, MAX_QUERY_PARAMS, SHARD_MIN_BATCH,
 };
-pub use program::{
-    CompileError, CompiledExpr, EvalProgram, OutId, ProgramBuilder, Scratch, SecId,
-};
+pub use program::{CompileError, CompiledExpr, EvalProgram, OutId, ProgramBuilder, Scratch, SecId};
 
 /// Machine descriptions for cross-machine serving comparisons.
 pub mod machines {

@@ -59,7 +59,10 @@ impl std::fmt::Display for CompileError {
                 write!(f, "expression nesting exceeds the evaluation depth cap")
             }
             CompileError::TooLarge => {
-                write!(f, "program exceeds the bytecode's register or parameter space")
+                write!(
+                    f,
+                    "program exceeds the bytecode's register or parameter space"
+                )
             }
         }
     }
@@ -72,33 +75,66 @@ impl std::error::Error for CompileError {}
 enum Op {
     /// `r[dst] = int(param[p])`, refusing with [`EvalError::MissingParam`]
     /// when the query left the slot unbound.
-    Param { dst: u16, p: u16 },
-    Const { dst: u16, val: Rat },
+    Param {
+        dst: u16,
+        p: u16,
+    },
+    Const {
+        dst: u16,
+        val: Rat,
+    },
     /// `r[dst] = r[dst] * r[src]` (checked).
-    Mul { dst: u16, src: u16 },
+    Mul {
+        dst: u16,
+        src: u16,
+    },
     /// `r[dst] = r[dst] + r[src]` (checked).
-    Add { dst: u16, src: u16 },
+    Add {
+        dst: u16,
+        src: u16,
+    },
     /// `r[dst] = r[dst] + val` (checked) — a constant term folded into
     /// its accumulate, sparing a register write and two dispatches.
-    AddConst { dst: u16, val: Rat },
+    AddConst {
+        dst: u16,
+        val: Rat,
+    },
     /// `r[dst] = r[dst] + val * r[src]`, both steps checked in
     /// tree-walk order (`coeff · atom` first, then the accumulate) —
     /// the fused form of a linear term, the most common shape in
     /// closed-form cost models.
-    AddMul { dst: u16, src: u16, val: Rat },
+    AddMul {
+        dst: u16,
+        src: u16,
+        val: Rat,
+    },
     /// `r[dst] = val * r[src]` (checked) — the first factor of a
     /// multi-atom term, folding the coefficient load into the multiply.
-    ConstMul { dst: u16, src: u16, val: Rat },
+    ConstMul {
+        dst: u16,
+        src: u16,
+        val: Rat,
+    },
     /// `r[dst] = int(floor(r[src] / d))` (checked) — [`Atom::FloorDiv`].
-    FloorDiv { dst: u16, src: u16, d: i64 },
+    FloorDiv {
+        dst: u16,
+        src: u16,
+        d: i64,
+    },
     /// `r[dst] = int(max(0, floor(r[src])))` — [`Atom::Clamp`].
-    Clamp { dst: u16, src: u16 },
+    Clamp {
+        dst: u16,
+        src: u16,
+    },
     /// `r[dst] = int(round_count(r[src]))`, refusing with
     /// [`EvalError::Overflow`] — the in-stream form of
     /// [`SymExpr::eval_count`]'s rounding, emitted where a kernel
     /// section needs a rounded count *before* later ops run so the
     /// error order matches the tree walk exactly.
-    Count { dst: u16, src: u16 },
+    Count {
+        dst: u16,
+        src: u16,
+    },
 }
 
 /// Handle to one output value of an [`EvalProgram`].
@@ -211,20 +247,15 @@ impl EvalProgram {
     /// read registers the mandatory prefix computed.
     pub fn run_section(&self, sec: SecId, s: &mut Scratch) -> Result<(), EvalError> {
         self.ensure_scratch(s);
-        let (start, end) = self
-            .sections
-            .get(sec.0 as usize)
-            .copied()
-            .unwrap_or((0, 0));
+        let (start, end) = self.sections.get(sec.0 as usize).copied().unwrap_or((0, 0));
         let ops = self.ops.get(start as usize..end as usize).unwrap_or(&[]);
         let regs = &mut s.regs;
         let vals = &s.vals;
         for op in ops {
             match *op {
                 Op::Param { dst, p } => {
-                    let v = vals[p as usize].ok_or_else(|| {
-                        EvalError::MissingParam(self.params[p as usize].clone())
-                    })?;
+                    let v = vals[p as usize]
+                        .ok_or_else(|| EvalError::MissingParam(self.params[p as usize].clone()))?;
                     regs[dst as usize] = Rat::int(v);
                 }
                 Op::Const { dst, val } => regs[dst as usize] = val,
@@ -465,7 +496,10 @@ impl ProgramBuilder {
             // (`coeff · atom` products in monomial order, then the
             // accumulate), just fewer dispatches and no term register
             if t.monomial.is_empty() {
-                self.ops.push(Op::AddConst { dst: acc, val: t.coeff });
+                self.ops.push(Op::AddConst {
+                    dst: acc,
+                    val: t.coeff,
+                });
                 continue;
             }
             if npow == 1 && t.monomial.len() == 1 {
@@ -506,7 +540,10 @@ impl ProgramBuilder {
             if coeff_pending {
                 // every pow was zero: the atoms were still evaluated
                 // (error parity with the tree walk), the term is a const
-                self.ops.push(Op::AddConst { dst: acc, val: t.coeff });
+                self.ops.push(Op::AddConst {
+                    dst: acc,
+                    val: t.coeff,
+                });
             } else {
                 self.ops.push(Op::Add { dst: acc, src: vr });
             }

@@ -72,11 +72,9 @@ fn gen_expr(rng: &mut TestRng, depth: u32) -> SymExpr {
 }
 
 fn has_composite(e: &SymExpr) -> bool {
-    e.terms().iter().any(|t| {
-        t.monomial
-            .iter()
-            .any(|(a, _)| !matches!(a, Atom::Param(_)))
-    })
+    e.terms()
+        .iter()
+        .any(|t| t.monomial.iter().any(|(a, _)| !matches!(a, Atom::Param(_))))
 }
 
 #[test]
@@ -87,11 +85,7 @@ fn generated_corpus_matches_tree_walk() {
         bindings(&[("n", 0), ("m", 1), ("k", 1_000_000)]),
         bindings(&[("n", -50), ("m", 999), ("k", 1)]),
         // overflow parity: squared i64::MAX atoms exceed i128
-        bindings(&[
-            ("n", i64::MAX as i128),
-            ("m", i64::MAX as i128),
-            ("k", 2),
-        ]),
+        bindings(&[("n", i64::MAX as i128), ("m", i64::MAX as i128), ("k", 2)]),
         // missing-parameter parity (m, k unbound)
         bindings(&[("n", 5)]),
     ];
@@ -361,11 +355,12 @@ fn cached_answers_match_uncached_and_tree_walk() {
     let mut s = Scratch::new();
     for pass in 0..2 {
         for (id, kr, c) in &walkers {
-            let params: Vec<String> =
-                index.kernel(*id).expect("kernel exists").params().to_vec();
+            let params: Vec<String> = index.kernel(*id).expect("kernel exists").params().to_vec();
             for b in size_grid() {
-                let vals: Vec<i128> =
-                    params.iter().map(|p| b.get(p).copied().unwrap_or(1)).collect();
+                let vals: Vec<i128> = params
+                    .iter()
+                    .map(|p| b.get(p).copied().unwrap_or(1))
+                    .collect();
                 let q = index.query(*id, &vals).expect("query builds");
                 let uncached = index.place(&q, &mut s_cold);
                 let cached = index.place_cached(&q, &mut cache, &mut s);
@@ -394,6 +389,14 @@ fn cached_answers_match_uncached_and_tree_walk() {
 /// nest traffic asked at capacities the entry does not hold yet), other
 /// points run in the shared scratch in between, entries are evicted,
 /// and the grid holds values past `i64` (cells stay empty) and refusals.
+///
+/// Each point is read twice on each machine, in rotation over four
+/// machines — more than an entry keeps placements for — so the second
+/// read of a placed point is answered by the placement kept for that
+/// machine, and the rotation displaces kept placements. Halfway through,
+/// between the two reads of a placed point, its machine's kernels are
+/// replaced by the same programs under doubled DRAM bandwidth: the
+/// second read must serve the new ceilings, as must every later read.
 #[test]
 fn shared_programs_serve_every_machine_through_one_cache() {
     let base = mira_arch::ArchDescription::default();
@@ -414,10 +417,11 @@ fn shared_programs_serve_every_machine_through_one_cache() {
     assert!(arches
         .iter()
         .all(|a| mira_roofline::AnalysisKey::of(a) == key));
-    let ceilings: Vec<Ceilings> = arches.iter().map(Ceilings::from_arch).collect();
+    let mut ceilings: Vec<Ceilings> = arches.iter().map(Ceilings::from_arch).collect();
 
     let mut index = ServeIndex::new();
-    // per kernel: its tree walker and its ids, in machine order
+    // per kernel: its tree walker, its program and its ids, in machine
+    // order
     let mut kernels = Vec::new();
     for (func, src) in SOURCES {
         let analysis = analyze_source(src, &MiraOptions::default()).expect("workload analyzes");
@@ -431,10 +435,10 @@ fn shared_programs_serve_every_machine_through_one_cache() {
                 index.insert(k).expect("kernel admits")
             })
             .collect();
-        kernels.push((kr, ids));
+        kernels.push((kr, program, ids));
     }
     let mut points = Vec::new();
-    for (k, (_, ids)) in kernels.iter().enumerate() {
+    for (k, (_, _, ids)) in kernels.iter().enumerate() {
         let params = index
             .kernel(ids[0])
             .expect("kernel exists")
@@ -478,6 +482,7 @@ fn shared_programs_serve_every_machine_through_one_cache() {
     let (mut s, mut s_cold) = (Scratch::new(), Scratch::new());
     let mut last_machine: HashMap<(usize, Vec<i128>), usize> = HashMap::new();
     let (mut cross_hits, mut refusals) = (0, 0);
+    let mut replaced = None;
     for pass in 0..2 {
         let mut order = points.clone();
         for i in (1..order.len()).rev() {
@@ -487,42 +492,91 @@ fn shared_programs_serve_every_machine_through_one_cache() {
             for step in 0..arches.len() {
                 let m = (step + chunk_ix) % arches.len();
                 for (k, vals) in chunk {
-                    let (kr, ids) = &kernels[*k];
-                    let q = index.query(ids[m], vals).expect("query builds");
-                    let hits = cache.probe().hits;
-                    let cached = index.place_cached(&q, &mut cache, &mut s);
-                    let hit = cache.probe().hits > hits;
-                    let prev = last_machine.insert((*k, vals.clone()), m);
-                    if hit && prev.is_some_and(|p| p != m) {
-                        cross_hits += 1;
+                    let mut first: Option<Result<Placement, ServeError>> = None;
+                    for read in 0..2 {
+                        let (kr, _, ids) = &kernels[*k];
+                        let dram = mira_roofline::MemLevel::Dram.index();
+                        let swap_now = pass == 1
+                            && replaced.is_none()
+                            && first.as_ref().is_some_and(|f| {
+                                f.as_ref().is_ok_and(|p| p.mem_cycles[dram] > 0.0)
+                            });
+                        if swap_now {
+                            ceilings[m].bandwidth[dram] *= 2;
+                            for (_, program, kernel_ids) in &kernels {
+                                let swapped = CompiledKernel::attach(
+                                    program.clone(),
+                                    &ceilings[m],
+                                    &arches[m].machine.name,
+                                );
+                                assert_eq!(index.replace(swapped), kernel_ids[m], "ids are stable");
+                            }
+                            replaced = Some(m);
+                        }
+                        let q = index.query(ids[m], vals).expect("query builds");
+                        let before = cache.probe();
+                        let cached = index.place_cached(&q, &mut cache, &mut s);
+                        let after = cache.probe();
+                        let hit = after.hits > before.hits;
+                        let memo_hit = after.memo_hits > before.memo_hits;
+                        let prev = last_machine.insert((*k, vals.clone()), m);
+                        if hit && prev.is_some_and(|p| p != m) {
+                            cross_hits += 1;
+                        }
+                        let uncached = index.place(&q, &mut s_cold);
+                        let b: Bindings = index
+                            .kernel(ids[m])
+                            .expect("kernel exists")
+                            .params()
+                            .iter()
+                            .cloned()
+                            .zip(vals.iter().copied())
+                            .collect();
+                        let walked = kr.place(&ceilings[m], &b).map_err(ServeError::Eval);
+                        let ctx = format!(
+                            "pass {pass} read {read} {}@{} {vals:?}",
+                            kr.func, arches[m].machine.name
+                        );
+                        assert_bit_identical(&uncached, &cached, &ctx);
+                        assert_bit_identical(&walked, &cached, &ctx);
+                        refusals += cached.is_err() as usize;
+                        match first.take() {
+                            None => first = Some(cached),
+                            Some(f) if swap_now => {
+                                let (f, c) = (f.expect("placed"), cached.expect("placed"));
+                                assert!(
+                                    c.mem_cycles[dram] < f.mem_cycles[dram],
+                                    "{ctx}: the replaced kernel serves the new ceilings"
+                                );
+                                assert!(!memo_hit, "{ctx}: a new attach reads no kept placement");
+                            }
+                            // the same kernel read the same point just
+                            // before: a placement was kept for it
+                            Some(f) => assert_eq!(memo_hit, f.is_ok(), "{ctx}"),
+                        }
                     }
-                    let uncached = index.place(&q, &mut s_cold);
-                    let b: Bindings = index
-                        .kernel(ids[m])
-                        .expect("kernel exists")
-                        .params()
-                        .iter()
-                        .cloned()
-                        .zip(vals.iter().copied())
-                        .collect();
-                    let walked = kr.place(&ceilings[m], &b).map_err(ServeError::Eval);
-                    let ctx = format!(
-                        "pass {pass} {}@{} {vals:?}",
-                        kr.func, arches[m].machine.name
-                    );
-                    assert_bit_identical(&uncached, &cached, &ctx);
-                    assert_bit_identical(&walked, &cached, &ctx);
-                    refusals += cached.is_err() as usize;
                 }
             }
         }
     }
     let st = cache.probe();
     assert!(
+        replaced.is_some(),
+        "a placed point must trigger the replace"
+    );
+    assert!(
         cross_hits > 0,
         "entries must be read on another machine: {st:?}"
     );
     assert!(st.evictions > 0, "the cache must evict: {st:?}");
+    assert!(
+        st.memo_hits > 0,
+        "second reads must be answered by kept placements: {st:?}"
+    );
+    assert!(
+        st.memo_evictions > 0,
+        "four machines must displace kept placements: {st:?}"
+    );
     assert!(refusals > 0, "the grid must refuse somewhere");
     assert_eq!(st.invalidations, 0);
 }
@@ -539,8 +593,7 @@ fn crossover_table_matches_tree_walk() {
         let (_, kr, c) = admit(&mut index, &analysis, &func);
         walkers.push((func, analysis.arch.machine.name.clone(), kr, c));
     }
-    let defaults: &[(&str, i128)] =
-        &[("reps", 2), ("nnz_row_milli", 26_144), ("cg_iters", 20)];
+    let defaults: &[(&str, i128)] = &[("reps", 2), ("nnz_row_milli", 26_144), ("cg_iters", 20)];
     for workers in [1, 4] {
         let rows = index.crossover_table("n", defaults, 2, 512, workers);
         assert_eq!(rows.len(), index.len(), "one row per pair");

@@ -16,6 +16,7 @@ use mira_arch::{ArchDescription, Bandwidths, CacheLevel, LoadError, PeakParams};
 use mira_core::{analyze_source, MiraOptions};
 use mira_roofline::{AnalysisKey, Ceilings, KernelRoofline, MemLevel, Placement};
 use mira_serve::{machines, AnswerCache, FleetError, MachineFleet, Scratch, ServeError};
+use proptest::test_runner::TestRng;
 
 /// The seven serving kernels, as `bench_serve` serves them.
 const SERVING: [(&str, &str); 7] = [
@@ -39,10 +40,7 @@ const PIPELINE_SPANS: [&str; 4] = [
 
 /// A fresh temp directory holding the two stock machine descriptions.
 fn fleet_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mira_serve_fleet_{tag}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("mira_serve_fleet_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create temp dir");
     fs::write(dir.join("generic.ini"), DEFAULT_DESCRIPTION).expect("write generic");
@@ -64,9 +62,17 @@ fn base_values(fleet: &MachineFleet, id: mira_serve::KernelId, n0: i128) -> Vec<
 
 fn assert_bit_identical(a: &Placement, b: &Placement, ctx: &str) {
     assert_eq!(a.binding, b.binding, "{ctx}");
-    assert_eq!(a.compute_cycles.to_bits(), b.compute_cycles.to_bits(), "{ctx} compute");
+    assert_eq!(
+        a.compute_cycles.to_bits(),
+        b.compute_cycles.to_bits(),
+        "{ctx} compute"
+    );
     for i in 0..3 {
-        assert_eq!(a.mem_cycles[i].to_bits(), b.mem_cycles[i].to_bits(), "{ctx} mem[{i}]");
+        assert_eq!(
+            a.mem_cycles[i].to_bits(),
+            b.mem_cycles[i].to_bits(),
+            "{ctx} mem[{i}]"
+        );
     }
 }
 
@@ -149,7 +155,10 @@ fn malformed_description_is_a_typed_per_file_error() {
     fs::write(dir.join("broken.ini"), "[machine]\ncores = banana\n").expect("write");
     match MachineFleet::load(&dir) {
         Err(FleetError::Load(LoadError::Parse { path, .. })) => {
-            assert!(path.ends_with("broken.ini"), "error names the file: {path:?}");
+            assert!(
+                path.ends_with("broken.ini"),
+                "error names the file: {path:?}"
+            );
         }
         Err(other) => panic!("expected Load(Parse), got {other:?}"),
         Ok(_) => panic!("malformed directory must refuse, not half-load"),
@@ -266,16 +275,27 @@ fn reload_swaps_changed_machines_under_stable_ids() {
     let report = fleet.reload().expect("reload succeeds");
     assert_eq!(report.changed, ["avx2-fma"]);
     assert!(report.added.is_empty() && report.removed.is_empty());
-    assert_eq!(report.recompiled, 2, "both entries of the edited machine swapped");
+    assert_eq!(
+        report.recompiled, 2,
+        "both entries of the edited machine swapped"
+    );
 
     // same id, new answers — through the cache, whose entry survives:
     // the reload attached the new ceilings to the same program
-    assert_eq!(fleet.find("triad", machines::AVX2_FMA), Some(id), "id stable");
+    assert_eq!(
+        fleet.find("triad", machines::AVX2_FMA),
+        Some(id),
+        "id stable"
+    );
     let after = fleet
         .index()
         .place_cached(&q, &mut cache, &mut s)
         .expect("places after reload");
-    assert_eq!(cache.probe().hits, 1, "the entry filled before the reload serves");
+    assert_eq!(
+        cache.probe().hits,
+        1,
+        "the entry filled before the reload serves"
+    );
     let dram = MemLevel::Dram.index();
     assert!(
         after.mem_cycles[dram] < before.mem_cycles[dram],
@@ -301,7 +321,9 @@ fn reload_swaps_changed_machines_under_stable_ids() {
     assert_bit_identical(&uncached, &after, "cached vs uncached after reload");
 
     // the untouched machine's answers did not move
-    let gid = fleet.find("triad", machines::GENERIC).expect("triad@generic");
+    let gid = fleet
+        .find("triad", machines::GENERIC)
+        .expect("triad@generic");
     let gq = fleet
         .index()
         .query(gid, &base_values(&fleet, gid, 4096))
@@ -349,12 +371,18 @@ fn reload_adds_and_removes_machines() {
             .index()
             .query(id, &base_values(&fleet, id, 1024))
             .expect("query builds");
-        assert!(fleet.index().place_cached(&q, &mut cache, &mut s).is_ok(), "{machine}");
+        assert!(
+            fleet.index().place_cached(&q, &mut cache, &mut s).is_ok(),
+            "{machine}"
+        );
     }
     fs::remove_file(dir.join("charlie.ini")).expect("remove charlie");
     let report = fleet.reload().expect("reload");
     assert_eq!(report.removed, ["charlie"]);
-    assert_eq!(report.recompiled, 2, "full rebuild over the remaining machines");
+    assert_eq!(
+        report.recompiled, 2,
+        "full rebuild over the remaining machines"
+    );
     assert_eq!(fleet.index().len(), 2);
     assert!(fleet.find("triad", "charlie").is_none());
     // the survivors, re-found, answer through the cache filled before
@@ -485,7 +513,10 @@ fn admission_compiles_once_per_analysis_key() {
     let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
     let keys: Vec<AnalysisKey> = fleet.machines().map(|m| AnalysisKey::of(&m.desc)).collect();
     assert_eq!(keys.len(), 2);
-    assert_eq!(keys[0], keys[1], "the bundled machines share an analysis key");
+    assert_eq!(
+        keys[0], keys[1],
+        "the bundled machines share an analysis key"
+    );
     let ((), trace) = mira_probe::capture(|| {
         for (func, src) in SERVING {
             fleet.admit_source(func, src).expect("kernel admits");
@@ -493,7 +524,11 @@ fn admission_compiles_once_per_analysis_key() {
     });
     assert_eq!(fleet.index().len(), 2 * SERVING.len());
     let k = SERVING.len() as u64;
-    assert_eq!(trace.span_count("serve.compile"), k, "one program per kernel");
+    assert_eq!(
+        trace.span_count("serve.compile"),
+        k,
+        "one program per kernel"
+    );
     assert_eq!(trace.span_count("roofline.analyze"), k);
     assert_eq!(trace.span_count("phase.frontend"), k);
     assert_serves_tree_walk(&fleet, machines::GENERIC, DEFAULT_DESCRIPTION, &SERVING);
@@ -537,7 +572,11 @@ fn ceilings_only_reloads_compile_nothing() {
         fs::write(dir.join("avx2.ini"), &text).expect("edit avx2");
         let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
         assert_eq!(report.changed, [machines::AVX2_FMA], "{to}");
-        assert_eq!(report.recompiled, kernels.len(), "every entry swapped: {to}");
+        assert_eq!(
+            report.recompiled,
+            kernels.len(),
+            "every entry swapped: {to}"
+        );
         for span in PIPELINE_SPANS {
             assert_eq!(trace.span_count(span), 0, "{span} ran for `{to}`");
         }
@@ -560,8 +599,8 @@ fn line_size_edit_recompiles_and_matches_the_tree_walk() {
     for (func, src) in kernels {
         fleet.admit_source(func, src).expect("kernel admits");
     }
-    let wide = machines::AVX2_FMA_DESCRIPTION
-        .replace("cache_line_bytes = 64", "cache_line_bytes = 128");
+    let wide =
+        machines::AVX2_FMA_DESCRIPTION.replace("cache_line_bytes = 64", "cache_line_bytes = 128");
     assert_ne!(wide, machines::AVX2_FMA_DESCRIPTION, "edit applies");
     fs::write(dir.join("avx2.ini"), &wide).expect("edit avx2");
     let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
@@ -578,12 +617,403 @@ fn line_size_edit_recompiles_and_matches_the_tree_walk() {
     fs::write(dir.join("avx2.ini"), machines::AVX2_FMA_DESCRIPTION).expect("restore avx2");
     let (report, trace) = mira_probe::capture(|| fleet.reload().expect("reload succeeds"));
     assert_eq!(report.changed, [machines::AVX2_FMA]);
-    assert_eq!(trace.span_count("serve.compile"), 0, "the old key is still served");
+    assert_eq!(
+        trace.span_count("serve.compile"),
+        0,
+        "the old key is still served"
+    );
     assert_serves_tree_walk(
         &fleet,
         machines::AVX2_FMA,
         machines::AVX2_FMA_DESCRIPTION,
         kernels,
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Section-header offsets of a description: a cut there leaves whole
+/// sections only.
+fn header_offsets(text: &str) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if line.trim_start().starts_with('[') {
+            offsets.push(at);
+        }
+        at += line.len();
+    }
+    offsets
+}
+
+/// A stock description with two bytes that are not UTF-8.
+fn not_utf8() -> Vec<u8> {
+    let mut bytes = DEFAULT_DESCRIPTION.as_bytes().to_vec();
+    bytes.splice(10..10, [0xff, 0xfe]);
+    bytes
+}
+
+/// The two stock descriptions, by file name.
+const STOCK: [(&str, &str); 2] = [
+    ("generic.ini", DEFAULT_DESCRIPTION),
+    ("avx2.ini", machines::AVX2_FMA_DESCRIPTION),
+];
+
+/// A seeded generator of fleet-directory contents.
+struct DirFuzz(TestRng);
+
+impl DirFuzz {
+    fn below(&mut self, n: usize) -> usize {
+        (self.0.next_u64() % n as u64) as usize
+    }
+
+    /// A file of random bytes: half of them drawn from the description
+    /// alphabet, so the parser gets past its first line.
+    fn bytes(&mut self) -> Vec<u8> {
+        const ALPHABET: &[u8] =
+            b"[]=#;\n \tmachine cache l1 l2 bandwidth dram peak metric fpi name size_bytes 0123456789";
+        let len = self.below(256);
+        let ini_like = self.below(2) == 0;
+        (0..len)
+            .map(|_| match ini_like {
+                true => ALPHABET[self.below(ALPHABET.len())],
+                false => self.0.next_u64() as u8,
+            })
+            .collect()
+    }
+
+    /// A random value: a number at or past the edges of `u32`, a word,
+    /// printable junk or nothing.
+    fn token(&mut self) -> String {
+        const TOKENS: [&str; 12] = [
+            "0",
+            "1",
+            "-1",
+            "3",
+            "8",
+            "64",
+            "128",
+            "4294967295",
+            "4294967296",
+            "yes",
+            "banana",
+            "",
+        ];
+        match self.below(3) {
+            0 => (self.0.next_u64() as u32).to_string(),
+            1 => (0..1 + self.below(8))
+                .map(|_| (b' ' + self.below(95) as u8) as char)
+                .collect(),
+            _ => TOKENS[self.below(TOKENS.len())].to_string(),
+        }
+    }
+
+    /// `text` with one `key = value` line's value replaced by a random
+    /// token.
+    fn retoken(&mut self, text: &str) -> String {
+        let lines: Vec<&str> = text.lines().collect();
+        let values: Vec<usize> = (0..lines.len())
+            .filter(|&i| !lines[i].trim_start().starts_with('#') && lines[i].contains('='))
+            .collect();
+        let pick = values[self.below(values.len())];
+        let token = self.token();
+        lines
+            .iter()
+            .enumerate()
+            .map(|(i, l)| match i == pick {
+                true => format!("{}= {token}\n", l.split('=').next().unwrap_or_default()),
+                false => format!("{l}\n"),
+            })
+            .collect()
+    }
+
+    /// `text` cut at one of its section headers.
+    fn truncate<'t>(&mut self, text: &'t str) -> &'t str {
+        let offsets = header_offsets(text);
+        &text[..offsets[self.below(offsets.len())]]
+    }
+
+    /// One random edit of a fleet directory holding [`STOCK`]; returns
+    /// what it did.
+    fn edit(&mut self, dir: &std::path::Path) -> String {
+        let (name, text) = STOCK[self.below(STOCK.len())];
+        let write = |file: &str, bytes: &[u8]| fs::write(dir.join(file), bytes).expect("write");
+        match self.below(12) {
+            0 => {
+                write(name, &self.bytes());
+                format!("random bytes in {name}")
+            }
+            1 => {
+                write(name, self.truncate(text).as_bytes());
+                format!("{name} cut at a section header")
+            }
+            2 | 3 => {
+                let t = self.retoken(text);
+                write(name, t.as_bytes());
+                format!("{name} with a random value: {t:?}")
+            }
+            4 => {
+                write(name, &not_utf8());
+                format!("{name} not UTF-8")
+            }
+            5 => {
+                write("copy.ini", text.as_bytes());
+                format!("copy.ini duplicates {name}")
+            }
+            6 => {
+                write("notes.txt", &self.bytes());
+                write(&format!("{name}.bak"), &self.bytes());
+                "stray non-.ini files".to_string()
+            }
+            7 => {
+                let bw = 1 + self.below(64);
+                let t = text.replace(
+                    "[bandwidth dram]\nbytes_per_cycle = ",
+                    &format!("[bandwidth dram]\nbytes_per_cycle = {bw}"),
+                );
+                write(name, t.as_bytes());
+                format!("{name} at DRAM bandwidth {bw}")
+            }
+            8 => {
+                let t = DEFAULT_DESCRIPTION.replace("generic-x86_64", "charlie");
+                write("charlie.ini", t.as_bytes());
+                "charlie.ini added".to_string()
+            }
+            9 => {
+                let _ = fs::remove_file(dir.join("charlie.ini"));
+                "charlie.ini removed".to_string()
+            }
+            _ => {
+                for (name, text) in STOCK {
+                    write(name, text.as_bytes());
+                }
+                let _ = fs::remove_file(dir.join("copy.ini"));
+                "stock files restored".to_string()
+            }
+        }
+    }
+}
+
+/// A directory's contents: `(file name, bytes)`.
+type Files = Vec<(String, Vec<u8>)>;
+
+/// `MachineFleet::load` over seeded directory contents — empty, random
+/// bytes, the stock descriptions cut at every section header or with one
+/// value replaced by a random token, a non-UTF-8 file, a duplicate
+/// machine name, stray entries that are not `*.ini` files — loads or
+/// refuses with a typed [`FleetError::Load`], and never panics.
+#[test]
+fn fuzzed_fleet_directories_load_or_refuse_typed() {
+    let mut fuzz = DirFuzz(TestRng::deterministic("fleet-dir-fuzz"));
+    let stock = || -> Files {
+        STOCK
+            .iter()
+            .map(|(name, text)| (name.to_string(), text.as_bytes().to_vec()))
+            .collect()
+    };
+    let with = |name: &str, bytes: Vec<u8>| {
+        let mut files = stock();
+        match files.iter_mut().find(|(n, _)| n == name) {
+            Some(f) => f.1 = bytes,
+            None => files.push((name.to_string(), bytes)),
+        }
+        files
+    };
+    let mut cases: Vec<(String, Files)> = vec![("empty".to_string(), Vec::new())];
+    for i in 0..16 {
+        let files = (0..1 + fuzz.below(3))
+            .map(|j| (format!("r{j}.ini"), fuzz.bytes()))
+            .collect();
+        cases.push((format!("random bytes {i}"), files));
+    }
+    for (name, text) in STOCK {
+        for cut in header_offsets(text) {
+            let files = with(name, text.as_bytes()[..cut].to_vec());
+            cases.push((format!("{name} cut at byte {cut}"), files));
+        }
+        for i in 0..12 {
+            let files = with(name, fuzz.retoken(text).into_bytes());
+            cases.push((format!("{name} random value {i}"), files));
+        }
+    }
+    cases.push(("non-UTF-8".to_string(), with("generic.ini", not_utf8())));
+    cases.push((
+        "duplicate name".to_string(),
+        with("copy.ini", DEFAULT_DESCRIPTION.as_bytes().to_vec()),
+    ));
+    let mut stray = with("notes.txt", fuzz.bytes());
+    stray.push(("generic.ini.bak".to_string(), fuzz.bytes()));
+    stray.push(("README".to_string(), fuzz.bytes()));
+    cases.push(("stray".to_string(), stray));
+
+    let dir = std::env::temp_dir().join(format!("mira_serve_fleet_fuzz_{}", std::process::id()));
+    let (mut loaded, mut refused) = (0, 0);
+    for (what, files) in &cases {
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create temp dir");
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).expect("write");
+        }
+        if what == "stray" {
+            // a directory is not a description, whatever its name
+            fs::create_dir(dir.join("sub.ini")).expect("create sub.ini/");
+        }
+        match MachineFleet::load(&dir) {
+            Ok(fleet) => {
+                loaded += 1;
+                let inis = files.iter().filter(|(n, _)| n.ends_with(".ini")).count();
+                assert_eq!(fleet.machines().count(), inis, "{what}");
+            }
+            Err(FleetError::Load(e)) => {
+                refused += 1;
+                assert!(!e.to_string().is_empty(), "{what}");
+            }
+            Err(other) => panic!("{what}: load refused with {other:?}"),
+        }
+    }
+    // the cases whose outcome is known
+    let outcome = |what: &str| {
+        let (_, files) = cases.iter().find(|(w, _)| w == what).expect("case exists");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create temp dir");
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).expect("write");
+        }
+        MachineFleet::load(&dir)
+    };
+    assert!(matches!(outcome("empty"), Ok(f) if f.machines().count() == 0));
+    assert!(matches!(
+        outcome("non-UTF-8"),
+        Err(FleetError::Load(LoadError::Io { .. }))
+    ));
+    assert!(matches!(
+        outcome("duplicate name"),
+        Err(FleetError::Load(LoadError::DuplicateName { .. }))
+    ));
+    assert!(matches!(outcome("stray"), Ok(f) if f.machines().count() == 2));
+    assert!(
+        loaded > 0 && refused > 0,
+        "{loaded} loaded, {refused} refused"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A point of every served kernel × machine pair, and its uncached
+/// answer.
+type Served = Vec<(
+    String,
+    String,
+    mira_serve::Query,
+    Result<Placement, ServeError>,
+)>;
+
+fn served(fleet: &MachineFleet, s: &mut Scratch) -> Served {
+    let mut out = Vec::new();
+    for (id, k) in fleet.index().kernels() {
+        for n in [8, 300, 4096, 1 << 20] {
+            let q = fleet
+                .index()
+                .query(id, &base_values(fleet, id, n))
+                .expect("query builds");
+            let a = fleet.index().place(&q, s);
+            out.push((k.func().to_string(), k.machine().to_string(), q, a));
+        }
+    }
+    out
+}
+
+fn assert_same_answer(
+    a: &Result<Placement, ServeError>,
+    b: &Result<Placement, ServeError>,
+    ctx: &str,
+) {
+    match (a, b) {
+        (Ok(x), Ok(y)) => assert_bit_identical(x, y, ctx),
+        _ => assert_eq!(a, b, "{ctx}"),
+    }
+}
+
+/// Seeded random edits of a loaded fleet's directory (random bytes,
+/// cuts at section headers, random values, non-UTF-8, duplicate names,
+/// stray files, valid bandwidth edits, machines added and removed,
+/// restores): every `reload()` either applies — each changed or added
+/// machine then answers like the tree walk under its loaded description,
+/// and every other machine as before — or refuses with a typed error
+/// and leaves every answer unchanged, uncached and through an answer
+/// cache holding the placements it served before the refusal.
+#[test]
+fn fuzzed_fleet_edits_apply_or_refuse_atomically() {
+    let dir = fleet_dir("fuzz_edits");
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let kernels = &SERVING[..2];
+    for (func, src) in kernels {
+        fleet.admit_source(func, src).expect("kernel admits");
+    }
+    let mut fuzz = DirFuzz(TestRng::deterministic("fleet-edit-fuzz"));
+    let mut cache = AnswerCache::new(256);
+    let mut s = Scratch::new();
+    let mut before = served(&fleet, &mut s);
+    let (mut applied, mut refused, mut kept_reads) = (0, 0, 0);
+    for step in 0..48 {
+        // read every point through the cache, so its entries keep the
+        // placements of the kernels now served
+        for (func, machine, q, want) in &before {
+            let got = fleet.index().place_cached(q, &mut cache, &mut s);
+            assert_same_answer(want, &got, &format!("step {step} {func}@{machine} cached"));
+        }
+        let what = fuzz.edit(&dir);
+        match fleet.reload() {
+            Ok(report) => {
+                applied += 1;
+                let after = served(&fleet, &mut s);
+                for (func, machine, q, got) in &after {
+                    let ctx = format!("step {step} ({what}): {func}@{machine}");
+                    let touched = report
+                        .changed
+                        .iter()
+                        .chain(&report.added)
+                        .any(|m| m == machine);
+                    if touched {
+                        let m = fleet
+                            .machines()
+                            .find(|m| m.name() == machine)
+                            .expect("served machine is loaded");
+                        let src = kernels.iter().find(|(f, _)| f == func).expect("admitted").1;
+                        let kr = roofline(&m.desc, func, src);
+                        let k = fleet.index().kernel(q.kernel).expect("kernel");
+                        let b = k.params().iter().cloned().zip(q.values).collect();
+                        let walked = kr.place(&Ceilings::from_arch(&m.desc), &b);
+                        assert_same_answer(&walked.map_err(ServeError::Eval), got, &ctx);
+                    } else {
+                        let old = before
+                            .iter()
+                            .find(|(f, m, o, _)| f == func && m == machine && o.values == q.values)
+                            .expect("an untouched machine was served before");
+                        assert_same_answer(&old.3, got, &ctx);
+                    }
+                }
+                before = after;
+            }
+            Err(e) => {
+                refused += 1;
+                assert!(!e.to_string().is_empty(), "step {step} ({what})");
+                let memo_hits = cache.probe().memo_hits;
+                for (func, machine, q, want) in &before {
+                    let ctx = format!("step {step} ({what}) refused: {func}@{machine}");
+                    assert_same_answer(want, &fleet.index().place(q, &mut s), &ctx);
+                    let cached = fleet.index().place_cached(q, &mut cache, &mut s);
+                    assert_same_answer(want, &cached, &format!("{ctx} cached"));
+                }
+                kept_reads += cache.probe().memo_hits - memo_hits;
+            }
+        }
+    }
+    assert!(
+        applied > 0 && refused > 0,
+        "{applied} applied, {refused} refused"
+    );
+    assert!(
+        kept_reads > 0,
+        "refused reloads must be read from kept placements"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,9 @@
 //! output vector at capacity), answering query batches through
 //! [`ServeIndex::run_batch`] allocates nothing — the serving path is
 //! pure register arithmetic over reused buffers — and neither does
-//! [`ServeIndex::run_batch_cached`]: answer-cache slots are fixed-size
-//! and allocated when the cache is built.
+//! [`ServeIndex::run_batch_cached`]: answer-cache slots, with their
+//! cells and kept placements, are fixed-size and allocated when the
+//! cache is built.
 //!
 //! Pinned with a counting global allocator; the harness itself
 //! allocates, so the assertion brackets only the batch runs. The
@@ -45,12 +46,11 @@ fn warm_query_batches_do_not_allocate() {
         ("triad", mira_workloads::memval::TRIAD_SRC),
         ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
     ] {
-        let analysis =
-            analyze_source(src, &MiraOptions::default()).expect("workload analyzes");
+        let analysis = analyze_source(src, &MiraOptions::default()).expect("workload analyzes");
         let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
         let c = Ceilings::from_arch(&analysis.arch);
-        let k = CompiledKernel::build(&kr, &c, &analysis.arch.machine.name)
-            .expect("kernel compiles");
+        let k =
+            CompiledKernel::build(&kr, &c, &analysis.arch.machine.name).expect("kernel compiles");
         index.insert(k).expect("kernel admits");
     }
     let mut queries: Vec<Query> = Vec::new();
@@ -102,6 +102,9 @@ fn warm_query_batches_do_not_allocate() {
         after - before,
         10 * queries.len()
     );
-    assert!(st.hits > 0 && st.evictions > 0, "{st:?}");
+    assert!(
+        st.hits > 0 && st.memo_hits > 0 && st.evictions > 0,
+        "{st:?}"
+    );
     assert_eq!(out, uncached);
 }

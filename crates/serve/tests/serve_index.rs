@@ -64,7 +64,11 @@ fn batch_and_sharded_answers_are_identical() {
     let mut queries: Vec<Query> = Vec::new();
     for (id, k) in index.kernels() {
         for n in 1..=200i128 {
-            let vals: Vec<i128> = k.params().iter().map(|p| if p == "n" { n } else { 2 }).collect();
+            let vals: Vec<i128> = k
+                .params()
+                .iter()
+                .map(|p| if p == "n" { n } else { 2 })
+                .collect();
             queries.push(index.query(id, &vals).expect("query builds"));
         }
     }
@@ -98,12 +102,17 @@ fn batch_and_sharded_answers_are_identical() {
 #[test]
 fn effective_workers_degrades_small_batches_and_caps_at_the_host() {
     use mira_serve::SHARD_MIN_BATCH;
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     assert_eq!(ServeIndex::effective_workers(0, 64), 1);
     assert_eq!(ServeIndex::effective_workers(SHARD_MIN_BATCH - 1, 64), 1);
     assert_eq!(ServeIndex::effective_workers(SHARD_MIN_BATCH, 1), 1);
     let at = ServeIndex::effective_workers(SHARD_MIN_BATCH, 64);
-    assert!(at >= 1 && at <= 64.min(hw), "policy stays in [1, min(64, hw)]: {at}");
+    assert!(
+        at >= 1 && at <= 64.min(hw),
+        "policy stays in [1, min(64, hw)]: {at}"
+    );
     assert_eq!(ServeIndex::effective_workers(1 << 20, usize::MAX), hw);
 }
 
@@ -114,11 +123,8 @@ fn effective_workers_degrades_small_batches_and_caps_at_the_host() {
 /// before the swap.
 #[test]
 fn duplicate_is_refused_and_replace_serves_new_answers() {
-    let analysis = analyze_source(
-        mira_workloads::memval::TRIAD_SRC,
-        &MiraOptions::default(),
-    )
-    .expect("triad analyzes");
+    let analysis = analyze_source(mira_workloads::memval::TRIAD_SRC, &MiraOptions::default())
+        .expect("triad analyzes");
     let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
     let program = Arc::new(PlacementProgram::compile(&kr).expect("program compiles"));
@@ -196,11 +202,8 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
 /// only can because duplicates are now refused at admission.
 #[test]
 fn find_matches_the_linear_scan_on_a_100_kernel_fleet() {
-    let analysis = analyze_source(
-        mira_workloads::memval::TRIAD_SRC,
-        &MiraOptions::default(),
-    )
-    .expect("triad analyzes");
+    let analysis = analyze_source(mira_workloads::memval::TRIAD_SRC, &MiraOptions::default())
+        .expect("triad analyzes");
     let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
 
@@ -223,8 +226,14 @@ fn find_matches_the_linear_scan_on_a_100_kernel_fleet() {
         assert_eq!(index.find("triad", &m), linear_scan("triad", &m), "{m}");
         assert!(index.find("triad", &m).is_some());
     }
-    assert_eq!(index.find("triad", "machine-100"), linear_scan("triad", "machine-100"));
-    assert_eq!(index.find("nope", "machine-000"), linear_scan("nope", "machine-000"));
+    assert_eq!(
+        index.find("triad", "machine-100"),
+        linear_scan("triad", "machine-100")
+    );
+    assert_eq!(
+        index.find("nope", "machine-000"),
+        linear_scan("nope", "machine-000")
+    );
     assert_eq!(index.find("", ""), None);
 }
 
@@ -321,11 +330,8 @@ fn typed_refusals_for_bad_queries() {
 /// at n = 9 — is unchanged on both paths.
 #[test]
 fn compiled_crossover_matches_tree_walk_pinned_dgemm() {
-    let analysis = analyze_source(
-        mira_workloads::dgemm::DGEMM_SRC,
-        &MiraOptions::default(),
-    )
-    .expect("dgemm analyzes");
+    let analysis = analyze_source(mira_workloads::dgemm::DGEMM_SRC, &MiraOptions::default())
+        .expect("dgemm analyzes");
     let kr = KernelRoofline::analyze(&analysis, "dgemm").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
     let tree = kr

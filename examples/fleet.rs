@@ -6,7 +6,9 @@
 //! compiles nothing) and are swapped atomically under stable
 //! `KernelId`s, and the new ceilings are served immediately, from the
 //! same cache entry: it holds the machine-independent values of the
-//! compiled program, which the reload did not change.
+//! compiled program, which the reload did not change. The entry then
+//! keeps the finished placement under the new ceilings, so asking again
+//! is one lookup.
 //!
 //! Run with: `cargo run --release --example fleet`
 
@@ -99,9 +101,27 @@ fn main() {
         "doubled bandwidth halves the DRAM bound"
     );
     assert_eq!(
-        (stats.hits, stats.misses),
-        (1, 1),
-        "the answer after the reload is read from the entry filled before it"
+        (stats.hits, stats.misses, stats.memo_hits),
+        (1, 1, 0),
+        "the answer after the reload is computed from the entry filled before it"
+    );
+
+    // asked again, the entry answers with the placement it kept for the
+    // reloaded machine's ceilings
+    let again = fleet
+        .index()
+        .place_cached(&q, &mut cache, &mut s)
+        .expect("places again");
+    let stats = cache.probe();
+    println!(
+        "asked again: {} (cache hits = {}, of them answered by a kept placement = {})",
+        again, stats.hits, stats.memo_hits,
+    );
+    assert_eq!(again, after);
+    assert_eq!(
+        (stats.hits, stats.memo_hits),
+        (2, 1),
+        "the second read after the reload is the kept placement"
     );
     assert_eq!(report.changed, [machines::AVX2_FMA]);
     assert_eq!(
