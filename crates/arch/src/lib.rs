@@ -315,20 +315,6 @@ impl CategoryCounts {
         self.counts[c.index()] = n;
     }
 
-    pub fn merge(&mut self, other: &CategoryCounts) {
-        for i in 0..Category::COUNT {
-            self.counts[i] += other.counts[i];
-        }
-    }
-
-    /// Add `other` scaled by an integer multiplier (function calls inside
-    /// loops).
-    pub fn merge_scaled(&mut self, other: &CategoryCounts, k: i128) {
-        for i in 0..Category::COUNT {
-            self.counts[i] += other.counts[i] * k;
-        }
-    }
-
     pub fn total(&self) -> i128 {
         self.counts.iter().sum()
     }
@@ -386,18 +372,14 @@ mod tests {
     }
 
     #[test]
-    fn counts_merge_and_metric() {
+    fn counts_add_and_metric() {
         let mut a = CategoryCounts::new();
         a.add(Category::Sse2PackedArith, 10);
         a.add(Category::IntArith, 5);
-        let mut b = CategoryCounts::new();
-        b.add(Category::Sse2PackedArith, 7);
-        a.merge(&b);
+        a.add(Category::Sse2PackedArith, 7);
         assert_eq!(a.get(Category::Sse2PackedArith), 17);
         assert_eq!(a.total(), 22);
         assert_eq!(a.metric(&[Category::Sse2PackedArith]), 17);
-        a.merge_scaled(&b, 3);
-        assert_eq!(a.get(Category::Sse2PackedArith), 38);
     }
 
     #[test]

@@ -22,19 +22,16 @@
 //! pair-by-pair against the tree-walk crossover.
 //!
 //! Usage: `cargo run --release -p mira-bench --bin bench_serve
-//! [--quick|--check|--fleet-smoke] [--trace <out.json>]` — `--quick`
-//! shrinks the sweep for the CI smoke run and writes
+//! [--quick|--check] [--trace <out.json>]` — `--quick` shrinks the
+//! sweep for the CI smoke run and writes
 //! `target/bench-quick/BENCH_serve.json`; `--check` re-runs at the
 //! committed sizes and exits non-zero when any row's answer hash
 //! changed or its throughput regressed more than 2% versus the
 //! committed `BENCH_serve.json` — throughput is compared
 //! host-normalized (queries per unit of a fixed calibration loop, see
 //! [`calibration_ops_per_sec`]) so the gate tracks the code, not the
-//! runner; `--fleet-smoke` runs the hot-reload end-to-end check (edit a
-//! machine description on disk, reload, assert the changed ceiling is
-//! served) without touching the baseline; `--trace` writes a Chrome
-//! trace-event JSON carrying the `serve.compile` and
-//! `serve.query_batch` spans.
+//! runner; `--trace` writes a Chrome trace-event JSON carrying the
+//! `serve.compile` and `serve.query_batch` spans.
 
 use std::time::{Duration, Instant};
 
@@ -42,8 +39,7 @@ use mira_bench::{json_open, Bench};
 use mira_core::{analyze_source, Analysis, MiraOptions};
 use mira_roofline::{Ceiling, Ceilings, KernelRoofline, MemLevel, Placement};
 use mira_serve::{
-    machines, AnswerCache, CompiledKernel, CrossoverRow, MachineFleet, Query, Scratch,
-    ServeError, ServeIndex,
+    machines, AnswerCache, CompiledKernel, CrossoverRow, Query, Scratch, ServeError, ServeIndex,
 };
 use mira_sym::{bindings, Bindings};
 
@@ -307,10 +303,6 @@ fn main() {
 }
 
 fn run(bench: &Bench) -> Option<String> {
-    if std::env::args().any(|a| a == "--fleet-smoke") {
-        fleet_smoke();
-        return None;
-    }
     let n_hi: i128 = if bench.quick { 64 } else { 512 };
 
     let mut index = ServeIndex::new();
@@ -536,108 +528,6 @@ struct AggregateGates {
     sharded_qps: f64,
     cache_hash: u64,
     ct_hash: u64,
-}
-
-/// `--fleet-smoke`: the hot-reload end-to-end check CI runs before the
-/// throughput smokes. Builds a two-machine fleet in a temp directory,
-/// admits triad, edits one description on disk (doubling its DRAM
-/// bandwidth), reloads, and asserts the *changed* ceiling is served —
-/// under the same [`mira_serve::KernelId`], through a filled answer
-/// cache, bit-identical to the tree walk under the edited description —
-/// and that a second read is answered by the placement the cache kept.
-fn fleet_smoke() {
-    let dir = std::env::temp_dir().join(format!("mira_bench_fleet_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create fleet dir");
-    std::fs::write(dir.join("generic.ini"), mira_arch::desc::DEFAULT_DESCRIPTION)
-        .expect("write generic.ini");
-    std::fs::write(dir.join("avx2.ini"), machines::AVX2_FMA_DESCRIPTION)
-        .expect("write avx2.ini");
-    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
-    fleet
-        .admit_source("triad", mira_workloads::memval::TRIAD_SRC)
-        .expect("triad admits");
-    let id = fleet
-        .find("triad", machines::AVX2_FMA)
-        .expect("triad serves on avx2-fma");
-    let params: Vec<String> = fleet.index().kernel(id).expect("kernel").params().to_vec();
-    let vals: Vec<i128> = params.iter().map(|p| if p == "n" { 4096 } else { 1 }).collect();
-    let q = fleet.index().query(id, &vals).expect("query builds");
-    let mut s = Scratch::new();
-    let mut cache = AnswerCache::new(64);
-    let before = fleet
-        .index()
-        .place_cached(&q, &mut cache, &mut s)
-        .expect("places before reload");
-
-    let edited = machines::AVX2_FMA_DESCRIPTION.replace(
-        "[bandwidth dram]\nbytes_per_cycle = 8",
-        "[bandwidth dram]\nbytes_per_cycle = 16",
-    );
-    assert_ne!(edited, machines::AVX2_FMA_DESCRIPTION, "edit must apply");
-    std::fs::write(dir.join("avx2.ini"), &edited).expect("edit avx2.ini");
-    let report = fleet.reload().expect("reload succeeds");
-    assert_eq!(report.changed, ["avx2-fma"], "reload sees the edit");
-    assert_eq!(fleet.find("triad", machines::AVX2_FMA), Some(id), "id stable");
-    let after = fleet
-        .index()
-        .place_cached(&q, &mut cache, &mut s)
-        .expect("places after reload");
-    let dram = MemLevel::Dram.index();
-    assert!(
-        after.mem_cycles[dram] < before.mem_cycles[dram],
-        "the changed ceiling must be served ({} -> {})",
-        before.mem_cycles[dram],
-        after.mem_cycles[dram],
-    );
-    assert_eq!(
-        cache.probe().hits,
-        1,
-        "the entry filled before the reload serves the new ceilings"
-    );
-    assert_eq!(
-        cache.probe().memo_hits,
-        0,
-        "the reloaded kernel's ceilings have no kept placement yet"
-    );
-    let again = fleet
-        .index()
-        .place_cached(&q, &mut cache, &mut s)
-        .expect("places again after reload");
-    assert_eq!(again, after, "the kept placement is the answer");
-    assert_eq!(
-        (cache.probe().hits, cache.probe().memo_hits),
-        (2, 1),
-        "the second read after the reload is answered by the placement kept for it"
-    );
-
-    // differential against the tree walk under the edited description
-    let arch = mira_arch::ArchDescription::parse(&edited).expect("edited description parses");
-    let analysis = analyze_source(
-        mira_workloads::memval::TRIAD_SRC,
-        &MiraOptions {
-            arch,
-            ..Default::default()
-        },
-    )
-    .expect("triad analyzes");
-    let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline analyzes");
-    let c = Ceilings::from_arch(&analysis.arch);
-    let pairs: Vec<(&str, i128)> =
-        params.iter().zip(&vals).map(|(p, v)| (p.as_str(), *v)).collect();
-    let tree = kr.place(&c, &bindings(&pairs)).expect("tree walk places");
-    assert_eq!(tree.binding, after.binding);
-    assert_eq!(tree.compute_cycles.to_bits(), after.compute_cycles.to_bits());
-    for l in 0..3 {
-        assert_eq!(tree.mem_cycles[l].to_bits(), after.mem_cycles[l].to_bits());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "fleet smoke: reload served the changed ceiling ({:.0} -> {:.0} dram cycles), \
-         id stable, served through the cache filled before the reload and then from the \
-         placement kept for the new ceilings, tree walk agrees",
-        before.mem_cycles[dram], after.mem_cycles[dram]
-    );
 }
 
 /// `--check`: every row's answer hash must match the committed baseline

@@ -39,6 +39,31 @@ fn assert_exact(src: &str, func: &str, args: &[HostVal], binds: &Bindings) {
 }
 
 #[test]
+fn line_bytes_roll_up_per_line() {
+    let src = "double dot(int n, double* x, double* y) {\n\
+               double s = 0.0;\n\
+               for (int i = 0; i < n; i++) {\n\
+               s += x[i] * y[i];\n\
+               }\n\
+               return s;\n}";
+    let analysis = analyze_source(src, &MiraOptions::default()).unwrap();
+    let report = analysis.report("dot", &bindings(&[("n", 1000)])).unwrap();
+    // the kernel line (4) dominates: it loads x[i] and y[i] every
+    // iteration — at least 16 bytes per element
+    let (line, (load, _)) = report
+        .line_bytes
+        .iter()
+        .max_by_key(|(_, (l, s))| l + s)
+        .unwrap();
+    assert_eq!(*line, 4);
+    assert!(*load >= 16_000, "{:?}", report.line_bytes);
+    // and the per-line rollup sums to the whole-function total
+    let sum: i128 = report.line_bytes.values().map(|(l, s)| l + s).sum();
+    assert_eq!(sum, report.total_bytes());
+    assert_eq!(report.flops, 2000);
+}
+
+#[test]
 fn exact_straightline_function() {
     let src = "double f(double a, double b) {\n    double c = a * b;\n    double d = c + a;\n    return d;\n}";
     assert_exact(src, "f", &[HostVal::Fp(1.0), HostVal::Fp(2.0)], &bindings(&[]));

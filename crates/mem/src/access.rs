@@ -77,14 +77,6 @@ impl ArrayFootprint {
     pub fn lines_expr(&self, line_bytes: u32) -> SymExpr {
         range_lines_expr(&self.min_index, &self.max_index, line_bytes)
     }
-
-    /// Extent of the accessed range in bytes.
-    pub fn extent_bytes_expr(&self) -> SymExpr {
-        self.max_index
-            .sub_expr(&self.min_index)
-            .add_expr(&SymExpr::constant(1))
-            .scale(Rat::int(ELEM_BYTES as i128))
-    }
 }
 
 /// Closed-form distinct-line count of an inclusive element index range
@@ -2304,7 +2296,8 @@ mod tests {
         for a in &fp.arrays {
             // 1024 × 8 B / 64 B = 128 lines per array
             assert_eq!(a.lines_expr(64).eval_count(&b).unwrap(), 128, "{}", a.array);
-            assert_eq!(a.extent_bytes_expr().eval_count(&b).unwrap(), 8192);
+            let extent = a.max_index.sub_expr(&a.min_index);
+            assert_eq!(extent.eval_count(&b).unwrap(), 1023, "{}", a.array);
         }
         let a = fp.array("a").unwrap();
         assert!(a.stored && !a.loaded);

@@ -63,37 +63,6 @@ pub use access::{
 pub use cachesim::{CacheSim, LevelStats, MemStats};
 
 use mira_core::Analysis;
-use mira_sym::Bindings;
-
-/// One row of the per-function memory-traffic rollup (the bytes analogue
-/// of the Table-II category table).
-#[derive(Clone, Debug)]
-pub struct TrafficRow {
-    pub line: u32,
-    pub load_bytes: i128,
-    pub store_bytes: i128,
-}
-
-/// Statement-level memory-traffic table of one function under concrete
-/// parameter bindings, descending by total traffic.
-pub fn traffic_table(
-    analysis: &Analysis,
-    func: &str,
-    bindings: &Bindings,
-) -> Result<Vec<TrafficRow>, mira_model::ModelError> {
-    let report = analysis.report(func, bindings)?;
-    let mut rows: Vec<TrafficRow> = report
-        .line_bytes
-        .iter()
-        .map(|(line, (l, s))| TrafficRow {
-            line: *line,
-            load_bytes: *l,
-            store_bytes: *s,
-        })
-        .collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.load_bytes + r.store_bytes));
-    Ok(rows)
-}
 
 /// Distinct-line footprints for `func`, derived from the analysis'
 /// source program: `func` and its callees are analyzed, nothing else.
@@ -109,29 +78,6 @@ mod tests {
     use super::*;
     use mira_core::{analyze_source, MiraOptions};
     use mira_sym::bindings;
-
-    #[test]
-    fn traffic_table_rolls_up_per_line() {
-        let src = "double dot(int n, double* x, double* y) {\n\
-                   double s = 0.0;\n\
-                   for (int i = 0; i < n; i++) {\n\
-                   s += x[i] * y[i];\n\
-                   }\n\
-                   return s;\n}";
-        let analysis = analyze_source(src, &MiraOptions::default()).unwrap();
-        let b = bindings(&[("n", 1000)]);
-        let rows = traffic_table(&analysis, "dot", &b).unwrap();
-        assert!(!rows.is_empty());
-        // the kernel line (4) dominates: it loads x[i] and y[i] every
-        // iteration — at least 16 bytes per element
-        assert_eq!(rows[0].line, 4);
-        assert!(rows[0].load_bytes >= 16_000, "{rows:?}");
-        // and the whole-function report agrees with the rollup total
-        let report = analysis.report("dot", &b).unwrap();
-        let sum: i128 = rows.iter().map(|r| r.load_bytes + r.store_bytes).sum();
-        assert_eq!(sum, report.total_bytes());
-        assert_eq!(report.flops, 2000);
-    }
 
     #[test]
     fn footprints_from_analysis() {

@@ -351,7 +351,13 @@ impl Model {
     /// Parametric FPI expression for one function (no evaluation) — the
     /// closed form a user can inspect.
     pub fn fpi_expr(&self, func: &str, arch: &ArchDescription) -> Result<SymExpr, ModelError> {
-        self.metric_expr(func, arch.fpi(), 0)
+        let cats = arch.fpi();
+        self.fold_expr(func, 0, &|op| match op {
+            ModelOp::Acc {
+                category, count, ..
+            } if cats.contains(category) => Some(count.clone()),
+            _ => None,
+        })
     }
 
     /// Closed-form expression for the bytes loaded by one call of `func`
@@ -485,41 +491,6 @@ impl Model {
             {
                 let sub = self.fold_expr(callee, depth + 1, pick)?;
                 total = total.add_expr(&sub.mul_expr(multiplier));
-            }
-        }
-        Ok(total)
-    }
-
-    fn metric_expr(
-        &self,
-        func: &str,
-        cats: &[Category],
-        depth: u32,
-    ) -> Result<SymExpr, ModelError> {
-        if depth > 64 {
-            return Err(ModelError::TooDeep);
-        }
-        let fm = self
-            .functions
-            .get(func)
-            .ok_or_else(|| ModelError::UnknownFunction(func.to_string()))?;
-        let mut total = SymExpr::zero();
-        for op in &fm.ops {
-            match op {
-                ModelOp::Acc {
-                    category, count, ..
-                } => {
-                    if cats.contains(category) {
-                        total = total.add_expr(count);
-                    }
-                }
-                ModelOp::Call {
-                    callee, multiplier, ..
-                } => {
-                    let sub = self.metric_expr(callee, cats, depth + 1)?;
-                    total = total.add_expr(&sub.mul_expr(multiplier));
-                }
-                ModelOp::MemAcc { .. } | ModelOp::FlopAcc { .. } => {}
             }
         }
         Ok(total)

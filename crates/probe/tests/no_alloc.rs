@@ -3,26 +3,44 @@
 //!
 //! Pinned with a counting global allocator: the harness itself allocates
 //! (test names, output buffers), so the assertion brackets only the
-//! probe calls. `--test-threads` is irrelevant — the counter is global,
-//! so this file holds exactly one test to keep the bracket exclusive.
+//! probe calls, and only the bracketing thread's allocations count. The
+//! counter is global, so this file holds exactly one test to keep the
+//! bracket exclusive.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// On while this thread is inside a bracket. `const`-initialised and
+    /// read with `try_with`, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 struct Counting;
+
+impl Counting {
+    /// Count an allocation only on a thread inside a bracket: the test
+    /// harness's other threads may allocate at any time.
+    fn count(&self) {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -30,29 +48,33 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// Allocations `f` makes on the calling thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn disabled_probe_calls_do_not_allocate() {
     assert!(!mira_probe::enabled());
     // warm up the thread-locals outside the bracket
     drop(mira_probe::span("warmup", "t"));
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for i in 0..10_000i64 {
-        let mut sp = mira_probe::span("disabled.span", "t");
-        sp.arg("i", i);
-        drop(sp);
-        mira_probe::add("disabled.counter", i);
-        mira_probe::instant("disabled.instant", "t");
-        mira_probe::instant_kv("disabled.kv", "t", "i", i);
-        drop(mira_probe::accum("disabled.accum"));
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "disabled probe path allocated {} times",
-        after - before
-    );
+    let allocs = allocs_in(|| {
+        for i in 0..10_000i64 {
+            let mut sp = mira_probe::span("disabled.span", "t");
+            sp.arg("i", i);
+            drop(sp);
+            mira_probe::add("disabled.counter", i);
+            mira_probe::instant("disabled.instant", "t");
+            mira_probe::instant_kv("disabled.kv", "t", "i", i);
+            drop(mira_probe::accum("disabled.accum"));
+        }
+    });
+    assert_eq!(allocs, 0, "disabled probe path allocated {allocs} times");
 
     // sanity: the same sequence with probes enabled does record
     let (_, t) = mira_probe::capture(|| {

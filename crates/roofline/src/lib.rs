@@ -200,14 +200,6 @@ impl Placement {
         matches!(self.binding, Ceiling::Mem(_))
     }
 
-    /// Cycles bound of one specific ceiling.
-    pub fn ceiling_cycles(&self, c: Ceiling) -> f64 {
-        match c {
-            Ceiling::Compute => self.compute_cycles,
-            Ceiling::Mem(l) => self.mem_cycles[l.index()],
-        }
-    }
-
     /// Same bound class (compute- vs memory-bound) *and* same binding
     /// roof — the agreement predicate between static and simulated
     /// placements.
@@ -898,7 +890,7 @@ mod tests {
         let p = Placement::classify(6.0, [5.0, 1.0, 1.0]);
         assert_eq!(p.binding, Ceiling::Compute);
         assert!(!p.memory_bound());
-        assert_eq!(p.ceiling_cycles(Ceiling::Mem(MemLevel::Dram)), 1.0);
+        assert_eq!(p.mem_cycles[MemLevel::Dram.index()], 1.0);
     }
 
     #[test]

@@ -150,7 +150,6 @@ type Programs = HashMap<AnalysisKey, Vec<Arc<PlacementProgram>>>;
 /// [module docs](self).
 pub struct MachineFleet {
     dir: PathBuf,
-    options: MiraOptions,
     machines: Vec<LoadedDescription>,
     sources: Vec<KernelSource>,
     programs: Programs,
@@ -159,20 +158,12 @@ pub struct MachineFleet {
 
 impl MachineFleet {
     /// Load every `*.ini` description in `dir` (all-or-nothing; see
-    /// [`mira_arch::load_dir`]) into an empty fleet with default
-    /// compiler options.
+    /// [`mira_arch::load_dir`]) into an empty fleet. Kernels are analyzed
+    /// with default pipeline options under each machine's description.
     pub fn load(dir: &Path) -> Result<MachineFleet, FleetError> {
-        MachineFleet::load_with(dir, MiraOptions::default())
-    }
-
-    /// [`MachineFleet::load`] with explicit pipeline options. The
-    /// `arch` field of `options` is ignored — each machine's loaded
-    /// description takes its place per compilation.
-    pub fn load_with(dir: &Path, options: MiraOptions) -> Result<MachineFleet, FleetError> {
         let machines = load_dir(dir)?;
         Ok(MachineFleet {
             dir: dir.to_path_buf(),
-            options,
             machines,
             sources: Vec::new(),
             programs: Programs::new(),
@@ -229,7 +220,7 @@ impl MachineFleet {
             let program = match compiled.iter().find(|(k, _)| *k == key) {
                 Some((_, p)) => p.clone(),
                 None => {
-                    let p = Arc::new(compile(&self.options, &source, m)?);
+                    let p = Arc::new(compile(&source, m)?);
                     compiled.push((key, p.clone()));
                     p
                 }
@@ -310,7 +301,7 @@ impl MachineFleet {
                 None => self
                     .sources
                     .iter()
-                    .map(|s| compile(&self.options, s, m).map(Arc::new))
+                    .map(|s| compile(s, m).map(Arc::new))
                     .collect::<Result<Vec<_>, _>>()?,
             };
             programs.insert(key, ps);
@@ -349,14 +340,10 @@ impl MachineFleet {
 
 /// Analyze one kernel source under `m`'s description and compile its
 /// placement program — valid on every machine with `m`'s analysis key.
-fn compile(
-    options: &MiraOptions,
-    s: &KernelSource,
-    m: &LoadedDescription,
-) -> Result<PlacementProgram, FleetError> {
+fn compile(s: &KernelSource, m: &LoadedDescription) -> Result<PlacementProgram, FleetError> {
     let opts = MiraOptions {
+        compiler: Default::default(),
         arch: m.desc.clone(),
-        ..options.clone()
     };
     let analysis = analyze_source(&s.src, &opts).map_err(|error| FleetError::Analyze {
         func: s.func.clone(),

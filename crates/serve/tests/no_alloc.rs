@@ -7,11 +7,12 @@
 //! cache is built.
 //!
 //! Pinned with a counting global allocator; the harness itself
-//! allocates, so the assertion brackets only the batch runs. The
-//! counter is global, so this file holds exactly one test to keep the
-//! bracket exclusive.
+//! allocates, so the assertion brackets only the batch runs, and only
+//! the bracketing thread's allocations count. The counter is global,
+//! so this file holds exactly one test to keep the bracket exclusive.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mira_core::{analyze_source, MiraOptions};
@@ -20,24 +21,49 @@ use mira_serve::{AnswerCache, CompiledKernel, Query, Scratch, ServeIndex};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// On while this thread is inside a bracket. `const`-initialised and
+    /// read with `try_with`, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 struct Counting;
+
+impl Counting {
+    /// Count an allocation only on a thread inside a bracket: the test
+    /// harness's other threads may allocate at any time.
+    fn count(&self) {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static A: Counting = Counting;
+
+/// Allocations `f` makes on the calling thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    ALLOCS.load(Ordering::SeqCst) - before
+}
 
 #[test]
 fn warm_query_batches_do_not_allocate() {
@@ -70,16 +96,15 @@ fn warm_query_batches_do_not_allocate() {
     index.run_batch(&queries, &mut s, &mut out);
     assert!(out.iter().all(|r| r.is_ok()));
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        index.run_batch(&queries, &mut s, &mut out);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocs = allocs_in(|| {
+        for _ in 0..10 {
+            index.run_batch(&queries, &mut s, &mut out);
+        }
+    });
     assert_eq!(
-        after - before,
+        allocs,
         0,
-        "warm serving path allocated {} times over {} queries",
-        after - before,
+        "warm serving path allocated {allocs} times over {} queries",
         10 * queries.len()
     );
     assert!(out.iter().all(|r| r.is_ok()));
@@ -89,17 +114,16 @@ fn warm_query_batches_do_not_allocate() {
     let mut cache = AnswerCache::new(512);
     let uncached = out.clone();
     index.run_batch_cached(&queries, &mut cache, &mut s, &mut out);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        index.run_batch_cached(&queries, &mut cache, &mut s, &mut out);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocs = allocs_in(|| {
+        for _ in 0..10 {
+            index.run_batch_cached(&queries, &mut cache, &mut s, &mut out);
+        }
+    });
     let st = cache.probe();
     assert_eq!(
-        after - before,
+        allocs,
         0,
-        "warm cached serving allocated {} times over {} queries ({st:?})",
-        after - before,
+        "warm cached serving allocated {allocs} times over {} queries ({st:?})",
         10 * queries.len()
     );
     assert!(

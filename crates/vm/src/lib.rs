@@ -50,11 +50,13 @@
 //!   scatter lazily from the per-block vectors.
 //!
 //! * **µop bodies.** Block bodies are pre-translated into a micro-op
-//!   stream (`uop`) with dedicated handlers for the compiler's dominant
-//!   spill idioms and two-way fusion of adjacent pairs (`Load+Load`,
-//!   `Load+ALU`, `FLoad+FP-op`, …), cutting dispatches per retired
-//!   instruction well below one. `bench_vm` (in `mira-bench`) records the
-//!   resulting ≥3× speedup over the seed loop in `BENCH_vm.json`.
+//!   stream (`uop`) with dedicated handlers for the scalar instructions
+//!   the compiler emits and two-way fusion of the adjacent pairs that
+//!   dominate the benchmark kernels (`Load+Load`, `imul+add`,
+//!   `FLoad+FP-op`, …), cutting dispatches per retired instruction well
+//!   below one. `bench_vm` (in `mira-bench`) records the speedup over
+//!   the per-step reference loop in `BENCH_vm.json` (2.3–3.1× at the
+//!   committed sizes).
 
 pub mod profile;
 pub mod reference;
@@ -67,12 +69,12 @@ pub use profile::{FuncProfile, Profile};
 
 use loader::{Image, InstMeta};
 use machine::{Ctl, Machine};
-use uop::Uop;
 use mira_arch::Category;
 use mira_isa::{Cc, Inst};
-use mira_vobj::{Object, ObjError};
+use mira_vobj::{ObjError, Object};
 use std::fmt;
 use std::rc::Rc;
+use uop::Uop;
 
 /// VM configuration.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +118,10 @@ pub enum VmError {
     /// Call to an extern symbol with no body in the object.
     UnresolvedExtern(String),
     /// Out-of-bounds or unaligned-beyond-repair access.
-    Fault { addr: u64, len: usize },
+    Fault {
+        addr: u64,
+        len: usize,
+    },
     DivByZero,
     StackOverflow,
     StepLimit,
@@ -173,8 +178,14 @@ pub(crate) const SENTINEL: u64 = u64::MAX;
 #[derive(Clone, Copy, Debug)]
 enum Term {
     /// No terminator instruction: execution falls into the next leader.
-    Fall { block: u32, addr: u32 },
-    Jump { block: u32, addr: u32 },
+    Fall {
+        block: u32,
+        addr: u32,
+    },
+    Jump {
+        block: u32,
+        addr: u32,
+    },
     Branch {
         cc: Cc,
         target_block: u32,
@@ -182,7 +193,11 @@ enum Term {
         fall_block: u32,
         fall_addr: u32,
     },
-    Call { sym: u32, ret_block: u32, ret_addr: u32 },
+    Call {
+        sym: u32,
+        ret_block: u32,
+        ret_addr: u32,
+    },
     Ret,
     Halt,
 }
@@ -637,8 +652,7 @@ impl Vm {
             .img
             .func_index
             .get(name)
-            .ok_or_else(|| VmError::NoSuchFunction(name.to_string()))?
-            as usize;
+            .ok_or_else(|| VmError::NoSuchFunction(name.to_string()))? as usize;
         let entry = self.img.func_addrs[fidx];
 
         // ABI argument placement + sentinel return address, then the host
@@ -715,12 +729,10 @@ impl Vm {
                                 // the faulting instruction retired (it was
                                 // counted before exec in the seed scheme);
                                 // map µop position back to instruction count
-                                let consumed: usize = uops[us..us + k]
-                                    .iter()
-                                    .map(|u| u.width())
-                                    .sum::<usize>()
-                                    + sub as usize
-                                    + 1;
+                                let consumed: usize =
+                                    uops[us..us + k].iter().map(|u| u.width()).sum::<usize>()
+                                        + sub as usize
+                                        + 1;
                                 self.attribute_prefix(&meta, frames, s, s + consumed);
                                 return Err(e);
                             }
@@ -765,8 +777,7 @@ impl Vm {
                     // promote back to the fast path as soon as the cursor
                     // reaches a block entry with budget to spare
                     let b = block_of[ip];
-                    if b != u32::MAX && max_steps - self.steps >= blocks[b as usize].nsteps as u64
-                    {
+                    if b != u32::MAX && max_steps - self.steps >= blocks[b as usize].nsteps as u64 {
                         cur = Cursor::Block(b);
                         continue;
                     }
@@ -886,7 +897,9 @@ impl Vm {
             return Ok(Some(Cursor::Block(fr.ret_block)));
         }
         // tampered or indirect return address: translate like the seed did
-        self.img.addr_to_idx(ret as u32).map(|i| Some(Cursor::Inst(i)))
+        self.img
+            .addr_to_idx(ret as u32)
+            .map(|i| Some(Cursor::Inst(i)))
     }
 
     /// Add `cum − snapshot` to the frame's function's inclusive counters.

@@ -162,7 +162,11 @@ impl Machine {
     /// return addresses) and host access paths.
     #[inline]
     pub fn load64_raw(&self, addr: u64) -> Result<u64, VmError> {
-        match self.mem.get(addr as usize..).and_then(|s| s.first_chunk::<8>()) {
+        match self
+            .mem
+            .get(addr as usize..)
+            .and_then(|s| s.first_chunk::<8>())
+        {
             Some(b) => Ok(u64::from_le_bytes(*b)),
             None => Err(VmError::Fault { addr, len: 8 }),
         }

@@ -62,10 +62,7 @@ impl Profile {
             .collect();
         let mut lines = BTreeMap::new();
         for ((func, line), counts) in line_keys.iter().zip(line_counts) {
-            lines.insert(
-                (names[*func as usize].clone(), *line),
-                to_counts(counts),
-            );
+            lines.insert((names[*func as usize].clone(), *line), to_counts(counts));
         }
         Profile { functions, lines }
     }
@@ -84,6 +81,8 @@ impl Profile {
 
     /// Total retired instructions of a function, inclusive.
     pub fn total(&self, name: &str) -> i128 {
-        self.function(name).map(|f| f.inclusive.total()).unwrap_or(0)
+        self.function(name)
+            .map(|f| f.inclusive.total())
+            .unwrap_or(0)
     }
 }

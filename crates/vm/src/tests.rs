@@ -149,9 +149,7 @@ fn memory_fault_detected() {
     let src = "double f(double* a) { return a[0]; }";
     let obj = compile_source(src, &Options::default()).unwrap();
     let mut vm = Vm::new(&obj).unwrap();
-    let err = vm
-        .call("f", &[HostVal::Int(i64::MAX - 100)])
-        .unwrap_err();
+    let err = vm.call("f", &[HostVal::Int(i64::MAX - 100)]).unwrap_err();
     assert!(matches!(err, VmError::Fault { .. }));
 }
 
@@ -496,7 +494,8 @@ int f(int n) {
 fn profile_invariants_on_recursion_and_libm() {
     let obj = compile_source(RECURSIVE_SRC, &Options::default()).unwrap();
     let mut vm = Vm::new(&obj).unwrap();
-    vm.call("deep", &[HostVal::Int(15), HostVal::Int(5)]).unwrap();
+    vm.call("deep", &[HostVal::Int(15), HostVal::Int(5)])
+        .unwrap();
     let prof = vm.profile();
     assert_profile_invariants(&prof);
     // recursion really exercises inclusive > exclusive
@@ -600,8 +599,15 @@ double dot(int n, double* x, double* y) {
     let mut vm = Vm::new(&obj).unwrap();
     let x = vm.alloc_f64(&vec![1.0; 64]);
     let y = vm.alloc_f64(&vec![2.0; 64]);
-    vm.call("dot", &[HostVal::Int(64), HostVal::Int(x as i64), HostVal::Int(y as i64)])
-        .unwrap();
+    vm.call(
+        "dot",
+        &[
+            HostVal::Int(64),
+            HostVal::Int(x as i64),
+            HostVal::Int(y as i64),
+        ],
+    )
+    .unwrap();
     let pairs = vm.pair_profile();
     assert!(!pairs.is_empty());
     // sorted by weight, descending
@@ -612,13 +618,17 @@ double dot(int n, double* x, double* y) {
     // multiply-accumulate chain, executed once per iteration
     let top: Vec<&(&str, &str)> = pairs.iter().take(3).map(|(p, _)| p).collect();
     assert!(
-        top.iter().any(|(a, b)| a.contains("Load") || b.contains("mulsd") || b.contains("addsd")),
+        top.iter()
+            .any(|(a, b)| a.contains("Load") || b.contains("mulsd") || b.contains("addsd")),
         "unexpected top pairs: {top:?}"
     );
     // no pair may involve a block terminator
     for ((a, b), _) in &pairs {
         for k in [a, b] {
-            assert!(!matches!(*k, "jmp" | "jcc" | "call" | "ret" | "halt"), "{k}");
+            assert!(
+                !matches!(*k, "jmp" | "jcc" | "call" | "ret" | "halt"),
+                "{k}"
+            );
         }
     }
 }
@@ -646,7 +656,11 @@ fn mem_profile_counts_explicit_bytes() {
     let dst = vm.alloc_zeroed_f64(256);
     vm.call(
         "copy",
-        &[HostVal::Int(256), HostVal::Int(src as i64), HostVal::Int(dst as i64)],
+        &[
+            HostVal::Int(256),
+            HostVal::Int(src as i64),
+            HostVal::Int(dst as i64),
+        ],
     )
     .unwrap();
     let stats = vm.mem_stats().expect("profiling is on");
@@ -676,7 +690,11 @@ fn mem_profile_does_not_perturb_profiles() {
         let dst = vm.alloc_zeroed_f64(100);
         vm.call(
             "copy",
-            &[HostVal::Int(100), HostVal::Int(src as i64), HostVal::Int(dst as i64)],
+            &[
+                HostVal::Int(100),
+                HostVal::Int(src as i64),
+                HostVal::Int(dst as i64),
+            ],
         )
         .unwrap();
         (vm.steps(), vm.profile())
@@ -699,7 +717,11 @@ fn mem_profile_mirrored_in_reference_vm() {
     let a2 = rvm.alloc_f64(&vec![3.0; 200]);
     let d2 = rvm.alloc_zeroed_f64(200);
     assert_eq!((a1, d1), (a2, d2), "identical layouts");
-    let args = [HostVal::Int(200), HostVal::Int(a1 as i64), HostVal::Int(d1 as i64)];
+    let args = [
+        HostVal::Int(200),
+        HostVal::Int(a1 as i64),
+        HostVal::Int(d1 as i64),
+    ];
     vm.call("copy", &args).unwrap();
     rvm.call("copy", &args).unwrap();
     assert_eq!(vm.profile(), rvm.profile());
@@ -737,7 +759,13 @@ fn tiny_mem_opts() -> VmOptions {
 /// Run `src` in both engines under the tiny hierarchy, asserting the
 /// cache counters bit-identical before and after the flush; returns the
 /// post-flush stats for case-specific checks.
-fn diff_both_engines(src: &str, func: &str, ints: &[i64], arrays: usize, elems: usize) -> mira_mem::MemStats {
+fn diff_both_engines(
+    src: &str,
+    func: &str,
+    ints: &[i64],
+    arrays: usize,
+    elems: usize,
+) -> mira_mem::MemStats {
     let obj = compile_source(src, &Options::default()).unwrap();
     let mut vm = Vm::load(&obj, tiny_mem_opts()).unwrap();
     let mut rvm = reference::ReferenceVm::load(&obj, tiny_mem_opts()).unwrap();
@@ -750,7 +778,11 @@ fn diff_both_engines(src: &str, func: &str, ints: &[i64], arrays: usize, elems: 
     }
     vm.call(func, &args).unwrap();
     rvm.call(func, &args).unwrap();
-    assert_eq!(vm.mem_stats().unwrap(), rvm.mem_stats().unwrap(), "pre-flush");
+    assert_eq!(
+        vm.mem_stats().unwrap(),
+        rvm.mem_stats().unwrap(),
+        "pre-flush"
+    );
     vm.flush_mem();
     rvm.flush_mem();
     let (s, r) = (vm.mem_stats().unwrap(), rvm.mem_stats().unwrap());
@@ -780,8 +812,8 @@ void churn(int n, int reps, double* a) {
 "#;
     let s = diff_both_engines(src, "churn", &[256, 2], 1, 256);
     let lines = 256 * 8 / 64; // 32 data lines per sweep
-    // every line was written each sweep and could not stay resident:
-    // each sweep's dirty lines crossed both boundaries
+                              // every line was written each sweep and could not stay resident:
+                              // each sweep's dirty lines crossed both boundaries
     assert_eq!(s.data_l1_writebacks, 2 * lines, "{s:?}");
     assert_eq!(s.data_l2_writebacks, 2 * lines, "{s:?}");
     assert_eq!(s.data_l1_fills, 2 * lines, "{s:?}");
@@ -828,8 +860,8 @@ void pingpong(int n, int reps, double* a, double* b) {
 "#;
     let s = diff_both_engines(src, "pingpong", &[128, 3], 2, 128);
     let lines = 128 * 8 / 64; // 16 lines per array per sweep
-    // both arrays stream and are stored every sweep: write-allocate
-    // fills plus one write-back per line per sweep per array
+                              // both arrays stream and are stored every sweep: write-allocate
+                              // fills plus one write-back per line per sweep per array
     assert_eq!(s.data_l1_fills, 3 * 2 * lines, "{s:?}");
     assert_eq!(s.data_l1_writebacks, 3 * 2 * lines, "{s:?}");
 }
@@ -840,7 +872,11 @@ fn reset_counters_resets_to_cold_cache() {
     let mut vm = Vm::load(&obj, mem_opts()).unwrap();
     let src = vm.alloc_f64(&vec![1.0; 64]);
     let dst = vm.alloc_zeroed_f64(64);
-    let args = [HostVal::Int(64), HostVal::Int(src as i64), HostVal::Int(dst as i64)];
+    let args = [
+        HostVal::Int(64),
+        HostVal::Int(src as i64),
+        HostVal::Int(dst as i64),
+    ];
     vm.call("copy", &args).unwrap();
     let first = vm.mem_stats().unwrap();
     vm.reset_counters();

@@ -2,29 +2,53 @@
 //!
 //! The generic [`Machine::exec`] pays a ~60-way dispatch per retired
 //! instruction. Block *bodies* are translated once at load time into a
-//! narrow µop stream with dedicated handlers for the hot instructions
-//! and two-way fusion of the dominant adjacent pairs. Anything outside
-//! the hot set falls back to the shared semantics ([`Uop::Other`]), so
-//! µop translation can never change behaviour — only speed. The
-//! differential tests against the per-step reference interpreter pin
-//! this.
+//! narrow µop stream: dedicated handlers for the scalar instructions
+//! `mira-vcc` emits, and two-way fusion of the adjacent pairs that
+//! dominate the benchmark kernels. Anything else — packed ops, rare
+//! instructions, and ones the compiler never emits — falls back to the
+//! shared semantics ([`Uop::Other`]), so µop translation can never change
+//! behaviour, only speed. The differential tests against the per-step
+//! reference interpreter and `every_fused_kind_matches_the_reference`
+//! below pin this.
 //!
-//! The fusion table is *measured*, not guessed: `bench_vm --pairs` (in
-//! `mira-bench`) prints execution-weighted adjacent-pair histograms via
-//! [`crate::Vm::pair_profile`]. It has been tuned twice:
+//! The fusion table is *measured*, not guessed. A pair stays while it
+//! retires at least 0.5% of some validate kernel's instructions: the
+//! eight kernels of perfbench `validate` (`triad`, `stream_kernels`,
+//! `dgemm`, `dgemm_tiled`, `triad_blocked`, `trisolve`, `stencil_sweep`,
+//! `cg_solve`) at their three ladder rungs, compiled with the register
+//! allocator. Largest share of one kernel's retired instructions per
+//! kept pair:
 //!
-//! * against the original spill-everything `mira-vcc` codegen, where
-//!   frame-slot reloads (`mov rX, [rbp±d]`) dominated and overwhelmingly
-//!   arrived in pairs ([`Uop::Load2`]/[`Uop::Store2`], `Load+ALU`,
-//!   `FLoad+FP-op`, and the counter-spill idioms);
-//! * again after the register allocator landed (the current baseline):
-//!   with induction variables and accumulators living in registers, the
-//!   survivors are mixed load pairs (`Load+MovsdLoad` — pointer reload
-//!   then element load), FP chains (`mulsd+addsd` in reductions,
-//!   `MovsdXX+mulsd` for broadcast scalars), op+store pairs
-//!   (`addsd+MovsdStore`), address arithmetic (`ImulRR+AddRR`,
-//!   `AddRR+Load` from `a[i*n+j]`), and reg-reg move pairs around homes
-//!   ([`Uop::MovRRAddRR`], [`Uop::FAddMov`]).
+//! | µop | share | kernel |
+//! |---|---|---|
+//! | `ImulAdd` | 25.9% | `dgemm`, `dgemm_tiled` |
+//! | `MovRIMovRR` | 20.7% | `stencil_sweep` |
+//! | `MovRIMovqXR` | 20.7% | `stencil_sweep` |
+//! | `Load2` | 17.3% | `dgemm`, `dgemm_tiled` |
+//! | `FLoadLoad` | 16.7% | `triad` |
+//! | `FStoreMov` | 16.7% | `triad` |
+//! | `FLoadMov` | 16.7% | `triad` |
+//! | `FMulAdd` | 16.7% | `triad` |
+//! | `FLoadMul` | 13.8% | `stencil_sweep` |
+//! | `MovRRAddRI` | 13.3% | `trisolve` |
+//! | `LoadFLoad` | 10.3% | `stream_kernels`, `cg_solve` |
+//! | `FLoadAdd` | 8.6% | `dgemm`, `dgemm_tiled` |
+//! | `AddLoad` | 7.8% | `cg_solve` |
+//! | `AddFLoad` | 6.9% | `stencil_sweep` |
+//! | `FAddMov` | 6.7% | `cg_solve` |
+//! | `FLoadFStore` | 5.1% | `stream_kernels` |
+//! | `FMovMul` | 5.1% | `stream_kernels` |
+//! | `FLoad2` | 2.6% | `cg_solve` |
+//! | `LoadMov` | 1.2% | `cg_solve` |
+//! | `LoadCmp` | 1.2% | `cg_solve` |
+//!
+//! Pairs that only spill-everything code forms (store pairs, load + ALU,
+//! counter-spill idioms) are not in the table: `mira-vcc` allocates
+//! registers by default, and fusion never changes retired-step counts,
+//! only the dispatches that retire them. `bench_vm --pairs` (in
+//! `mira-bench`) prints the execution-weighted adjacent-pair histogram
+//! ([`crate::Vm::pair_profile`]) to find new candidates after codegen
+//! changes; a kind that falls under 0.5% of every validate kernel goes.
 //!
 //! Control-transfer instructions never appear in a body (they terminate
 //! blocks), so µops are straight-line by construction.
@@ -74,104 +98,83 @@ fn ea(regs: &[i64; 16], m: MemU) -> u64 {
 }
 
 /// One micro-op: a specialized hot instruction, a fused pair, or a
-/// fallback to the generic interpreter. Fused pairs execute strictly in
-/// source order — the first half may redefine state the second half uses.
+/// fallback to the generic interpreter. Operands are register numbers
+/// and flattened memory operands, in the order the [`Inst`]s list them.
+/// Fused pairs execute strictly in source order — the first half may
+/// redefine state the second half uses — and each pair is its own
+/// variant: a fused µop must stay a *single* dispatch, since routing the
+/// second op through a nested match would reintroduce the data-dependent
+/// indirect branch fusion exists to remove.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Uop {
-    /// Two consecutive integer loads (the dominant pair).
-    Load2 { d1: u8, m1: MemU, d2: u8, m2: MemU },
-    /// Two consecutive integer stores.
-    Store2 { s1: u8, m1: MemU, s2: u8, m2: MemU },
-    /// An integer load followed by one fixed reg-reg ALU op (the
-    /// spill-reload idiom `mov rX, [rbp±d]; op rA, rB`). One variant per
-    /// second op: a fused µop must stay a *single* dispatch — routing the
-    /// second op through a nested match would reintroduce the
-    /// data-dependent indirect branch fusion exists to remove.
-    LoadMov { d: u8, m: MemU, a: u8, b: u8 },
-    LoadAdd { d: u8, m: MemU, a: u8, b: u8 },
-    LoadSub { d: u8, m: MemU, a: u8, b: u8 },
-    LoadImul { d: u8, m: MemU, a: u8, b: u8 },
-    LoadCmp { d: u8, m: MemU, a: u8, b: u8 },
-    LoadTest { d: u8, m: MemU, a: u8, b: u8 },
-    /// A scalar-double load followed by one fixed scalar-double op.
-    FLoadMov { d: u8, m: MemU, a: u8, b: u8 },
-    FLoadAdd { d: u8, m: MemU, a: u8, b: u8 },
-    FLoadSub { d: u8, m: MemU, a: u8, b: u8 },
-    FLoadMul { d: u8, m: MemU, a: u8, b: u8 },
-    FLoadDiv { d: u8, m: MemU, a: u8, b: u8 },
-    /// `mov rD, imm; mov [mem], rS` (loop-counter initialization spill).
-    MovRIStore { d: u8, v: i64, s: u8, m: MemU },
-    /// `mov rD, [mem]; mov rE, imm` (reload + constant setup).
-    LoadMovRI { d: u8, m: MemU, e: u8, v: i64 },
-    /// `mov rD, imm; movq xmmX, rS` (FP zero/constant materialization).
-    MovRIMovqXR { d: u8, v: i64, x: u8, s: u8 },
+    /// `mov rD1, [m1]; mov rD2, [m2]`.
+    Load2(u8, MemU, u8, MemU),
+    /// `mov rD, [m]; mov rA, rB`.
+    LoadMov(u8, MemU, u8, u8),
+    /// `mov rD, [m]; cmp rA, rB`.
+    LoadCmp(u8, MemU, u8, u8),
+    /// `mov rD, [m]; movsd xmmX, [xm]` — pointer or index load, then the
+    /// element load through it.
+    LoadFLoad(u8, MemU, u8, MemU),
+    /// `movsd xmmD, [m]; movsd xmmA, xmmB`.
+    FLoadMov(u8, MemU, u8, u8),
+    /// `movsd xmmD, [m]; addsd xmmA, xmmB`.
+    FLoadAdd(u8, MemU, u8, u8),
+    /// `movsd xmmD, [m]; mulsd xmmA, xmmB`.
+    FLoadMul(u8, MemU, u8, u8),
+    /// `movsd xmmD1, [m1]; movsd xmmD2, [m2]`.
+    FLoad2(u8, MemU, u8, MemU),
+    /// `movsd xmmD, [m]; mov rE, [em]`.
+    FLoadLoad(u8, MemU, u8, MemU),
+    /// `movsd xmmD, [m]; movsd [sm], xmmS` (array copy).
+    FLoadFStore(u8, MemU, MemU, u8),
+    /// `movsd [m], xmmS; mov rD, rB` (store + home move).
+    FStoreMov(MemU, u8, u8, u8),
+    /// `mov rD, imm; movq xmmX, rS` (FP constant materialization).
+    MovRIMovqXR(u8, i64, u8, u8),
     /// `mov rD, imm; mov rA, rB` (constant + home/ABI move).
-    MovRIMovRR { d: u8, v: i64, a: u8, b: u8 },
+    MovRIMovRR(u8, i64, u8, u8),
     /// `mov rD, rS; add rA, imm` (post-increment idiom).
-    MovRRAddRI { d: u8, s: u8, a: u8, v: i64 },
-    /// `mov rD, rS; add rA, rB` (home copy + address arithmetic).
-    MovRRAddRR { d: u8, s: u8, a: u8, b: u8 },
-    /// `add rA, imm; mov [mem], rS` (increment-then-spill idiom).
-    AddRIStore { a: u8, v: i64, s: u8, m: MemU },
+    MovRRAddRI(u8, u8, u8, i64),
     /// `imul rA, rB; add rC, rD` (row-major index `i*n + j`).
-    ImulAdd { a: u8, b: u8, c: u8, d: u8 },
-    /// `add rA, rB; mov rD, [mem]` (index finish + element load).
-    AddLoad { a: u8, b: u8, d: u8, m: MemU },
-    /// `add rA, rB; movsd xmmD, [mem]`.
-    AddFLoad { a: u8, b: u8, d: u8, m: MemU },
-    /// Two consecutive scalar-double loads.
-    FLoad2 { d1: u8, m1: MemU, d2: u8, m2: MemU },
-    /// `mov rD, [mem]; movsd xmmX, [mem2]` — pointer reload followed by
-    /// the element load through it (the dominant pair once scalar locals
-    /// live in registers).
-    LoadFLoad { d: u8, m: MemU, x: u8, xm: MemU },
-    /// `movsd xmmD, [mem]; mov rE, [mem2]`.
-    FLoadLoad { d: u8, m: MemU, e: u8, em: MemU },
-    /// `movsd xmmD, [mem]; movsd [mem2], xmmS` (array copy).
-    FLoadFStore { d: u8, m: MemU, s: u8, sm: MemU },
-    /// `movsd [mem], xmmS; mov rD, rB` (store + home move).
-    FStoreMov { s: u8, m: MemU, d: u8, b: u8 },
+    ImulAdd(u8, u8, u8, u8),
+    /// `add rA, rB; mov rD, [m]` (index finish + element load).
+    AddLoad(u8, u8, u8, MemU),
+    /// `add rA, rB; movsd xmmD, [m]`.
+    AddFLoad(u8, u8, u8, MemU),
     /// `movsd xmmD, xmmS; mulsd xmmA, xmmB` (broadcast scalar × element).
-    FMovMul { d: u8, s: u8, a: u8, b: u8 },
-    /// `mulsd xmmA, xmmB; addsd xmmC, xmmD` (reduction kernel:
-    /// multiply-then-accumulate into a register home).
-    FMulAdd { a: u8, b: u8, c: u8, d: u8 },
-    /// `mulsd xmmA, xmmB; movsd xmmD, [mem]`.
-    FMulFLoad { a: u8, b: u8, d: u8, m: MemU },
-    /// `addsd xmmA, xmmB; movsd [mem], xmmS`.
-    FAddStore { a: u8, b: u8, s: u8, m: MemU },
+    FMovMul(u8, u8, u8, u8),
+    /// `mulsd xmmA, xmmB; addsd xmmC, xmmD` (multiply-accumulate into a
+    /// register home).
+    FMulAdd(u8, u8, u8, u8),
     /// `addsd xmmA, xmmB; mov rD, rS` (accumulate + int home move).
-    FAddMov { a: u8, b: u8, d: u8, s: u8 },
-    Load { d: u8, m: MemU },
-    Store { s: u8, m: MemU },
-    FLoad { d: u8, m: MemU },
-    FStore { s: u8, m: MemU },
-    MovRR { d: u8, s: u8 },
-    MovRI { d: u8, v: i64 },
-    AddRR { d: u8, s: u8 },
-    AddRI { d: u8, v: i64 },
-    SubRR { d: u8, s: u8 },
-    SubRI { d: u8, v: i64 },
-    ImulRR { d: u8, s: u8 },
-    ImulRI { d: u8, v: i64 },
-    CmpRR { a: u8, b: u8 },
-    CmpRI { a: u8, v: i64 },
-    TestRR { a: u8, b: u8 },
-    Setcc { cc: mira_isa::Cc, d: u8 },
-    Movsxd { d: u8, s: u8 },
-    Push { s: u8 },
-    Pop { d: u8 },
-    MovsdXX { d: u8, s: u8 },
-    MovqXR { d: u8, s: u8 },
-    MovqRX { d: u8, s: u8 },
-    Addsd { d: u8, s: u8 },
-    Subsd { d: u8, s: u8 },
-    Mulsd { d: u8, s: u8 },
-    Divsd { d: u8, s: u8 },
-    Sqrtsd { d: u8, s: u8 },
-    Ucomisd { a: u8, b: u8 },
-    Cvtsi2sd { d: u8, s: u8 },
-    Cvttsd2si { d: u8, s: u8 },
+    FAddMov(u8, u8, u8, u8),
+    Load(u8, MemU),
+    Store(MemU, u8),
+    FLoad(u8, MemU),
+    FStore(MemU, u8),
+    MovRR(u8, u8),
+    MovRI(u8, i64),
+    AddRR(u8, u8),
+    AddRI(u8, i64),
+    SubRR(u8, u8),
+    SubRI(u8, i64),
+    ImulRR(u8, u8),
+    CmpRR(u8, u8),
+    TestRR(u8, u8),
+    Setcc(mira_isa::Cc, u8),
+    Push(u8),
+    Pop(u8),
+    MovsdXX(u8, u8),
+    MovqXR(u8, u8),
+    Addsd(u8, u8),
+    Subsd(u8, u8),
+    Mulsd(u8, u8),
+    Divsd(u8, u8),
+    Sqrtsd(u8, u8),
+    Ucomisd(u8, u8),
+    Cvtsi2sd(u8, u8),
+    Cvttsd2si(u8, u8),
     /// Everything else, executed through the shared generic semantics.
     Other(Inst),
 }
@@ -181,252 +184,109 @@ impl Uop {
     #[inline]
     pub fn width(&self) -> usize {
         match self {
-            Uop::Load2 { .. }
-            | Uop::Store2 { .. }
-            | Uop::LoadMov { .. }
-            | Uop::LoadAdd { .. }
-            | Uop::LoadSub { .. }
-            | Uop::LoadImul { .. }
-            | Uop::LoadCmp { .. }
-            | Uop::LoadTest { .. }
-            | Uop::FLoadMov { .. }
-            | Uop::FLoadAdd { .. }
-            | Uop::FLoadSub { .. }
-            | Uop::FLoadMul { .. }
-            | Uop::FLoadDiv { .. }
-            | Uop::MovRIStore { .. }
-            | Uop::LoadMovRI { .. }
-            | Uop::MovRIMovqXR { .. }
-            | Uop::MovRIMovRR { .. }
-            | Uop::MovRRAddRI { .. }
-            | Uop::MovRRAddRR { .. }
-            | Uop::AddRIStore { .. }
-            | Uop::ImulAdd { .. }
-            | Uop::AddLoad { .. }
-            | Uop::AddFLoad { .. }
-            | Uop::FLoad2 { .. }
-            | Uop::LoadFLoad { .. }
-            | Uop::FLoadLoad { .. }
-            | Uop::FLoadFStore { .. }
-            | Uop::FStoreMov { .. }
-            | Uop::FMovMul { .. }
-            | Uop::FMulAdd { .. }
-            | Uop::FMulFLoad { .. }
-            | Uop::FAddStore { .. }
-            | Uop::FAddMov { .. } => 2,
+            Uop::Load2(..)
+            | Uop::LoadMov(..)
+            | Uop::LoadCmp(..)
+            | Uop::LoadFLoad(..)
+            | Uop::FLoadMov(..)
+            | Uop::FLoadAdd(..)
+            | Uop::FLoadMul(..)
+            | Uop::FLoad2(..)
+            | Uop::FLoadLoad(..)
+            | Uop::FLoadFStore(..)
+            | Uop::FStoreMov(..)
+            | Uop::MovRIMovqXR(..)
+            | Uop::MovRIMovRR(..)
+            | Uop::MovRRAddRI(..)
+            | Uop::ImulAdd(..)
+            | Uop::AddLoad(..)
+            | Uop::AddFLoad(..)
+            | Uop::FMovMul(..)
+            | Uop::FMulAdd(..)
+            | Uop::FAddMov(..) => 2,
             _ => 1,
         }
     }
 }
 
-/// Build the fused `Load+second` µop for an integer load, if fusable.
-fn fuse_load_alu(d: u8, m: MemU, second: &Inst) -> Option<Uop> {
-    match *second {
-        Inst::MovRR(a, b) => Some(Uop::LoadMov { d, m, a: a.0, b: b.0 }),
-        Inst::AddRR(a, b) => Some(Uop::LoadAdd { d, m, a: a.0, b: b.0 }),
-        Inst::SubRR(a, b) => Some(Uop::LoadSub { d, m, a: a.0, b: b.0 }),
-        Inst::ImulRR(a, b) => Some(Uop::LoadImul { d, m, a: a.0, b: b.0 }),
-        Inst::CmpRR(a, b) => Some(Uop::LoadCmp { d, m, a: a.0, b: b.0 }),
-        Inst::TestRR(a, b) => Some(Uop::LoadTest { d, m, a: a.0, b: b.0 }),
-        Inst::MovRI(e, v) => Some(Uop::LoadMovRI { d, m, e: e.0, v }),
-        Inst::MovsdLoad(x, xm) => Some(Uop::LoadFLoad { d, m, x: x.0, xm: xm.into() }),
-        _ => None,
+/// The fused µop for an adjacent pair, if the table has one.
+fn fuse(first: Inst, second: Inst) -> Option<Uop> {
+    use Inst::*;
+    Some(match (first, second) {
+        (Load(d1, m1), Load(d2, m2)) => Uop::Load2(d1.0, m1.into(), d2.0, m2.into()),
+        (Load(d, m), MovRR(a, b)) => Uop::LoadMov(d.0, m.into(), a.0, b.0),
+        (Load(d, m), CmpRR(a, b)) => Uop::LoadCmp(d.0, m.into(), a.0, b.0),
+        (Load(d, m), MovsdLoad(x, xm)) => Uop::LoadFLoad(d.0, m.into(), x.0, xm.into()),
+        (MovsdLoad(d, m), MovsdXX(a, b)) => Uop::FLoadMov(d.0, m.into(), a.0, b.0),
+        (MovsdLoad(d, m), Addsd(a, b)) => Uop::FLoadAdd(d.0, m.into(), a.0, b.0),
+        (MovsdLoad(d, m), Mulsd(a, b)) => Uop::FLoadMul(d.0, m.into(), a.0, b.0),
+        (MovsdLoad(d1, m1), MovsdLoad(d2, m2)) => Uop::FLoad2(d1.0, m1.into(), d2.0, m2.into()),
+        (MovsdLoad(d, m), Load(e, em)) => Uop::FLoadLoad(d.0, m.into(), e.0, em.into()),
+        (MovsdLoad(d, m), MovsdStore(sm, s)) => Uop::FLoadFStore(d.0, m.into(), sm.into(), s.0),
+        (MovsdStore(m, s), MovRR(d, b)) => Uop::FStoreMov(m.into(), s.0, d.0, b.0),
+        (MovRI(d, v), MovqXR(x, s)) => Uop::MovRIMovqXR(d.0, v, x.0, s.0),
+        (MovRI(d, v), MovRR(a, b)) => Uop::MovRIMovRR(d.0, v, a.0, b.0),
+        (MovRR(d, s), AddRI(a, v)) => Uop::MovRRAddRI(d.0, s.0, a.0, v),
+        (ImulRR(a, b), AddRR(c, d)) => Uop::ImulAdd(a.0, b.0, c.0, d.0),
+        (AddRR(a, b), Load(d, m)) => Uop::AddLoad(a.0, b.0, d.0, m.into()),
+        (AddRR(a, b), MovsdLoad(d, m)) => Uop::AddFLoad(a.0, b.0, d.0, m.into()),
+        (MovsdXX(d, s), Mulsd(a, b)) => Uop::FMovMul(d.0, s.0, a.0, b.0),
+        (Mulsd(a, b), Addsd(c, d)) => Uop::FMulAdd(a.0, b.0, c.0, d.0),
+        (Addsd(a, b), MovRR(d, s)) => Uop::FAddMov(a.0, b.0, d.0, s.0),
+        _ => return None,
+    })
+}
+
+/// The single µop for one instruction.
+fn single(inst: Inst) -> Uop {
+    use Inst::*;
+    match inst {
+        Load(d, m) => Uop::Load(d.0, m.into()),
+        Store(m, s) => Uop::Store(m.into(), s.0),
+        MovsdLoad(d, m) => Uop::FLoad(d.0, m.into()),
+        MovsdStore(m, s) => Uop::FStore(m.into(), s.0),
+        MovRR(d, s) => Uop::MovRR(d.0, s.0),
+        MovRI(d, v) => Uop::MovRI(d.0, v),
+        AddRR(d, s) => Uop::AddRR(d.0, s.0),
+        AddRI(d, v) => Uop::AddRI(d.0, v),
+        SubRR(d, s) => Uop::SubRR(d.0, s.0),
+        SubRI(d, v) => Uop::SubRI(d.0, v),
+        ImulRR(d, s) => Uop::ImulRR(d.0, s.0),
+        CmpRR(a, b) => Uop::CmpRR(a.0, b.0),
+        TestRR(a, b) => Uop::TestRR(a.0, b.0),
+        Setcc(cc, d) => Uop::Setcc(cc, d.0),
+        Push(s) => Uop::Push(s.0),
+        Pop(d) => Uop::Pop(d.0),
+        MovsdXX(d, s) => Uop::MovsdXX(d.0, s.0),
+        MovqXR(d, s) => Uop::MovqXR(d.0, s.0),
+        Addsd(d, s) => Uop::Addsd(d.0, s.0),
+        Subsd(d, s) => Uop::Subsd(d.0, s.0),
+        Mulsd(d, s) => Uop::Mulsd(d.0, s.0),
+        Divsd(d, s) => Uop::Divsd(d.0, s.0),
+        Sqrtsd(d, s) => Uop::Sqrtsd(d.0, s.0),
+        Ucomisd(a, b) => Uop::Ucomisd(a.0, b.0),
+        Cvtsi2sd(d, s) => Uop::Cvtsi2sd(d.0, s.0),
+        Cvttsd2si(d, s) => Uop::Cvttsd2si(d.0, s.0),
+        other => Uop::Other(other),
     }
 }
 
-/// Build the fused `FLoad+second` µop for a scalar-double load, if
-/// fusable.
-fn fuse_fload_alu(d: u8, m: MemU, second: &Inst) -> Option<Uop> {
-    match *second {
-        Inst::MovsdXX(a, b) => Some(Uop::FLoadMov { d, m, a: a.0, b: b.0 }),
-        Inst::Addsd(a, b) => Some(Uop::FLoadAdd { d, m, a: a.0, b: b.0 }),
-        Inst::Subsd(a, b) => Some(Uop::FLoadSub { d, m, a: a.0, b: b.0 }),
-        Inst::Mulsd(a, b) => Some(Uop::FLoadMul { d, m, a: a.0, b: b.0 }),
-        Inst::Divsd(a, b) => Some(Uop::FLoadDiv { d, m, a: a.0, b: b.0 }),
-        Inst::MovsdLoad(d2, m2) => Some(Uop::FLoad2 {
-            d1: d,
-            m1: m,
-            d2: d2.0,
-            m2: m2.into(),
-        }),
-        Inst::Load(e, em) => Some(Uop::FLoadLoad { d, m, e: e.0, em: em.into() }),
-        Inst::MovsdStore(sm, s) => Some(Uop::FLoadFStore {
-            d,
-            m,
-            s: s.0,
-            sm: sm.into(),
-        }),
-        _ => None,
-    }
-}
-
-/// Translate one block body (no control-transfer instructions) into µops.
+/// Translate one block body (no control-transfer instructions) into µops,
+/// fusing greedily from the left.
 pub(crate) fn translate_body(body: &[Inst]) -> Vec<Uop> {
     let mut out = Vec::with_capacity(body.len());
     let mut i = 0;
     while i < body.len() {
-        // two-way fusion of the dominant adjacent pairs (measured over
-        // the STREAM/DGEMM/miniFE objects — see module docs)
-        if i + 1 < body.len() {
-            let fused = match (body[i], body[i + 1]) {
-                (Inst::Load(d1, m1), Inst::Load(d2, m2)) => Some(Uop::Load2 {
-                    d1: d1.0,
-                    m1: m1.into(),
-                    d2: d2.0,
-                    m2: m2.into(),
-                }),
-                (Inst::Store(m1, s1), Inst::Store(m2, s2)) => Some(Uop::Store2 {
-                    s1: s1.0,
-                    m1: m1.into(),
-                    s2: s2.0,
-                    m2: m2.into(),
-                }),
-                (Inst::Load(d, m), ref second) => fuse_load_alu(d.0, m.into(), second),
-                (Inst::MovsdLoad(d, m), ref second) => fuse_fload_alu(d.0, m.into(), second),
-                (Inst::MovRI(d, v), Inst::Store(m, s)) => Some(Uop::MovRIStore {
-                    d: d.0,
-                    v,
-                    s: s.0,
-                    m: m.into(),
-                }),
-                (Inst::MovRI(d, v), Inst::MovqXR(x, s)) => Some(Uop::MovRIMovqXR {
-                    d: d.0,
-                    v,
-                    x: x.0,
-                    s: s.0,
-                }),
-                (Inst::MovRI(d, v), Inst::MovRR(a, b)) => Some(Uop::MovRIMovRR {
-                    d: d.0,
-                    v,
-                    a: a.0,
-                    b: b.0,
-                }),
-                (Inst::MovRR(d, s), Inst::AddRI(a, v)) => Some(Uop::MovRRAddRI {
-                    d: d.0,
-                    s: s.0,
-                    a: a.0,
-                    v,
-                }),
-                (Inst::MovRR(d, s), Inst::AddRR(a, b)) => Some(Uop::MovRRAddRR {
-                    d: d.0,
-                    s: s.0,
-                    a: a.0,
-                    b: b.0,
-                }),
-                (Inst::AddRI(a, v), Inst::Store(m, s)) => Some(Uop::AddRIStore {
-                    a: a.0,
-                    v,
-                    s: s.0,
-                    m: m.into(),
-                }),
-                (Inst::ImulRR(a, b), Inst::AddRR(c, d)) => Some(Uop::ImulAdd {
-                    a: a.0,
-                    b: b.0,
-                    c: c.0,
-                    d: d.0,
-                }),
-                (Inst::AddRR(a, b), Inst::Load(d, m)) => Some(Uop::AddLoad {
-                    a: a.0,
-                    b: b.0,
-                    d: d.0,
-                    m: m.into(),
-                }),
-                (Inst::AddRR(a, b), Inst::MovsdLoad(d, m)) => Some(Uop::AddFLoad {
-                    a: a.0,
-                    b: b.0,
-                    d: d.0,
-                    m: m.into(),
-                }),
-                (Inst::MovsdStore(m, s), Inst::MovRR(d, b)) => Some(Uop::FStoreMov {
-                    s: s.0,
-                    m: m.into(),
-                    d: d.0,
-                    b: b.0,
-                }),
-                (Inst::MovsdXX(d, s), Inst::Mulsd(a, b)) => Some(Uop::FMovMul {
-                    d: d.0,
-                    s: s.0,
-                    a: a.0,
-                    b: b.0,
-                }),
-                (Inst::Mulsd(a, b), Inst::Addsd(c, d)) => Some(Uop::FMulAdd {
-                    a: a.0,
-                    b: b.0,
-                    c: c.0,
-                    d: d.0,
-                }),
-                (Inst::Mulsd(a, b), Inst::MovsdLoad(d, m)) => Some(Uop::FMulFLoad {
-                    a: a.0,
-                    b: b.0,
-                    d: d.0,
-                    m: m.into(),
-                }),
-                (Inst::Addsd(a, b), Inst::MovsdStore(m, s)) => Some(Uop::FAddStore {
-                    a: a.0,
-                    b: b.0,
-                    s: s.0,
-                    m: m.into(),
-                }),
-                (Inst::Addsd(a, b), Inst::MovRR(d, s)) => Some(Uop::FAddMov {
-                    a: a.0,
-                    b: b.0,
-                    d: d.0,
-                    s: s.0,
-                }),
-                _ => None,
-            };
-            if let Some(u) = fused {
-                out.push(u);
+        match body.get(i + 1).and_then(|&second| fuse(body[i], second)) {
+            Some(pair) => {
+                out.push(pair);
                 i += 2;
-                continue;
+            }
+            None => {
+                out.push(single(body[i]));
+                i += 1;
             }
         }
-        out.push(match body[i] {
-            Inst::Load(d, m) => Uop::Load {
-                d: d.0,
-                m: m.into(),
-            },
-            Inst::Store(m, s) => Uop::Store {
-                s: s.0,
-                m: m.into(),
-            },
-            Inst::MovsdLoad(d, m) => Uop::FLoad {
-                d: d.0,
-                m: m.into(),
-            },
-            Inst::MovsdStore(m, s) => Uop::FStore {
-                s: s.0,
-                m: m.into(),
-            },
-            Inst::MovRR(d, s) => Uop::MovRR { d: d.0, s: s.0 },
-            Inst::MovRI(d, v) => Uop::MovRI { d: d.0, v },
-            Inst::AddRR(d, s) => Uop::AddRR { d: d.0, s: s.0 },
-            Inst::AddRI(d, v) => Uop::AddRI { d: d.0, v },
-            Inst::SubRR(d, s) => Uop::SubRR { d: d.0, s: s.0 },
-            Inst::SubRI(d, v) => Uop::SubRI { d: d.0, v },
-            Inst::ImulRR(d, s) => Uop::ImulRR { d: d.0, s: s.0 },
-            Inst::ImulRI(d, v) => Uop::ImulRI { d: d.0, v },
-            Inst::CmpRR(a, b) => Uop::CmpRR { a: a.0, b: b.0 },
-            Inst::CmpRI(a, v) => Uop::CmpRI { a: a.0, v },
-            Inst::TestRR(a, b) => Uop::TestRR { a: a.0, b: b.0 },
-            Inst::Setcc(cc, d) => Uop::Setcc { cc, d: d.0 },
-            Inst::Movsxd(d, s) => Uop::Movsxd { d: d.0, s: s.0 },
-            Inst::Push(s) => Uop::Push { s: s.0 },
-            Inst::Pop(d) => Uop::Pop { d: d.0 },
-            Inst::MovsdXX(d, s) => Uop::MovsdXX { d: d.0, s: s.0 },
-            Inst::MovqXR(d, s) => Uop::MovqXR { d: d.0, s: s.0 },
-            Inst::MovqRX(d, s) => Uop::MovqRX { d: d.0, s: s.0 },
-            Inst::Addsd(d, s) => Uop::Addsd { d: d.0, s: s.0 },
-            Inst::Subsd(d, s) => Uop::Subsd { d: d.0, s: s.0 },
-            Inst::Mulsd(d, s) => Uop::Mulsd { d: d.0, s: s.0 },
-            Inst::Divsd(d, s) => Uop::Divsd { d: d.0, s: s.0 },
-            Inst::Sqrtsd(d, s) => Uop::Sqrtsd { d: d.0, s: s.0 },
-            Inst::Ucomisd(a, b) => Uop::Ucomisd { a: a.0, b: b.0 },
-            Inst::Cvtsi2sd(d, s) => Uop::Cvtsi2sd { d: d.0, s: s.0 },
-            Inst::Cvttsd2si(d, s) => Uop::Cvttsd2si { d: d.0, s: s.0 },
-            other => Uop::Other(other),
-        });
-        i += 1;
     }
     out
 }
@@ -438,298 +298,138 @@ impl Machine {
     /// retired prefix exactly.
     #[inline(always)]
     pub(crate) fn exec_uop(&mut self, u: Uop) -> Result<(), (u32, VmError)> {
+        macro_rules! r {
+            ($i:expr) => {
+                self.regs[$i as usize & 15]
+            };
+        }
+        macro_rules! x {
+            ($i:expr) => {
+                self.xmm[$i as usize & 15][0]
+            };
+        }
+        // 8-byte load or store through a memory operand; a fault reports
+        // sub-instruction `$k`
+        macro_rules! load {
+            ($m:expr, $k:expr) => {
+                self.load64(ea(&self.regs, $m)).map_err(|e| ($k, e))?
+            };
+        }
+        macro_rules! store {
+            ($m:expr, $v:expr, $k:expr) => {
+                self.store64(ea(&self.regs, $m), $v).map_err(|e| ($k, e))?
+            };
+        }
         match u {
-            Uop::Load2 { d1, m1, d2, m2 } => {
-                let a1 = ea(&self.regs, m1);
-                self.regs[d1 as usize & 15] = self.load64(a1).map_err(|e| (0, e))? as i64;
-                let a2 = ea(&self.regs, m2);
-                self.regs[d2 as usize & 15] = self.load64(a2).map_err(|e| (1, e))? as i64;
+            Uop::Load2(d1, m1, d2, m2) => {
+                r!(d1) = load!(m1, 0) as i64;
+                r!(d2) = load!(m2, 1) as i64;
             }
-            Uop::Store2 { s1, m1, s2, m2 } => {
-                let a1 = ea(&self.regs, m1);
-                let v1 = self.regs[s1 as usize & 15] as u64;
-                self.store64(a1, v1).map_err(|e| (0, e))?;
-                let a2 = ea(&self.regs, m2);
-                let v2 = self.regs[s2 as usize & 15] as u64;
-                self.store64(a2, v2).map_err(|e| (1, e))?;
+            Uop::LoadMov(d, m, a, b) => {
+                r!(d) = load!(m, 0) as i64;
+                r!(a) = r!(b);
             }
-            Uop::LoadMov { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.regs[a as usize & 15] = self.regs[b as usize & 15];
+            Uop::LoadCmp(d, m, a, b) => {
+                r!(d) = load!(m, 0) as i64;
+                self.flags = Flags::IntCmp(r!(a), r!(b));
             }
-            Uop::LoadAdd { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_add(self.regs[b as usize & 15]);
+            Uop::LoadFLoad(d, m, x, xm) => {
+                r!(d) = load!(m, 0) as i64;
+                x!(x) = f64::from_bits(load!(xm, 1));
             }
-            Uop::LoadSub { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_sub(self.regs[b as usize & 15]);
+            Uop::FLoadMov(d, m, a, b) => {
+                x!(d) = f64::from_bits(load!(m, 0));
+                x!(a) = x!(b);
             }
-            Uop::LoadImul { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_mul(self.regs[b as usize & 15]);
+            Uop::FLoadAdd(d, m, a, b) => {
+                x!(d) = f64::from_bits(load!(m, 0));
+                x!(a) += x!(b);
             }
-            Uop::LoadCmp { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.flags =
-                    Flags::IntCmp(self.regs[a as usize & 15], self.regs[b as usize & 15]);
+            Uop::FLoadMul(d, m, a, b) => {
+                x!(d) = f64::from_bits(load!(m, 0));
+                x!(a) *= x!(b);
             }
-            Uop::LoadTest { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (0, e))? as i64;
-                self.flags =
-                    Flags::Test(self.regs[a as usize & 15] & self.regs[b as usize & 15]);
+            Uop::FLoad2(d1, m1, d2, m2) => {
+                x!(d1) = f64::from_bits(load!(m1, 0));
+                x!(d2) = f64::from_bits(load!(m2, 1));
             }
-            Uop::FLoadMov { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (0, e))?);
-                self.xmm[a as usize & 15][0] = self.xmm[b as usize & 15][0];
+            Uop::FLoadLoad(d, m, e, em) => {
+                x!(d) = f64::from_bits(load!(m, 0));
+                r!(e) = load!(em, 1) as i64;
             }
-            Uop::FLoadAdd { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (0, e))?);
-                self.xmm[a as usize & 15][0] += self.xmm[b as usize & 15][0];
+            Uop::FLoadFStore(d, m, sm, s) => {
+                x!(d) = f64::from_bits(load!(m, 0));
+                store!(sm, x!(s).to_bits(), 1);
             }
-            Uop::FLoadSub { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (0, e))?);
-                self.xmm[a as usize & 15][0] -= self.xmm[b as usize & 15][0];
+            Uop::FStoreMov(m, s, d, b) => {
+                store!(m, x!(s).to_bits(), 0);
+                r!(d) = r!(b);
             }
-            Uop::FLoadMul { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (0, e))?);
-                self.xmm[a as usize & 15][0] *= self.xmm[b as usize & 15][0];
+            Uop::MovRIMovqXR(d, v, x, s) => {
+                r!(d) = v;
+                x!(x) = f64::from_bits(r!(s) as u64);
             }
-            Uop::FLoadDiv { d, m, a, b } => {
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (0, e))?);
-                self.xmm[a as usize & 15][0] /= self.xmm[b as usize & 15][0];
+            Uop::MovRIMovRR(d, v, a, b) => {
+                r!(d) = v;
+                r!(a) = r!(b);
             }
-            Uop::MovRIStore { d, v, s, m } => {
-                self.regs[d as usize & 15] = v;
-                let a = ea(&self.regs, m);
-                let sv = self.regs[s as usize & 15] as u64;
-                self.store64(a, sv).map_err(|e| (1, e))?;
+            Uop::MovRRAddRI(d, s, a, v) => {
+                r!(d) = r!(s);
+                r!(a) = r!(a).wrapping_add(v);
             }
-            Uop::LoadMovRI { d, m, e, v } => {
-                let a = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(a).map_err(|err| (0, err))? as i64;
-                self.regs[e as usize & 15] = v;
+            Uop::ImulAdd(a, b, c, d) => {
+                r!(a) = r!(a).wrapping_mul(r!(b));
+                r!(c) = r!(c).wrapping_add(r!(d));
             }
-            Uop::MovRIMovqXR { d, v, x, s } => {
-                self.regs[d as usize & 15] = v;
-                self.xmm[x as usize & 15][0] = f64::from_bits(self.regs[s as usize & 15] as u64);
+            Uop::AddLoad(a, b, d, m) => {
+                r!(a) = r!(a).wrapping_add(r!(b));
+                r!(d) = load!(m, 1) as i64;
             }
-            Uop::MovRRAddRI { d, s, a, v } => {
-                self.regs[d as usize & 15] = self.regs[s as usize & 15];
-                self.regs[a as usize & 15] = self.regs[a as usize & 15].wrapping_add(v);
+            Uop::AddFLoad(a, b, d, m) => {
+                r!(a) = r!(a).wrapping_add(r!(b));
+                x!(d) = f64::from_bits(load!(m, 1));
             }
-            Uop::MovRIMovRR { d, v, a, b } => {
-                self.regs[d as usize & 15] = v;
-                self.regs[a as usize & 15] = self.regs[b as usize & 15];
+            Uop::FMovMul(d, s, a, b) => {
+                x!(d) = x!(s);
+                x!(a) *= x!(b);
             }
-            Uop::MovRRAddRR { d, s, a, b } => {
-                self.regs[d as usize & 15] = self.regs[s as usize & 15];
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_add(self.regs[b as usize & 15]);
+            Uop::FMulAdd(a, b, c, d) => {
+                x!(a) *= x!(b);
+                x!(c) += x!(d);
             }
-            Uop::AddRIStore { a, v, s, m } => {
-                self.regs[a as usize & 15] = self.regs[a as usize & 15].wrapping_add(v);
-                let addr = ea(&self.regs, m);
-                let sv = self.regs[s as usize & 15] as u64;
-                self.store64(addr, sv).map_err(|e| (1, e))?;
+            Uop::FAddMov(a, b, d, s) => {
+                x!(a) += x!(b);
+                r!(d) = r!(s);
             }
-            Uop::ImulAdd { a, b, c, d } => {
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_mul(self.regs[b as usize & 15]);
-                self.regs[c as usize & 15] =
-                    self.regs[c as usize & 15].wrapping_add(self.regs[d as usize & 15]);
-            }
-            Uop::AddLoad { a, b, d, m } => {
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_add(self.regs[b as usize & 15]);
-                let addr = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(addr).map_err(|e| (1, e))? as i64;
-            }
-            Uop::AddFLoad { a, b, d, m } => {
-                self.regs[a as usize & 15] =
-                    self.regs[a as usize & 15].wrapping_add(self.regs[b as usize & 15]);
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (1, e))?);
-            }
-            Uop::FLoad2 { d1, m1, d2, m2 } => {
-                let a1 = ea(&self.regs, m1);
-                self.xmm[d1 as usize & 15][0] =
-                    f64::from_bits(self.load64(a1).map_err(|e| (0, e))?);
-                let a2 = ea(&self.regs, m2);
-                self.xmm[d2 as usize & 15][0] =
-                    f64::from_bits(self.load64(a2).map_err(|e| (1, e))?);
-            }
-            Uop::LoadFLoad { d, m, x, xm } => {
-                let a1 = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(a1).map_err(|e| (0, e))? as i64;
-                // the FP load's address may use the register just loaded
-                let a2 = ea(&self.regs, xm);
-                self.xmm[x as usize & 15][0] =
-                    f64::from_bits(self.load64(a2).map_err(|e| (1, e))?);
-            }
-            Uop::FLoadLoad { d, m, e, em } => {
-                let a1 = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(a1).map_err(|err| (0, err))?);
-                let a2 = ea(&self.regs, em);
-                self.regs[e as usize & 15] = self.load64(a2).map_err(|err| (1, err))? as i64;
-            }
-            Uop::FLoadFStore { d, m, s, sm } => {
-                let a1 = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(a1).map_err(|e| (0, e))?);
-                let a2 = ea(&self.regs, sm);
-                let v = self.xmm[s as usize & 15][0].to_bits();
-                self.store64(a2, v).map_err(|e| (1, e))?;
-            }
-            Uop::FStoreMov { s, m, d, b } => {
-                let a = ea(&self.regs, m);
-                let v = self.xmm[s as usize & 15][0].to_bits();
-                self.store64(a, v).map_err(|e| (0, e))?;
-                self.regs[d as usize & 15] = self.regs[b as usize & 15];
-            }
-            Uop::FMovMul { d, s, a, b } => {
-                self.xmm[d as usize & 15][0] = self.xmm[s as usize & 15][0];
-                self.xmm[a as usize & 15][0] *= self.xmm[b as usize & 15][0];
-            }
-            Uop::FMulAdd { a, b, c, d } => {
-                self.xmm[a as usize & 15][0] *= self.xmm[b as usize & 15][0];
-                self.xmm[c as usize & 15][0] += self.xmm[d as usize & 15][0];
-            }
-            Uop::FMulFLoad { a, b, d, m } => {
-                self.xmm[a as usize & 15][0] *= self.xmm[b as usize & 15][0];
-                let addr = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(addr).map_err(|e| (1, e))?);
-            }
-            Uop::FAddStore { a, b, s, m } => {
-                self.xmm[a as usize & 15][0] += self.xmm[b as usize & 15][0];
-                let addr = ea(&self.regs, m);
-                let v = self.xmm[s as usize & 15][0].to_bits();
-                self.store64(addr, v).map_err(|e| (1, e))?;
-            }
-            Uop::FAddMov { a, b, d, s } => {
-                self.xmm[a as usize & 15][0] += self.xmm[b as usize & 15][0];
-                self.regs[d as usize & 15] = self.regs[s as usize & 15];
-            }
-            Uop::Load { d, m } => {
-                let a = ea(&self.regs, m);
-                self.regs[d as usize & 15] = self.load64(a).map_err(|e| (0, e))? as i64;
-            }
-            Uop::Store { s, m } => {
-                let a = ea(&self.regs, m);
-                let v = self.regs[s as usize & 15] as u64;
-                self.store64(a, v).map_err(|e| (0, e))?;
-            }
-            Uop::FLoad { d, m } => {
-                let a = ea(&self.regs, m);
-                self.xmm[d as usize & 15][0] =
-                    f64::from_bits(self.load64(a).map_err(|e| (0, e))?);
-            }
-            Uop::FStore { s, m } => {
-                let a = ea(&self.regs, m);
-                let v = self.xmm[s as usize & 15][0].to_bits();
-                self.store64(a, v).map_err(|e| (0, e))?;
-            }
-            Uop::MovRR { d, s } => self.regs[d as usize & 15] = self.regs[s as usize & 15],
-            Uop::MovRI { d, v } => self.regs[d as usize & 15] = v,
-            Uop::AddRR { d, s } => {
-                self.regs[d as usize & 15] =
-                    self.regs[d as usize & 15].wrapping_add(self.regs[s as usize & 15]);
-            }
-            Uop::AddRI { d, v } => {
-                self.regs[d as usize & 15] = self.regs[d as usize & 15].wrapping_add(v);
-            }
-            Uop::SubRR { d, s } => {
-                self.regs[d as usize & 15] =
-                    self.regs[d as usize & 15].wrapping_sub(self.regs[s as usize & 15]);
-            }
-            Uop::SubRI { d, v } => {
-                self.regs[d as usize & 15] = self.regs[d as usize & 15].wrapping_sub(v);
-            }
-            Uop::ImulRR { d, s } => {
-                self.regs[d as usize & 15] =
-                    self.regs[d as usize & 15].wrapping_mul(self.regs[s as usize & 15]);
-            }
-            Uop::ImulRI { d, v } => {
-                self.regs[d as usize & 15] = self.regs[d as usize & 15].wrapping_mul(v);
-            }
-            Uop::CmpRR { a, b } => {
-                self.flags = Flags::IntCmp(self.regs[a as usize & 15], self.regs[b as usize & 15]);
-            }
-            Uop::CmpRI { a, v } => {
-                self.flags = Flags::IntCmp(self.regs[a as usize & 15], v);
-            }
-            Uop::TestRR { a, b } => {
-                self.flags = Flags::Test(self.regs[a as usize & 15] & self.regs[b as usize & 15]);
-            }
-            Uop::Setcc { cc, d } => {
-                self.regs[d as usize & 15] = self.cond(cc) as i64;
-            }
-            Uop::Movsxd { d, s } => {
-                self.regs[d as usize & 15] = self.regs[s as usize & 15] as i32 as i64;
-            }
-            Uop::Push { s } => {
-                let v = self.regs[s as usize & 15];
+            Uop::Load(d, m) => r!(d) = load!(m, 0) as i64,
+            Uop::Store(m, s) => store!(m, r!(s) as u64, 0),
+            Uop::FLoad(d, m) => x!(d) = f64::from_bits(load!(m, 0)),
+            Uop::FStore(m, s) => store!(m, x!(s).to_bits(), 0),
+            Uop::MovRR(d, s) => r!(d) = r!(s),
+            Uop::MovRI(d, v) => r!(d) = v,
+            Uop::AddRR(d, s) => r!(d) = r!(d).wrapping_add(r!(s)),
+            Uop::AddRI(d, v) => r!(d) = r!(d).wrapping_add(v),
+            Uop::SubRR(d, s) => r!(d) = r!(d).wrapping_sub(r!(s)),
+            Uop::SubRI(d, v) => r!(d) = r!(d).wrapping_sub(v),
+            Uop::ImulRR(d, s) => r!(d) = r!(d).wrapping_mul(r!(s)),
+            Uop::CmpRR(a, b) => self.flags = Flags::IntCmp(r!(a), r!(b)),
+            Uop::TestRR(a, b) => self.flags = Flags::Test(r!(a) & r!(b)),
+            Uop::Setcc(cc, d) => r!(d) = self.cond(cc) as i64,
+            Uop::Push(s) => {
+                let v = r!(s);
                 self.push(v).map_err(|e| (0, e))?;
             }
-            Uop::Pop { d } => {
-                let v = self.pop().map_err(|e| (0, e))?;
-                self.regs[d as usize & 15] = v;
-            }
-            Uop::MovsdXX { d, s } => {
-                self.xmm[d as usize & 15][0] = self.xmm[s as usize & 15][0];
-            }
-            Uop::MovqXR { d, s } => {
-                self.xmm[d as usize & 15][0] = f64::from_bits(self.regs[s as usize & 15] as u64);
-            }
-            Uop::MovqRX { d, s } => {
-                self.regs[d as usize & 15] = self.xmm[s as usize & 15][0].to_bits() as i64;
-            }
-            Uop::Addsd { d, s } => {
-                self.xmm[d as usize & 15][0] += self.xmm[s as usize & 15][0];
-            }
-            Uop::Subsd { d, s } => {
-                self.xmm[d as usize & 15][0] -= self.xmm[s as usize & 15][0];
-            }
-            Uop::Mulsd { d, s } => {
-                self.xmm[d as usize & 15][0] *= self.xmm[s as usize & 15][0];
-            }
-            Uop::Divsd { d, s } => {
-                self.xmm[d as usize & 15][0] /= self.xmm[s as usize & 15][0];
-            }
-            Uop::Sqrtsd { d, s } => {
-                self.xmm[d as usize & 15][0] = self.xmm[s as usize & 15][0].sqrt();
-            }
-            Uop::Ucomisd { a, b } => {
-                self.flags = Flags::FpCmp(self.xmm[a as usize & 15][0], self.xmm[b as usize & 15][0]);
-            }
-            Uop::Cvtsi2sd { d, s } => {
-                self.xmm[d as usize & 15][0] = self.regs[s as usize & 15] as f64;
-            }
-            Uop::Cvttsd2si { d, s } => {
-                self.regs[d as usize & 15] = self.xmm[s as usize & 15][0] as i64;
-            }
+            Uop::Pop(d) => r!(d) = self.pop().map_err(|e| (0, e))?,
+            Uop::MovsdXX(d, s) => x!(d) = x!(s),
+            Uop::MovqXR(d, s) => x!(d) = f64::from_bits(r!(s) as u64),
+            Uop::Addsd(d, s) => x!(d) += x!(s),
+            Uop::Subsd(d, s) => x!(d) -= x!(s),
+            Uop::Mulsd(d, s) => x!(d) *= x!(s),
+            Uop::Divsd(d, s) => x!(d) /= x!(s),
+            Uop::Sqrtsd(d, s) => x!(d) = x!(s).sqrt(),
+            Uop::Ucomisd(a, b) => self.flags = Flags::FpCmp(x!(a), x!(b)),
+            Uop::Cvtsi2sd(d, s) => x!(d) = r!(s) as f64,
+            Uop::Cvttsd2si(d, s) => r!(d) = x!(s) as i64,
             Uop::Other(inst) => match self.exec(inst) {
                 Ok(Ctl::Next) => {}
                 Ok(_) => unreachable!("control instruction in block body"),
@@ -743,7 +443,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mira_isa::Reg;
+    use mira_isa::{Reg, XReg};
 
     #[test]
     fn fusion_widths_cover_body() {
@@ -755,39 +455,125 @@ mod tests {
         ];
         let uops = translate_body(&body);
         assert_eq!(uops.iter().map(|u| u.width()).sum::<usize>(), body.len());
-        assert!(matches!(uops[0], Uop::Load2 { .. }));
+        assert!(matches!(uops[0], Uop::Load2(..)));
     }
 
-    #[test]
-    fn fused_load_respects_sequential_semantics() {
-        // first load redefines the base register of the second address
-        let mut m = Machine::new(1 << 20);
-        let slot_a = 4096u64;
-        let slot_b = 5000u64;
-        m.store64(slot_a, slot_b).unwrap();
-        m.store64(slot_b, 77).unwrap();
-        m.regs[3] = slot_a as i64;
-        let uops = translate_body(&[
-            Inst::Load(Reg(5), Mem::base(Reg(3))),
-            Inst::Load(Reg(6), Mem::base(Reg(5))),
-        ]);
-        assert_eq!(uops.len(), 1);
-        m.exec_uop(uops[0]).unwrap();
-        assert_eq!(m.regs[5], slot_b as i64);
-        assert_eq!(m.regs[6], 77);
+    /// A small machine with a distinct value wherever a pair can read:
+    /// `r3` points at 512 words holding `1, 2, …` (valid indices), `r4`
+    /// at 512 doubles `0.5, 1.5, …`, and every other register and xmm
+    /// lane differs.
+    fn machine() -> Machine {
+        let mut m = Machine::new(1 << 14);
+        for j in 0..512u64 {
+            m.store64_raw(0x1000 + 8 * j, j + 1).unwrap();
+            let v = j as f64 + 0.5;
+            m.store64_raw(0x2000 + 8 * j, v.to_bits()).unwrap();
+        }
+        for r in 0..15 {
+            m.regs[r] = 2 + r as i64;
+        }
+        (m.regs[3], m.regs[4]) = (0x1000, 0x2000);
+        for (x, lanes) in m.xmm.iter_mut().enumerate() {
+            *lanes = [1.25 + x as f64, -(x as f64)];
+        }
+        m
     }
 
+    fn assert_same(name: &str, fused: &Machine, reference: &Machine) {
+        assert_eq!(fused.regs, reference.regs, "{name}: registers");
+        let bits = |m: &Machine| m.xmm.map(|x| x.map(f64::to_bits));
+        assert_eq!(bits(fused), bits(reference), "{name}: xmm registers");
+        let flags = |m: &Machine| format!("{:?}", m.flags);
+        assert_eq!(flags(fused), flags(reference), "{name}: flags");
+        assert!(fused.mem == reference.mem, "{name}: memory");
+    }
+
+    /// `inst` with its memory operand moved past the end of memory, if
+    /// it has one.
+    fn out_of_range(inst: Inst) -> Option<Inst> {
+        let far = |m: Mem| Mem { disp: 1 << 30, ..m };
+        match inst {
+            Inst::Load(d, m) => Some(Inst::Load(d, far(m))),
+            Inst::Store(m, s) => Some(Inst::Store(far(m), s)),
+            Inst::MovsdLoad(d, m) => Some(Inst::MovsdLoad(d, far(m))),
+            Inst::MovsdStore(m, s) => Some(Inst::MovsdStore(far(m), s)),
+            _ => None,
+        }
+    }
+
+    /// Every fused kind against the shared semantics. One sample pair
+    /// per kind (where the shape allows, the second half reads a register
+    /// the first half writes) must translate to one µop of a kind no other
+    /// sample formed, and leave registers, xmm registers, flags and memory
+    /// as `Machine::exec` of the two instructions does. A half moved out of
+    /// range must fault with its own sub-index, the first half's effect
+    /// already visible.
     #[test]
-    fn fused_fault_reports_sub_instruction() {
-        let mut m = Machine::new(1 << 20);
-        m.regs[3] = 4096;
-        m.regs[4] = i64::MAX - 100;
-        let uops = translate_body(&[
-            Inst::Load(Reg(5), Mem::base(Reg(3))),
-            Inst::Load(Reg(6), Mem::base(Reg(4))),
-        ]);
-        let (sub, err) = m.exec_uop(uops[0]).unwrap_err();
-        assert_eq!(sub, 1);
-        assert!(matches!(err, VmError::Fault { .. }));
+    fn every_fused_kind_matches_the_reference() {
+        use Inst::*;
+        let (r, x) = (Reg, XReg);
+        let int = |d| Mem::base_disp(Reg(3), d);
+        let fp = |d| Mem::base_disp(Reg(4), d);
+        let int_at = |i| Mem::base_index(Reg(3), Reg(i), 8, 0);
+        let fp_at = |i| Mem::base_index(Reg(4), Reg(i), 8, 0);
+        let two_and_a_half = 2.5f64.to_bits() as i64;
+        let pairs: [[Inst; 2]; 20] = [
+            [Load(r(5), int(8)), Load(r(6), int_at(5))],
+            [Load(r(5), int(8)), MovRR(r(6), r(5))],
+            [Load(r(5), int(8)), CmpRR(r(5), r(7))],
+            [Load(r(5), int(8)), MovsdLoad(x(1), fp_at(5))],
+            [MovsdLoad(x(1), fp(8)), MovsdXX(x(2), x(1))],
+            [MovsdLoad(x(1), fp(8)), Addsd(x(2), x(1))],
+            [MovsdLoad(x(1), fp(8)), Mulsd(x(2), x(1))],
+            [MovsdLoad(x(1), fp(8)), MovsdLoad(x(2), fp(16))],
+            [MovsdLoad(x(1), fp(8)), Load(r(5), int(16))],
+            [MovsdLoad(x(1), fp(8)), MovsdStore(fp(24), x(1))],
+            [MovsdStore(fp(24), x(1)), MovRR(r(6), r(5))],
+            [MovRI(r(5), two_and_a_half), MovqXR(x(1), r(5))],
+            [MovRI(r(5), -42), MovRR(r(6), r(5))],
+            [MovRR(r(5), r(7)), AddRI(r(5), 3)],
+            [ImulRR(r(5), r(7)), AddRR(r(6), r(5))],
+            [AddRR(r(5), r(7)), Load(r(6), int_at(5))],
+            [AddRR(r(5), r(7)), MovsdLoad(x(1), fp_at(5))],
+            [MovsdXX(x(1), x(2)), Mulsd(x(3), x(1))],
+            [Mulsd(x(1), x(2)), Addsd(x(3), x(1))],
+            [Addsd(x(1), x(2)), MovRR(r(6), r(5))],
+        ];
+        let mut kinds = Vec::new();
+        for pair in pairs {
+            let uops = translate_body(&pair);
+            assert_eq!(uops.len(), 1, "{pair:?}: one µop");
+            assert_eq!(uops[0].width(), 2, "{pair:?}: fused");
+            let name = format!("{:?}", uops[0]);
+            let name = name.split('(').next().unwrap();
+            kinds.push(name.to_string());
+            let (mut fused, mut reference) = (machine(), machine());
+            fused.exec_uop(uops[0]).unwrap();
+            for inst in pair {
+                assert!(matches!(reference.exec(inst), Ok(Ctl::Next)));
+            }
+            assert_same(name, &fused, &reference);
+            for half in 0..2 {
+                let Some(far) = out_of_range(pair[half]) else {
+                    continue;
+                };
+                let mut faulting = pair;
+                faulting[half] = far;
+                let uops = translate_body(&faulting);
+                assert_eq!(uops.len(), 1, "{name}: one µop");
+                let (mut fused, mut reference) = (machine(), machine());
+                let got = fused.exec_uop(uops[0]).unwrap_err();
+                let want = faulting
+                    .iter()
+                    .enumerate()
+                    .find_map(|(k, &inst)| reference.exec(inst).err().map(|e| (k as u32, e)));
+                assert!(matches!(got.1, VmError::Fault { .. }), "{name}: {got:?}");
+                assert_eq!(Some(got), want, "{name}: fault in half {half}");
+                assert_same(name, &fused, &reference);
+            }
+        }
+        kinds.sort();
+        kinds.dedup();
+        assert_eq!(kinds.len(), pairs.len(), "one sample per fused kind");
     }
 }

@@ -149,13 +149,9 @@ int down(int n) {
 }
 "#;
     let obj = compile_source(src, &Options::default()).unwrap();
-    let r = differential(
-        &obj,
-        small(),
-        "down",
-        &|_| vec![HostVal::Int(0)],
-        &|_| vec![HostVal::Int(0)],
-    );
+    let r = differential(&obj, small(), "down", &|_| vec![HostVal::Int(0)], &|_| {
+        vec![HostVal::Int(0)]
+    });
     assert_eq!(r, Err(VmError::StackOverflow));
 }
 
@@ -249,7 +245,10 @@ double walk(double* x, int n) {
 
     // sweep limits across the whole faulting run, including the window
     // right around the fault itself
-    for limit in (0..=fault_steps).step_by(7).chain(fault_steps - 3..=fault_steps) {
+    for limit in (0..=fault_steps)
+        .step_by(7)
+        .chain(fault_steps - 3..=fault_steps)
+    {
         let opt = VmOptions {
             max_steps: limit,
             ..small()

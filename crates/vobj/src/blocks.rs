@@ -29,7 +29,7 @@ fn ends_block(inst: &Inst) -> bool {
 /// ignored. Jump targets that are not instruction boundaries (wild jumps)
 /// are likewise ignored — they fault at execution time, not at decode
 /// time.
-pub fn leader_flags(insts: &[(u32, Inst)], entries: &[u32]) -> Vec<bool> {
+fn leader_flags(insts: &[(u32, Inst)], entries: &[u32]) -> Vec<bool> {
     let index: HashMap<u32, usize> = insts
         .iter()
         .enumerate()
@@ -58,16 +58,6 @@ pub fn leader_flags(insts: &[(u32, Inst)], entries: &[u32]) -> Vec<bool> {
         }
     }
     leader
-}
-
-/// The leader *addresses* (see [`leader_flags`]).
-pub fn leader_addrs(insts: &[(u32, Inst)], entries: &[u32]) -> Vec<u32> {
-    insts
-        .iter()
-        .zip(leader_flags(insts, entries))
-        .filter(|(_, l)| *l)
-        .map(|((addr, _), _)| *addr)
-        .collect()
 }
 
 /// Partition a `(byte addr, inst)` stream into basic blocks, returned as
@@ -112,8 +102,6 @@ mod tests {
         let s = stream();
         let blocks = basic_blocks(&s, &[0]);
         assert_eq!(blocks, vec![0..3, 3..5]);
-        let leaders = leader_addrs(&s, &[0]);
-        assert_eq!(leaders, vec![0, 30]);
     }
 
     #[test]
@@ -135,13 +123,13 @@ mod tests {
         assert_eq!(blocks.len(), 2);
         // a jump into the middle of an encoding is not a leader
         let wild = vec![(0, Inst::Jmp(3)), (8, Inst::Ret)];
-        assert_eq!(leader_addrs(&wild, &[0]), vec![0, 8]);
+        assert_eq!(basic_blocks(&wild, &[0]), vec![0..1, 1..2]);
     }
 
     #[test]
     fn empty_stream() {
         assert!(basic_blocks(&[], &[0]).is_empty());
-        assert!(leader_addrs(&[], &[]).is_empty());
+        assert!(basic_blocks(&[], &[]).is_empty());
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub struct BinFunction {
 }
 
 impl BinFunction {
-    /// All instructions whose source line equals `line`.
-    pub fn instructions_on_line(&self, line: u32) -> impl Iterator<Item = &BinInst> {
-        self.instructions
-            .iter()
-            .filter(move |i| i.line == Some(line))
-    }
-
     /// Basic-block boundaries of this function as index ranges into
     /// [`instructions`](Self::instructions) (see [`crate::blocks`]). This is
     /// the granularity at which `mira-vm` dispatches and attributes counts.
@@ -188,7 +181,6 @@ mod tests {
         assert_eq!(f.instructions[1].line, Some(1));
         assert_eq!(f.instructions[2].line, Some(2));
         assert_eq!(f.instructions[3].line, Some(3));
-        assert_eq!(f.instructions_on_line(1).count(), 2);
         assert_eq!(ast.instruction_count(), 4);
     }
 

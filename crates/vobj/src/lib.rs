@@ -307,14 +307,6 @@ impl Object {
         }).map(|i| i as u32)
     }
 
-    /// Index of any symbol (function or extern) with this name.
-    pub fn find_symbol(&self, name: &str) -> Option<u32> {
-        self.symbols
-            .iter()
-            .position(|s| s.name() == name)
-            .map(|i| i as u32)
-    }
-
     /// Loop metadata for one function symbol.
     pub fn loops_of(&self, func_sym: u32) -> Vec<LoopMeta> {
         self.loops
@@ -404,7 +396,7 @@ mod tests {
         let obj = sample_object();
         assert_eq!(obj.find_func("main"), Some(0));
         assert_eq!(obj.find_func("sqrt"), None); // extern, not func
-        assert_eq!(obj.find_symbol("sqrt"), Some(1));
+        assert_eq!(obj.symbols[1].name(), "sqrt");
         assert!(obj.symbols[1].is_extern());
         assert_eq!(obj.loops_of(0).len(), 1);
         assert_eq!(obj.loops_of(1).len(), 0);

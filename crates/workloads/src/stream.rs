@@ -71,11 +71,6 @@ impl Stream {
         Stream { analysis }
     }
 
-    /// With vectorization enabled (for the PBound comparison).
-    pub fn vectorized() -> Stream {
-        Stream::with_compiler(mira_vcc::Options::vectorized())
-    }
-
     /// With explicit compiler options (e.g.
     /// `mira_vcc::Options::spill_everything()` for the no-regalloc
     /// baseline `bench_vm` compares step counts against).
