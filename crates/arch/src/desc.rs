@@ -25,6 +25,7 @@
 use crate::Category;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One cache level from a `[cache lN]` section: capacity and associativity
 /// (the line size is shared across the hierarchy via
@@ -269,8 +270,14 @@ categories = int_control_transfer
 ";
 
 impl Default for ArchDescription {
+    /// [`DEFAULT_DESCRIPTION`], parsed once per process and cloned.
     fn default() -> Self {
-        ArchDescription::parse(DEFAULT_DESCRIPTION).expect("default description must parse")
+        static DEFAULT: OnceLock<ArchDescription> = OnceLock::new();
+        DEFAULT
+            .get_or_init(|| {
+                ArchDescription::parse(DEFAULT_DESCRIPTION).expect("default description must parse")
+            })
+            .clone()
     }
 }
 
@@ -569,45 +576,6 @@ impl ArchDescription {
             l2: self.machine.l2,
         }
     }
-
-    /// Serialize back to the INI dialect (round-trippable).
-    pub fn to_ini(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[machine]\n");
-        out.push_str(&format!("name = {}\n", self.machine.name));
-        out.push_str(&format!("cores = {}\n", self.machine.cores));
-        out.push_str(&format!(
-            "cache_line_bytes = {}\n",
-            self.machine.cache_line_bytes
-        ));
-        out.push_str(&format!("vector_bits = {}\n", self.machine.vector_bits));
-        out.push_str(&format!(
-            "fp_lanes_per_vector = {}\n",
-            self.machine.fp_lanes_per_vector
-        ));
-        for (name, level) in [("l1", self.machine.l1), ("l2", self.machine.l2)] {
-            out.push_str(&format!(
-                "\n[cache {name}]\nsize_bytes = {}\nassoc = {}\n",
-                level.size_bytes, level.assoc
-            ));
-        }
-        out.push_str(&format!(
-            "\n[peak]\nfp_pipes = {}\nfma = {}\n",
-            self.machine.peak.fp_pipes,
-            if self.machine.peak.fma { "yes" } else { "no" }
-        ));
-        let bw = self.machine.bandwidth;
-        for (name, v) in [("l1", bw.l1), ("l2", bw.l2), ("dram", bw.dram)] {
-            out.push_str(&format!("\n[bandwidth {name}]\nbytes_per_cycle = {v}\n"));
-        }
-        for (name, cats) in &self.metrics {
-            out.push_str(&format!("\n[metric {name}]\ncategories = "));
-            let names: Vec<&str> = cats.iter().map(|c| c.name()).collect();
-            out.push_str(&names.join(", "));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -623,11 +591,57 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_ini() {
-        let d = ArchDescription::default();
-        let text = d.to_ini();
-        let d2 = ArchDescription::parse(&text).unwrap();
-        assert_eq!(d, d2);
+    fn default_is_the_parsed_default_description() {
+        let parsed = ArchDescription::parse(DEFAULT_DESCRIPTION).unwrap();
+        // the first call parses, the second clones the kept description
+        assert_eq!(ArchDescription::default(), parsed);
+        assert_eq!(ArchDescription::default(), parsed);
+    }
+
+    #[test]
+    fn every_key_parses_into_its_field() {
+        let text = "[machine]\nname = m\ncores = 36\ncache_line_bytes = 128\n\
+                    vector_bits = 256\nfp_lanes_per_vector = 4\n\
+                    [cache l1]\nsize_bytes = 65536\nassoc = 4\n\
+                    [cache l2]\nsize_bytes = 1048576\nassoc = 16\n\
+                    [peak]\nfp_pipes = 1\nfma = yes\n\
+                    [bandwidth l1]\nbytes_per_cycle = 64\n\
+                    [bandwidth l2]\nbytes_per_cycle = 24\n\
+                    [bandwidth dram]\nbytes_per_cycle = 8\n\
+                    [metric fpi]\ncategories = fma, avx_arith\n\
+                    [metric branches]\ncategories = int_control_transfer\n";
+        let machine = MachineParams {
+            name: "m".to_string(),
+            cores: 36,
+            cache_line_bytes: 128,
+            vector_bits: 256,
+            fp_lanes_per_vector: 4,
+            l1: CacheLevel {
+                size_bytes: 65536,
+                assoc: 4,
+            },
+            l2: CacheLevel {
+                size_bytes: 1048576,
+                assoc: 16,
+            },
+            peak: PeakParams {
+                fp_pipes: 1,
+                fma: true,
+            },
+            bandwidth: Bandwidths {
+                l1: 64,
+                l2: 24,
+                dram: 8,
+            },
+        };
+        let metrics = BTreeMap::from([
+            ("fpi".to_string(), vec![Category::Fma, Category::AvxArith]),
+            ("branches".to_string(), vec![Category::IntControlTransfer]),
+        ]);
+        assert_eq!(
+            ArchDescription::parse(text),
+            Ok(ArchDescription { machine, metrics })
+        );
     }
 
     #[test]
@@ -685,9 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_sections_roundtrip() {
-        // parse → serialize → parse must be the identity on the cache
-        // hierarchy fields
+    fn cache_sections_parse() {
         let text = "[machine]\nname = m\ncache_line_bytes = 32\n\
                     [cache l1]\nsize_bytes = 16384\nassoc = 4\n\
                     [cache l2]\nsize_bytes = 524288\nassoc = 16\n";
@@ -706,11 +718,7 @@ mod tests {
                 assoc: 16
             }
         );
-        let d2 = ArchDescription::parse(&d.to_ini()).unwrap();
-        assert_eq!(d, d2);
-        let d3 = ArchDescription::parse(&d2.to_ini()).unwrap();
-        assert_eq!(d2, d3);
-        assert_eq!(d2.cache_hierarchy().l1.sets(32), 128);
+        assert_eq!(d.cache_hierarchy().l1.sets(32), 128);
     }
 
     #[test]
@@ -814,27 +822,42 @@ mod tests {
                 .vector_flops_per_cycle(d.machine.fp_lanes_per_vector),
             4
         );
-        assert_eq!(d.machine.bandwidth, Bandwidths { l1: 32, l2: 16, dram: 4 });
+        assert_eq!(
+            d.machine.bandwidth,
+            Bandwidths {
+                l1: 32,
+                l2: 16,
+                dram: 4
+            }
+        );
     }
 
     #[test]
-    fn peak_and_bandwidth_roundtrip() {
+    fn peak_and_bandwidth_parse() {
         let text = "[machine]\nname = m\n\
                     [peak]\nfp_pipes = 1\nfma = yes\n\
                     [bandwidth l1]\nbytes_per_cycle = 64\n\
                     [bandwidth l2]\nbytes_per_cycle = 24\n\
                     [bandwidth dram]\nbytes_per_cycle = 8\n";
         let d = ArchDescription::parse(text).unwrap();
-        assert_eq!(d.machine.peak, PeakParams { fp_pipes: 1, fma: true });
+        assert_eq!(
+            d.machine.peak,
+            PeakParams {
+                fp_pipes: 1,
+                fma: true
+            }
+        );
         // FMA doubles the per-pipe rate
         assert_eq!(d.machine.peak.scalar_flops_per_cycle(), 2);
         assert_eq!(d.machine.peak.vector_flops_per_cycle(4), 8);
-        assert_eq!(d.machine.bandwidth, Bandwidths { l1: 64, l2: 24, dram: 8 });
-        // parse → serialize → parse is the identity on every new field
-        let d2 = ArchDescription::parse(&d.to_ini()).unwrap();
-        assert_eq!(d, d2);
-        let d3 = ArchDescription::parse(&d2.to_ini()).unwrap();
-        assert_eq!(d2, d3);
+        assert_eq!(
+            d.machine.bandwidth,
+            Bandwidths {
+                l1: 64,
+                l2: 24,
+                dram: 8
+            }
+        );
     }
 
     #[test]

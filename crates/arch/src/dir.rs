@@ -18,7 +18,10 @@ use crate::desc::{ArchDescription, DescError};
 #[derive(Debug)]
 pub enum LoadError {
     /// The directory or a file inside it could not be read.
-    Io { path: PathBuf, error: std::io::Error },
+    Io {
+        path: PathBuf,
+        error: std::io::Error,
+    },
     /// A file read fine but is not a valid description
     /// ([`ArchDescription::parse`] refused).
     Parse { path: PathBuf, error: DescError },
@@ -133,10 +136,7 @@ mod tests {
     use crate::desc::DEFAULT_DESCRIPTION;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mira_arch_dir_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("mira_arch_dir_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
@@ -164,7 +164,10 @@ mod tests {
         fs::write(dir.join("b.ini"), "[machine]\ncores = not_a_number\n").unwrap();
         match load_dir(&dir) {
             Err(LoadError::Parse { path, error }) => {
-                assert!(path.ends_with("b.ini"), "error names the bad file: {path:?}");
+                assert!(
+                    path.ends_with("b.ini"),
+                    "error names the bad file: {path:?}"
+                );
                 assert!(matches!(error, DescError::BadValue { .. }));
             }
             other => panic!("expected a typed parse error, got {other:?}"),

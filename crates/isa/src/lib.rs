@@ -18,6 +18,24 @@
 //!   structs;
 //! * a mapping from every opcode to one of the 64 instruction categories
 //!   of the architecture description file ([`Inst::category`]).
+//!
+//! ## The instruction table is the format
+//!
+//! Each instruction is one row of the `instructions!` table in this file:
+//! its variant, its operands in encoding order, its opcode byte, its
+//! mnemonic and its category, e.g.
+//! `Store(m: Mem, s: Reg) = 0x04, "mov", IntDataTransfer;`. The table
+//! generates [`Inst`], [`Inst::encode`] (the opcode byte, then each
+//! operand), [`Inst::decode`], [`Inst::encoded_len`] (1 plus the
+//! operands' constant widths, no encoding), [`Inst::mnemonic`] and
+//! [`Inst::category`]. Each operand kind (`Reg`, `XReg`, `Cc`, `u8`,
+//! `u32`, `i64`, `Mem`) states its width and byte layout once. A
+//! duplicated opcode is an unreachable `decode` arm, which the lint gate
+//! refuses. Adding an instruction means one row here, one
+//! `Machine::exec` arm in `mira-vm` and one `Display` arm. Since the
+//! encoder and the decoder come from the same row, a round trip cannot
+//! see a changed opcode or layout: `tests/golden.rs` pins the bytes and
+//! text of every instruction.
 
 use mira_arch::Category;
 use std::fmt;
@@ -112,12 +130,10 @@ impl fmt::Display for Mem {
         if let Some((r, s)) = self.index {
             write!(f, " + {r}*{s}")?;
         }
-        if self.disp != 0 {
-            if self.disp > 0 {
-                write!(f, " + {}", self.disp)?;
-            } else {
-                write!(f, " - {}", -self.disp)?;
-            }
+        if self.disp > 0 {
+            write!(f, " + {}", self.disp)?;
+        } else if self.disp < 0 {
+            write!(f, " - {}", self.disp.unsigned_abs())?;
         }
         write!(f, "]")
     }
@@ -180,164 +196,6 @@ impl Cc {
     }
 }
 
-/// One VX86 instruction, operands fully resolved (jump targets are absolute
-/// byte addresses within the object's `.text`; call targets are symbol
-/// indices).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Inst {
-    // --- integer data transfer ---
-    MovRR(Reg, Reg),
-    MovRI(Reg, i64),
-    Load(Reg, Mem),
-    Store(Mem, Reg),
-    Lea(Reg, Mem),
-    Push(Reg),
-    Pop(Reg),
-    // --- 64-bit mode ---
-    Movsxd(Reg, Reg),
-    Cqo,
-    // --- integer arithmetic ---
-    AddRR(Reg, Reg),
-    AddRI(Reg, i64),
-    SubRR(Reg, Reg),
-    SubRI(Reg, i64),
-    ImulRR(Reg, Reg),
-    ImulRI(Reg, i64),
-    /// Signed divide of `r0` by the operand; quotient in `r0`, remainder in
-    /// `r11` (VX86 convention).
-    Idiv(Reg),
-    Neg(Reg),
-    CmpRR(Reg, Reg),
-    CmpRI(Reg, i64),
-    // --- integer logical ---
-    AndRR(Reg, Reg),
-    OrRR(Reg, Reg),
-    XorRR(Reg, Reg),
-    Not(Reg),
-    // --- shifts ---
-    ShlRI(Reg, u8),
-    SarRI(Reg, u8),
-    ShrRI(Reg, u8),
-    // --- bit & byte ---
-    TestRR(Reg, Reg),
-    Setcc(Cc, Reg),
-    // --- control transfer ---
-    Jmp(u32),
-    Jcc(Cc, u32),
-    /// Call the function with this symbol index.
-    Call(u32),
-    Ret,
-    // --- SSE2 data movement ---
-    MovsdXX(XReg, XReg),
-    MovsdLoad(XReg, Mem),
-    MovsdStore(Mem, XReg),
-    MovapdXX(XReg, XReg),
-    MovupdLoad(XReg, Mem),
-    MovupdStore(Mem, XReg),
-    /// Move an integer register into lane 0 of an XMM register (bit cast).
-    MovqXR(XReg, Reg),
-    MovqRX(Reg, XReg),
-    // --- SSE2 scalar arithmetic (lane 0) ---
-    Addsd(XReg, XReg),
-    Subsd(XReg, XReg),
-    Mulsd(XReg, XReg),
-    Divsd(XReg, XReg),
-    Sqrtsd(XReg, XReg),
-    Minsd(XReg, XReg),
-    Maxsd(XReg, XReg),
-    // --- SSE2 packed arithmetic (both lanes) ---
-    Addpd(XReg, XReg),
-    Subpd(XReg, XReg),
-    Mulpd(XReg, XReg),
-    Divpd(XReg, XReg),
-    Sqrtpd(XReg, XReg),
-    // --- SSE2 logical ---
-    Andpd(XReg, XReg),
-    Orpd(XReg, XReg),
-    Xorpd(XReg, XReg),
-    // --- SSE2 compare ---
-    Ucomisd(XReg, XReg),
-    // --- SSE2 shuffle/unpack ---
-    /// `dst.lane0 = dst.lane1; dst.lane1 = src.lane1` (high unpack, used
-    /// for horizontal reduction of packed accumulators).
-    Unpckhpd(XReg, XReg),
-    /// `dst.lane1 = src.lane0` (low unpack; `unpcklpd x, x` broadcasts
-    /// lane 0 — how scalars are splat across a packed vector).
-    Unpcklpd(XReg, XReg),
-    // --- SSE2 conversion ---
-    Cvtsi2sd(XReg, Reg),
-    Cvttsd2si(Reg, XReg),
-    // --- misc ---
-    Nop,
-    /// Stop the virtual machine (top-of-stack return).
-    Halt,
-}
-
-mod opcodes {
-    pub const MOV_RR: u8 = 0x01;
-    pub const MOV_RI: u8 = 0x02;
-    pub const LOAD: u8 = 0x03;
-    pub const STORE: u8 = 0x04;
-    pub const LEA: u8 = 0x05;
-    pub const PUSH: u8 = 0x06;
-    pub const POP: u8 = 0x07;
-    pub const MOVSXD: u8 = 0x08;
-    pub const CQO: u8 = 0x09;
-    pub const ADD_RR: u8 = 0x10;
-    pub const ADD_RI: u8 = 0x11;
-    pub const SUB_RR: u8 = 0x12;
-    pub const SUB_RI: u8 = 0x13;
-    pub const IMUL_RR: u8 = 0x14;
-    pub const IMUL_RI: u8 = 0x15;
-    pub const IDIV: u8 = 0x16;
-    pub const NEG: u8 = 0x17;
-    pub const CMP_RR: u8 = 0x18;
-    pub const CMP_RI: u8 = 0x19;
-    pub const AND_RR: u8 = 0x20;
-    pub const OR_RR: u8 = 0x21;
-    pub const XOR_RR: u8 = 0x22;
-    pub const NOT: u8 = 0x23;
-    pub const SHL_RI: u8 = 0x24;
-    pub const SAR_RI: u8 = 0x25;
-    pub const SHR_RI: u8 = 0x26;
-    pub const TEST_RR: u8 = 0x27;
-    pub const SETCC: u8 = 0x28;
-    pub const JMP: u8 = 0x30;
-    pub const JCC: u8 = 0x31;
-    pub const CALL: u8 = 0x32;
-    pub const RET: u8 = 0x33;
-    pub const MOVSD_XX: u8 = 0x40;
-    pub const MOVSD_LOAD: u8 = 0x41;
-    pub const MOVSD_STORE: u8 = 0x42;
-    pub const MOVAPD_XX: u8 = 0x43;
-    pub const MOVUPD_LOAD: u8 = 0x44;
-    pub const MOVUPD_STORE: u8 = 0x45;
-    pub const MOVQ_XR: u8 = 0x46;
-    pub const MOVQ_RX: u8 = 0x47;
-    pub const ADDSD: u8 = 0x50;
-    pub const SUBSD: u8 = 0x51;
-    pub const MULSD: u8 = 0x52;
-    pub const DIVSD: u8 = 0x53;
-    pub const SQRTSD: u8 = 0x54;
-    pub const MINSD: u8 = 0x55;
-    pub const MAXSD: u8 = 0x56;
-    pub const ADDPD: u8 = 0x60;
-    pub const SUBPD: u8 = 0x61;
-    pub const MULPD: u8 = 0x62;
-    pub const DIVPD: u8 = 0x63;
-    pub const SQRTPD: u8 = 0x64;
-    pub const ANDPD: u8 = 0x70;
-    pub const ORPD: u8 = 0x71;
-    pub const XORPD: u8 = 0x72;
-    pub const UCOMISD: u8 = 0x73;
-    pub const UNPCKHPD: u8 = 0x74;
-    pub const UNPCKLPD: u8 = 0x77;
-    pub const CVTSI2SD: u8 = 0x75;
-    pub const CVTTSD2SI: u8 = 0x76;
-    pub const NOP: u8 = 0x80;
-    pub const HALT: u8 = 0x81;
-}
-
 /// Errors from [`Inst::decode`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DecodeError {
@@ -361,460 +219,276 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// ---- operand encoding helpers ----
-
-fn put_reg(out: &mut Vec<u8>, r: Reg) {
-    out.push(r.0);
+/// One operand kind of the binary format: its constant width and its byte
+/// layout. An instruction encodes as its opcode byte followed by its
+/// operands in field order.
+trait Operand: Sized {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    fn put(self, out: &mut Vec<u8>);
+    /// Read one operand off the front of `rest`, advancing it.
+    fn get(rest: &mut &[u8]) -> Result<Self, DecodeError>;
 }
 
-fn put_xreg(out: &mut Vec<u8>, r: XReg) {
-    out.push(r.0);
+/// Split the next `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, tail) = rest.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *rest = tail;
+    Ok(*head)
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_mem(out: &mut Vec<u8>, m: Mem) {
-    out.push(m.base.0);
-    match m.index {
-        Some((r, s)) => {
-            out.push(1);
-            out.push(r.0);
-            out.push(s);
-        }
-        None => {
-            out.push(0);
-            out.push(0);
-            out.push(0);
-        }
-    }
-    out.extend_from_slice(&m.disp.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
+/// A register number, refused past a register file of `count` registers.
+fn register(rest: &mut &[u8], count: usize) -> Result<u8, DecodeError> {
+    let [b] = take(rest)?;
+    if (b as usize) < count {
         Ok(b)
+    } else {
+        Err(DecodeError::BadOperand)
     }
+}
 
-    fn reg(&mut self) -> Result<Reg, DecodeError> {
-        let b = self.u8()?;
-        if (b as usize) < NUM_REGS {
-            Ok(Reg(b))
-        } else {
-            Err(DecodeError::BadOperand)
-        }
+impl Operand for Reg {
+    const WIDTH: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(self.0);
     }
-
-    fn xreg(&mut self) -> Result<XReg, DecodeError> {
-        let b = self.u8()?;
-        if (b as usize) < NUM_XREGS {
-            Ok(XReg(b))
-        } else {
-            Err(DecodeError::BadOperand)
-        }
+    fn get(rest: &mut &[u8]) -> Result<Reg, DecodeError> {
+        register(rest, NUM_REGS).map(Reg)
     }
+}
 
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        let end = self.pos + 8;
-        let bytes = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(i64::from_le_bytes(bytes.try_into().unwrap()))
+impl Operand for XReg {
+    const WIDTH: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(self.0);
     }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let end = self.pos + 4;
-        let bytes = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
+    fn get(rest: &mut &[u8]) -> Result<XReg, DecodeError> {
+        register(rest, NUM_XREGS).map(XReg)
     }
+}
 
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        Ok(self.u32()? as i32)
+impl Operand for Cc {
+    const WIDTH: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(self as u8);
     }
+    fn get(rest: &mut &[u8]) -> Result<Cc, DecodeError> {
+        let [b] = take(rest)?;
+        Cc::from_u8(b).ok_or(DecodeError::BadOperand)
+    }
+}
 
-    fn mem(&mut self) -> Result<Mem, DecodeError> {
-        let base = self.reg()?;
-        let has_index = self.u8()?;
-        let idx_reg = self.u8()?;
-        let scale = self.u8()?;
-        let disp = self.i32()?;
-        let index = if has_index != 0 {
-            if (idx_reg as usize) >= NUM_REGS || !matches!(scale, 1 | 2 | 4 | 8) {
-                return Err(DecodeError::BadOperand);
+/// Shift counts, jump and call targets, and immediates: little-endian.
+macro_rules! int_operand {
+    ($($int:ty),*) => {$(
+        impl Operand for $int {
+            const WIDTH: usize = std::mem::size_of::<$int>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
-            Some((Reg(idx_reg), scale))
-        } else {
-            None
+            fn get(rest: &mut &[u8]) -> Result<$int, DecodeError> {
+                take(rest).map(<$int>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+int_operand!(u8, u32, i64);
+
+/// `[base, has_index, index, scale, disp]`, `disp` a little-endian `i32`.
+/// Without an index, `has_index`, `index` and `scale` are written as zero
+/// and only `has_index` is read.
+impl Operand for Mem {
+    const WIDTH: usize = 8;
+    fn put(self, out: &mut Vec<u8>) {
+        let (has_index, (index, scale)) = match self.index {
+            Some((r, s)) => (1, (r.0, s)),
+            None => (0, (0, 0)),
+        };
+        out.extend_from_slice(&[self.base.0, has_index, index, scale]);
+        out.extend_from_slice(&self.disp.to_le_bytes());
+    }
+    fn get(rest: &mut &[u8]) -> Result<Mem, DecodeError> {
+        let base = Reg::get(rest)?;
+        let [has_index, index, scale] = take(rest)?;
+        let disp = take(rest).map(i32::from_le_bytes)?;
+        let index = match has_index {
+            0 => None,
+            _ if (index as usize) < NUM_REGS && matches!(scale, 1 | 2 | 4 | 8) => {
+                Some((Reg(index), scale))
+            }
+            _ => return Err(DecodeError::BadOperand),
         };
         Ok(Mem { base, index, disp })
     }
-
-    fn cc(&mut self) -> Result<Cc, DecodeError> {
-        Cc::from_u8(self.u8()?).ok_or(DecodeError::BadOperand)
-    }
 }
 
-fn bin_x(out: &mut Vec<u8>, op: u8, d: XReg, s: XReg) {
-    out.push(op);
-    put_xreg(out, d);
-    put_xreg(out, s);
+/// Generates [`Inst`] and its binary format from the instruction table:
+/// one row `Variant(field: Kind, ...) = opcode, "mnemonic", Category;`
+/// per instruction, operands in encoding order. A duplicated opcode is an
+/// unreachable `decode` arm, which the lint gate refuses.
+macro_rules! instructions {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $(($($field:ident: $kind:ty),*))? = $op:literal, $mnemonic:literal, $category:ident;
+    )*) => {
+        /// One VX86 instruction, operands fully resolved (jump targets are
+        /// absolute byte addresses within the object's `.text`; call targets
+        /// are symbol indices).
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum Inst {
+            $($(#[$doc])* $name $(($($kind),*))?,)*
+        }
+
+        impl Inst {
+            /// Append the binary encoding of this instruction to `out`: the
+            /// opcode byte, then each operand in field order.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                match *self {
+                    $(Inst::$name $(($($field),*))? => {
+                        out.push($op);
+                        $($(Operand::put($field, out);)*)?
+                    })*
+                }
+            }
+
+            /// Decode one instruction at `buf[offset..]`; returns the
+            /// instruction and its encoded length.
+            pub fn decode(buf: &[u8], offset: usize) -> Result<(Inst, usize), DecodeError> {
+                let mut rest = buf.get(offset..).unwrap_or_default();
+                let start = rest.len();
+                let [op] = take(&mut rest)?;
+                let inst = match op {
+                    $($op => {
+                        $($(let $field = <$kind>::get(&mut rest)?;)*)?
+                        Inst::$name $(($($field),*))?
+                    })*
+                    other => return Err(DecodeError::BadOpcode(other)),
+                };
+                Ok((inst, start - rest.len()))
+            }
+
+            /// Encoded length in bytes: the opcode byte plus the operands'
+            /// widths.
+            pub fn encoded_len(&self) -> usize {
+                match self {
+                    $(Inst::$name { .. } => 1 $($(+ <$kind as Operand>::WIDTH)*)?,)*
+                }
+            }
+
+            /// The instruction category per the architecture description
+            /// taxonomy.
+            pub fn category(&self) -> Category {
+                match self {
+                    $(Inst::$name { .. } => Category::$category,)*
+                }
+            }
+
+            /// Assembly-style mnemonic (without operand-form suffixes).
+            pub fn mnemonic(&self) -> &'static str {
+                match self {
+                    $(Inst::$name { .. } => $mnemonic,)*
+                }
+            }
+        }
+    };
+}
+
+instructions! {
+    // --- integer data transfer ---
+    MovRR(d: Reg, s: Reg) = 0x01, "mov", IntDataTransfer;
+    MovRI(d: Reg, v: i64) = 0x02, "mov", IntDataTransfer;
+    Load(d: Reg, m: Mem) = 0x03, "mov", IntDataTransfer;
+    Store(m: Mem, s: Reg) = 0x04, "mov", IntDataTransfer;
+    Lea(d: Reg, m: Mem) = 0x05, "lea", IntDataTransfer;
+    Push(r: Reg) = 0x06, "push", IntDataTransfer;
+    Pop(r: Reg) = 0x07, "pop", IntDataTransfer;
+    // --- 64-bit mode ---
+    Movsxd(d: Reg, s: Reg) = 0x08, "movsxd", Mode64Bit;
+    Cqo = 0x09, "cqo", Mode64Bit;
+    // --- integer arithmetic ---
+    AddRR(d: Reg, s: Reg) = 0x10, "add", IntArith;
+    AddRI(d: Reg, v: i64) = 0x11, "add", IntArith;
+    SubRR(d: Reg, s: Reg) = 0x12, "sub", IntArith;
+    SubRI(d: Reg, v: i64) = 0x13, "sub", IntArith;
+    ImulRR(d: Reg, s: Reg) = 0x14, "imul", IntArith;
+    ImulRI(d: Reg, v: i64) = 0x15, "imul", IntArith;
+    /// Signed divide of `r0` by the operand; quotient in `r0`, remainder in
+    /// `r11` (VX86 convention).
+    Idiv(r: Reg) = 0x16, "idiv", IntArith;
+    Neg(r: Reg) = 0x17, "neg", IntArith;
+    CmpRR(a: Reg, b: Reg) = 0x18, "cmp", IntArith;
+    CmpRI(a: Reg, v: i64) = 0x19, "cmp", IntArith;
+    // --- integer logical ---
+    AndRR(d: Reg, s: Reg) = 0x20, "and", IntLogical;
+    OrRR(d: Reg, s: Reg) = 0x21, "or", IntLogical;
+    XorRR(d: Reg, s: Reg) = 0x22, "xor", IntLogical;
+    Not(r: Reg) = 0x23, "not", IntLogical;
+    // --- shifts ---
+    ShlRI(r: Reg, k: u8) = 0x24, "shl", ShiftRotate;
+    SarRI(r: Reg, k: u8) = 0x25, "sar", ShiftRotate;
+    ShrRI(r: Reg, k: u8) = 0x26, "shr", ShiftRotate;
+    // --- bit & byte ---
+    TestRR(a: Reg, b: Reg) = 0x27, "test", BitByte;
+    Setcc(cc: Cc, r: Reg) = 0x28, "setcc", BitByte;
+    // --- control transfer ---
+    Jmp(target: u32) = 0x30, "jmp", IntControlTransfer;
+    Jcc(cc: Cc, target: u32) = 0x31, "jcc", IntControlTransfer;
+    /// Call the function with this symbol index.
+    Call(sym: u32) = 0x32, "call", IntControlTransfer;
+    Ret = 0x33, "ret", IntControlTransfer;
+    // --- SSE2 data movement ---
+    MovsdXX(d: XReg, s: XReg) = 0x40, "movsd", Sse2DataMovement;
+    MovsdLoad(d: XReg, m: Mem) = 0x41, "movsd", Sse2DataMovement;
+    MovsdStore(m: Mem, s: XReg) = 0x42, "movsd", Sse2DataMovement;
+    MovapdXX(d: XReg, s: XReg) = 0x43, "movapd", Sse2DataMovement;
+    MovupdLoad(d: XReg, m: Mem) = 0x44, "movupd", Sse2DataMovement;
+    MovupdStore(m: Mem, s: XReg) = 0x45, "movupd", Sse2DataMovement;
+    /// Move an integer register into lane 0 of an XMM register (bit cast).
+    MovqXR(x: XReg, r: Reg) = 0x46, "movq", Sse2DataMovement;
+    MovqRX(r: Reg, x: XReg) = 0x47, "movq", Sse2DataMovement;
+    // --- SSE2 scalar arithmetic (lane 0) ---
+    Addsd(d: XReg, s: XReg) = 0x50, "addsd", Sse2PackedArith;
+    Subsd(d: XReg, s: XReg) = 0x51, "subsd", Sse2PackedArith;
+    Mulsd(d: XReg, s: XReg) = 0x52, "mulsd", Sse2PackedArith;
+    Divsd(d: XReg, s: XReg) = 0x53, "divsd", Sse2PackedArith;
+    Sqrtsd(d: XReg, s: XReg) = 0x54, "sqrtsd", Sse2PackedArith;
+    Minsd(d: XReg, s: XReg) = 0x55, "minsd", Sse2PackedArith;
+    Maxsd(d: XReg, s: XReg) = 0x56, "maxsd", Sse2PackedArith;
+    // --- SSE2 packed arithmetic (both lanes) ---
+    Addpd(d: XReg, s: XReg) = 0x60, "addpd", Sse2PackedArith;
+    Subpd(d: XReg, s: XReg) = 0x61, "subpd", Sse2PackedArith;
+    Mulpd(d: XReg, s: XReg) = 0x62, "mulpd", Sse2PackedArith;
+    Divpd(d: XReg, s: XReg) = 0x63, "divpd", Sse2PackedArith;
+    Sqrtpd(d: XReg, s: XReg) = 0x64, "sqrtpd", Sse2PackedArith;
+    // --- SSE2 logical ---
+    Andpd(d: XReg, s: XReg) = 0x70, "andpd", Sse2Logical;
+    Orpd(d: XReg, s: XReg) = 0x71, "orpd", Sse2Logical;
+    Xorpd(d: XReg, s: XReg) = 0x72, "xorpd", Sse2Logical;
+    // --- SSE2 compare ---
+    Ucomisd(a: XReg, b: XReg) = 0x73, "ucomisd", Sse2Compare;
+    // --- SSE2 shuffle/unpack ---
+    /// `dst.lane0 = dst.lane1; dst.lane1 = src.lane1` (high unpack, used
+    /// for horizontal reduction of packed accumulators).
+    Unpckhpd(d: XReg, s: XReg) = 0x74, "unpckhpd", Sse2ShuffleUnpack;
+    /// `dst.lane1 = src.lane0` (low unpack; `unpcklpd x, x` broadcasts
+    /// lane 0 — how scalars are splat across a packed vector).
+    Unpcklpd(d: XReg, s: XReg) = 0x77, "unpcklpd", Sse2ShuffleUnpack;
+    // --- SSE2 conversion ---
+    Cvtsi2sd(x: XReg, r: Reg) = 0x75, "cvtsi2sd", Sse2Conversion;
+    Cvttsd2si(r: Reg, x: XReg) = 0x76, "cvttsd2si", Sse2Conversion;
+    // --- misc ---
+    Nop = 0x80, "nop", MiscInstr;
+    /// Stop the virtual machine (top-of-stack return).
+    Halt = 0x81, "halt", MiscInstr;
 }
 
 impl Inst {
-    /// Append the binary encoding of this instruction to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        use opcodes::*;
-        use Inst::*;
-        match *self {
-            MovRR(d, s) => {
-                out.push(MOV_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            MovRI(d, v) => {
-                out.push(MOV_RI);
-                put_reg(out, d);
-                put_i64(out, v);
-            }
-            Load(d, m) => {
-                out.push(LOAD);
-                put_reg(out, d);
-                put_mem(out, m);
-            }
-            Store(m, s) => {
-                out.push(STORE);
-                put_mem(out, m);
-                put_reg(out, s);
-            }
-            Lea(d, m) => {
-                out.push(LEA);
-                put_reg(out, d);
-                put_mem(out, m);
-            }
-            Push(r) => {
-                out.push(PUSH);
-                put_reg(out, r);
-            }
-            Pop(r) => {
-                out.push(POP);
-                put_reg(out, r);
-            }
-            Movsxd(d, s) => {
-                out.push(MOVSXD);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            Cqo => out.push(CQO),
-            AddRR(d, s) => {
-                out.push(ADD_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            AddRI(d, v) => {
-                out.push(ADD_RI);
-                put_reg(out, d);
-                put_i64(out, v);
-            }
-            SubRR(d, s) => {
-                out.push(SUB_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            SubRI(d, v) => {
-                out.push(SUB_RI);
-                put_reg(out, d);
-                put_i64(out, v);
-            }
-            ImulRR(d, s) => {
-                out.push(IMUL_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            ImulRI(d, v) => {
-                out.push(IMUL_RI);
-                put_reg(out, d);
-                put_i64(out, v);
-            }
-            Idiv(r) => {
-                out.push(IDIV);
-                put_reg(out, r);
-            }
-            Neg(r) => {
-                out.push(NEG);
-                put_reg(out, r);
-            }
-            CmpRR(a, b) => {
-                out.push(CMP_RR);
-                put_reg(out, a);
-                put_reg(out, b);
-            }
-            CmpRI(a, v) => {
-                out.push(CMP_RI);
-                put_reg(out, a);
-                put_i64(out, v);
-            }
-            AndRR(d, s) => {
-                out.push(AND_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            OrRR(d, s) => {
-                out.push(OR_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            XorRR(d, s) => {
-                out.push(XOR_RR);
-                put_reg(out, d);
-                put_reg(out, s);
-            }
-            Not(r) => {
-                out.push(NOT);
-                put_reg(out, r);
-            }
-            ShlRI(r, k) => {
-                out.push(SHL_RI);
-                put_reg(out, r);
-                out.push(k);
-            }
-            SarRI(r, k) => {
-                out.push(SAR_RI);
-                put_reg(out, r);
-                out.push(k);
-            }
-            ShrRI(r, k) => {
-                out.push(SHR_RI);
-                put_reg(out, r);
-                out.push(k);
-            }
-            TestRR(a, b) => {
-                out.push(TEST_RR);
-                put_reg(out, a);
-                put_reg(out, b);
-            }
-            Setcc(cc, r) => {
-                out.push(SETCC);
-                out.push(cc as u8);
-                put_reg(out, r);
-            }
-            Jmp(t) => {
-                out.push(JMP);
-                put_u32(out, t);
-            }
-            Jcc(cc, t) => {
-                out.push(JCC);
-                out.push(cc as u8);
-                put_u32(out, t);
-            }
-            Call(sym) => {
-                out.push(CALL);
-                put_u32(out, sym);
-            }
-            Ret => out.push(RET),
-            MovsdXX(d, s) => {
-                out.push(MOVSD_XX);
-                put_xreg(out, d);
-                put_xreg(out, s);
-            }
-            MovsdLoad(d, m) => {
-                out.push(MOVSD_LOAD);
-                put_xreg(out, d);
-                put_mem(out, m);
-            }
-            MovsdStore(m, s) => {
-                out.push(MOVSD_STORE);
-                put_mem(out, m);
-                put_xreg(out, s);
-            }
-            MovapdXX(d, s) => {
-                out.push(MOVAPD_XX);
-                put_xreg(out, d);
-                put_xreg(out, s);
-            }
-            MovupdLoad(d, m) => {
-                out.push(MOVUPD_LOAD);
-                put_xreg(out, d);
-                put_mem(out, m);
-            }
-            MovupdStore(m, s) => {
-                out.push(MOVUPD_STORE);
-                put_mem(out, m);
-                put_xreg(out, s);
-            }
-            MovqXR(x, r) => {
-                out.push(MOVQ_XR);
-                put_xreg(out, x);
-                put_reg(out, r);
-            }
-            MovqRX(r, x) => {
-                out.push(MOVQ_RX);
-                put_reg(out, r);
-                put_xreg(out, x);
-            }
-            Addsd(d, s) => bin_x(out, ADDSD, d, s),
-            Subsd(d, s) => bin_x(out, SUBSD, d, s),
-            Mulsd(d, s) => bin_x(out, MULSD, d, s),
-            Divsd(d, s) => bin_x(out, DIVSD, d, s),
-            Sqrtsd(d, s) => bin_x(out, SQRTSD, d, s),
-            Minsd(d, s) => bin_x(out, MINSD, d, s),
-            Maxsd(d, s) => bin_x(out, MAXSD, d, s),
-            Addpd(d, s) => bin_x(out, ADDPD, d, s),
-            Subpd(d, s) => bin_x(out, SUBPD, d, s),
-            Mulpd(d, s) => bin_x(out, MULPD, d, s),
-            Divpd(d, s) => bin_x(out, DIVPD, d, s),
-            Sqrtpd(d, s) => bin_x(out, SQRTPD, d, s),
-            Andpd(d, s) => bin_x(out, ANDPD, d, s),
-            Orpd(d, s) => bin_x(out, ORPD, d, s),
-            Xorpd(d, s) => bin_x(out, XORPD, d, s),
-            Ucomisd(d, s) => bin_x(out, UCOMISD, d, s),
-            Unpckhpd(d, s) => bin_x(out, UNPCKHPD, d, s),
-            Unpcklpd(d, s) => bin_x(out, UNPCKLPD, d, s),
-            Cvtsi2sd(x, r) => {
-                out.push(CVTSI2SD);
-                put_xreg(out, x);
-                put_reg(out, r);
-            }
-            Cvttsd2si(r, x) => {
-                out.push(CVTTSD2SI);
-                put_reg(out, r);
-                put_xreg(out, x);
-            }
-            Nop => out.push(NOP),
-            Halt => out.push(HALT),
-        }
-    }
-
-    /// Decode one instruction at `buf[offset..]`; returns the instruction
-    /// and its encoded length.
-    pub fn decode(buf: &[u8], offset: usize) -> Result<(Inst, usize), DecodeError> {
-        use opcodes::*;
-        use Inst::*;
-        let mut c = Cursor { buf, pos: offset };
-        let op = c.u8()?;
-        let inst = match op {
-            MOV_RR => MovRR(c.reg()?, c.reg()?),
-            MOV_RI => MovRI(c.reg()?, c.i64()?),
-            LOAD => Load(c.reg()?, c.mem()?),
-            STORE => Store(c.mem()?, c.reg()?),
-            LEA => Lea(c.reg()?, c.mem()?),
-            PUSH => Push(c.reg()?),
-            POP => Pop(c.reg()?),
-            MOVSXD => Movsxd(c.reg()?, c.reg()?),
-            CQO => Cqo,
-            ADD_RR => AddRR(c.reg()?, c.reg()?),
-            ADD_RI => AddRI(c.reg()?, c.i64()?),
-            SUB_RR => SubRR(c.reg()?, c.reg()?),
-            SUB_RI => SubRI(c.reg()?, c.i64()?),
-            IMUL_RR => ImulRR(c.reg()?, c.reg()?),
-            IMUL_RI => ImulRI(c.reg()?, c.i64()?),
-            IDIV => Idiv(c.reg()?),
-            NEG => Neg(c.reg()?),
-            CMP_RR => CmpRR(c.reg()?, c.reg()?),
-            CMP_RI => CmpRI(c.reg()?, c.i64()?),
-            AND_RR => AndRR(c.reg()?, c.reg()?),
-            OR_RR => OrRR(c.reg()?, c.reg()?),
-            XOR_RR => XorRR(c.reg()?, c.reg()?),
-            NOT => Not(c.reg()?),
-            SHL_RI => ShlRI(c.reg()?, c.u8()?),
-            SAR_RI => SarRI(c.reg()?, c.u8()?),
-            SHR_RI => ShrRI(c.reg()?, c.u8()?),
-            TEST_RR => TestRR(c.reg()?, c.reg()?),
-            SETCC => Setcc(c.cc()?, c.reg()?),
-            JMP => Jmp(c.u32()?),
-            JCC => Jcc(c.cc()?, c.u32()?),
-            CALL => Call(c.u32()?),
-            RET => Ret,
-            MOVSD_XX => MovsdXX(c.xreg()?, c.xreg()?),
-            MOVSD_LOAD => MovsdLoad(c.xreg()?, c.mem()?),
-            MOVSD_STORE => MovsdStore(c.mem()?, c.xreg()?),
-            MOVAPD_XX => MovapdXX(c.xreg()?, c.xreg()?),
-            MOVUPD_LOAD => MovupdLoad(c.xreg()?, c.mem()?),
-            MOVUPD_STORE => MovupdStore(c.mem()?, c.xreg()?),
-            MOVQ_XR => MovqXR(c.xreg()?, c.reg()?),
-            MOVQ_RX => MovqRX(c.reg()?, c.xreg()?),
-            ADDSD => Addsd(c.xreg()?, c.xreg()?),
-            SUBSD => Subsd(c.xreg()?, c.xreg()?),
-            MULSD => Mulsd(c.xreg()?, c.xreg()?),
-            DIVSD => Divsd(c.xreg()?, c.xreg()?),
-            SQRTSD => Sqrtsd(c.xreg()?, c.xreg()?),
-            MINSD => Minsd(c.xreg()?, c.xreg()?),
-            MAXSD => Maxsd(c.xreg()?, c.xreg()?),
-            ADDPD => Addpd(c.xreg()?, c.xreg()?),
-            SUBPD => Subpd(c.xreg()?, c.xreg()?),
-            MULPD => Mulpd(c.xreg()?, c.xreg()?),
-            DIVPD => Divpd(c.xreg()?, c.xreg()?),
-            SQRTPD => Sqrtpd(c.xreg()?, c.xreg()?),
-            ANDPD => Andpd(c.xreg()?, c.xreg()?),
-            ORPD => Orpd(c.xreg()?, c.xreg()?),
-            XORPD => Xorpd(c.xreg()?, c.xreg()?),
-            UCOMISD => Ucomisd(c.xreg()?, c.xreg()?),
-            UNPCKHPD => Unpckhpd(c.xreg()?, c.xreg()?),
-            UNPCKLPD => Unpcklpd(c.xreg()?, c.xreg()?),
-            CVTSI2SD => Cvtsi2sd(c.xreg()?, c.reg()?),
-            CVTTSD2SI => Cvttsd2si(c.reg()?, c.xreg()?),
-            NOP => Nop,
-            HALT => Halt,
-            other => return Err(DecodeError::BadOpcode(other)),
-        };
-        Ok((inst, c.pos - offset))
-    }
-
-    /// Encoded length in bytes.
-    pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::with_capacity(16);
-        self.encode(&mut buf);
-        buf.len()
-    }
-
-    /// The instruction category per the architecture description taxonomy.
-    pub fn category(&self) -> Category {
-        use Inst::*;
-        match self {
-            MovRR(..) | MovRI(..) | Load(..) | Store(..) | Lea(..) | Push(..) | Pop(..) => {
-                Category::IntDataTransfer
-            }
-            Movsxd(..) | Cqo => Category::Mode64Bit,
-            AddRR(..) | AddRI(..) | SubRR(..) | SubRI(..) | ImulRR(..) | ImulRI(..)
-            | Idiv(..) | Neg(..) | CmpRR(..) | CmpRI(..) => Category::IntArith,
-            AndRR(..) | OrRR(..) | XorRR(..) | Not(..) => Category::IntLogical,
-            ShlRI(..) | SarRI(..) | ShrRI(..) => Category::ShiftRotate,
-            TestRR(..) | Setcc(..) => Category::BitByte,
-            Jmp(..) | Jcc(..) | Call(..) | Ret => Category::IntControlTransfer,
-            MovsdXX(..) | MovsdLoad(..) | MovsdStore(..) | MovapdXX(..) | MovupdLoad(..)
-            | MovupdStore(..) | MovqXR(..) | MovqRX(..) => Category::Sse2DataMovement,
-            Addsd(..) | Subsd(..) | Mulsd(..) | Divsd(..) | Sqrtsd(..) | Minsd(..)
-            | Maxsd(..) | Addpd(..) | Subpd(..) | Mulpd(..) | Divpd(..) | Sqrtpd(..) => {
-                Category::Sse2PackedArith
-            }
-            Andpd(..) | Orpd(..) | Xorpd(..) => Category::Sse2Logical,
-            Ucomisd(..) => Category::Sse2Compare,
-            Unpckhpd(..) | Unpcklpd(..) => Category::Sse2ShuffleUnpack,
-            Cvtsi2sd(..) | Cvttsd2si(..) => Category::Sse2Conversion,
-            Nop | Halt => Category::MiscInstr,
-        }
-    }
-
     /// Is this a packed (2-lane) FP arithmetic instruction? One packed
     /// instruction performs two source-level FP operations — the fact the
     /// PBound source-only comparison cannot see.
     pub fn is_packed_fp(&self) -> bool {
-        use Inst::*;
-        matches!(
-            self,
-            Addpd(..) | Subpd(..) | Mulpd(..) | Divpd(..) | Sqrtpd(..)
-        )
+        self.flop_count() == 2
     }
 
     /// Explicit data-memory traffic of one execution: `(is_store, bytes)`.
@@ -870,8 +544,7 @@ impl Inst {
     pub fn flop_count(&self) -> u32 {
         use Inst::*;
         match self {
-            Addsd(..) | Subsd(..) | Mulsd(..) | Divsd(..) | Sqrtsd(..) | Minsd(..)
-            | Maxsd(..) => 1,
+            Addsd(..) | Subsd(..) | Mulsd(..) | Divsd(..) | Sqrtsd(..) | Minsd(..) | Maxsd(..) => 1,
             Addpd(..) | Subpd(..) | Mulpd(..) | Divpd(..) | Sqrtpd(..) => 2,
             _ => 0,
         }
@@ -881,64 +554,6 @@ impl Inst {
     pub fn is_terminator(&self) -> bool {
         use Inst::*;
         matches!(self, Jmp(..) | Jcc(..) | Ret | Halt)
-    }
-
-    /// Assembly-style mnemonic (without operand-form suffixes).
-    pub fn mnemonic(&self) -> &'static str {
-        use Inst::*;
-        match self {
-            MovRR(..) | MovRI(..) | Load(..) | Store(..) => "mov",
-            Lea(..) => "lea",
-            Push(..) => "push",
-            Pop(..) => "pop",
-            Movsxd(..) => "movsxd",
-            Cqo => "cqo",
-            AddRR(..) | AddRI(..) => "add",
-            SubRR(..) | SubRI(..) => "sub",
-            ImulRR(..) | ImulRI(..) => "imul",
-            Idiv(..) => "idiv",
-            Neg(..) => "neg",
-            CmpRR(..) | CmpRI(..) => "cmp",
-            AndRR(..) => "and",
-            OrRR(..) => "or",
-            XorRR(..) => "xor",
-            Not(..) => "not",
-            ShlRI(..) => "shl",
-            SarRI(..) => "sar",
-            ShrRI(..) => "shr",
-            TestRR(..) => "test",
-            Setcc(..) => "setcc",
-            Jmp(..) => "jmp",
-            Jcc(..) => "jcc",
-            Call(..) => "call",
-            Ret => "ret",
-            MovsdXX(..) | MovsdLoad(..) | MovsdStore(..) => "movsd",
-            MovapdXX(..) => "movapd",
-            MovupdLoad(..) | MovupdStore(..) => "movupd",
-            MovqXR(..) | MovqRX(..) => "movq",
-            Addsd(..) => "addsd",
-            Subsd(..) => "subsd",
-            Mulsd(..) => "mulsd",
-            Divsd(..) => "divsd",
-            Sqrtsd(..) => "sqrtsd",
-            Minsd(..) => "minsd",
-            Maxsd(..) => "maxsd",
-            Addpd(..) => "addpd",
-            Subpd(..) => "subpd",
-            Mulpd(..) => "mulpd",
-            Divpd(..) => "divpd",
-            Sqrtpd(..) => "sqrtpd",
-            Andpd(..) => "andpd",
-            Orpd(..) => "orpd",
-            Xorpd(..) => "xorpd",
-            Ucomisd(..) => "ucomisd",
-            Unpckhpd(..) => "unpckhpd",
-            Unpcklpd(..) => "unpcklpd",
-            Cvtsi2sd(..) => "cvtsi2sd",
-            Cvttsd2si(..) => "cvttsd2si",
-            Nop => "nop",
-            Halt => "halt",
-        }
     }
 }
 
@@ -1017,124 +632,64 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_instructions() -> Vec<Inst> {
-        use Inst::*;
-        vec![
-            MovRR(Reg(1), Reg(2)),
-            MovRI(Reg(3), -123456789),
-            Load(Reg(4), Mem::base_index(Reg(1), Reg(2), 8, -16)),
-            Store(Mem::base_disp(RBP, -8), Reg(0)),
-            Lea(Reg(5), Mem::base_index(Reg(0), Reg(3), 4, 100)),
-            Push(RBP),
-            Pop(RBP),
-            Movsxd(Reg(1), Reg(2)),
-            Cqo,
-            AddRR(Reg(1), Reg(2)),
-            AddRI(Reg(1), 42),
-            SubRI(RSP, 64),
-            ImulRI(Reg(2), 8),
-            Idiv(Reg(3)),
-            Neg(Reg(4)),
-            CmpRI(Reg(1), 10),
-            XorRR(Reg(0), Reg(0)),
-            ShlRI(Reg(1), 3),
-            TestRR(Reg(1), Reg(1)),
-            Setcc(Cc::L, Reg(2)),
-            Jmp(0xdeadbe),
-            Jcc(Cc::Ge, 0x1234),
-            Call(7),
-            Ret,
-            MovsdLoad(XReg(1), Mem::base_index(Reg(1), Reg(2), 8, 0)),
-            MovsdStore(Mem::base(Reg(3)), XReg(2)),
-            MovapdXX(XReg(3), XReg(4)),
-            MovupdLoad(XReg(5), Mem::base_disp(Reg(1), 16)),
-            MovqXR(XReg(1), Reg(1)),
-            Addsd(XReg(0), XReg(1)),
-            Mulpd(XReg(2), XReg(3)),
-            Sqrtsd(XReg(4), XReg(4)),
-            Andpd(XReg(1), XReg(2)),
-            Ucomisd(XReg(0), XReg(1)),
-            Unpckhpd(XReg(0), XReg(0)),
-            Unpcklpd(XReg(1), XReg(1)),
-            Cvtsi2sd(XReg(1), Reg(2)),
-            Cvttsd2si(Reg(3), XReg(4)),
-            Nop,
-            Halt,
-        ]
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_samples() {
-        for inst in sample_instructions() {
-            let mut buf = Vec::new();
-            inst.encode(&mut buf);
-            let (decoded, len) = Inst::decode(&buf, 0).unwrap();
-            assert_eq!(decoded, inst);
-            assert_eq!(len, buf.len());
-            assert_eq!(len, inst.encoded_len());
-        }
-    }
-
-    #[test]
-    fn decode_stream_of_instructions() {
-        let insts = sample_instructions();
-        let mut buf = Vec::new();
-        for i in &insts {
-            i.encode(&mut buf);
-        }
-        let mut pos = 0;
-        let mut decoded = Vec::new();
-        while pos < buf.len() {
-            let (i, len) = Inst::decode(&buf, pos).unwrap();
-            decoded.push(i);
-            pos += len;
-        }
-        assert_eq!(decoded, insts);
-    }
-
     #[test]
     fn decode_errors() {
         assert_eq!(Inst::decode(&[], 0), Err(DecodeError::Truncated));
+        assert_eq!(Inst::decode(&[0x33], 2), Err(DecodeError::Truncated));
         assert_eq!(Inst::decode(&[0xff], 0), Err(DecodeError::BadOpcode(0xff)));
+        // mov r99, r0
         assert_eq!(
-            Inst::decode(&[opcodes::MOV_RR, 99, 0], 0),
+            Inst::decode(&[0x01, 99, 0], 0),
             Err(DecodeError::BadOperand)
         );
+        // movsd xmm16, xmm0
         assert_eq!(
-            Inst::decode(&[opcodes::MOV_RI, 1, 0, 0], 0),
+            Inst::decode(&[0x40, 16, 0], 0),
+            Err(DecodeError::BadOperand)
+        );
+        // condition code 10
+        assert_eq!(
+            Inst::decode(&[0x28, 10, 0], 0),
+            Err(DecodeError::BadOperand)
+        );
+        // mov r1, imm64 cut after two immediate bytes
+        assert_eq!(
+            Inst::decode(&[0x02, 1, 0, 0], 0),
             Err(DecodeError::Truncated)
         );
-        let mut buf = vec![opcodes::LOAD, 1];
-        buf.extend_from_slice(&[2, 1, 3, 3]); // has_index=1, scale=3 → bad
-        buf.extend_from_slice(&0i32.to_le_bytes());
-        assert_eq!(Inst::decode(&buf, 0), Err(DecodeError::BadOperand));
+        // operands are read in order: a bad register before the cut wins
+        assert_eq!(
+            Inst::decode(&[0x03, 1, 16], 0),
+            Err(DecodeError::BadOperand)
+        );
     }
 
     #[test]
-    fn categories_match_taxonomy() {
-        use Inst::*;
-        assert_eq!(MovRR(Reg(0), Reg(1)).category(), Category::IntDataTransfer);
-        assert_eq!(Movsxd(Reg(0), Reg(1)).category(), Category::Mode64Bit);
-        assert_eq!(AddRR(Reg(0), Reg(1)).category(), Category::IntArith);
-        assert_eq!(Jmp(0).category(), Category::IntControlTransfer);
+    fn mem_operand_checks() {
+        let load = |mem: [u8; 4]| {
+            let mut buf = vec![0x03, 1];
+            buf.extend_from_slice(&mem);
+            buf.extend_from_slice(&(-8i32).to_le_bytes());
+            Inst::decode(&buf, 0)
+        };
+        // has_index = 1 needs a register and a scale of 1, 2, 4 or 8
+        assert_eq!(load([2, 1, 3, 3]), Err(DecodeError::BadOperand));
+        assert_eq!(load([2, 1, 16, 8]), Err(DecodeError::BadOperand));
+        assert_eq!(load([16, 0, 0, 0]), Err(DecodeError::BadOperand));
+        let mem = Mem::base_index(Reg(2), Reg(3), 4, -8);
+        assert_eq!(load([2, 7, 3, 4]), Ok((Inst::Load(Reg(1), mem), 10)));
+        // without an index the index and scale bytes are not read
+        let mem = Mem::base_disp(Reg(2), -8);
+        assert_eq!(load([2, 0, 99, 3]), Ok((Inst::Load(Reg(1), mem), 10)));
+    }
+
+    #[test]
+    fn mem_display_covers_every_displacement() {
         assert_eq!(
-            MovsdLoad(XReg(0), Mem::base(Reg(0))).category(),
-            Category::Sse2DataMovement
+            Mem::base_disp(Reg(1), i32::MIN).to_string(),
+            "[r1 - 2147483648]"
         );
-        assert_eq!(
-            Addsd(XReg(0), XReg(1)).category(),
-            Category::Sse2PackedArith
-        );
-        assert_eq!(
-            Addpd(XReg(0), XReg(1)).category(),
-            Category::Sse2PackedArith
-        );
-        assert_eq!(Andpd(XReg(0), XReg(1)).category(), Category::Sse2Logical);
-        assert_eq!(
-            Cvtsi2sd(XReg(0), Reg(1)).category(),
-            Category::Sse2Conversion
-        );
-        assert_eq!(Setcc(Cc::E, Reg(0)).category(), Category::BitByte);
+        assert_eq!(Mem::base_disp(Reg(1), 0).to_string(), "[r1]");
     }
 
     #[test]
@@ -1148,8 +703,14 @@ mod tests {
     #[test]
     fn memory_bytes_contract() {
         use Inst::*;
-        assert_eq!(Load(Reg(0), Mem::base(Reg(1))).memory_bytes(), Some((false, 8)));
-        assert_eq!(Store(Mem::base(Reg(1)), Reg(0)).memory_bytes(), Some((true, 8)));
+        assert_eq!(
+            Load(Reg(0), Mem::base(Reg(1))).memory_bytes(),
+            Some((false, 8))
+        );
+        assert_eq!(
+            Store(Mem::base(Reg(1)), Reg(0)).memory_bytes(),
+            Some((true, 8))
+        );
         assert_eq!(
             MovsdLoad(XReg(0), Mem::base(Reg(1))).memory_bytes(),
             Some((false, 8))
@@ -1212,13 +773,6 @@ mod tests {
             assert_eq!(cc.negate().negate(), cc);
             assert_ne!(cc.negate(), cc);
         }
-    }
-
-    #[test]
-    fn display_smoke() {
-        let i = Inst::Load(Reg(4), Mem::base_index(Reg(1), Reg(2), 8, -16));
-        assert_eq!(i.to_string(), "mov r4, qword [r1 + r2*8 - 16]");
-        assert_eq!(Inst::Setcc(Cc::L, Reg(2)).to_string(), "setl r2");
     }
 
     fn arb_reg() -> impl Strategy<Value = Reg> {

@@ -38,9 +38,6 @@ pub struct FuncAsm {
     pub name: String,
     items: Vec<Item>,
     labels: usize,
-    /// Indices of emitted Jmp/Jcc items whose `u32` target is a label id to
-    /// resolve.
-    jump_fixups: Vec<usize>,
     /// Index of the `sub rsp, N` placeholder to patch with the final frame
     /// size.
     frame_patch: Option<usize>,
@@ -54,7 +51,6 @@ impl FuncAsm {
             name: name.to_string(),
             items: Vec::new(),
             labels: 0,
-            jump_fixups: Vec::new(),
             frame_patch: None,
             loop_labels: Vec::new(),
             cur_line: 0,
@@ -78,7 +74,9 @@ impl FuncAsm {
         l
     }
 
-    /// Emit an instruction at the current source line.
+    /// Emit an instruction at the current source line. Jumps go through
+    /// [`jmp`](Self::jmp) and [`jcc`](Self::jcc): assembly reads the
+    /// target of every `Jmp`/`Jcc` as a label id.
     pub fn emit(&mut self, inst: Inst) {
         self.items.push(Item::Inst {
             inst,
@@ -88,13 +86,11 @@ impl FuncAsm {
 
     /// Emit a jump to a label (target patched at assembly).
     pub fn jmp(&mut self, target: Label) {
-        self.jump_fixups.push(self.items.len());
         self.emit(Inst::Jmp(target.0 as u32));
     }
 
     /// Emit a conditional jump to a label.
     pub fn jcc(&mut self, cc: mira_isa::Cc, target: Label) {
-        self.jump_fixups.push(self.items.len());
         self.emit(Inst::Jcc(cc, target.0 as u32));
     }
 
@@ -129,39 +125,26 @@ impl FuncAsm {
                 Item::Inst { inst, .. } => pc += inst.encoded_len() as u32,
             }
         }
-        // pass 2: encode with patched jump targets (absolute addresses)
+        // pass 2: encode, every jump's label id patched to its absolute
+        // address
+        let resolve = |label: u32| match offsets.get(label as usize) {
+            Some(&off) if off != u32::MAX => Ok(base + off),
+            _ => Err(CompileError::msg(format!("unbound label in {}", self.name))),
+        };
         let mut bytes = Vec::with_capacity(pc as usize);
         let mut rows = Vec::new();
-        let mut item_idx = 0usize;
-        for (i, item) in self.items.iter().enumerate() {
+        for item in &self.items {
             let Item::Inst { inst, line } = item else {
                 continue;
             };
-            let mut inst = *inst;
-            if self.jump_fixups.contains(&i) {
-                inst = match inst {
-                    Inst::Jmp(l) => {
-                        let off = offsets[l as usize];
-                        if off == u32::MAX {
-                            return Err(CompileError::msg(format!("unbound label in {}", self.name)));
-                        }
-                        Inst::Jmp(base + off)
-                    }
-                    Inst::Jcc(cc, l) => {
-                        let off = offsets[l as usize];
-                        if off == u32::MAX {
-                            return Err(CompileError::msg(format!("unbound label in {}", self.name)));
-                        }
-                        Inst::Jcc(cc, base + off)
-                    }
-                    other => other,
-                };
-            }
+            let inst = match *inst {
+                Inst::Jmp(l) => Inst::Jmp(resolve(l)?),
+                Inst::Jcc(cc, l) => Inst::Jcc(cc, resolve(l)?),
+                other => other,
+            };
             rows.push((base + bytes.len() as u32, *line));
             inst.encode(&mut bytes);
-            item_idx += 1;
         }
-        let _ = item_idx;
         Ok((bytes, rows, offsets))
     }
 }

@@ -8,7 +8,7 @@
 //! the bridge (built in `mira-core`) is a line-keyed multimap.
 
 use crate::line::LineTable;
-use crate::{Object, ObjError, Symbol};
+use crate::{ObjError, Object, Symbol};
 use mira_isa::Inst;
 
 /// A decoded instruction with its location metadata.
@@ -37,11 +37,7 @@ impl BinFunction {
     /// [`instructions`](Self::instructions) (see [`crate::blocks`]). This is
     /// the granularity at which `mira-vm` dispatches and attributes counts.
     pub fn basic_blocks(&self) -> Vec<std::ops::Range<usize>> {
-        let stream: Vec<(u32, Inst)> = self
-            .instructions
-            .iter()
-            .map(|i| (i.addr, i.inst))
-            .collect();
+        let stream: Vec<(u32, Inst)> = self.instructions.iter().map(|i| (i.addr, i.inst)).collect();
         crate::blocks::basic_blocks(&stream, &[self.addr])
     }
 }

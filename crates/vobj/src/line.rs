@@ -232,7 +232,19 @@ mod tests {
             assert_eq!(read_uleb(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
-        for v in [0i64, 1, -1, 63, 64, -64, -65, 300, -300, i32::MAX as i64, i32::MIN as i64] {
+        for v in [
+            0i64,
+            1,
+            -1,
+            63,
+            64,
+            -64,
+            -65,
+            300,
+            -300,
+            i32::MAX as i64,
+            i32::MIN as i64,
+        ] {
             let mut buf = Vec::new();
             write_sleb(&mut buf, v);
             let mut pos = 0;

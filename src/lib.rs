@@ -6,7 +6,7 @@
 //! * [`arch`] — the 64-category instruction taxonomy and machine model;
 //! * [`minic`] — the MiniC front-end (lexer, parser, sema, source AST);
 //! * [`isa`] — the VX86 instruction set (encode/decode, categories);
-//! * [`vobj`] — the VOBJ object container, line tables, disassembler and
+//! * [`vobj`] — the in-memory VOBJ object, line tables, disassembler and
 //!   basic-block boundary analysis;
 //! * [`vcc`] — the MiniC → VX86 compiler (optionally vectorizing);
 //! * [`sym`] — exact rational symbolic polynomials;
