@@ -306,8 +306,10 @@ macro_rules! int_operand {
 int_operand!(u8, u32, i64);
 
 /// `[base, has_index, index, scale, disp]`, `disp` a little-endian `i32`.
-/// Without an index, `has_index`, `index` and `scale` are written as zero
-/// and only `has_index` is read.
+/// Without an index, `has_index`, `index` and `scale` are written as zero.
+/// Only these bytes decode: `has_index` is 0 or 1, and 0 with nonzero
+/// index or scale bytes is refused, so every accepted pattern re-encodes
+/// to itself.
 impl Operand for Mem {
     const WIDTH: usize = 8;
     #[inline]
@@ -324,11 +326,9 @@ impl Operand for Mem {
         let base = Reg::get(rest)?;
         let [has_index, index, scale] = take(rest)?;
         let disp = take(rest).map(i32::from_le_bytes)?;
-        let index = match has_index {
-            0 => None,
-            _ if (index as usize) < NUM_REGS && matches!(scale, 1 | 2 | 4 | 8) => {
-                Some((Reg(index), scale))
-            }
+        let index = match (has_index, index, scale) {
+            (0, 0, 0) => None,
+            (1, _, 1 | 2 | 4 | 8) if (index as usize) < NUM_REGS => Some((Reg(index), scale)),
             _ => return Err(DecodeError::BadOperand),
         };
         Ok(Mem { base, index, disp })
@@ -689,10 +689,62 @@ mod tests {
         assert_eq!(load([2, 1, 16, 8]), Err(DecodeError::BadOperand));
         assert_eq!(load([16, 0, 0, 0]), Err(DecodeError::BadOperand));
         let mem = Mem::base_index(Reg(2), Reg(3), 4, -8);
-        assert_eq!(load([2, 7, 3, 4]), Ok((Inst::Load(Reg(1), mem), 10)));
-        // without an index the index and scale bytes are not read
+        assert_eq!(load([2, 1, 3, 4]), Ok((Inst::Load(Reg(1), mem), 10)));
+        // only 0 and 1 mark an index …
+        assert_eq!(load([2, 7, 3, 4]), Err(DecodeError::BadOperand));
+        // … and without one the index and scale bytes must be zero
         let mem = Mem::base_disp(Reg(2), -8);
-        assert_eq!(load([2, 0, 99, 3]), Ok((Inst::Load(Reg(1), mem), 10)));
+        assert_eq!(load([2, 0, 0, 0]), Ok((Inst::Load(Reg(1), mem), 10)));
+        assert_eq!(load([2, 0, 99, 3]), Err(DecodeError::BadOperand));
+        assert_eq!(load([2, 0, 0, 4]), Err(DecodeError::BadOperand));
+    }
+
+    /// A `Mem` decodes exactly when its bytes are canonical, and then
+    /// re-encodes to the same bytes: every `index`/`scale` pair under the
+    /// `has_index` values either side of the split, every `has_index`
+    /// and every base under a few pairs.
+    #[test]
+    fn mem_decodes_only_canonical_bytes() {
+        let canonical = |[base, has_index, index, scale]: [u8; 4]| {
+            (base as usize) < NUM_REGS
+                && match has_index {
+                    0 => index == 0 && scale == 0,
+                    1 => (index as usize) < NUM_REGS && matches!(scale, 1 | 2 | 4 | 8),
+                    _ => false,
+                }
+        };
+        let check = |bytes: [u8; 4]| {
+            let mut buf = [0xf8, 0xff, 0xff, 0xff, 0xf8, 0xff, 0xff, 0xff];
+            buf[..4].copy_from_slice(&bytes);
+            let mut rest = &buf[..];
+            match Mem::get(&mut rest) {
+                Ok(mem) => {
+                    assert!(canonical(bytes), "{bytes:?} decodes to {mem:?}");
+                    assert!(rest.is_empty(), "{bytes:?}");
+                    let mut out = Vec::new();
+                    mem.put(&mut out);
+                    assert_eq!(out, buf, "{bytes:?} decodes to {mem:?}");
+                }
+                Err(e) => {
+                    assert!(!canonical(bytes), "{bytes:?} refused: {e:?}");
+                    assert_eq!(e, DecodeError::BadOperand);
+                }
+            }
+        };
+        let pairs = [[0, 0], [3, 4], [0, 1], [15, 8], [16, 8], [15, 3]];
+        for has_index in [0, 1, 2, 0x80, 0xff] {
+            for [index, scale] in (0..=u16::MAX).map(u16::to_le_bytes) {
+                check([2, has_index, index, scale]);
+            }
+        }
+        for byte in 0..=u8::MAX {
+            for [index, scale] in pairs {
+                check([2, byte, index, scale]);
+                for has_index in [0, 1, 2] {
+                    check([byte, has_index, index, scale]);
+                }
+            }
+        }
     }
 
     #[test]

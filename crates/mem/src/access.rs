@@ -621,7 +621,7 @@ impl NestShape {
         mut lines: impl FnMut(GroupExpr) -> Result<i128, EvalError>,
     ) -> Result<BoundaryTraffic, EvalError> {
         let cap_lines = (cap_bytes / self.line_bytes.max(1) as u64) as i128;
-        // round half away from zero, matching `SymExpr::eval_count`
+        // halves round up, floor(x + 1/2), matching `SymExpr::eval_count`
         let round = |r: Rat| -> Result<i128, EvalError> {
             r.round_count().ok_or(EvalError::Overflow)
         };

@@ -123,6 +123,159 @@ fn acc_scaled(acc: i128, sub: i128, k: i128) -> Result<i128, ModelError> {
     checked(acc.checked_add(checked(sub.checked_mul(k))?))
 }
 
+/// The deepest call composition [`Model::eval`] follows; a callee
+/// reached deeper refuses with [`ModelError::TooDeep`].
+const MAX_CALL_DEPTH: u32 = 64;
+
+/// One [`Model::eval`]. A count is a pure function of its expression and
+/// the bindings, and a callee's composed totals of its name, so each is
+/// computed once and then reused:
+///
+/// * `counts` holds the `(expression, value)` pairs of the functions on
+///   the current call path, each function's from the length the list had
+///   when it started. The ops of one statement share their execution
+///   count, and equal expressions compare far cheaper than they
+///   evaluate, so a linear scan pays.
+/// * `callees` holds each callee's totals (counts, bytes, FLOPs; no
+///   per-line maps) with the depth they were computed at. A call site
+///   reuses them only when it is no deeper: evaluating the callee there
+///   would reach no deeper than that computation did, so it could not
+///   refuse with `TooDeep` either. A deeper site computes them again
+///   and pushes a deeper entry.
+///
+/// Any refusal ends the evaluation, so nothing refused is ever kept.
+struct Eval<'a> {
+    model: &'a Model,
+    bindings: &'a Bindings,
+    counts: Vec<(&'a SymExpr, i128)>,
+    callees: Vec<(&'a str, u32, Report)>,
+}
+
+impl<'a> Eval<'a> {
+    /// The report of one call of `func` at call depth `depth`; `lines`
+    /// and `line_bytes` are filled only when `attribute` is set.
+    fn function(&mut self, func: &str, depth: u32, attribute: bool) -> Result<Report, ModelError> {
+        if depth > MAX_CALL_DEPTH {
+            return Err(ModelError::TooDeep);
+        }
+        let fm = self
+            .model
+            .functions
+            .get(func)
+            .ok_or_else(|| ModelError::UnknownFunction(func.to_string()))?;
+        let base = self.counts.len();
+        let mut report = Report::default();
+        for op in &fm.ops {
+            match op {
+                ModelOp::Acc {
+                    line,
+                    category,
+                    count,
+                } => {
+                    let v = self.count(base, count)?;
+                    report.counts.add(*category, v);
+                    if attribute {
+                        report.lines.entry(*line).or_default().add(*category, v);
+                    }
+                }
+                ModelOp::Call {
+                    callee,
+                    line: _,
+                    multiplier,
+                } => {
+                    let k = self.count(base, multiplier)?;
+                    if k == 0 {
+                        continue;
+                    }
+                    let sub = self.callee(callee, depth + 1)?;
+                    for c in Category::ALL {
+                        let scaled = checked(sub.counts.get(c).checked_mul(k))?;
+                        report
+                            .counts
+                            .set(c, checked(report.counts.get(c).checked_add(scaled))?);
+                    }
+                    report.load_bytes = acc_scaled(report.load_bytes, sub.load_bytes, k)?;
+                    report.store_bytes = acc_scaled(report.store_bytes, sub.store_bytes, k)?;
+                    report.data_load_bytes =
+                        acc_scaled(report.data_load_bytes, sub.data_load_bytes, k)?;
+                    report.data_store_bytes =
+                        acc_scaled(report.data_store_bytes, sub.data_store_bytes, k)?;
+                    report.flops = acc_scaled(report.flops, sub.flops, k)?;
+                }
+                ModelOp::MemAcc {
+                    line,
+                    store,
+                    bytes_per_exec,
+                    frame,
+                    count,
+                } => {
+                    let b = checked(
+                        self.count(base, count)?
+                            .checked_mul(*bytes_per_exec as i128),
+                    )?;
+                    let (total, data) = if *store {
+                        (&mut report.store_bytes, &mut report.data_store_bytes)
+                    } else {
+                        (&mut report.load_bytes, &mut report.data_load_bytes)
+                    };
+                    *total = checked(total.checked_add(b))?;
+                    if !frame {
+                        *data = checked(data.checked_add(b))?;
+                    }
+                    if attribute {
+                        let entry = report.line_bytes.entry(*line).or_default();
+                        if *store {
+                            entry.1 += b;
+                        } else {
+                            entry.0 += b;
+                        }
+                    }
+                }
+                ModelOp::FlopAcc { line: _, count } => {
+                    report.flops = checked(report.flops.checked_add(self.count(base, count)?))?;
+                }
+            }
+        }
+        self.counts.truncate(base);
+        // Every accumulated metric must still be representable in i64 —
+        // the checked domain the emitted Python (`_chk_i64`) shares.
+        for c in Category::ALL {
+            in_i64(report.counts.get(c))?;
+        }
+        in_i64(report.load_bytes)?;
+        in_i64(report.store_bytes)?;
+        in_i64(report.flops)?;
+        Ok(report)
+    }
+
+    /// The value of `count`, evaluated only if the current function
+    /// (whose pairs start at `base`) has not evaluated an equal one.
+    fn count(&mut self, base: usize, count: &'a SymExpr) -> Result<i128, ModelError> {
+        // the ops of one statement are adjacent: scan the latest first
+        if let Some(&(_, v)) = self.counts[base..].iter().rev().find(|(e, _)| *e == count) {
+            return Ok(v);
+        }
+        let v = in_i64(count.eval_count(self.bindings)?)?;
+        self.counts.push((count, v));
+        Ok(v)
+    }
+
+    /// The composed totals of one call of `callee` at call depth `depth`.
+    /// A callee's entries are pushed deepest last, so the latest one
+    /// decides.
+    fn callee(&mut self, callee: &'a str, depth: u32) -> Result<&Report, ModelError> {
+        let i = match self.callees.iter().rposition(|(name, ..)| *name == callee) {
+            Some(i) if depth <= self.callees[i].1 => i,
+            _ => {
+                let totals = self.function(callee, depth, false)?;
+                self.callees.push((callee, depth, totals));
+                self.callees.len() - 1
+            }
+        };
+        Ok(&self.callees[i].2)
+    }
+}
+
 /// The result of evaluating a function model: concrete per-category counts,
 /// with per-line attribution retained.
 #[derive(Clone, Debug, Default)]
@@ -244,108 +397,21 @@ impl Model {
     /// `i64::MAX` refuse with [`EvalError::Overflow`] instead of
     /// silently wrapping — the same contract the emitted Python enforces
     /// through its `_chk_i64` helper.
+    ///
+    /// Each distinct closed form is evaluated once per call: within one
+    /// function, an op whose count (or call multiplier) equals an
+    /// earlier op's reuses its value, and each callee's composed totals
+    /// are computed once and folded in at every later call site that
+    /// reaches it no deeper. The report, and which refusal comes first,
+    /// are those of evaluating every op in order.
     pub fn eval(&self, func: &str, bindings: &Bindings) -> Result<Report, ModelError> {
-        self.eval_depth(func, bindings, 0)
-    }
-
-    fn eval_depth(
-        &self,
-        func: &str,
-        bindings: &Bindings,
-        depth: u32,
-    ) -> Result<Report, ModelError> {
-        if depth > 64 {
-            return Err(ModelError::TooDeep);
+        Eval {
+            model: self,
+            bindings,
+            counts: Vec::new(),
+            callees: Vec::new(),
         }
-        let fm = self
-            .functions
-            .get(func)
-            .ok_or_else(|| ModelError::UnknownFunction(func.to_string()))?;
-        let mut report = Report::default();
-        for op in &fm.ops {
-            match op {
-                ModelOp::Acc {
-                    line,
-                    category,
-                    count,
-                } => {
-                    let v = in_i64(count.eval_count(bindings)?)?;
-                    report.counts.add(*category, v);
-                    report
-                        .lines
-                        .entry(*line)
-                        .or_default()
-                        .add(*category, v);
-                }
-                ModelOp::Call {
-                    callee,
-                    line: _,
-                    multiplier,
-                } => {
-                    let k = in_i64(multiplier.eval_count(bindings)?)?;
-                    if k == 0 {
-                        continue;
-                    }
-                    let sub = self.eval_depth(callee, bindings, depth + 1)?;
-                    for (c, n) in sub.counts.nonzero() {
-                        let scaled = checked(n.checked_mul(k))?;
-                        report
-                            .counts
-                            .set(c, checked(report.counts.get(c).checked_add(scaled))?);
-                    }
-                    report.load_bytes = acc_scaled(report.load_bytes, sub.load_bytes, k)?;
-                    report.store_bytes = acc_scaled(report.store_bytes, sub.store_bytes, k)?;
-                    report.data_load_bytes =
-                        acc_scaled(report.data_load_bytes, sub.data_load_bytes, k)?;
-                    report.data_store_bytes =
-                        acc_scaled(report.data_store_bytes, sub.data_store_bytes, k)?;
-                    report.flops = acc_scaled(report.flops, sub.flops, k)?;
-                }
-                ModelOp::MemAcc {
-                    line,
-                    store,
-                    bytes_per_exec,
-                    frame,
-                    count,
-                } => {
-                    let b = checked(
-                        in_i64(count.eval_count(bindings)?)?.checked_mul(*bytes_per_exec as i128),
-                    )?;
-                    let entry = report.line_bytes.entry(*line).or_default();
-                    if *store {
-                        report.store_bytes = checked(report.store_bytes.checked_add(b))?;
-                        if !frame {
-                            report.data_store_bytes =
-                                checked(report.data_store_bytes.checked_add(b))?;
-                        }
-                        entry.1 += b;
-                    } else {
-                        report.load_bytes = checked(report.load_bytes.checked_add(b))?;
-                        if !frame {
-                            report.data_load_bytes =
-                                checked(report.data_load_bytes.checked_add(b))?;
-                        }
-                        entry.0 += b;
-                    }
-                }
-                ModelOp::FlopAcc { line: _, count } => {
-                    report.flops = checked(
-                        report
-                            .flops
-                            .checked_add(in_i64(count.eval_count(bindings)?)?),
-                    )?;
-                }
-            }
-        }
-        // Every accumulated metric must still be representable in i64 —
-        // the checked domain the emitted Python (`_chk_i64`) shares.
-        for (_, n) in report.counts.nonzero() {
-            in_i64(n)?;
-        }
-        in_i64(report.load_bytes)?;
-        in_i64(report.store_bytes)?;
-        in_i64(report.flops)?;
-        Ok(report)
+        .function(func, 0, true)
     }
 
     /// Parametric FPI expression for one function (no evaluation) — the
@@ -396,8 +462,14 @@ impl Model {
             ("fpi".to_string(), self.fpi_expr(func, arch)?),
             ("load_bytes".to_string(), self.load_bytes_expr(func)?),
             ("store_bytes".to_string(), self.store_bytes_expr(func)?),
-            ("data_load_bytes".to_string(), self.data_load_bytes_expr(func)?),
-            ("data_store_bytes".to_string(), self.data_store_bytes_expr(func)?),
+            (
+                "data_load_bytes".to_string(),
+                self.data_load_bytes_expr(func)?,
+            ),
+            (
+                "data_store_bytes".to_string(),
+                self.data_store_bytes_expr(func)?,
+            ),
         ])
     }
 
@@ -474,7 +546,7 @@ impl Model {
         depth: u32,
         pick: &dyn Fn(&ModelOp) -> Option<SymExpr>,
     ) -> Result<SymExpr, ModelError> {
-        if depth > 64 {
+        if depth > MAX_CALL_DEPTH {
             return Err(ModelError::TooDeep);
         }
         let fm = self

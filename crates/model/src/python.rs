@@ -71,12 +71,20 @@ pub fn emit(model: &Model) -> String {
          # _chk_i64, matching the Rust evaluator: parameter values large\n\
          # enough to overflow i64 raise OverflowError instead of silently\n\
          # producing counts the native toolchain would refuse.\n\n\
+         import math\n\n\
          _I64_MAX = (1 << 63) - 1\n\n\
          def _chk_i64(v):\n\
          \t\"\"\"Refuse values outside signed 64-bit range (Rust parity).\"\"\"\n\
          \tif v > _I64_MAX or v < -_I64_MAX - 1:\n\
          \t\traise OverflowError('model value exceeds signed 64-bit range')\n\
          \treturn v\n\n\
+         def _round_count(v):\n\
+         \t\"\"\"Round a count to the nearest integer, halves up: floor(v + 1/2),\n\
+         \tas the Rust evaluator does (Python's round takes halves to even).\n\
+         \tIntegers pass through untouched, so large counts stay exact.\"\"\"\n\
+         \tif isinstance(v, int):\n\
+         \t\treturn v\n\
+         \treturn (math.floor(2 * v) + 1) // 2\n\n\
          def handle_function_call(caller, callee, iterations):\n\
          \t\"\"\"Merge callee metrics into caller, scaled by loop iterations.\"\"\"\n\
          \tfor key, value in callee.items():\n\
@@ -103,7 +111,7 @@ pub fn emit(model: &Model) -> String {
                 } => {
                     let expr = to_python(count);
                     out.push_str(&format!(
-                        "\t# line {line}\n\tmetrics['{}'] = _chk_i64(metrics.get('{}', 0) + int(round({expr})))\n",
+                        "\t# line {line}\n\tmetrics['{}'] = _chk_i64(metrics.get('{}', 0) + _round_count({expr}))\n",
                         category.name(),
                         category.name(),
                     ));
@@ -124,7 +132,7 @@ pub fn emit(model: &Model) -> String {
                         .map(|c| c.params.join(", "))
                         .unwrap_or_default();
                     out.push_str(&format!(
-                        "\t# line {line}: call {callee}\n\thandle_function_call(metrics, {callee_m}({callee_params}), _chk_i64(int(round({}))))\n",
+                        "\t# line {line}: call {callee}\n\thandle_function_call(metrics, {callee_m}({callee_params}), _chk_i64(_round_count({})))\n",
                         to_python(multiplier),
                     ));
                 }
@@ -138,7 +146,7 @@ pub fn emit(model: &Model) -> String {
                     let key = if *store { "store_bytes" } else { "load_bytes" };
                     let expr = to_python(count);
                     out.push_str(&format!(
-                        "\t# line {line}\n\tmetrics['{key}'] = _chk_i64(metrics.get('{key}', 0) + {bytes_per_exec} * int(round({expr})))\n",
+                        "\t# line {line}\n\tmetrics['{key}'] = _chk_i64(metrics.get('{key}', 0) + {bytes_per_exec} * _round_count({expr}))\n",
                     ));
                     if *frame {
                         // frame (spill-slot) traffic is tracked separately so
@@ -149,13 +157,13 @@ pub fn emit(model: &Model) -> String {
                             "frame_load_bytes"
                         };
                         out.push_str(&format!(
-                            "\tmetrics['{fkey}'] = _chk_i64(metrics.get('{fkey}', 0) + {bytes_per_exec} * int(round({expr})))\n",
+                            "\tmetrics['{fkey}'] = _chk_i64(metrics.get('{fkey}', 0) + {bytes_per_exec} * _round_count({expr}))\n",
                         ));
                     }
                 }
                 ModelOp::FlopAcc { line, count } => {
                     out.push_str(&format!(
-                        "\t# line {line}\n\tmetrics['flops'] = _chk_i64(metrics.get('flops', 0) + int(round({})))\n",
+                        "\t# line {line}\n\tmetrics['flops'] = _chk_i64(metrics.get('flops', 0) + _round_count({}))\n",
                         to_python(count),
                     ));
                 }
@@ -176,7 +184,7 @@ pub fn emit(model: &Model) -> String {
                 out.push_str("\treturn {\n");
                 for (line, (load, store)) in &lines {
                     out.push_str(&format!(
-                        "\t\t{line}: (int(round({})), int(round({}))),\n",
+                        "\t\t{line}: (_round_count({}), _round_count({})),\n",
                         to_python(load),
                         to_python(store),
                     ));
@@ -252,7 +260,10 @@ mod tests {
         assert!(py.contains("def handle_function_call(caller, callee, iterations):"));
         assert!(py.contains("def foo_2(n, y):"), "{py}");
         assert!(py.contains("def main_0(n, y):"), "{py}");
-        assert!(py.contains("handle_function_call(metrics, foo_2(n, y)"), "{py}");
+        assert!(
+            py.contains("handle_function_call(metrics, foo_2(n, y)"),
+            "{py}"
+        );
         assert!(py.contains("metrics['sse2_packed_arith']"), "{py}");
         assert!(py.contains("return metrics"));
     }
@@ -260,19 +271,25 @@ mod tests {
     #[test]
     fn emits_bytes_and_flops() {
         let py = emit(&model());
-        assert!(py.contains("def bytes_arithmetic_intensity(metrics):"), "{py}");
         assert!(
-            py.contains("metrics['load_bytes'] = _chk_i64(metrics.get('load_bytes', 0) + 16 * int(round(n)))"),
+            py.contains("def bytes_arithmetic_intensity(metrics):"),
             "{py}"
         );
-        assert!(py.contains("metrics['flops'] = _chk_i64(metrics.get('flops', 0) + int(round("), "{py}");
+        assert!(
+            py.contains("metrics['load_bytes'] = _chk_i64(metrics.get('load_bytes', 0) + 16 * _round_count(n))"),
+            "{py}"
+        );
+        assert!(
+            py.contains("metrics['flops'] = _chk_i64(metrics.get('flops', 0) + _round_count("),
+            "{py}"
+        );
         // frame ops land in the totals AND the frame_* side channel
         assert!(
-            py.contains("metrics['store_bytes'] = _chk_i64(metrics.get('store_bytes', 0) + 8 * int(round(2)))"),
+            py.contains("metrics['store_bytes'] = _chk_i64(metrics.get('store_bytes', 0) + 8 * _round_count(2))"),
             "{py}"
         );
         assert!(
-            py.contains("metrics['frame_store_bytes'] = _chk_i64(metrics.get('frame_store_bytes', 0) + 8 * int(round(2)))"),
+            py.contains("metrics['frame_store_bytes'] = _chk_i64(metrics.get('frame_store_bytes', 0) + 8 * _round_count(2))"),
             "{py}"
         );
         // data ops do not emit a frame_* line
@@ -285,7 +302,10 @@ mod tests {
         assert!(py.contains("def foo_2_line_bytes(n, y):"), "{py}");
         // line 4's 16-byte packed load, as a (load, store) pair; the
         // frame-only line 5 is excluded
-        assert!(py.contains("4: (int(round(16*n)), int(round(0))),"), "{py}");
+        assert!(
+            py.contains("4: (_round_count(16*n), _round_count(0)),"),
+            "{py}"
+        );
         assert!(!py.contains("5: ("), "frame-only lines are omitted: {py}");
         // main has no own memory ops: empty dict, still emitted
         assert!(py.contains("def main_0_line_bytes(n, y):"), "{py}");
@@ -304,7 +324,7 @@ mod tests {
             "{py}"
         );
         assert!(
-            py.contains("handle_function_call(metrics, foo_2(n, y), _chk_i64(int(round(1))))"),
+            py.contains("handle_function_call(metrics, foo_2(n, y), _chk_i64(_round_count(1)))"),
             "{py}"
         );
     }
@@ -329,11 +349,17 @@ mod tests {
             py.contains("'bandwidth_bytes_per_cycle': {'l1': 32, 'l2': 16, 'dram': 4},"),
             "{py}"
         );
-        assert!(py.contains("def roofline_cycles(metrics, vectorized=False):"), "{py}");
+        assert!(
+            py.contains("def roofline_cycles(metrics, vectorized=False):"),
+            "{py}"
+        );
         // frame traffic is subtracted before the ceilings
         assert!(py.contains("metrics.get('frame_load_bytes', 0)"), "{py}");
         // the plain emitter stays machine-free
-        assert!(!emit(&model()).contains("MACHINE"), "arch-less emit unchanged");
+        assert!(
+            !emit(&model()).contains("MACHINE"),
+            "arch-less emit unchanged"
+        );
         // indentation discipline holds for the appended code too
         for line in py.lines() {
             assert!(!line.starts_with(' '), "space-indented line: {line:?}");

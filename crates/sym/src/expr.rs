@@ -527,7 +527,7 @@ impl SymExpr {
     /// taken "30% of the time") can produce non-integers, which are rounded
     /// to the nearest integer.
     pub fn eval_count(&self, b: &Bindings) -> Result<i128, EvalError> {
-        // round half away from zero (shared with every other counter)
+        // halves round up, floor(x + 1/2) (shared with every other counter)
         self.eval(b)?.round_count().ok_or(EvalError::Overflow)
     }
 

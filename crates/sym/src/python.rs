@@ -14,8 +14,9 @@ use crate::expr::{Atom, SymExpr};
 /// The result is a pure-Python arithmetic expression over the expression's
 /// parameter names. Terms with non-integer coefficients are emitted as
 /// `(num * mono) / den`; the `mira-model` emitter wraps whole metric
-/// expressions in `int(round(...))` so exact integer-valued rationals
-/// survive the trip through Python floats for all realistic magnitudes.
+/// expressions in its `_round_count(...)` helper (`Rat::round_count`'s
+/// rounding) so exact integer-valued rationals survive the trip through
+/// Python floats for all realistic magnitudes.
 pub fn to_python(e: &SymExpr) -> String {
     if e.terms().is_empty() {
         return "0".to_string();

@@ -250,8 +250,9 @@ impl Rat {
         }
     }
 
-    /// Round to the nearest integer, half away from zero — the rounding
-    /// count evaluation applies to annotation fractions (see
+    /// Round to the nearest integer with halves rounded up, `floor(x +
+    /// 1/2)`: 2.5 → 3 and −2.5 → −2. This is the rounding count
+    /// evaluation applies to annotation fractions (see
     /// [`SymExpr::eval_count`](crate::SymExpr::eval_count)). `None` when
     /// the doubling step overflows `i128`. Kept here so every consumer
     /// (tree-walk evaluation, the nest traffic model, the compiled
@@ -262,7 +263,8 @@ impl Rat {
         }
         let twice = self.checked_mul(Rat::int(2))?;
         let f = twice.floor();
-        Some(if f >= 0 { (f + 1) / 2 } else { f / 2 })
+        // `(f + 1) / 2` for `f ≥ 0`, without overflow at `f = i128::MAX`
+        Some(if f >= 0 { f / 2 + f % 2 } else { f / 2 })
     }
 }
 
@@ -370,6 +372,28 @@ mod tests {
         assert_eq!(Rat::new(-7, 2).ceil(), -3);
         assert_eq!(Rat::int(5).floor(), 5);
         assert_eq!(Rat::int(5).ceil(), 5);
+    }
+
+    /// `round_count` is `floor(x + 1/2)`: halves round up on both sides
+    /// of zero, as the emitted Python's `_round_count` does.
+    #[test]
+    fn round_count_rounds_halves_up() {
+        let cases = [
+            ((5, 2), 3),
+            ((-5, 2), -2),
+            ((1, 2), 1),
+            ((-1, 2), 0),
+            ((7, 3), 2),
+            ((-7, 3), -2),
+            ((-8, 3), -3),
+        ];
+        for ((num, den), want) in cases {
+            assert_eq!(Rat::new(num, den).round_count(), Some(want), "{num}/{den}");
+        }
+        assert_eq!(Rat::int(i128::MAX).round_count(), Some(i128::MAX));
+        // doubling reaches i128::MAX exactly; the half rounds up
+        assert_eq!(Rat::new(i128::MAX, 2).round_count(), Some(1 << 126));
+        assert_eq!(Rat::new(i128::MAX, 3).round_count(), None);
     }
 
     #[test]

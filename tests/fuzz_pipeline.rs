@@ -11,15 +11,20 @@
 //! walk, refusals included, uncached and through one answer cache shared
 //! by every kernel and machine of the input, and adversarial queries
 //! (wrong arity, `i128` extremes, negative sizes) must come back as
-//! typed `ServeError`s. A served answer that differs from the tree walk
-//! is reported as a divergence, with the kernel and the query, not as a
-//! panic.
+//! typed `ServeError`s. Every function's model evaluation must equal the
+//! per-op reference evaluator's (`crates/model/tests/reference`), report
+//! or refusal. A served answer that differs from the tree walk, or a
+//! report from its reference, is reported as a divergence, with the
+//! kernel and the query, not as a panic.
 //!
 //! Inputs are drawn from the in-tree proptest shim's deterministic RNG,
 //! so any failure reproduces by rerunning the same test. The case count
 //! per generator honours `MIRA_FUZZ_CASES` (CI smoke runs a bounded
 //! subset in release; the full adversarial run uses ≥700 per generator,
 //! i.e. ≥2,100 inputs total).
+
+#[path = "../crates/model/tests/reference/mod.rs"]
+mod model_reference;
 
 use mira_core::{analyze_source, MiraOptions};
 use mira_roofline::{Ceilings, KernelRoofline, Placement};
@@ -73,9 +78,17 @@ fn drive(src: &str, huge_bindings: bool) {
         let mut cache = AnswerCache::new(64);
         let funcs: Vec<String> = analysis.model.functions.keys().cloned().collect();
         for f in funcs {
-            // native evaluation: Ok or typed ModelError (overflow refusal)
-            if let Err(e) = analysis.report(&f, &b) {
+            // native evaluation: Ok or typed ModelError (overflow refusal),
+            // the same report or refusal as the per-op reference evaluator
+            let report = analysis.report(&f, &b);
+            if let Err(e) = &report {
                 let _ = format!("{e}");
+            }
+            let reference = model_reference::eval(&analysis.model, &f, &b);
+            if !model_reference::same(&report, &reference) {
+                return Err(format!(
+                    "`{f}` model evaluation {report:?} vs per-op reference {reference:?}"
+                ));
             }
             // roofline: analysis may refuse (budget), placement may refuse
             // (overflow / missing param) — both typed
@@ -102,7 +115,7 @@ fn drive(src: &str, huge_bindings: bool) {
     match outcome {
         Ok(Ok(())) => {}
         Ok(Err(divergence)) => {
-            panic!("served answer diverges from the tree walk: {divergence}\non:\n{src}")
+            panic!("answer diverges from its reference: {divergence}\non:\n{src}")
         }
         Err(_) => panic!("pipeline panicked instead of refusing on:\n{src}"),
     }

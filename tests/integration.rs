@@ -6,6 +6,7 @@ use mira_arch::Category;
 use mira_sym::bindings;
 use mira_vm::{HostVal, Vm};
 use mira_workloads::{dgemm::Dgemm, minife::MiniFe, stream::Stream};
+use std::collections::BTreeMap;
 
 #[test]
 fn stream_table3_shape() {
@@ -147,6 +148,92 @@ fn triangular_and_composed_closed_forms_reach_python() {
         .collect();
     assert_eq!(got, expect, "Python model diverged from the Rust closed forms");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `branch_frac: 0.5` branch in an `n`-trip loop executes `n/2` times:
+/// a half-way count at odd `n`. The emitted Python must round it as the
+/// Rust evaluator does (`Rat::round_count`, halves up: 2.5 → 3), not as
+/// Python's `round` (halves to even: 2.5 → 2), in every metric.
+#[test]
+fn half_way_counts_round_alike_in_python() {
+    const HALF: &str = r#"
+double half(int n, double* a, double t) {
+    double s = 0.0;
+    for (int i = 0; i < n; i++) {
+#pragma @Annotation {branch_frac: 0.5}
+        if (a[i] > t) {
+            s += a[i];
+        }
+    }
+    return s;
+}
+"#;
+    let analysis = mira_core::analyze_source(HALF, &mira_core::MiraOptions::default()).unwrap();
+    let sizes = [5i128, 7, 1001];
+    let expect: Vec<BTreeMap<String, i128>> = sizes
+        .iter()
+        .map(|&n| {
+            let r = analysis.report("half", &bindings(&[("n", n)])).unwrap();
+            let mut m: BTreeMap<String, i128> = Category::ALL
+                .iter()
+                .map(|c| (c.name().to_string(), r.counts.get(*c)))
+                .collect();
+            m.insert("load_bytes".to_string(), r.load_bytes);
+            m.insert("store_bytes".to_string(), r.store_bytes);
+            m.insert("flops".to_string(), r.flops);
+            m.retain(|_, v| *v != 0);
+            m
+        })
+        .collect();
+    // the annotated statement's FLOPs: ⌊n/2 + 1/2⌋
+    assert_eq!(expect[0]["flops"], 3);
+    assert_eq!(expect[2]["flops"], 501);
+
+    let dir = std::env::temp_dir().join(format!("mira_pyhalf_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("half_model.py"), analysis.python_model()).unwrap();
+    // the rounding helper alone, on halves either side of zero and on an
+    // integer past float precision, comes first
+    let mut expect_rounded: Vec<i128> = (-7..=7)
+        .map(|k| mira_sym::Rat::new(k, 2).round_count().unwrap())
+        .collect();
+    expect_rounded.push((1 << 70) + 1);
+    let script = "import sys\n\
+                  sys.path.insert(0, sys.argv[1])\n\
+                  import half_model\n\
+                  print(' '.join(str(half_model._round_count(k / 2)) for k in range(-7, 8)), \
+                        half_model._round_count(2**70 + 1))\n\
+                  for n in sys.argv[2:]:\n\
+                  \tm = half_model.half_3(int(n))\n\
+                  \tprint(' '.join(f'{k}={v}' for k, v in m.items() if v and not k.startswith('frame_')))\n";
+    let mut args = vec!["-c".to_string(), script.to_string(), dir.to_str().unwrap().to_string()];
+    args.extend(sizes.iter().map(|n| n.to_string()));
+    let out = std::process::Command::new("python3")
+        .args(&args)
+        .output()
+        .expect("python3 runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    let rounded: Vec<i128> = lines
+        .next()
+        .unwrap_or_default()
+        .split_whitespace()
+        .map(|v| v.parse().unwrap())
+        .collect();
+    assert_eq!(rounded, expect_rounded, "_round_count differs from Rat::round_count");
+    let got: Vec<BTreeMap<String, i128>> = lines
+        .map(|line| {
+            line.split_whitespace()
+                .map(|kv| {
+                    let (k, v) = kv.split_once('=').unwrap();
+                    (k.to_string(), v.parse().unwrap())
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(got, expect, "Python rounds half-way counts differently");
 }
 
 #[test]
