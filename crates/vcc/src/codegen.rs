@@ -33,12 +33,12 @@
 //! automatically.
 
 use crate::emitter::{assemble_object, FuncAsm, Label, LoopLabels};
-use crate::regalloc::{self, Allocation, Home, CALLEE_SAVED_FP, CALLEE_SAVED_INT, SCRATCH_FP, SCRATCH_INT};
+use crate::regalloc::{
+    self, Allocation, Home, CALLEE_SAVED_FP, CALLEE_SAVED_INT, SCRATCH_FP, SCRATCH_INT,
+};
 use crate::{fold, libm, vect, CompileError, Options};
 use mira_isa::{Cc, Inst, Mem, Reg, XReg, RARG, RBP, RSP, XARG};
-use mira_minic::{
-    AssignOp, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, Type, UnOp,
-};
+use mira_minic::{AssignOp, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, Type, UnOp};
 use std::collections::HashMap;
 
 /// Which temporary pool ran dry, recorded on the [`Codegen`] when
@@ -96,7 +96,10 @@ struct VarBinding {
 }
 
 /// Compile a checked program to an object.
-pub fn compile_program(program: &Program, options: &Options) -> Result<mira_vobj::Object, CompileError> {
+pub fn compile_program(
+    program: &Program,
+    options: &Options,
+) -> Result<mira_vobj::Object, CompileError> {
     let _sp = mira_probe::span("vcc.compile_program", "vcc");
     let mut program = program.clone();
     {
@@ -300,9 +303,9 @@ impl<'a> Codegen<'a> {
         let Some(r) = self.int_free.pop() else {
             self.exhausted = Some(Pool::Int);
             return Err(CompileError::msg(format!(
-                    "{}: expression too complex (out of integer registers)",
-                    self.asm.name
-                )));
+                "{}: expression too complex (out of integer registers)",
+                self.asm.name
+            )));
         };
         self.int_used.push(r);
         if !self.touched_int.contains(&r) {
@@ -315,9 +318,9 @@ impl<'a> Codegen<'a> {
         let Some(r) = self.fp_free.pop() else {
             self.exhausted = Some(Pool::Fp);
             return Err(CompileError::msg(format!(
-                    "{}: expression too complex (out of FP registers)",
-                    self.asm.name
-                )));
+                "{}: expression too complex (out of FP registers)",
+                self.asm.name
+            )));
         };
         self.fp_used.push(r);
         if !self.touched_fp.contains(&r) {
@@ -452,9 +455,7 @@ impl<'a> Codegen<'a> {
             let off = self.new_slot_bytes(8)?;
             match h {
                 Home::Int(r) => self.asm.emit(Inst::Store(Mem::base_disp(RBP, off), r)),
-                Home::Fp(x) => self
-                    .asm
-                    .emit(Inst::MovsdStore(Mem::base_disp(RBP, off), x)),
+                Home::Fp(x) => self.asm.emit(Inst::MovsdStore(Mem::base_disp(RBP, off), x)),
             }
             self.save_slots.push((off, h));
         }
@@ -471,7 +472,10 @@ impl<'a> Codegen<'a> {
             match p.ty {
                 Type::Double => {
                     if fp_idx >= XARG.len() {
-                        return Err(CompileError::msg(format!("{}: too many FP parameters", f.name)));
+                        return Err(CompileError::msg(format!(
+                            "{}: too many FP parameters",
+                            f.name
+                        )));
                     }
                     let src = XARG[fp_idx];
                     fp_idx += 1;
@@ -536,8 +540,16 @@ impl<'a> Codegen<'a> {
         // round the frame to 16 bytes
         let frame = (-self.frame_top as i64 + 15) & !15;
         self.asm.patch_frame_size(frame);
-        debug_assert!(self.int_used.is_empty(), "leaked int regs: {:?}", self.int_used);
-        debug_assert!(self.fp_used.is_empty(), "leaked fp regs: {:?}", self.fp_used);
+        debug_assert!(
+            self.int_used.is_empty(),
+            "leaked int regs: {:?}",
+            self.int_used
+        );
+        debug_assert!(
+            self.fp_used.is_empty(),
+            "leaked fp regs: {:?}",
+            self.fp_used
+        );
         Ok(())
     }
 
@@ -837,7 +849,9 @@ impl<'a> Codegen<'a> {
                             .jcc(if jump_if_true { Cc::Ne } else { Cc::E }, target);
                     }
                     _ => {
-                        return Err(CompileError::msg("void value used as condition".to_string()))
+                        return Err(CompileError::msg(
+                            "void value used as condition".to_string(),
+                        ))
                     }
                 }
             }
@@ -874,8 +888,7 @@ impl<'a> Codegen<'a> {
                             Ok(Value::I(r))
                         } else if binding.ty == Type::Double {
                             let x = self.alloc_fp()?;
-                            self.asm
-                                .emit(Inst::MovsdLoad(x, Mem::base_disp(RBP, off)));
+                            self.asm.emit(Inst::MovsdLoad(x, Mem::base_disp(RBP, off)));
                             Ok(Value::F(x))
                         } else {
                             let r = self.alloc_int()?;
@@ -1137,9 +1150,7 @@ impl<'a> Codegen<'a> {
                             let x = self.value_xreg(v);
                             self.asm.emit(Inst::MovsdStore(mem, x));
                         }
-                        _ => {
-                            return Err(CompileError::msg("void value assigned".to_string()))
-                        }
+                        _ => return Err(CompileError::msg("void value assigned".to_string())),
                     }
                     v
                 } else {
@@ -1162,9 +1173,7 @@ impl<'a> Codegen<'a> {
                             self.free(v);
                             Value::F(cur)
                         }
-                        _ => {
-                            return Err(CompileError::msg("void value assigned".to_string()))
-                        }
+                        _ => return Err(CompileError::msg("void value assigned".to_string())),
                     }
                 };
                 for h in hold {
@@ -1269,9 +1278,7 @@ impl<'a> Codegen<'a> {
                 let src = if op == BinOp::Div { Reg(0) } else { Reg(11) };
                 self.asm.emit(Inst::MovRR(a, src));
             }
-            other => {
-                return Err(CompileError::msg(format!("unsupported int op {other:?}")))
-            }
+            other => return Err(CompileError::msg(format!("unsupported int op {other:?}"))),
         }
         Ok(())
     }
@@ -1286,8 +1293,16 @@ impl<'a> Codegen<'a> {
         }
     }
 
-    fn gen_call(&mut self, name: &str, args: &[Expr], ret_ty: &Type) -> Result<Value, CompileError> {
-        let sym = *self.sym_ids.get(name).ok_or_else(|| CompileError::msg(format!("unresolved call target `{name}`")))?;
+    fn gen_call(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        ret_ty: &Type,
+    ) -> Result<Value, CompileError> {
+        let sym = *self
+            .sym_ids
+            .get(name)
+            .ok_or_else(|| CompileError::msg(format!("unresolved call target `{name}`")))?;
 
         // evaluate arguments into scratch temps; a borrowed home is
         // pinned if a later argument could write the variable
@@ -1323,7 +1338,8 @@ impl<'a> Codegen<'a> {
         }
         for x in &live_fps {
             let off = self.new_slot_bytes(8)?;
-            self.asm.emit(Inst::MovsdStore(Mem::base_disp(RBP, off), *x));
+            self.asm
+                .emit(Inst::MovsdStore(Mem::base_disp(RBP, off), *x));
             saves.push((off, Value::F(*x)));
         }
 
@@ -1346,15 +1362,15 @@ impl<'a> Codegen<'a> {
                 }
                 v if v.is_fp() => {
                     if fp_idx >= XARG.len() {
-                        return Err(CompileError::msg(format!("too many FP arguments in call to {name}")));
+                        return Err(CompileError::msg(format!(
+                            "too many FP arguments in call to {name}"
+                        )));
                     }
                     let x = self.value_xreg(*v);
                     self.asm.emit(Inst::MovsdXX(XARG[fp_idx], x));
                     fp_idx += 1;
                 }
-                _ => {
-                    return Err(CompileError::msg("void argument".to_string()))
-                }
+                _ => return Err(CompileError::msg("void argument".to_string())),
             }
         }
         // push in reverse so the first stack arg ends up closest to the
@@ -1368,8 +1384,7 @@ impl<'a> Codegen<'a> {
 
         self.asm.emit(Inst::Call(sym));
         if !stack_args.is_empty() {
-            self.asm
-                .emit(Inst::AddRI(RSP, 8 * stack_args.len() as i64));
+            self.asm.emit(Inst::AddRI(RSP, 8 * stack_args.len() as i64));
         }
 
         // grab the result before restoring (restores don't touch a fresh reg)
@@ -1457,9 +1472,7 @@ impl<'a> Codegen<'a> {
         let x = self.alloc_fp()?;
         match binding.loc {
             Loc::FpReg(h) => self.asm.emit(Inst::MovsdXX(x, h)),
-            Loc::Slot(off) => self
-                .asm
-                .emit(Inst::MovsdLoad(x, Mem::base_disp(RBP, off))),
+            Loc::Slot(off) => self.asm.emit(Inst::MovsdLoad(x, Mem::base_disp(RBP, off))),
             Loc::IntReg(_) => unreachable!("fp read of int variable {name}"),
         }
         self.asm.emit(Inst::Unpcklpd(x, x));
@@ -1577,15 +1590,13 @@ mod tests {
 
     #[test]
     fn constant_index_folds_into_displacement() {
-        let obj = compile_source("double f(double* a) { return a[3]; }", &Options::default())
-            .unwrap();
+        let obj =
+            compile_source("double f(double* a) { return a[3]; }", &Options::default()).unwrap();
         let ast = disassemble(&obj).unwrap();
-        let has_disp24 = ast
-            .function("f")
-            .unwrap()
-            .instructions
-            .iter()
-            .any(|i| matches!(i.inst, Inst::MovsdLoad(_, m) if m.disp == 24 && m.index.is_none()));
+        let has_disp24 =
+            ast.function("f").unwrap().instructions.iter().any(
+                |i| matches!(i.inst, Inst::MovsdLoad(_, m) if m.disp == 24 && m.index.is_none()),
+            );
         assert!(has_disp24);
     }
 
@@ -1633,7 +1644,8 @@ mod tests {
 
     #[test]
     fn nested_loops_produce_two_meta_records() {
-        let src = "void f(int n) { for (int i = 0; i < n; i++) { for (int j = 0; j < n; j++) { ; } } }";
+        let src =
+            "void f(int n) { for (int i = 0; i < n; i++) { for (int j = 0; j < n; j++) { ; } } }";
         let obj = compile_source(src, &Options::default()).unwrap();
         let loops = obj.loops_of(obj.find_func("f").unwrap());
         assert_eq!(loops.len(), 2);
@@ -1678,7 +1690,9 @@ double dot(int n, double* x, double* y) {
         let saves = f
             .instructions
             .iter()
-            .filter(|i| matches!(i.inst, Inst::Store(m, r) if m.base == RBP && r.0 >= 6 && r.0 <= 9))
+            .filter(
+                |i| matches!(i.inst, Inst::Store(m, r) if m.base == RBP && r.0 >= 6 && r.0 <= 9),
+            )
             .count();
         assert!(saves >= 1, "no callee-saved saves in {f:?}");
         // the accumulator lives in an XMM home: addsd into x12..x15
@@ -1735,9 +1749,19 @@ double dot(int n, double* x, double* y) {
             let mut vm = Vm::new(&obj).unwrap();
             let x = vm.alloc_f64(&[1.0, 2.0, 3.0, 4.0]);
             let y = vm.alloc_f64(&[2.0, 0.5, 1.0, 0.25]);
-            vm.call("dot", &[HostVal::Int(4), HostVal::Int(x as i64), HostVal::Int(y as i64)])
-                .unwrap();
-            assert_eq!(vm.fp_return(), 1.0 * 2.0 + 2.0 * 0.5 + 3.0 * 1.0 + 4.0 * 0.25);
+            vm.call(
+                "dot",
+                &[
+                    HostVal::Int(4),
+                    HostVal::Int(x as i64),
+                    HostVal::Int(y as i64),
+                ],
+            )
+            .unwrap();
+            assert_eq!(
+                vm.fp_return(),
+                1.0 * 2.0 + 2.0 * 0.5 + 3.0 * 1.0 + 4.0 * 0.25
+            );
         }
     }
 
@@ -1787,7 +1811,8 @@ int f(int n, int* a) {
             let obj = compile_source(src, &opts).unwrap();
             let mut vm = Vm::new(&obj).unwrap();
             let a = vm.alloc_i64(&[0; 8]);
-            vm.call("f", &[HostVal::Int(5), HostVal::Int(a as i64)]).unwrap();
+            vm.call("f", &[HostVal::Int(5), HostVal::Int(a as i64)])
+                .unwrap();
             results.push(vm.int_return());
         }
         assert_eq!(results[0], results[1]);

@@ -112,10 +112,7 @@ impl FuncAsm {
     /// Resolve labels to function-local byte offsets, patch jumps, and
     /// return (bytes, per-instruction (offset, line) rows, label offsets).
     #[allow(clippy::type_complexity)]
-    fn assemble(
-        &self,
-        base: u32,
-    ) -> Result<(Vec<u8>, Vec<(u32, u32)>, Vec<u32>), CompileError> {
+    fn assemble(&self, base: u32) -> Result<(Vec<u8>, Vec<(u32, u32)>, Vec<u32>), CompileError> {
         // pass 1: label offsets
         let mut offsets = vec![u32::MAX; self.labels];
         let mut pc: u32 = 0;
@@ -151,10 +148,7 @@ impl FuncAsm {
 
 /// Assemble a set of compiled functions plus extern names into an
 /// [`Object`]. `funcs` are placed in order.
-pub fn assemble_object(
-    funcs: Vec<FuncAsm>,
-    externs: Vec<String>,
-) -> Result<Object, CompileError> {
+pub fn assemble_object(funcs: Vec<FuncAsm>, externs: Vec<String>) -> Result<Object, CompileError> {
     // Symbol table layout: all functions first (so Call targets can be
     // resolved by name → index before assembly), then externs.
     let mut obj = Object::default();
@@ -223,7 +217,9 @@ mod tests {
         let Inst::Jcc(_, t1) = insts[1].inst else {
             panic!()
         };
-        let Inst::Jmp(t2) = insts[2].inst else { panic!() };
+        let Inst::Jmp(t2) = insts[2].inst else {
+            panic!()
+        };
         assert_eq!(t2, 0);
         assert_eq!(t1, insts[3].addr);
     }
@@ -261,7 +257,10 @@ mod tests {
             f
         };
         let obj = assemble_object(vec![mk("a", 3), mk("b", 5)], vec!["sqrt".to_string()]).unwrap();
-        let Symbol::Func { addr: a0, size: s0, .. } = &obj.symbols[0] else {
+        let Symbol::Func {
+            addr: a0, size: s0, ..
+        } = &obj.symbols[0]
+        else {
             panic!()
         };
         let Symbol::Func { addr: a1, .. } = &obj.symbols[1] else {

@@ -105,7 +105,10 @@ fn fold_expr(e: &mut Expr) {
                 fold_expr(a);
             }
         }
-        ExprKind::IncDec { .. } | ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::Var(_) => {}
+        ExprKind::IncDec { .. }
+        | ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::Var(_) => {}
     }
 
     let span = e.span;

@@ -123,7 +123,11 @@ impl CompileError {
     /// Attach the enclosing function's name, unless one is already set.
     pub fn with_func(self, name: &str) -> CompileError {
         match self {
-            CompileError::Codegen { msg, func: None, span } => CompileError::Codegen {
+            CompileError::Codegen {
+                msg,
+                func: None,
+                span,
+            } => CompileError::Codegen {
                 msg,
                 func: Some(name.to_string()),
                 span,
@@ -135,7 +139,11 @@ impl CompileError {
     /// Attach a source span, unless one is already set.
     pub fn with_span(self, at: mira_minic::Span) -> CompileError {
         match self {
-            CompileError::Codegen { msg, func, span: None } => CompileError::Codegen {
+            CompileError::Codegen {
+                msg,
+                func,
+                span: None,
+            } => CompileError::Codegen {
                 msg,
                 func,
                 span: Some(at),
@@ -259,7 +267,11 @@ double dot(int n, double* x, double* y) {
 
     #[test]
     fn libm_included_by_default() {
-        let obj = compile_source("extern double sqrt(double);\ndouble f(double x) { return sqrt(x); }", &Options::default()).unwrap();
+        let obj = compile_source(
+            "extern double sqrt(double);\ndouble f(double x) { return sqrt(x); }",
+            &Options::default(),
+        )
+        .unwrap();
         assert!(obj.find_func("sqrt").is_some());
     }
 

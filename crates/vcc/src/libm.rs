@@ -103,11 +103,8 @@ mod tests {
 
     #[test]
     fn sqrt_has_fpi_footprint_and_fabs_has_none() {
-        let obj = assemble_object(
-            vec![build("sqrt").unwrap(), build("fabs").unwrap()],
-            vec![],
-        )
-        .unwrap();
+        let obj =
+            assemble_object(vec![build("sqrt").unwrap(), build("fabs").unwrap()], vec![]).unwrap();
         let ast = disassemble(&obj).unwrap();
         let fpi = |name: &str| {
             ast.function(name)

@@ -122,7 +122,8 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
     let bv = cg.pin_value(bv)?;
     let rb = cg.value_ireg(bv);
     let slot_bound = cg.scratch_slot()?;
-    cg.asm.emit(Inst::Store(Mem::base_disp(RBP, slot_bound), rb));
+    cg.asm
+        .emit(Inst::Store(Mem::base_disp(RBP, slot_bound), rb));
     cg.asm.emit(Inst::AddRI(rb, -1));
     let slot_lim = cg.scratch_slot()?;
     cg.asm.emit(Inst::Store(Mem::base_disp(RBP, slot_lim), rb));
@@ -206,7 +207,8 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
     {
         let iv = cg.load_int_var(ivar)?;
         let rb2 = cg.alloc_int_pub()?;
-        cg.asm.emit(Inst::Load(rb2, Mem::base_disp(RBP, slot_bound)));
+        cg.asm
+            .emit(Inst::Load(rb2, Mem::base_disp(RBP, slot_bound)));
         cg.asm.emit(Inst::CmpRR(cg.value_ireg(iv), rb2));
         cg.free(iv);
         cg.free(Value::I(rb2));
@@ -277,7 +279,11 @@ impl Hoisted {
                 bases.push(arr.clone());
             }
         }
-        let mut h = Hoisted { lits: Vec::new(), vars: Vec::new(), bases: Vec::new() };
+        let mut h = Hoisted {
+            lits: Vec::new(),
+            vars: Vec::new(),
+            bases: Vec::new(),
+        };
         for bits in lits {
             if cg.fp_free_len() <= HOIST_RESERVE {
                 break;
@@ -399,7 +405,10 @@ fn gen_packed(
     match &e.kind {
         ExprKind::FloatLit(v) => {
             if let Some(x) = hoisted.lit(v.to_bits()) {
-                return Ok(PackedVal { reg: x, owned: false });
+                return Ok(PackedVal {
+                    reg: x,
+                    owned: false,
+                });
             }
             let rt = cg.alloc_int_pub()?;
             cg.asm.emit(Inst::MovRI(rt, v.to_bits() as i64));
@@ -407,15 +416,24 @@ fn gen_packed(
             cg.asm.emit(Inst::MovqXR(x, rt));
             cg.asm.emit(Inst::Unpcklpd(x, x)); // broadcast
             cg.free(Value::I(rt));
-            Ok(PackedVal { reg: x, owned: true })
+            Ok(PackedVal {
+                reg: x,
+                owned: true,
+            })
         }
         ExprKind::Var(name) => {
             if let Some(x) = hoisted.var(name) {
-                return Ok(PackedVal { reg: x, owned: false });
+                return Ok(PackedVal {
+                    reg: x,
+                    owned: false,
+                });
             }
             // loop-invariant scalar double: read + broadcast
             let x = cg.load_fp_var_broadcast(name)?;
-            Ok(PackedVal { reg: x, owned: true })
+            Ok(PackedVal {
+                reg: x,
+                owned: true,
+            })
         }
         ExprKind::Index { base, .. } => {
             let ExprKind::Var(arr) = &base.kind else {
@@ -428,7 +446,10 @@ fn gen_packed(
             cg.asm.emit(Inst::MovupdLoad(x, mem));
             cg.free(av);
             cg.free(iv);
-            Ok(PackedVal { reg: x, owned: true })
+            Ok(PackedVal {
+                reg: x,
+                owned: true,
+            })
         }
         ExprKind::Binary { op, lhs, rhs } => {
             let a = gen_packed(cg, lhs, ivar, hoisted)?;
@@ -439,7 +460,10 @@ fn gen_packed(
             } else {
                 let t = cg.alloc_fp_pub()?;
                 cg.asm.emit(Inst::MovapdXX(t, a.reg));
-                PackedVal { reg: t, owned: true }
+                PackedVal {
+                    reg: t,
+                    owned: true,
+                }
             };
             let b = gen_packed(cg, rhs, ivar, hoisted)?;
             emit_packed_op(cg, *op, a.reg, b.reg);
@@ -583,14 +607,23 @@ void triad(int n, double* a, double* b, double* c, double s) {
             .filter(|i| (main.body.0..main.body.1).contains(&i.addr))
             .map(|i| i.inst.mnemonic())
             .collect();
-        assert!(!body.contains(&"unpcklpd"), "broadcast left in body: {body:?}");
-        assert!(!body.contains(&"movq"), "literal remat left in body: {body:?}");
+        assert!(
+            !body.contains(&"unpcklpd"),
+            "broadcast left in body: {body:?}"
+        );
+        assert!(
+            !body.contains(&"movq"),
+            "literal remat left in body: {body:?}"
+        );
         let init: Vec<&str> = insts
             .iter()
             .filter(|i| (main.init.0..main.init.1).contains(&i.addr))
             .map(|i| i.inst.mnemonic())
             .collect();
-        assert!(init.contains(&"unpcklpd"), "hoisted broadcast missing from init: {init:?}");
+        assert!(
+            init.contains(&"unpcklpd"),
+            "hoisted broadcast missing from init: {init:?}"
+        );
     }
 
     #[test]

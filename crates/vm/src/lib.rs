@@ -31,8 +31,9 @@
 //!
 //! * **Block-granular attribution.** Each block carries a sparse
 //!   `(category, count)` vector and a `(line, category, count)` vector
-//!   aggregated at load time. A straight-line run is attributed with one
-//!   sparse vector-add instead of per-instruction scatter; if an
+//!   aggregated at load time. A straight-line run is attributed with
+//!   per-block counter bumps instead of per-instruction scatter; the
+//!   vectors are multiplied in only where a sum is read. If an
 //!   instruction faults mid-block, only the retired prefix is attributed,
 //!   preserving the per-step semantics exactly.
 //!
@@ -44,10 +45,13 @@
 //!   snapshots it on call and, when it pops, adds the delta to its
 //!   function's inclusive counters (the TAU fold-on-pop scheme). Cost:
 //!   O(steps + calls × categories), with recursion double-counting
-//!   reproduced exactly (each frame folds its own delta). Exclusive and
-//!   per-line counters go one step further: the fast path bumps a single
-//!   per-block execution counter, and [`Vm::profile`] materializes the
-//!   scatter lazily from the per-block vectors.
+//!   reproduced exactly (each frame folds its own delta). Block
+//!   executions reach that vector late: each bumps a pending count, and
+//!   the pending counts are multiplied in at frame boundaries, just
+//!   before a frame snapshots or folds it. Exclusive and per-line
+//!   counters are deferred further: the fast path bumps a per-block
+//!   execution counter, and [`Vm::profile`] materializes the scatter
+//!   lazily from the per-block vectors.
 //!
 //! * **µop bodies.** Block bodies are pre-translated into a micro-op
 //!   stream (`uop`) with dedicated handlers for the scalar instructions
@@ -265,7 +269,16 @@ pub struct Vm {
     line_counts: Vec<[u64; Category::COUNT]>,
     /// Cumulative retirements per category since the last counter reset —
     /// the vector frames snapshot for fold-on-pop inclusive accounting.
+    /// The slow tier and faulting prefixes add to it directly; fast-path
+    /// block executions wait in `pending` and are folded in by
+    /// [`Vm::fold_pending`] right before a frame snapshots `cum` or folds
+    /// its delta, the only places it is read.
     cum: [u64; Category::COUNT],
+    /// Fast-path executions per block not yet multiplied into `cum`.
+    pending: Vec<u64>,
+    /// The blocks with a nonzero `pending` count, each listed once. Its
+    /// capacity is the block count, so listing never allocates.
+    pending_blocks: Vec<u32>,
     /// Fast-path executions per block; exclusive and per-line counters are
     /// materialized from these lazily in [`Vm::profile`], so the hot loop
     /// pays one increment instead of a sparse scatter.
@@ -456,6 +469,8 @@ impl Vm {
             calls: vec![0; nfuncs],
             line_counts: vec![[0; Category::COUNT]; nlines],
             cum: [0; Category::COUNT],
+            pending: vec![0; nblocks],
+            pending_blocks: Vec::with_capacity(nblocks),
             n_exec: vec![0; nblocks],
             steps: 0,
             slow_steps: 0,
@@ -482,7 +497,7 @@ impl Vm {
 
     /// Allocate zeroed space for `n` doubles.
     pub fn alloc_zeroed_f64(&mut self, n: usize) -> u64 {
-        self.m.bump(n * 8)
+        self.m.alloc_zeroed_f64(n)
     }
 
     /// Read back `n` doubles from memory.
@@ -632,6 +647,8 @@ impl Vm {
         }
         self.calls.iter_mut().for_each(|c| *c = 0);
         self.n_exec.iter_mut().for_each(|c| *c = 0);
+        self.pending.iter_mut().for_each(|c| *c = 0);
+        self.pending_blocks.clear();
         self.cum = [0; Category::COUNT];
         self.steps = 0;
         self.slow_steps = 0;
@@ -658,6 +675,7 @@ impl Vm {
         // ABI argument placement + sentinel return address, then the host
         // entry frame
         self.m.place_args(args)?;
+        self.fold_pending();
         let mut frames = vec![Frame {
             func: fidx as u16,
             ret_addr: SENTINEL,
@@ -724,7 +742,7 @@ impl Vm {
                         // terminator
                         let s = blk.start as usize;
                         let (us, ue) = (blk.uops.0 as usize, blk.uops.1 as usize);
-                        for (k, &u) in uops[us..ue].iter().enumerate() {
+                        for (k, u) in uops[us..ue].iter().enumerate() {
                             if let Err((sub, e)) = self.m.exec_uop(u) {
                                 // the faulting instruction retired (it was
                                 // counted before exec in the seed scheme);
@@ -859,6 +877,7 @@ impl Vm {
         if frames.len() > 10_000 {
             return Err(VmError::StackOverflow);
         }
+        self.fold_pending();
         frames.push(Frame {
             func: callee,
             ret_addr,
@@ -904,6 +923,7 @@ impl Vm {
 
     /// Add `cum − snapshot` to the frame's function's inclusive counters.
     fn fold_frame(&mut self, fr: &Frame) {
+        self.fold_pending();
         let f = fr.func as usize;
         for c in 0..Category::COUNT {
             let d = self.cum[c] - fr.snap[c];
@@ -913,18 +933,21 @@ impl Vm {
         }
     }
 
-    /// Attribute one full block execution. The cumulative vector (which
-    /// fold-on-pop inclusive accounting reads live) is updated here; the
-    /// exclusive and per-line scatter is deferred to [`Vm::profile`] via
-    /// `n_exec` whenever the innermost frame is the block's own function —
-    /// which it always is, except after a cross-function fall-through,
-    /// where the seed semantics (attribute to the *frame*, not the code
-    /// owner) require the direct path.
+    /// Attribute one full block execution. Its category counts reach the
+    /// cumulative vector through one pending count (the block is listed
+    /// the first time it runs after a fold), multiplied in by
+    /// [`Vm::fold_pending`] at the next frame boundary. The exclusive and
+    /// per-line scatter is deferred to [`Vm::profile`] via `n_exec`
+    /// whenever the innermost frame is the block's own function — which
+    /// it always is, except after a cross-function fall-through, where
+    /// the seed semantics (attribute to the *frame*, not the code owner)
+    /// require the direct path.
     fn attribute_block(&mut self, b: usize, blk: &Block, frames: &[Frame]) {
         let top = frames.last().unwrap().func;
-        for &(c, n) in blk.cats.iter() {
-            self.cum[c as usize] += n as u64;
+        if self.pending[b] == 0 {
+            self.pending_blocks.push(b as u32);
         }
+        self.pending[b] += 1;
         self.steps += blk.nsteps as u64;
         if top == blk.func {
             self.n_exec[b] += 1;
@@ -937,6 +960,19 @@ impl Vm {
                 self.line_counts[slot as usize][c as usize] += n as u64;
             }
         }
+    }
+
+    /// Multiply every pending block execution into `cum`. Runs wherever
+    /// `cum` is read: a frame's snapshot (the host entry frame in
+    /// [`Vm::call`], a callee's in `enter_call`) and [`Vm::fold_frame`].
+    fn fold_pending(&mut self) {
+        for &b in &self.pending_blocks {
+            let n = std::mem::take(&mut self.pending[b as usize]);
+            for &(c, k) in self.blocks[b as usize].cats.iter() {
+                self.cum[c as usize] += n * k as u64;
+            }
+        }
+        self.pending_blocks.clear();
     }
 
     /// Tuning aid for the µop fusion table (`uop`): execution-weighted

@@ -66,16 +66,23 @@ impl Machine {
 
     /// Bump-allocate host data, cache-line (64-byte) aligned so the
     /// static distinct-line footprints of `mira-mem` are exact without an
-    /// alignment parameter.
+    /// alignment parameter. The sums saturate, so a size past the address
+    /// space ends in the same refusal as one past `mem_size`.
     pub fn bump(&mut self, bytes: usize) -> u64 {
         let addr = (self.heap_top + 63) & !63;
-        let new_top = addr + bytes as u64;
+        let new_top = addr.saturating_add(bytes as u64);
         assert!(
-            (new_top as usize) + (1 << 20) < self.mem.len(),
+            new_top.saturating_add(1 << 20) < self.mem.len() as u64,
             "VM heap exhausted: grow VmOptions::mem_size"
         );
         self.heap_top = new_top;
         addr
+    }
+
+    /// Space for `n` doubles; the size saturates like [`Machine::bump`]'s
+    /// sums.
+    pub fn alloc_zeroed_f64(&mut self, n: usize) -> u64 {
+        self.bump(n.saturating_mul(8))
     }
 
     pub fn alloc_f64(&mut self, data: &[f64]) -> u64 {
@@ -191,7 +198,7 @@ impl Machine {
     /// 8-byte load through an explicit memory operand — feeds the cache
     /// simulator when memory profiling is on. Accesses below the heap top
     /// are data (host-allocated arrays); everything above is stack.
-    #[inline]
+    #[inline(always)]
     pub fn load64(&mut self, addr: u64) -> Result<u64, VmError> {
         if let Some(sim) = self.sim.as_deref_mut() {
             sim.access(addr, 8, false, addr >= self.heap_top);
@@ -201,7 +208,7 @@ impl Machine {
 
     /// 8-byte store through an explicit memory operand (see
     /// [`Machine::load64`]).
-    #[inline]
+    #[inline(always)]
     pub fn store64(&mut self, addr: u64, v: u64) -> Result<(), VmError> {
         if let Some(sim) = self.sim.as_deref_mut() {
             sim.access(addr, 8, true, addr >= self.heap_top);
@@ -227,7 +234,7 @@ impl Machine {
 
     // ---- condition codes ----
 
-    #[inline]
+    #[inline(always)]
     pub fn cond(&self, cc: Cc) -> bool {
         match (cc, self.flags) {
             (Cc::E, Flags::IntCmp(a, b)) => a == b,

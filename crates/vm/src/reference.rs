@@ -86,7 +86,7 @@ impl ReferenceVm {
     }
 
     pub fn alloc_zeroed_f64(&mut self, n: usize) -> u64 {
-        self.m.bump(n * 8)
+        self.m.alloc_zeroed_f64(n)
     }
 
     pub fn read_f64(&self, addr: u64, n: usize) -> Vec<f64> {

@@ -308,6 +308,31 @@ fn counters_reset() {
     assert_eq!(vm.profile().fpi("f", &arch), 0);
 }
 
+fn small_heap_vm() -> Vm {
+    let obj = compile_source("void f() { }", &Options::default()).unwrap();
+    let options = VmOptions {
+        mem_size: 4 << 20,
+        ..VmOptions::default()
+    };
+    let mut vm = Vm::load(&obj, options).unwrap();
+    vm.alloc_zeroed_f64(1024);
+    vm
+}
+
+#[test]
+#[should_panic(expected = "VM heap exhausted")]
+fn allocation_past_the_address_space_is_refused() {
+    // bytes fit a usize, but the end address wraps past u64::MAX
+    small_heap_vm().alloc_zeroed_f64(usize::MAX / 8);
+}
+
+#[test]
+#[should_panic(expected = "VM heap exhausted")]
+fn allocation_whose_byte_count_wraps_is_refused() {
+    // n * 8 wraps to 8 bytes
+    small_heap_vm().alloc_zeroed_f64((1 << 61) + 1);
+}
+
 #[test]
 fn no_such_function() {
     let obj = compile_source("void f() { }", &Options::default()).unwrap();
@@ -488,6 +513,62 @@ int f(int n) {
 }
 "#;
     assert_engines_agree(src, "f", &[HostVal::Int(100)], VmOptions::default());
+}
+
+/// A validate session in miniature: `setup` fills an array through a
+/// helper, and the measured `solve` calls the helper inside a loop and
+/// recurses, so blocks are still waiting to reach the cumulative vector
+/// whenever a frame is pushed or popped.
+const SESSION_SRC: &str = r#"
+extern double sqrt(double);
+double helper(double x, double y) {
+    return sqrt(x * x + y * y) * 0.5;
+}
+void setup(int n, double* a) {
+    for (int i = 0; i < n; i++) { a[i] = helper(i + 1.0, 0.25); }
+}
+double solve(int n, int depth, double* a) {
+    double s = 0.0;
+    for (int i = 0; i < n; i++) { s = s + helper(a[i], s); }
+    if (depth > 0) { s = s + solve(n, depth - 1, a); }
+    return s;
+}
+"#;
+
+/// The way perfbench `validate` runs miniFE: a setup call, a counter
+/// reset, then the measured call — on both engines, with the cache
+/// simulator on, comparing step counts, profiles and cache counters
+/// after every step. `assert_engines_agree` makes a single call, so it
+/// never sees state left over from an earlier call or a reset.
+#[test]
+fn engines_agree_across_setup_reset_and_measured_call() {
+    let obj = compile_source(SESSION_SRC, &Options::default()).unwrap();
+    let mut vm = Vm::load(&obj, mem_opts()).unwrap();
+    let mut rvm = ReferenceVm::load(&obj, mem_opts()).unwrap();
+    let n = 24;
+    let a = vm.alloc_zeroed_f64(n);
+    assert_eq!(a, rvm.alloc_zeroed_f64(n), "identical layouts");
+    let a = HostVal::Int(a as i64);
+    let n = HostVal::Int(n as i64);
+    let check = |vm: &Vm, rvm: &ReferenceVm, step: &str| {
+        assert_eq!(vm.steps(), rvm.steps(), "steps after {step}");
+        assert_eq!(vm.profile(), rvm.profile(), "profile after {step}");
+        assert_eq!(vm.mem_stats(), rvm.mem_stats(), "cache after {step}");
+    };
+    vm.call("setup", &[n, a]).unwrap();
+    rvm.call("setup", &[n, a]).unwrap();
+    check(&vm, &rvm, "setup");
+    vm.reset_counters();
+    rvm.reset_counters();
+    check(&vm, &rvm, "reset");
+    let args = [n, HostVal::Int(3), a];
+    vm.call("solve", &args).unwrap();
+    rvm.call("solve", &args).unwrap();
+    check(&vm, &rvm, "solve");
+    assert_eq!(vm.fp_return().to_bits(), rvm.fp_return().to_bits());
+    let prof = vm.profile();
+    assert_eq!(prof.function("solve").unwrap().calls, 4);
+    assert_eq!(prof.function("helper").unwrap().calls, 4 * 24);
 }
 
 #[test]

@@ -52,6 +52,11 @@
 //!
 //! Control-transfer instructions never appear in a body (they terminate
 //! blocks), so µops are straight-line by construction.
+//!
+//! The block loop hands [`Machine::exec_uop`] a reference into the µop
+//! stream and the handlers match it in place, loading only the operands
+//! they use. Matching a copy instead made the loop store every µop's
+//! operands to the stack at dispatch and load them back in the handler.
 
 use crate::machine::{Ctl, Flags, Machine};
 use crate::VmError;
@@ -297,7 +302,7 @@ impl Machine {
     /// second half of a fused pair), so the caller can attribute the
     /// retired prefix exactly.
     #[inline(always)]
-    pub(crate) fn exec_uop(&mut self, u: Uop) -> Result<(), (u32, VmError)> {
+    pub(crate) fn exec_uop(&mut self, u: &Uop) -> Result<(), (u32, VmError)> {
         macro_rules! r {
             ($i:expr) => {
                 self.regs[$i as usize & 15]
@@ -320,7 +325,7 @@ impl Machine {
                 self.store64(ea(&self.regs, $m), $v).map_err(|e| ($k, e))?
             };
         }
-        match u {
+        match *u {
             Uop::Load2(d1, m1, d2, m2) => {
                 r!(d1) = load!(m1, 0) as i64;
                 r!(d2) = load!(m2, 1) as i64;
@@ -548,7 +553,7 @@ mod tests {
             let name = name.split('(').next().unwrap();
             kinds.push(name.to_string());
             let (mut fused, mut reference) = (machine(), machine());
-            fused.exec_uop(uops[0]).unwrap();
+            fused.exec_uop(&uops[0]).unwrap();
             for inst in pair {
                 assert!(matches!(reference.exec(inst), Ok(Ctl::Next)));
             }
@@ -562,7 +567,7 @@ mod tests {
                 let uops = translate_body(&faulting);
                 assert_eq!(uops.len(), 1, "{name}: one µop");
                 let (mut fused, mut reference) = (machine(), machine());
-                let got = fused.exec_uop(uops[0]).unwrap_err();
+                let got = fused.exec_uop(&uops[0]).unwrap_err();
                 let want = faulting
                     .iter()
                     .enumerate()
