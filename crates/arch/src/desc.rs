@@ -282,9 +282,11 @@ impl Default for ArchDescription {
 }
 
 impl ArchDescription {
-    /// Parse a description file.
+    /// Parse a description file. Every number is a `u32`: the cache
+    /// sizes and ways, `fp_pipes` and `bytes_per_cycle` are at least 1,
+    /// and `cache_line_bytes` is a power of two of at least 8. Errors
+    /// name the line and the key.
     pub fn parse(text: &str) -> Result<ArchDescription, DescError> {
-        #[derive(PartialEq)]
         enum Section {
             None,
             Machine,
@@ -311,223 +313,129 @@ impl ArchDescription {
             if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
                 continue;
             }
+            let syntax = |msg: String| DescError::Syntax { line: lineno, msg };
             if let Some(inner) = line.strip_prefix('[') {
-                let inner = inner.strip_suffix(']').ok_or(DescError::Syntax {
-                    line: lineno,
-                    msg: "unterminated section header".to_string(),
-                })?;
-                let inner = inner.trim();
-                if inner == "machine" {
-                    section = Section::Machine;
+                let inner = inner
+                    .strip_suffix(']')
+                    .ok_or_else(|| syntax("unterminated section header".to_string()))?
+                    .trim();
+                section = if inner == "machine" {
+                    Section::Machine
                 } else if let Some(level) = inner.strip_prefix("cache ") {
-                    section = match level.trim() {
+                    match level.trim() {
                         "l1" => Section::Cache(false),
                         "l2" => Section::Cache(true),
                         other => {
-                            return Err(DescError::Syntax {
-                                line: lineno,
-                                msg: format!("unknown cache level `{other}` (expected l1 or l2)"),
-                            })
+                            return Err(syntax(format!(
+                                "unknown cache level `{other}` (expected l1 or l2)"
+                            )))
                         }
-                    };
+                    }
                 } else if inner == "peak" {
-                    section = Section::Peak;
+                    Section::Peak
                 } else if let Some(level) = inner.strip_prefix("bandwidth ") {
-                    section = match level.trim() {
+                    match level.trim() {
                         "l1" => Section::Bandwidth(0),
                         "l2" => Section::Bandwidth(1),
                         "dram" => Section::Bandwidth(2),
                         other => {
-                            return Err(DescError::Syntax {
-                                line: lineno,
-                                msg: format!(
-                                    "unknown bandwidth level `{other}` (expected l1, l2 or dram)"
-                                ),
-                            })
+                            return Err(syntax(format!(
+                                "unknown bandwidth level `{other}` (expected l1, l2 or dram)"
+                            )))
                         }
-                    };
+                    }
                 } else if let Some(name) = inner.strip_prefix("metric ") {
                     let name = name.trim().to_string();
                     metrics.entry(name.clone()).or_default();
-                    section = Section::Metric(name);
+                    Section::Metric(name)
                 } else {
-                    return Err(DescError::Syntax {
-                        line: lineno,
-                        msg: format!("unknown section `[{inner}]`"),
-                    });
-                }
+                    return Err(syntax(format!("unknown section `[{inner}]`")));
+                };
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or(DescError::Syntax {
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| syntax("expected `key = value`".to_string()))?;
+            let (key, value) = (key.trim(), value.trim());
+            let bad = || DescError::BadValue {
                 line: lineno,
-                msg: "expected `key = value`".to_string(),
-            })?;
-            let key = key.trim();
-            let value = value.trim();
-            match &section {
-                Section::None => {
-                    return Err(DescError::Syntax {
-                        line: lineno,
-                        msg: "key outside of any section".to_string(),
-                    })
+                key: key.to_string(),
+            };
+            // every number is a `u32` of at least `min`
+            let num = |min: u32| value.parse().ok().filter(|&v| v >= min).ok_or_else(bad);
+            match (&section, key) {
+                (Section::None, _) => return Err(syntax("key outside of any section".to_string())),
+                (Section::Machine, "name") => machine.name = value.to_string(),
+                (Section::Machine, "cores") => machine.cores = num(0)?,
+                (Section::Machine, "cache_line_bytes") => {
+                    // the mira-mem simulator and line-footprint closed
+                    // forms both assume power-of-two lines
+                    let v = num(8)?;
+                    if !v.is_power_of_two() {
+                        return Err(bad());
+                    }
+                    machine.cache_line_bytes = v;
+                    geometry_key = [(lineno, key); 2];
                 }
-                Section::Machine => match key {
-                    "name" => machine.name = value.to_string(),
-                    "cores" => {
-                        machine.cores = value.parse().map_err(|_| DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        })?
-                    }
-                    "cache_line_bytes" => {
-                        // the mira-mem simulator and line-footprint
-                        // closed forms both assume power-of-two lines
-                        let v: u32 = value.parse().map_err(|_| DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        })?;
-                        if v < 8 || !v.is_power_of_two() {
-                            return Err(DescError::BadValue {
-                                line: lineno,
-                                key: key.to_string(),
-                            });
-                        }
-                        machine.cache_line_bytes = v;
-                        geometry_key = [(lineno, "cache_line_bytes"); 2];
-                    }
-                    "vector_bits" => {
-                        machine.vector_bits = value.parse().map_err(|_| DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        })?
-                    }
-                    "fp_lanes_per_vector" => {
-                        machine.fp_lanes_per_vector =
-                            value.parse().map_err(|_| DescError::BadValue {
-                                line: lineno,
-                                key: key.to_string(),
-                            })?;
-                        peak_key = (lineno, "fp_lanes_per_vector");
-                    }
-                    other => {
-                        return Err(DescError::UnknownKey {
-                            line: lineno,
-                            key: other.to_string(),
-                        })
-                    }
-                },
-                Section::Cache(is_l2) => {
+                (Section::Machine, "vector_bits") => machine.vector_bits = num(0)?,
+                (Section::Machine, "fp_lanes_per_vector") => {
+                    machine.fp_lanes_per_vector = num(0)?;
+                    peak_key = (lineno, key);
+                }
+                (Section::Cache(is_l2), "size_bytes" | "assoc") => {
                     let level = if *is_l2 {
                         &mut machine.l2
                     } else {
                         &mut machine.l1
                     };
-                    let parsed: u32 = value.parse().map_err(|_| DescError::BadValue {
-                        line: lineno,
-                        key: key.to_string(),
-                    })?;
-                    if parsed == 0 {
-                        return Err(DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        });
-                    }
-                    match key {
-                        "size_bytes" => level.size_bytes = parsed,
-                        "assoc" => level.assoc = parsed,
-                        other => {
-                            return Err(DescError::UnknownKey {
-                                line: lineno,
-                                key: other.to_string(),
-                            })
-                        }
-                    }
+                    let field = if key == "assoc" {
+                        &mut level.assoc
+                    } else {
+                        &mut level.size_bytes
+                    };
+                    *field = num(1)?;
                     geometry_key[usize::from(*is_l2)] = (lineno, key);
                 }
-                Section::Peak => match key {
-                    "fp_pipes" => {
-                        let v: u32 = value.parse().map_err(|_| DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        })?;
-                        if v == 0 {
-                            return Err(DescError::BadValue {
+                (Section::Peak, "fp_pipes") => {
+                    machine.peak.fp_pipes = num(1)?;
+                    peak_key = (lineno, key);
+                }
+                (Section::Peak, "fma") => {
+                    machine.peak.fma = match value {
+                        "yes" | "true" | "1" => true,
+                        "no" | "false" | "0" => false,
+                        _ => return Err(bad()),
+                    };
+                    peak_key = (lineno, key);
+                }
+                (Section::Bandwidth(level), "bytes_per_cycle") => {
+                    let bw = &mut machine.bandwidth;
+                    *[&mut bw.l1, &mut bw.l2, &mut bw.dram][usize::from(*level)] = num(1)?;
+                }
+                (Section::Metric(name), "categories") => {
+                    let cats = value
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|part| !part.is_empty())
+                        .map(|part| {
+                            Category::from_name(part).ok_or_else(|| DescError::UnknownCategory {
                                 line: lineno,
-                                key: key.to_string(),
-                            });
-                        }
-                        machine.peak.fp_pipes = v;
-                        peak_key = (lineno, "fp_pipes");
-                    }
-                    "fma" => {
-                        machine.peak.fma = match value {
-                            "yes" | "true" | "1" => true,
-                            "no" | "false" | "0" => false,
-                            _ => {
-                                return Err(DescError::BadValue {
-                                    line: lineno,
-                                    key: key.to_string(),
-                                })
-                            }
-                        };
-                        peak_key = (lineno, "fma");
-                    }
-                    other => {
-                        return Err(DescError::UnknownKey {
-                            line: lineno,
-                            key: other.to_string(),
+                                name: part.to_string(),
+                            })
                         })
+                        .collect::<Result<_, _>>()?;
+                    metrics.insert(name.clone(), cats);
+                }
+                (section, _) => {
+                    // a cache section checks the value before the key
+                    if let Section::Cache(_) = section {
+                        num(1)?;
                     }
-                },
-                Section::Bandwidth(level) => match key {
-                    "bytes_per_cycle" => {
-                        let v: u32 = value.parse().map_err(|_| DescError::BadValue {
-                            line: lineno,
-                            key: key.to_string(),
-                        })?;
-                        if v == 0 {
-                            return Err(DescError::BadValue {
-                                line: lineno,
-                                key: key.to_string(),
-                            });
-                        }
-                        match level {
-                            0 => machine.bandwidth.l1 = v,
-                            1 => machine.bandwidth.l2 = v,
-                            _ => machine.bandwidth.dram = v,
-                        }
-                    }
-                    other => {
-                        return Err(DescError::UnknownKey {
-                            line: lineno,
-                            key: other.to_string(),
-                        })
-                    }
-                },
-                Section::Metric(name) => match key {
-                    "categories" => {
-                        let mut cats = Vec::new();
-                        for part in value.split(',') {
-                            let part = part.trim();
-                            if part.is_empty() {
-                                continue;
-                            }
-                            let cat =
-                                Category::from_name(part).ok_or(DescError::UnknownCategory {
-                                    line: lineno,
-                                    name: part.to_string(),
-                                })?;
-                            cats.push(cat);
-                        }
-                        metrics.insert(name.clone(), cats);
-                    }
-                    other => {
-                        return Err(DescError::UnknownKey {
-                            line: lineno,
-                            key: other.to_string(),
-                        })
-                    }
-                },
+                    return Err(DescError::UnknownKey {
+                        line: lineno,
+                        key: key.to_string(),
+                    });
+                }
             }
         }
         // a set wider than its level (or one whose byte size overflows)
@@ -677,13 +585,66 @@ mod tests {
             Err(DescError::UnknownKey { .. })
         ));
         assert!(matches!(
-            ArchDescription::parse("[machine]\ncores = abc\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
             ArchDescription::parse("[weird]\n"),
             Err(DescError::Syntax { .. })
         ));
+    }
+
+    #[test]
+    fn unknown_key_with_a_bad_value_names_its_line_and_key() {
+        let parse = |section: &str| ArchDescription::parse(&format!("# c\n{section}\nfoo = x\n"));
+        // a cache section reads the value before the key
+        assert_eq!(
+            parse("[cache l1]"),
+            Err(DescError::BadValue {
+                line: 3,
+                key: "foo".to_string()
+            })
+        );
+        for section in ["[machine]", "[peak]", "[bandwidth l1]", "[metric m]"] {
+            assert_eq!(
+                parse(section),
+                Err(DescError::UnknownKey {
+                    line: 3,
+                    key: "foo".to_string()
+                }),
+                "{section}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_values_name_their_line_and_key() {
+        for (section, key, value) in [
+            ("machine", "cores", "abc"),
+            ("machine", "cores", "-1"),
+            ("machine", "cache_line_bytes", "x"),
+            // the simulator and the footprint closed forms assume lines
+            // of a power of two ≥ 8 bytes
+            ("machine", "cache_line_bytes", "48"),
+            ("machine", "cache_line_bytes", "4"),
+            ("machine", "vector_bits", "1.5"),
+            ("machine", "fp_lanes_per_vector", "x"),
+            ("cache l1", "size_bytes", "big"),
+            ("cache l2", "assoc", "0"),
+            ("peak", "fp_pipes", "0"),
+            ("peak", "fp_pipes", "4294967296"),
+            ("peak", "fma", "maybe"),
+            ("bandwidth dram", "bytes_per_cycle", "0"),
+            ("bandwidth l2", "bytes_per_cycle", "wide"),
+        ] {
+            assert_eq!(
+                ArchDescription::parse(&format!("[{section}]\n\n{key} = {value}\n")),
+                Err(DescError::BadValue {
+                    line: 3,
+                    key: key.to_string()
+                }),
+                "[{section}] {key} = {value}"
+            );
+        }
+        // zero is a valid count outside the three positive quantities
+        let d = ArchDescription::parse("[machine]\ncores = 0\nvector_bits = 0\n").unwrap();
+        assert_eq!((d.machine.cores, d.machine.vector_bits), (0, 0));
     }
 
     #[test]
@@ -732,25 +693,6 @@ mod tests {
         assert!(matches!(
             ArchDescription::parse("[cache l3]\nsize_bytes = 1\n"),
             Err(DescError::Syntax { .. })
-        ));
-        // malformed and degenerate values
-        assert!(matches!(
-            ArchDescription::parse("[cache l1]\nsize_bytes = big\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
-            ArchDescription::parse("[cache l2]\nassoc = 0\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        // line size must be a power of two ≥ 8 (simulator + footprint
-        // closed forms assume it)
-        assert!(matches!(
-            ArchDescription::parse("[machine]\ncache_line_bytes = 48\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
-            ArchDescription::parse("[machine]\ncache_line_bytes = 4\n"),
-            Err(DescError::BadValue { .. })
         ));
         assert!(ArchDescription::parse("[machine]\ncache_line_bytes = 32\n").is_ok());
     }
@@ -907,23 +849,6 @@ mod tests {
         assert!(matches!(
             ArchDescription::parse("[bandwidth l3]\nbytes_per_cycle = 1\n"),
             Err(DescError::Syntax { .. })
-        ));
-        // malformed and degenerate values
-        assert!(matches!(
-            ArchDescription::parse("[peak]\nfp_pipes = 0\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
-            ArchDescription::parse("[peak]\nfma = maybe\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
-            ArchDescription::parse("[bandwidth dram]\nbytes_per_cycle = 0\n"),
-            Err(DescError::BadValue { .. })
-        ));
-        assert!(matches!(
-            ArchDescription::parse("[bandwidth l2]\nbytes_per_cycle = wide\n"),
-            Err(DescError::BadValue { .. })
         ));
     }
 

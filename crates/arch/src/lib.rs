@@ -15,6 +15,11 @@
 //! The file format is a small INI dialect parsed by [`ArchDescription::parse`]
 //! (no offline serde format crate is available in this environment; the
 //! dependency decision is documented in DESIGN.md).
+//!
+//! The categories are one table, `categories!` in this file: one row
+//! `Variant = "name",` per category, in `repr(u8)` order, generates
+//! [`Category`], [`Category::ALL`] and [`Category::name`]. A category's
+//! variant, index and description-file name are stated once.
 
 pub mod desc;
 pub mod dir;
@@ -24,159 +29,111 @@ pub use desc::{
 };
 pub use dir::{load_dir, load_file, LoadError, LoadedDescription};
 
-/// The 64 instruction categories, mirroring the Intel SDM's grouping of the
-/// x86 instruction set (general-purpose groups, x87, MMX, SSE–SSE4.2, AVX,
-/// system, and 64-bit-mode instructions).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[repr(u8)]
-pub enum Category {
+/// Generates [`Category`], [`Category::ALL`] and [`Category::name`] from
+/// the category table: one row `Variant = "name",` per category, in
+/// `repr(u8)` order.
+macro_rules! categories {
+    ($($variant:ident = $name:literal,)*) => {
+        /// The 64 instruction categories, mirroring the Intel SDM's grouping of the
+        /// x86 instruction set (general-purpose groups, x87, MMX, SSE–SSE4.2, AVX,
+        /// system, and 64-bit-mode instructions).
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        #[repr(u8)]
+        pub enum Category {
+            $($variant,)*
+        }
+
+        impl Category {
+            /// All categories, index-aligned with their `u8` representation.
+            pub const ALL: [Category; Category::COUNT] = [$(Category::$variant),*];
+
+            /// Canonical identifier used in architecture description files.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Category::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+categories! {
     // --- general-purpose ---
-    IntDataTransfer = 0,
-    IntArith = 1,
-    IntLogical = 2,
-    ShiftRotate = 3,
-    BitByte = 4,
-    IntControlTransfer = 5,
-    DecimalArith = 6,
-    StringInstr = 7,
-    IoInstr = 8,
-    EnterLeave = 9,
-    FlagControl = 10,
-    SegmentRegister = 11,
-    MiscInstr = 12,
-    RandomNumber = 13,
-    Bmi1 = 14,
-    Bmi2 = 15,
+    IntDataTransfer = "int_data_transfer",
+    IntArith = "int_arith",
+    IntLogical = "int_logical",
+    ShiftRotate = "shift_rotate",
+    BitByte = "bit_byte",
+    IntControlTransfer = "int_control_transfer",
+    DecimalArith = "decimal_arith",
+    StringInstr = "string",
+    IoInstr = "io",
+    EnterLeave = "enter_leave",
+    FlagControl = "flag_control",
+    SegmentRegister = "segment_register",
+    MiscInstr = "misc",
+    RandomNumber = "random_number",
+    Bmi1 = "bmi1",
+    Bmi2 = "bmi2",
     // --- x87 FPU ---
-    X87DataTransfer = 16,
-    X87BasicArith = 17,
-    X87Compare = 18,
-    X87Transcendental = 19,
-    X87LoadConstant = 20,
-    X87Control = 21,
+    X87DataTransfer = "x87_data_transfer",
+    X87BasicArith = "x87_basic_arith",
+    X87Compare = "x87_compare",
+    X87Transcendental = "x87_transcendental",
+    X87LoadConstant = "x87_load_constant",
+    X87Control = "x87_control",
     // --- MMX ---
-    MmxDataTransfer = 22,
-    MmxConversion = 23,
-    MmxPackedArith = 24,
-    MmxComparison = 25,
-    MmxLogical = 26,
-    MmxShiftRotate = 27,
-    MmxStateManagement = 28,
+    MmxDataTransfer = "mmx_data_transfer",
+    MmxConversion = "mmx_conversion",
+    MmxPackedArith = "mmx_packed_arith",
+    MmxComparison = "mmx_comparison",
+    MmxLogical = "mmx_logical",
+    MmxShiftRotate = "mmx_shift_rotate",
+    MmxStateManagement = "mmx_state_management",
     // --- SSE (single precision) ---
-    SseDataTransfer = 29,
-    SsePackedArith = 30,
-    SseComparison = 31,
-    SseLogical = 32,
-    SseShuffleUnpack = 33,
-    SseConversion = 34,
-    SseMxcsrState = 35,
-    Sse64bitSimd = 36,
-    SseCacheability = 37,
+    SseDataTransfer = "sse_data_transfer",
+    SsePackedArith = "sse_packed_arith",
+    SseComparison = "sse_comparison",
+    SseLogical = "sse_logical",
+    SseShuffleUnpack = "sse_shuffle_unpack",
+    SseConversion = "sse_conversion",
+    SseMxcsrState = "sse_mxcsr_state",
+    Sse64bitSimd = "sse_64bit_simd",
+    SseCacheability = "sse_cacheability",
     // --- SSE2 (double precision + 128-bit integer SIMD) ---
-    Sse2DataMovement = 38,
-    Sse2PackedArith = 39,
-    Sse2Logical = 40,
-    Sse2Compare = 41,
-    Sse2ShuffleUnpack = 42,
-    Sse2Conversion = 43,
-    Sse2PackedSingleConversion = 44,
-    Sse2PackedInteger = 45,
-    Sse2Cacheability = 46,
+    Sse2DataMovement = "sse2_data_movement",
+    Sse2PackedArith = "sse2_packed_arith",
+    Sse2Logical = "sse2_logical",
+    Sse2Compare = "sse2_compare",
+    Sse2ShuffleUnpack = "sse2_shuffle_unpack",
+    Sse2Conversion = "sse2_conversion",
+    Sse2PackedSingleConversion = "sse2_packed_single_conversion",
+    Sse2PackedInteger = "sse2_packed_integer",
+    Sse2Cacheability = "sse2_cacheability",
     // --- later SIMD generations ---
-    Sse3 = 47,
-    Ssse3 = 48,
-    Sse41 = 49,
-    Sse42 = 50,
-    AesNi = 51,
-    AvxArith = 52,
-    AvxDataMovement = 53,
-    AvxOther = 54,
-    Fma = 55,
-    Avx2 = 56,
-    F16c = 57,
+    Sse3 = "sse3",
+    Ssse3 = "ssse3",
+    Sse41 = "sse4_1",
+    Sse42 = "sse4_2",
+    AesNi = "aesni",
+    AvxArith = "avx_arith",
+    AvxDataMovement = "avx_data_movement",
+    AvxOther = "avx_other",
+    Fma = "fma",
+    Avx2 = "avx2",
+    F16c = "f16c",
     // --- system / mode ---
-    Mode64Bit = 58,
-    SystemInstr = 59,
-    Vmx = 60,
-    Smx = 61,
-    Tsx = 62,
-    Sgx = 63,
+    Mode64Bit = "mode_64bit",
+    SystemInstr = "system",
+    Vmx = "vmx",
+    Smx = "smx",
+    Tsx = "tsx",
+    Sgx = "sgx",
 }
 
 impl Category {
     /// Total number of categories.
     pub const COUNT: usize = 64;
-
-    /// All categories, index-aligned with their `u8` representation.
-    pub const ALL: [Category; Category::COUNT] = {
-        use Category::*;
-        [
-            IntDataTransfer,
-            IntArith,
-            IntLogical,
-            ShiftRotate,
-            BitByte,
-            IntControlTransfer,
-            DecimalArith,
-            StringInstr,
-            IoInstr,
-            EnterLeave,
-            FlagControl,
-            SegmentRegister,
-            MiscInstr,
-            RandomNumber,
-            Bmi1,
-            Bmi2,
-            X87DataTransfer,
-            X87BasicArith,
-            X87Compare,
-            X87Transcendental,
-            X87LoadConstant,
-            X87Control,
-            MmxDataTransfer,
-            MmxConversion,
-            MmxPackedArith,
-            MmxComparison,
-            MmxLogical,
-            MmxShiftRotate,
-            MmxStateManagement,
-            SseDataTransfer,
-            SsePackedArith,
-            SseComparison,
-            SseLogical,
-            SseShuffleUnpack,
-            SseConversion,
-            SseMxcsrState,
-            Sse64bitSimd,
-            SseCacheability,
-            Sse2DataMovement,
-            Sse2PackedArith,
-            Sse2Logical,
-            Sse2Compare,
-            Sse2ShuffleUnpack,
-            Sse2Conversion,
-            Sse2PackedSingleConversion,
-            Sse2PackedInteger,
-            Sse2Cacheability,
-            Sse3,
-            Ssse3,
-            Sse41,
-            Sse42,
-            AesNi,
-            AvxArith,
-            AvxDataMovement,
-            AvxOther,
-            Fma,
-            Avx2,
-            F16c,
-            Mode64Bit,
-            SystemInstr,
-            Vmx,
-            Smx,
-            Tsx,
-            Sgx,
-        ]
-    };
 
     pub fn index(self) -> usize {
         self as usize
@@ -184,77 +141,6 @@ impl Category {
 
     pub fn from_index(i: usize) -> Option<Category> {
         Category::ALL.get(i).copied()
-    }
-
-    /// Canonical identifier used in architecture description files.
-    pub fn name(self) -> &'static str {
-        use Category::*;
-        match self {
-            IntDataTransfer => "int_data_transfer",
-            IntArith => "int_arith",
-            IntLogical => "int_logical",
-            ShiftRotate => "shift_rotate",
-            BitByte => "bit_byte",
-            IntControlTransfer => "int_control_transfer",
-            DecimalArith => "decimal_arith",
-            StringInstr => "string",
-            IoInstr => "io",
-            EnterLeave => "enter_leave",
-            FlagControl => "flag_control",
-            SegmentRegister => "segment_register",
-            MiscInstr => "misc",
-            RandomNumber => "random_number",
-            Bmi1 => "bmi1",
-            Bmi2 => "bmi2",
-            X87DataTransfer => "x87_data_transfer",
-            X87BasicArith => "x87_basic_arith",
-            X87Compare => "x87_compare",
-            X87Transcendental => "x87_transcendental",
-            X87LoadConstant => "x87_load_constant",
-            X87Control => "x87_control",
-            MmxDataTransfer => "mmx_data_transfer",
-            MmxConversion => "mmx_conversion",
-            MmxPackedArith => "mmx_packed_arith",
-            MmxComparison => "mmx_comparison",
-            MmxLogical => "mmx_logical",
-            MmxShiftRotate => "mmx_shift_rotate",
-            MmxStateManagement => "mmx_state_management",
-            SseDataTransfer => "sse_data_transfer",
-            SsePackedArith => "sse_packed_arith",
-            SseComparison => "sse_comparison",
-            SseLogical => "sse_logical",
-            SseShuffleUnpack => "sse_shuffle_unpack",
-            SseConversion => "sse_conversion",
-            SseMxcsrState => "sse_mxcsr_state",
-            Sse64bitSimd => "sse_64bit_simd",
-            SseCacheability => "sse_cacheability",
-            Sse2DataMovement => "sse2_data_movement",
-            Sse2PackedArith => "sse2_packed_arith",
-            Sse2Logical => "sse2_logical",
-            Sse2Compare => "sse2_compare",
-            Sse2ShuffleUnpack => "sse2_shuffle_unpack",
-            Sse2Conversion => "sse2_conversion",
-            Sse2PackedSingleConversion => "sse2_packed_single_conversion",
-            Sse2PackedInteger => "sse2_packed_integer",
-            Sse2Cacheability => "sse2_cacheability",
-            Sse3 => "sse3",
-            Ssse3 => "ssse3",
-            Sse41 => "sse4_1",
-            Sse42 => "sse4_2",
-            AesNi => "aesni",
-            AvxArith => "avx_arith",
-            AvxDataMovement => "avx_data_movement",
-            AvxOther => "avx_other",
-            Fma => "fma",
-            Avx2 => "avx2",
-            F16c => "f16c",
-            Mode64Bit => "mode_64bit",
-            SystemInstr => "system",
-            Vmx => "vmx",
-            Smx => "smx",
-            Tsx => "tsx",
-            Sgx => "sgx",
-        }
     }
 
     /// Human-readable description, used in Table-II style reports.

@@ -155,6 +155,37 @@ int count() {
     }
 }
 
+/// Analyze and run `count()` of `src` under the default, vectorized and
+/// spill-everything compilers: it returns `result`, and the model's counts
+/// equal the VM's in every category.
+fn assert_listing_exact(src: &str, result: i64) {
+    for compiler in [
+        mira_vcc::Options::default(),
+        mira_vcc::Options::vectorized(),
+        mira_vcc::Options::spill_everything(),
+    ] {
+        let opts = MiraOptions {
+            compiler,
+            ..MiraOptions::default()
+        };
+        let analysis = analyze_source(src, &opts).unwrap();
+        assert!(analysis.warnings.is_empty(), "{:?}", analysis.warnings);
+        let mut vm = Vm::new(&analysis.object).unwrap();
+        vm.call("count", &[]).unwrap();
+        assert_eq!(vm.int_return(), result);
+        let report = analysis.report("count", &bindings(&[])).unwrap();
+        let prof = vm.profile();
+        let dynamic = &prof.function("count").unwrap().inclusive;
+        for cat in Category::ALL {
+            assert_eq!(
+                report.counts.get(cat),
+                dynamic.get(cat),
+                "category {cat} under {compiler:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn exact_branch_constraint_listing4() {
     // if (j > 4) inside the Listing-2 nest — Fig. 4(b)
@@ -171,24 +202,7 @@ int count() {
     return acc;
 }
 "#;
-    let opts = MiraOptions::default();
-    let analysis = analyze_source(src, &opts).unwrap();
-    let mut vm = Vm::new(&analysis.object).unwrap();
-    vm.call("count", &[]).unwrap();
-    assert_eq!(vm.int_return(), 8);
-    let report = analysis.report("count", &bindings(&[])).unwrap();
-    let prof = vm.profile();
-        let dynamic = &prof.function("count").unwrap().inclusive;
-    // FP/arith categories exact; the jump-over-else instruction is the one
-    // documented approximation, so compare the arithmetic category exactly
-    assert_eq!(
-        report.counts.get(Category::IntArith),
-        dynamic.get(Category::IntArith)
-    );
-    assert_eq!(
-        report.counts.get(Category::IntDataTransfer),
-        dynamic.get(Category::IntDataTransfer)
-    );
+    assert_listing_exact(src, 8);
 }
 
 #[test]
@@ -206,18 +220,8 @@ int count() {
     return acc;
 }
 "#;
-    let opts = MiraOptions::default();
-    let analysis = analyze_source(src, &opts).unwrap();
-    let mut vm = Vm::new(&analysis.object).unwrap();
-    vm.call("count", &[]).unwrap();
-    assert_eq!(vm.int_return(), 11); // 14 - 3 holes (Fig. 4(c))
-    let report = analysis.report("count", &bindings(&[])).unwrap();
-    let prof = vm.profile();
-        let dynamic = &prof.function("count").unwrap().inclusive;
-    assert_eq!(
-        report.counts.get(Category::IntArith),
-        dynamic.get(Category::IntArith)
-    );
+    // 14 - 3 holes (Fig. 4(c))
+    assert_listing_exact(src, 11);
 }
 
 #[test]

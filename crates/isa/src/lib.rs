@@ -27,15 +27,15 @@
 //! `Store(m: Mem, s: Reg) = 0x04, "mov", IntDataTransfer;`. The table
 //! generates [`Inst`], [`Inst::encode`] (the opcode byte, then each
 //! operand), [`Inst::decode`], [`Inst::encoded_len`] (1 plus the
-//! operands' constant widths, no encoding), [`Inst::mnemonic`] and
-//! [`Inst::category`]. Each operand kind (`Reg`, `XReg`, `Cc`, `u8`,
-//! `u32`, `i64`, `Mem`) states its width and byte layout once. A
-//! duplicated opcode is an unreachable `decode` arm, which the lint gate
-//! refuses. Adding an instruction means one row here, one
-//! `Machine::exec` arm in `mira-vm` and one `Display` arm. Since the
-//! encoder and the decoder come from the same row, a round trip cannot
-//! see a changed opcode or layout: `tests/golden.rs` pins the bytes and
-//! text of every instruction.
+//! operands' constant widths, no encoding), [`Inst::mnemonic`],
+//! [`Inst::name`] and [`Inst::category`]. Each operand kind (`Reg`,
+//! `XReg`, `Cc`, `u8`, `u32`, `i64`, `Mem`) states its width and byte
+//! layout once. A duplicated opcode is an unreachable `decode` arm,
+//! which the lint gate refuses. Adding an instruction means one row
+//! here, one `Machine::exec` arm in `mira-vm` and one `Display` arm.
+//! Since the encoder and the decoder come from the same row, a round
+//! trip cannot see a changed opcode or layout: `tests/golden.rs` pins
+//! the bytes and text of every instruction.
 
 use mira_arch::Category;
 use std::fmt;
@@ -400,6 +400,14 @@ macro_rules! instructions {
             pub fn mnemonic(&self) -> &'static str {
                 match self {
                     $(Inst::$name { .. } => $mnemonic,)*
+                }
+            }
+
+            /// The variant name (`"MovsdLoad"`), which tells apart the
+            /// operand forms that share a mnemonic.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Inst::$name { .. } => stringify!($name),)*
                 }
             }
         }

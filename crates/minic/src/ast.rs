@@ -442,10 +442,7 @@ mod tests {
         assert!(Type::Int.is_numeric());
         assert!(!Type::Void.is_numeric());
         assert!(Type::ptr_to(Type::Int).is_pointer());
-        assert_eq!(
-            Type::ptr_to(Type::Double).pointee(),
-            Some(&Type::Double)
-        );
+        assert_eq!(Type::ptr_to(Type::Double).pointee(), Some(&Type::Double));
         assert_eq!(Type::Int.pointee(), None);
     }
 
@@ -460,8 +457,7 @@ mod tests {
     #[test]
     fn annotation_lookup() {
         let mut a = Annotation::default();
-        a.entries
-            .insert("skip".to_string(), AnnotValue::Flag(true));
+        a.entries.insert("skip".to_string(), AnnotValue::Flag(true));
         a.entries
             .insert("lp_iters".to_string(), AnnotValue::Ident("n".to_string()));
         assert!(a.flag("skip"));

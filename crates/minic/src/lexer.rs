@@ -465,9 +465,28 @@ mod tests {
         assert_eq!(
             kinds("+ += ++ - -= -- * *= / /= % = == != < <= > >= && || !"),
             vec![
-                Plus, PlusAssign, PlusPlus, Minus, MinusAssign, MinusMinus, Star, StarAssign,
-                Slash, SlashAssign, Percent, Assign, EqEq, NotEq, Lt, Le, Gt, Ge, AndAnd, OrOr,
-                Bang, Eof
+                Plus,
+                PlusAssign,
+                PlusPlus,
+                Minus,
+                MinusAssign,
+                MinusMinus,
+                Star,
+                StarAssign,
+                Slash,
+                SlashAssign,
+                Percent,
+                Assign,
+                EqEq,
+                NotEq,
+                Lt,
+                Le,
+                Gt,
+                Ge,
+                AndAnd,
+                OrOr,
+                Bang,
+                Eof
             ]
         );
     }

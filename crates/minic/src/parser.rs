@@ -33,11 +33,48 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting [`parse_program`] accepts. One level counts for
+/// each nested statement (block, branch, `else if`, loop body), each
+/// nested expression context (parenthesis, subscript, call argument,
+/// assignment right side, prefix operand) and each operator of a binary
+/// or postfix chain. A deeper source is refused with a [`ParseError`] at
+/// the first token past the limit, before the recursive descent here or
+/// a recursive pass over its AST can overflow the stack.
+pub const MAX_NESTING: usize = 256;
+
+/// Binary operators by precedence level, loosest first: the operands of
+/// a level's chain are expressions of the next level, or unary
+/// expressions below the last one. Every level associates to the left.
+const BINARY: [&[(TokenKind, BinOp)]; 6] = [
+    &[(TokenKind::OrOr, BinOp::Or)],
+    &[(TokenKind::AndAnd, BinOp::And)],
+    &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::NotEq, BinOp::Ne)],
+    &[
+        (TokenKind::Lt, BinOp::Lt),
+        (TokenKind::Le, BinOp::Le),
+        (TokenKind::Gt, BinOp::Gt),
+        (TokenKind::Ge, BinOp::Ge),
+    ],
+    &[
+        (TokenKind::Plus, BinOp::Add),
+        (TokenKind::Minus, BinOp::Sub),
+    ],
+    &[
+        (TokenKind::Star, BinOp::Mul),
+        (TokenKind::Slash, BinOp::Div),
+        (TokenKind::Percent, BinOp::Mod),
+    ],
+];
+
 /// Parse a MiniC translation unit (no type checking; see
 /// [`crate::sema::analyze`]).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
@@ -77,9 +114,7 @@ pub fn parse_annotation(text: &str, span: Span) -> Result<Annotation, ParseError
             _ => {
                 if let Ok(n) = value.parse::<f64>() {
                     AnnotValue::Num(n)
-                } else if value
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_')
+                } else if value.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
                     && value
                         .chars()
                         .next()
@@ -99,6 +134,8 @@ pub fn parse_annotation(text: &str, span: Span) -> Result<Annotation, ParseError
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the current token, at most [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -144,6 +181,28 @@ impl Parser {
             span: self.peek().span,
             msg: msg.to_string(),
         }
+    }
+
+    /// Enter one more nesting level, refused past [`MAX_NESTING`] at the
+    /// current token. An error ends the parse, so only a level that
+    /// closes normally restores `depth`.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let t = parse(self)?;
+        self.depth -= 1;
+        Ok(t)
     }
 
     fn at_type(&self) -> bool {
@@ -255,7 +314,12 @@ impl Parser {
         Ok(Block { stmts })
     }
 
+    /// A statement, one nesting level below its parent.
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_kind)
+    }
+
+    fn stmt_kind(&mut self) -> Result<Stmt, ParseError> {
         // Annotations attach to the following statement.
         if let TokenKind::Pragma(text) = self.peek_kind().clone() {
             let span = self.bump().span;
@@ -400,7 +464,7 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.logical_or()?;
+        let lhs = self.binary(0)?;
         let op = match self.peek_kind() {
             TokenKind::Assign => Some(AssignOp::Set),
             TokenKind::PlusAssign => Some(AssignOp::Add),
@@ -417,7 +481,7 @@ impl Parser {
                     msg: "assignment target is not an lvalue".to_string(),
                 });
             }
-            let value = self.assignment()?; // right associative
+            let value = self.nested(Self::assignment)?; // right associative
             return Ok(Expr::new(
                 ExprKind::Assign {
                     op,
@@ -430,50 +494,19 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.logical_and()?;
-        while *self.peek_kind() == TokenKind::OrOr {
+    /// A left-associative chain of the operators of precedence `level`
+    /// (an index into [`BINARY`]); each operator is one nesting level.
+    fn binary(&mut self, level: usize) -> Result<Expr, ParseError> {
+        let operand = |p: &mut Self| match level + 1 {
+            next if next < BINARY.len() => p.binary(next),
+            _ => p.unary(),
+        };
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(&(_, op)) = BINARY[level].iter().find(|(t, _)| t == self.peek_kind()) {
+            self.descend()?;
             let span = self.bump().span;
-            let rhs = self.logical_and()?;
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::Or,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while *self.peek_kind() == TokenKind::AndAnd {
-            let span = self.bump().span;
-            let rhs = self.equality()?;
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::And,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            let span = self.bump().span;
-            let rhs = self.relational()?;
+            let rhs = operand(self)?;
             lhs = Expr::new(
                 ExprKind::Binary {
                     op,
@@ -483,75 +516,7 @@ impl Parser {
                 span,
             );
         }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            let span = self.bump().span;
-            let rhs = self.additive()?;
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let span = self.bump().span;
-            let rhs = self.multiplicative()?;
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
-            let span = self.bump().span;
-            let rhs = self.unary()?;
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -560,7 +525,7 @@ impl Parser {
         match self.peek_kind() {
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 Ok(Expr::new(
                     ExprKind::Unary {
                         op: UnOp::Neg,
@@ -571,7 +536,7 @@ impl Parser {
             }
             TokenKind::Bang => {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 Ok(Expr::new(
                     ExprKind::Unary {
                         op: UnOp::Not,
@@ -583,7 +548,7 @@ impl Parser {
             TokenKind::PlusPlus | TokenKind::MinusMinus => {
                 let increment = *self.peek_kind() == TokenKind::PlusPlus;
                 self.bump();
-                let target = self.unary()?;
+                let target = self.nested(Self::unary)?;
                 if !target.is_lvalue() {
                     return Err(ParseError {
                         span,
@@ -609,7 +574,7 @@ impl Parser {
                 self.bump();
                 let ty = self.ty()?;
                 self.expect(TokenKind::RParen)?;
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 Ok(Expr::new(
                     ExprKind::Cast {
                         ty,
@@ -622,14 +587,18 @@ impl Parser {
         }
     }
 
+    /// A primary expression and its chain of postfix operators; each
+    /// operator is one nesting level.
     fn postfix(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut e = self.primary()?;
         loop {
             let span = self.peek().span;
             match self.peek_kind() {
                 TokenKind::LBracket => {
+                    self.descend()?;
                     self.bump();
-                    let index = self.expr()?;
+                    let index = self.nested(Self::expr)?;
                     self.expect(TokenKind::RBracket)?;
                     e = Expr::new(
                         ExprKind::Index {
@@ -641,6 +610,7 @@ impl Parser {
                 }
                 TokenKind::PlusPlus | TokenKind::MinusMinus => {
                     let increment = *self.peek_kind() == TokenKind::PlusPlus;
+                    self.descend()?;
                     self.bump();
                     if !e.is_lvalue() {
                         return Err(ParseError {
@@ -660,6 +630,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -680,7 +651,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !self.eat(TokenKind::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if !self.eat(TokenKind::Comma) {
                                 break;
                             }
@@ -694,7 +665,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -743,6 +714,52 @@ mod tests {
             panic!()
         };
         assert_eq!(*op, BinOp::And);
+    }
+
+    /// `e` as `(op@column lhs rhs)`, variables by name.
+    fn shape(e: &Expr) -> String {
+        match &e.kind {
+            ExprKind::Binary { op, lhs, rhs } => {
+                format!("({op:?}@{} {} {})", e.span.col, shape(lhs), shape(rhs))
+            }
+            ExprKind::Var(v) => v.clone(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_operators_nest_by_precedence_and_associate_left() {
+        use BinOp::*;
+        // loosest level first
+        let levels: [&[(&str, BinOp)]; 6] = [
+            &[("||", Or)],
+            &[("&&", And)],
+            &[("==", Eq), ("!=", Ne)],
+            &[("<", Lt), ("<=", Le), (">", Gt), (">=", Ge)],
+            &[("+", Add), ("-", Sub)],
+            &[("*", Mul), ("/", Div), ("%", Mod)],
+        ];
+        let ops = || (0..levels.len()).flat_map(|l| levels[l].iter().map(move |&o| (l, o)));
+        for (lx, (x, opx)) in ops() {
+            for (ly, (y, opy)) in ops() {
+                let prefix = "void f() { a ";
+                let src = format!("{prefix}{x} b {y} c; }}");
+                let (cx, cy) = (prefix.len() + 1, prefix.len() + x.len() + 4);
+                // `a x b y c` groups to the right only when `y` binds
+                // tighter; within one level it groups to the left
+                let want = if lx < ly {
+                    format!("({opx:?}@{cx} a ({opy:?}@{cy} b c))")
+                } else {
+                    format!("({opy:?}@{cy} ({opx:?}@{cx} a b) c)")
+                };
+                let p = parse(&src);
+                let StmtKind::Expr(e) = &p.function("f").unwrap().body.stmts[0].kind else {
+                    panic!("{src}")
+                };
+                assert_eq!(shape(e), want, "{src}");
+                assert_eq!(e.span.line, 1);
+            }
+        }
     }
 
     #[test]

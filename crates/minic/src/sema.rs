@@ -249,13 +249,10 @@ impl Sema {
         let ty = match &mut e.kind {
             ExprKind::IntLit(_) => Type::Int,
             ExprKind::FloatLit(_) => Type::Double,
-            ExprKind::Var(name) => self
-                .lookup(name)
-                .cloned()
-                .ok_or_else(|| SemaError {
-                    span,
-                    msg: format!("use of undeclared variable `{name}`"),
-                })?,
+            ExprKind::Var(name) => self.lookup(name).cloned().ok_or_else(|| SemaError {
+                span,
+                msg: format!("use of undeclared variable `{name}`"),
+            })?,
             ExprKind::Assign { op, target, value } => {
                 self.check_expr(target)?;
                 self.check_expr(value)?;
@@ -323,14 +320,10 @@ impl Sema {
             ExprKind::Index { base, index } => {
                 self.check_expr(base)?;
                 self.check_expr(index)?;
-                let elem = base
-                    .ty
-                    .pointee()
-                    .cloned()
-                    .ok_or_else(|| SemaError {
-                        span,
-                        msg: format!("cannot index value of type {}", base.ty),
-                    })?;
+                let elem = base.ty.pointee().cloned().ok_or_else(|| SemaError {
+                    span,
+                    msg: format!("cannot index value of type {}", base.ty),
+                })?;
                 coerce(index, &Type::Int)?;
                 elem
             }

@@ -299,7 +299,7 @@ impl<'a> Codegen<'a> {
 
     // ---- register pool ----
 
-    fn alloc_int(&mut self) -> Result<Reg, CompileError> {
+    pub(crate) fn alloc_int(&mut self) -> Result<Reg, CompileError> {
         let Some(r) = self.int_free.pop() else {
             self.exhausted = Some(Pool::Int);
             return Err(CompileError::msg(format!(
@@ -314,7 +314,7 @@ impl<'a> Codegen<'a> {
         Ok(r)
     }
 
-    fn alloc_fp(&mut self) -> Result<XReg, CompileError> {
+    pub(crate) fn alloc_fp(&mut self) -> Result<XReg, CompileError> {
         let Some(r) = self.fp_free.pop() else {
             self.exhausted = Some(Pool::Fp);
             return Err(CompileError::msg(format!(
@@ -1477,14 +1477,6 @@ impl<'a> Codegen<'a> {
         }
         self.asm.emit(Inst::Unpcklpd(x, x));
         Ok(x)
-    }
-
-    pub(crate) fn alloc_int_pub(&mut self) -> Result<Reg, CompileError> {
-        self.alloc_int()
-    }
-
-    pub(crate) fn alloc_fp_pub(&mut self) -> Result<XReg, CompileError> {
-        self.alloc_fp()
     }
 
     /// Whether `name` lives in a frame slot (no register home) — a read

@@ -5,6 +5,7 @@
 //! the compiler transformations that make binary-level instruction counts
 //! differ from naive source-level ones.
 
+use crate::regalloc::has_side_effects;
 use mira_minic::{BinOp, Expr, ExprKind, Program, Stmt, StmtKind, Type, UnOp};
 
 /// Fold constants across a whole program, in place.
@@ -202,25 +203,13 @@ fn fold_identities(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<ExprKind> {
         {
             // only safe when the discarded side has no side effects
             let side = if as_int(lhs) == Some(0) { rhs } else { lhs };
-            if is_pure(side) {
-                Some(ExprKind::IntLit(0))
-            } else {
+            if has_side_effects(side) {
                 None
+            } else {
+                Some(ExprKind::IntLit(0))
             }
         }
         _ => None,
-    }
-}
-
-fn is_pure(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::Var(_) => true,
-        ExprKind::Binary { lhs, rhs, .. } => is_pure(lhs) && is_pure(rhs),
-        ExprKind::Unary { operand, .. }
-        | ExprKind::Cast { operand, .. }
-        | ExprKind::ImplicitCast { operand, .. } => is_pure(operand),
-        ExprKind::Index { base, index } => is_pure(base) && is_pure(index),
-        ExprKind::Assign { .. } | ExprKind::Call { .. } | ExprKind::IncDec { .. } => false,
     }
 }
 

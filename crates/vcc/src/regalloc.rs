@@ -352,7 +352,9 @@ impl Walker {
 /// codegen to decide when a borrowed home register must be copied to a
 /// temporary before evaluating a sibling expression (the spill codegen
 /// captured such values implicitly by loading them; register homes are
-/// read at use time, so ordering hazards must be pinned explicitly).
+/// read at use time, so ordering hazards must be pinned explicitly), and
+/// by constant folding, which drops the other side of an integer `* 0`
+/// only when it has none.
 pub(crate) fn has_side_effects(e: &Expr) -> bool {
     match &e.kind {
         ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::Var(_) => false,

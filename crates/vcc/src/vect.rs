@@ -148,7 +148,7 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
     cg.asm.cur_line = header_line;
     {
         let iv = cg.load_int_var(ivar)?;
-        let rl = cg.alloc_int_pub()?;
+        let rl = cg.alloc_int()?;
         cg.asm.emit(Inst::Load(rl, Mem::base_disp(RBP, slot_lim)));
         cg.asm.emit(Inst::CmpRR(cg.value_ireg(iv), rl));
         cg.free(iv);
@@ -166,7 +166,7 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
         if *op == AssignOp::Set {
             cg.asm.emit(Inst::MovupdStore(mem, x.reg));
         } else {
-            let cur = cg.alloc_fp_pub()?;
+            let cur = cg.alloc_fp()?;
             cg.asm.emit(Inst::MovupdLoad(cur, mem));
             emit_packed_op(cg, assign_bin(*op), cur, x.reg);
             cg.asm.emit(Inst::MovupdStore(mem, cur));
@@ -206,7 +206,7 @@ pub fn try_vectorize(cg: &mut Codegen, s: &Stmt) -> Result<Option<()>, CompileEr
     cg.asm.cur_line = header_line;
     {
         let iv = cg.load_int_var(ivar)?;
-        let rb2 = cg.alloc_int_pub()?;
+        let rb2 = cg.alloc_int()?;
         cg.asm
             .emit(Inst::Load(rb2, Mem::base_disp(RBP, slot_bound)));
         cg.asm.emit(Inst::CmpRR(cg.value_ireg(iv), rb2));
@@ -288,9 +288,9 @@ impl Hoisted {
             if cg.fp_free_len() <= HOIST_RESERVE {
                 break;
             }
-            let rt = cg.alloc_int_pub()?;
+            let rt = cg.alloc_int()?;
             cg.asm.emit(Inst::MovRI(rt, bits as i64));
-            let x = cg.alloc_fp_pub()?;
+            let x = cg.alloc_fp()?;
             cg.asm.emit(Inst::MovqXR(x, rt));
             cg.asm.emit(Inst::Unpcklpd(x, x)); // broadcast
             cg.free(Value::I(rt));
@@ -410,9 +410,9 @@ fn gen_packed(
                     owned: false,
                 });
             }
-            let rt = cg.alloc_int_pub()?;
+            let rt = cg.alloc_int()?;
             cg.asm.emit(Inst::MovRI(rt, v.to_bits() as i64));
-            let x = cg.alloc_fp_pub()?;
+            let x = cg.alloc_fp()?;
             cg.asm.emit(Inst::MovqXR(x, rt));
             cg.asm.emit(Inst::Unpcklpd(x, x)); // broadcast
             cg.free(Value::I(rt));
@@ -441,7 +441,7 @@ fn gen_packed(
             };
             let av = hoisted.base_value(cg, arr)?;
             let iv = cg.load_int_var(ivar)?;
-            let x = cg.alloc_fp_pub()?;
+            let x = cg.alloc_fp()?;
             let mem = Mem::base_index(cg.value_ireg(av), cg.value_ireg(iv), 8, 0);
             cg.asm.emit(Inst::MovupdLoad(x, mem));
             cg.free(av);
@@ -458,7 +458,7 @@ fn gen_packed(
             let a = if a.owned {
                 a
             } else {
-                let t = cg.alloc_fp_pub()?;
+                let t = cg.alloc_fp()?;
                 cg.asm.emit(Inst::MovapdXX(t, a.reg));
                 PackedVal {
                     reg: t,

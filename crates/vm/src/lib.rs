@@ -977,37 +977,12 @@ impl Vm {
 
     /// Tuning aid for the µop fusion table (`uop`): execution-weighted
     /// counts of adjacent instruction pairs inside retired block bodies,
-    /// most frequent first. Pairs involving a terminator are skipped —
-    /// they can never fuse. `bench_vm --pairs` (in `mira-bench`) prints
-    /// this for the three benchmark workloads; it is how the fusion table
-    /// was re-measured after `mira-vcc` grew a register allocator.
+    /// by [`Inst::name`], most frequent first. Pairs involving a
+    /// terminator are skipped — they can never fuse. `bench_vm --pairs`
+    /// (in `mira-bench`) prints this for the three benchmark workloads;
+    /// it is how the fusion table was re-measured after `mira-vcc` grew a
+    /// register allocator.
     pub fn pair_profile(&self) -> Vec<((&'static str, &'static str), u64)> {
-        fn kind(i: &Inst) -> &'static str {
-            use Inst::*;
-            match i {
-                MovRR(..) => "MovRR",
-                MovRI(..) => "MovRI",
-                Load(..) => "Load",
-                Store(..) => "Store",
-                Lea(..) => "Lea",
-                MovsdXX(..) => "MovsdXX",
-                MovsdLoad(..) => "MovsdLoad",
-                MovsdStore(..) => "MovsdStore",
-                MovupdLoad(..) => "MovupdLoad",
-                MovupdStore(..) => "MovupdStore",
-                MovqXR(..) => "MovqXR",
-                MovqRX(..) => "MovqRX",
-                AddRR(..) => "AddRR",
-                AddRI(..) => "AddRI",
-                SubRR(..) => "SubRR",
-                SubRI(..) => "SubRI",
-                ImulRR(..) => "ImulRR",
-                ImulRI(..) => "ImulRI",
-                CmpRR(..) => "CmpRR",
-                CmpRI(..) => "CmpRI",
-                other => other.mnemonic(),
-            }
-        }
         let mut counts: std::collections::HashMap<(&'static str, &'static str), u64> =
             std::collections::HashMap::new();
         for (b, &n) in self.n_exec.iter().enumerate() {
@@ -1020,7 +995,7 @@ impl Vm {
                 if w[0].is_terminator() || w[1].is_terminator() {
                     continue;
                 }
-                *counts.entry((kind(&w[0]), kind(&w[1]))).or_default() += n;
+                *counts.entry((w[0].name(), w[1].name())).or_default() += n;
             }
         }
         let mut v: Vec<_> = counts.into_iter().collect();

@@ -700,14 +700,14 @@ double dot(int n, double* x, double* y) {
     let top: Vec<&(&str, &str)> = pairs.iter().take(3).map(|(p, _)| p).collect();
     assert!(
         top.iter()
-            .any(|(a, b)| a.contains("Load") || b.contains("mulsd") || b.contains("addsd")),
+            .any(|(a, b)| a.contains("Load") || *b == "Mulsd" || *b == "Addsd"),
         "unexpected top pairs: {top:?}"
     );
     // no pair may involve a block terminator
     for ((a, b), _) in &pairs {
         for k in [a, b] {
             assert!(
-                !matches!(*k, "jmp" | "jcc" | "call" | "ret" | "halt"),
+                !matches!(*k, "Jmp" | "Jcc" | "Call" | "Ret" | "Halt"),
                 "{k}"
             );
         }

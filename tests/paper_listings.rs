@@ -1,52 +1,66 @@
 //! The paper's Listings 1-6 as executable tests, via the full pipeline.
 
+use mira_arch::CategoryCounts;
 use mira_core::{analyze_source, MiraOptions};
 use mira_sym::bindings;
+use mira_vcc::Options;
 use mira_vm::Vm;
 
-fn count_via(src: &str, binds: &[(&str, i128)]) -> (i64, i128, i128) {
-    // returns (vm result, static IntArith-ish FPI proxy: we use total, dynamic total)
-    let analysis = analyze_source(src, &MiraOptions::default()).unwrap();
+/// Analyze and run `f()` of `src` under `compiler`: its return value,
+/// the model's counts and the VM's inclusive counts.
+fn count_via(src: &str, compiler: Options) -> (i64, CategoryCounts, CategoryCounts) {
+    let options = MiraOptions {
+        compiler,
+        ..MiraOptions::default()
+    };
+    let analysis = analyze_source(src, &options).unwrap();
     let mut vm = Vm::new(&analysis.object).unwrap();
     vm.call("f", &[]).unwrap();
-    let result = vm.int_return();
-    let report = analysis.report("f", &bindings(binds)).unwrap();
-    let prof = vm.profile();
-    let dynamic = prof.function("f").unwrap().inclusive.total();
-    (result, report.total(), dynamic)
+    let report = analysis.report("f", &bindings(&[])).unwrap();
+    let dynamic = vm.profile().function("f").unwrap().inclusive.clone();
+    (vm.int_return(), report.counts, dynamic)
+}
+
+/// `f()` returns `result`, and the static counts equal the VM's in every
+/// category under the default, vectorized and spill-everything compilers.
+fn assert_exact(src: &str, result: i64) {
+    for compiler in [
+        Options::default(),
+        Options::vectorized(),
+        Options::spill_everything(),
+    ] {
+        let (got, statics, dynamic) = count_via(src, compiler);
+        assert_eq!(got, result, "{compiler:?}");
+        assert_eq!(statics, dynamic, "{compiler:?}");
+    }
 }
 
 #[test]
 fn listing1_basic_loop() {
     let src = "int f() {\n    int acc = 0;\n    for (int i = 0; i < 10; i++) {\n        acc = acc + 1;\n    }\n    return acc;\n}";
-    let (result, statict, dynamic) = count_via(src, &[]);
+    let (result, statics, dynamic) = count_via(src, Options::default());
     assert_eq!(result, 10);
-    assert_eq!(statict, dynamic);
+    assert_eq!(statics.total(), dynamic.total());
 }
 
 #[test]
 fn listing2_nested_dependent() {
     let src = "int f() {\n    int acc = 0;\n    for (int i = 1; i <= 4; i++) {\n        for (int j = i + 1; j <= 6; j++) {\n            acc = acc + 1;\n        }\n    }\n    return acc;\n}";
-    let (result, statict, dynamic) = count_via(src, &[]);
+    let (result, statics, dynamic) = count_via(src, Options::default());
     assert_eq!(result, 14);
-    assert_eq!(statict, dynamic);
+    assert_eq!(statics.total(), dynamic.total());
 }
 
 #[test]
 fn listing4_branch_in_loop() {
     let src = "int f() {\n    int acc = 0;\n    for (int i = 1; i <= 4; i++) {\n        for (int j = i + 1; j <= 6; j++) {\n            if (j > 4) {\n                acc = acc + 1;\n            }\n        }\n    }\n    return acc;\n}";
-    let (result, statict, dynamic) = count_via(src, &[]);
-    assert_eq!(result, 8);
-    // one jump-over-else per untaken branch is the documented approximation
-    let diff = (statict - dynamic).abs();
-    assert!(diff <= 14, "diff {diff}");
+    assert_exact(src, 8);
 }
 
 #[test]
 fn listing5_modulo_branch() {
     let src = "int f() {\n    int acc = 0;\n    for (int i = 1; i <= 4; i++) {\n        for (int j = i + 1; j <= 6; j++) {\n            if (j % 4 != 0) {\n                acc = acc + 1;\n            }\n        }\n    }\n    return acc;\n}";
-    let (result, _statict, _dynamic) = count_via(src, &[]);
-    assert_eq!(result, 11);
+    assert_exact(src, 11);
 }
 
 #[test]
