@@ -7,6 +7,7 @@
 use crate::bridge::LineMap;
 use crate::scop::{analyze_condition, extract_for_scop, Condition, LoopScope};
 use mira_arch::Category;
+use mira_isa::Inst;
 use mira_minic::{
     AnnotValue, Annotation, Expr, ExprKind, Program, Stmt, StmtKind,
 };
@@ -297,14 +298,32 @@ impl<'a> FuncGen<'a> {
     /// Accumulate all non-overhead instructions of `line` at the context
     /// count (idempotent: first claimant wins).
     fn acc_line(&mut self, line: u32, ctx: &Ctx) -> Result<(), MetricsError> {
+        self.acc_line_but_else_jump(line, ctx, false).map(drop)
+    }
+
+    /// [`Self::acc_line`], holding back the jump over an `else` branch
+    /// when `has_else`: the then-block's closing `jmp` carries the `if`
+    /// line, but runs on the then path only. It is the line's last
+    /// instruction, and is returned for the caller to charge at the
+    /// then-context.
+    fn acc_line_but_else_jump(
+        &mut self,
+        line: u32,
+        ctx: &Ctx,
+        has_else: bool,
+    ) -> Result<Option<BinInst>, MetricsError> {
         if !self.consumed.insert(line) {
-            return Ok(());
+            return Ok(None);
         }
         let ranges = self.overhead_ranges();
-        let insts = self.linemap.on_line_outside(line, &ranges);
+        let mut insts = self.linemap.on_line_outside(line, &ranges);
+        let jump = match insts.last() {
+            Some(i) if has_else && matches!(i.inst, Inst::Jmp(_)) => insts.pop(),
+            _ => None,
+        };
         let count = ctx.count()?;
         self.acc_insts(line, &insts, &count);
-        Ok(())
+        Ok(jump)
     }
 
     /// Record call-composition ops for every call inside an expression.
@@ -382,10 +401,14 @@ impl<'a> FuncGen<'a> {
                 then_branch,
                 else_branch,
             } => {
-                self.acc_line(line, ctx)?;
+                let jump = self.acc_line_but_else_jump(line, ctx, else_branch.is_some())?;
                 self.collect_calls(cond, line, ctx)?;
                 let (then_ctx, else_ctx) =
                     self.branch_contexts(cond, s.annotation.as_ref(), line, ctx);
+                if let Some(j) = jump {
+                    let count = then_ctx.count()?;
+                    self.acc_insts(line, &[j], &count);
+                }
                 self.walk_stmt(then_branch, &then_ctx)?;
                 if let Some(e) = else_branch {
                     self.walk_stmt(e, &else_ctx)?;

@@ -155,10 +155,11 @@ int count() {
     }
 }
 
-/// Analyze and run `count()` of `src` under the default, vectorized and
-/// spill-everything compilers: it returns `result`, and the model's counts
-/// equal the VM's in every category.
-fn assert_listing_exact(src: &str, result: i64) {
+/// Analyze `src` under the default, vectorized and spill-everything
+/// compilers and run `count` on each of `calls` (arguments, the model's
+/// bindings for them, the expected return value): every call returns its
+/// value, and the model's counts equal the VM's in every category.
+fn assert_listing_exact(src: &str, calls: &[(Vec<HostVal>, Bindings, i64)]) {
     for compiler in [
         mira_vcc::Options::default(),
         mira_vcc::Options::vectorized(),
@@ -170,18 +171,20 @@ fn assert_listing_exact(src: &str, result: i64) {
         };
         let analysis = analyze_source(src, &opts).unwrap();
         assert!(analysis.warnings.is_empty(), "{:?}", analysis.warnings);
-        let mut vm = Vm::new(&analysis.object).unwrap();
-        vm.call("count", &[]).unwrap();
-        assert_eq!(vm.int_return(), result);
-        let report = analysis.report("count", &bindings(&[])).unwrap();
-        let prof = vm.profile();
-        let dynamic = &prof.function("count").unwrap().inclusive;
-        for cat in Category::ALL {
-            assert_eq!(
-                report.counts.get(cat),
-                dynamic.get(cat),
-                "category {cat} under {compiler:?}"
-            );
+        for (args, binds, result) in calls {
+            let mut vm = Vm::new(&analysis.object).unwrap();
+            vm.call("count", args).unwrap();
+            assert_eq!(vm.int_return(), *result, "{args:?}");
+            let report = analysis.report("count", binds).unwrap();
+            let prof = vm.profile();
+            let dynamic = &prof.function("count").unwrap().inclusive;
+            for cat in Category::ALL {
+                assert_eq!(
+                    report.counts.get(cat),
+                    dynamic.get(cat),
+                    "category {cat} under {compiler:?} at {args:?}"
+                );
+            }
         }
     }
 }
@@ -202,7 +205,7 @@ int count() {
     return acc;
 }
 "#;
-    assert_listing_exact(src, 8);
+    assert_listing_exact(src, &[(vec![], bindings(&[]), 8)]);
 }
 
 #[test]
@@ -221,7 +224,38 @@ int count() {
 }
 "#;
     // 14 - 3 holes (Fig. 4(c))
-    assert_listing_exact(src, 11);
+    assert_listing_exact(src, &[(vec![], bindings(&[]), 11)]);
+}
+
+/// An if/else in a loop: the then-block ends in a jump over the else
+/// that carries the `if` line but runs on the then path only, so it is
+/// charged at the then-context. Charged with the rest of the `if` line,
+/// at the loop, it overcounted `int_control_transfer` by the else
+/// path's executions (7 against the VM's 6 at n = 1).
+#[test]
+fn if_else_jump_is_charged_on_the_then_path() {
+    let src = r#"
+int count(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        if (i > 3) {
+            acc = acc + 2;
+        } else {
+            acc = acc - 1;
+        }
+    }
+    return acc;
+}
+"#;
+    let calls: Vec<_> = [1i64, 2, 5, 8, 13]
+        .into_iter()
+        .map(|n| {
+            let then_runs = (n - 4).max(0);
+            let result = 2 * then_runs - (n - then_runs);
+            (vec![HostVal::Int(n)], bindings(&[("n", n as i128)]), result)
+        })
+        .collect();
+    assert_listing_exact(src, &calls);
 }
 
 #[test]

@@ -38,7 +38,7 @@
 
 use mira_core::scop::{extract_for_scop, LoopScope};
 use mira_minic::{AnnotValue, Annotation, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, UnOp};
-use mira_sym::{Bindings, EvalError, Rat, SymExpr};
+use mira_sym::{AtomTable, Bindings, EvalError, Rat, SymExpr};
 use std::collections::BTreeMap;
 
 /// Every VX86 array element (double or 64-bit int) is 8 bytes wide.
@@ -618,21 +618,35 @@ impl NestShape {
         cap_bytes: u64,
         ws: &[i128],
         ext: &[Rat],
+        lines: impl FnMut(GroupExpr) -> Result<i128, EvalError>,
+    ) -> Result<BoundaryTraffic, EvalError> {
+        Self::traffic_of(&self.groups, self.line_bytes, cap_bytes, ws, ext, lines)
+    }
+
+    /// [`NestShape::traffic`] over any group list: [`NestModel`] selects
+    /// regimes over its own groups, without building a shape per query.
+    fn traffic_of(
+        groups: &[impl GroupFacts],
+        line_bytes: u32,
+        cap_bytes: u64,
+        ws: &[i128],
+        ext: &[Rat],
         mut lines: impl FnMut(GroupExpr) -> Result<i128, EvalError>,
     ) -> Result<BoundaryTraffic, EvalError> {
-        let cap_lines = (cap_bytes / self.line_bytes.max(1) as u64) as i128;
+        let cap_lines = (cap_bytes / line_bytes.max(1) as u64) as i128;
         // halves round up, floor(x + 1/2), matching `SymExpr::eval_count`
         let round = |r: Rat| -> Result<i128, EvalError> {
             r.round_count().ok_or(EvalError::Overflow)
         };
         let mut t = BoundaryTraffic::default();
-        for (gi, g) in self.groups.iter().enumerate() {
-            let depth = g.path.len();
+        for (gi, g) in groups.iter().enumerate() {
+            let (path, depends, union_capture_level, gather, gather_refs) = g.facts();
+            let depth = path.len();
             // the capture level: the outermost nest level whose
             // one-iteration working set fits above the boundary
             let mut fit = depth + 1;
             for l in 1..=depth {
-                if ws[g.path[l - 1]] <= cap_lines {
+                if ws[path[l - 1]] <= cap_lines {
                     fit = l;
                     break;
                 }
@@ -646,13 +660,13 @@ impl NestShape {
             // and no outer level multiplies. Gather ranges are bounds,
             // not sweeps — one deeper iteration touches a single line of
             // the range — so the prefix shortcut does not apply to them.
-            let d = g.depends.iter().take_while(|dep| !**dep).count();
+            let d = depends.iter().take_while(|dep| !**dep).count();
             let mut mult = Rat::ONE;
             for j in 0..depth {
-                if g.depends[j] {
+                if depends[j] {
                     continue;
                 }
-                let needed = if g.gather {
+                let needed = if gather {
                     j + 1
                 } else if j < d {
                     d
@@ -661,11 +675,11 @@ impl NestShape {
                 };
                 if fit > needed {
                     mult = mult
-                        .checked_mul(ext[g.path[j]])
+                        .checked_mul(ext[path[j]])
                         .ok_or(EvalError::Overflow)?;
                 }
             }
-            let union = fit <= g.union_capture_level;
+            let union = fit <= union_capture_level;
             let mut scaled = |stored: bool| -> Result<i128, EvalError> {
                 let q = GroupExpr {
                     group: gi,
@@ -680,11 +694,11 @@ impl NestShape {
             };
             let mut fills = scaled(false)?;
             let mut wbs = scaled(true)?;
-            if g.gather {
+            if gather {
                 // each access fills at most one line and dirties at most
                 // one line, however small the bounded range
                 let mut iters = Rat::ONE;
-                for &p in &g.path {
+                for &p in path {
                     iters = iters.checked_mul(ext[p]).ok_or(EvalError::Overflow)?;
                 }
                 let cap_at = |count: i64| -> Result<i128, EvalError> {
@@ -694,13 +708,43 @@ impl NestShape {
                             .ok_or(EvalError::Overflow)?,
                     )
                 };
-                fills = fills.min(cap_at(g.gather_refs.0)?);
-                wbs = wbs.min(cap_at(g.gather_refs.1)?);
+                fills = fills.min(cap_at(gather_refs.0)?);
+                wbs = wbs.min(cap_at(gather_refs.1)?);
             }
             t.fill_lines += fills;
             t.writeback_lines += wbs;
         }
         Ok(t)
+    }
+}
+
+/// What [`NestShape::traffic`] reads of a group: its structure, never
+/// its closed forms.
+trait GroupFacts {
+    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64));
+}
+
+impl GroupFacts for GroupShape {
+    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64)) {
+        (
+            &self.path,
+            &self.depends,
+            self.union_capture_level,
+            self.gather,
+            self.gather_refs,
+        )
+    }
+}
+
+impl GroupFacts for NestGroup {
+    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64)) {
+        (
+            &self.path,
+            &self.depends,
+            self.union_capture_level,
+            self.gather,
+            self.gather_refs,
+        )
     }
 }
 
@@ -751,23 +795,28 @@ impl NestModel {
     /// streaming. The regime selection itself lives in
     /// [`NestShape::traffic`]; this wrapper supplies the tree-walk
     /// evaluator.
-    pub fn boundary_traffic(
-        &self,
+    ///
+    /// Atoms are valued through `t`: a placement shares one table across
+    /// its forms.
+    pub fn boundary_traffic<'a>(
+        &'a self,
         cap_bytes: u64,
         b: &Bindings,
+        t: &mut AtomTable<'a>,
     ) -> Result<BoundaryTraffic, EvalError> {
         let mut ws = Vec::with_capacity(self.nodes.len());
         let mut ext = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
-            ws.push(n.ws_lines.eval_count(b)?);
+            ws.push(n.ws_lines.eval_count_in(b, t)?);
             // extents stay rational: a triangular loop's average extent
             // is a half-integer, and only the final per-group product is
             // rounded (the product over a full path is always integral)
-            let e = n.extent.eval(b)?;
+            let e = n.extent.eval_in(b, t)?;
             ext.push(if e < Rat::ZERO { Rat::ZERO } else { e });
         }
-        self.shape()
-            .traffic(cap_bytes, &ws, &ext, |q| self.group_expr(q).eval_count(b))
+        NestShape::traffic_of(&self.groups, self.line_bytes, cap_bytes, &ws, &ext, |q| {
+            self.group_expr(q).eval_count_in(b, t)
+        })
     }
 }
 
@@ -2651,13 +2700,13 @@ mod tests {
         // fits — every array moves compulsory lines only
         let nm = nest(MM_SRC, "mm");
         let b = bindings(&[("n", 40), ("reps", 1)]);
-        let t = nm.boundary_traffic(32 * 1024, &b).unwrap();
+        let t = nm.boundary_traffic(32 * 1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 600, "compulsory fills only");
         assert_eq!(t.writeback_lines, 200, "c written back once");
         // a 1 KiB cache captures only the k-level working set: b is
         // re-swept once per i iteration (n × 200 lines), a and c stay
         // compulsory (their rows stream monotonically)
-        let t = nm.boundary_traffic(1024, &b).unwrap();
+        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 200 + 200 + 40 * 200);
         assert_eq!(t.writeback_lines, 200);
     }
@@ -2676,12 +2725,12 @@ mod tests {
         let b = bindings(&[("n", 20000), ("reps", 2)]);
         // 3 × 2500 lines per sweep; the per-rep working set exceeds the
         // cap, so each rep re-fills every array and re-evicts a dirty
-        let t = nm.boundary_traffic(256 * 1024, &b).unwrap();
+        let t = nm.boundary_traffic(256 * 1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 3 * 2500 * 2);
         assert_eq!(t.writeback_lines, 2500 * 2);
         // a cache that holds the whole 480000-byte footprint captures
         // the rep-carried reuse: compulsory only
-        let t = nm.boundary_traffic(1 << 20, &b).unwrap();
+        let t = nm.boundary_traffic(1 << 20, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 3 * 2500);
         assert_eq!(t.writeback_lines, 2500);
     }
@@ -2707,11 +2756,11 @@ mod tests {
         let out_lines = go.lines.eval_count(&b).unwrap();
         assert!(sum_lines > union_lines, "{sum_lines} vs {union_lines}");
         // captured (one i iteration = 4 rows = 32 lines fit): union
-        let t = nm.boundary_traffic(8 * 1024, &b).unwrap();
+        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, union_lines + out_lines);
         assert_eq!(t.writeback_lines, out_lines);
         // uncaptured (rows no longer fit): the three offsets re-fill
-        let t = nm.boundary_traffic(1024, &b).unwrap();
+        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, sum_lines + out_lines);
     }
 
@@ -2758,7 +2807,7 @@ mod tests {
         assert_eq!(nm.nodes[0].extent.eval_count(&b).unwrap(), 64);
         let g = &nm.groups[0];
         assert_eq!(g.array, "x", "formal p maps to actual x");
-        let t = nm.boundary_traffic(64, &b).unwrap();
+        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 8);
         assert_eq!(t.writeback_lines, 8);
         // a repetition loop around the call multiplies uncaptured traffic
@@ -2772,11 +2821,11 @@ mod tests {
         let nm = am.nest_model("f", 64).expect("call under a loop splices");
         let b = bindings(&[("n", 512), ("reps", 10)]);
         // 512 doubles = 64 lines; captured: compulsory once
-        let t = nm.boundary_traffic(8 * 1024, &b).unwrap();
+        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 64);
         assert_eq!(t.writeback_lines, 64);
         // uncaptured: every rep re-fills and re-dirties the sweep
-        let t = nm.boundary_traffic(1024, &b).unwrap();
+        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 640);
         assert_eq!(t.writeback_lines, 640);
     }
@@ -2800,11 +2849,11 @@ mod tests {
         let avg = nm.nodes[1].extent.eval(&b).unwrap();
         assert_eq!(avg, Rat::new(63, 2), "average of 0..=63");
         // captured at 8 KiB (a = 8 lines fits): compulsory only
-        let t = nm.boundary_traffic(8 * 1024, &b).unwrap();
+        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 8);
         assert_eq!(t.writeback_lines, 8);
         // nothing fits: each of the n·(n-1)/2 = 2016 sweeps re-fills
-        let t = nm.boundary_traffic(64, &b).unwrap();
+        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 2016 * 8);
         assert_eq!(t.writeback_lines, 2016 * 8);
         // tiled bounds cancel to a constant extent and stay modelable
@@ -2834,7 +2883,7 @@ mod tests {
             "edge",
         );
         let b = bindings(&[("n", 1024)]);
-        let t = nm.boundary_traffic(64, &b).unwrap();
+        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
         assert_eq!(t.fill_lines, 2);
         assert_eq!(t.writeback_lines, 2);
     }

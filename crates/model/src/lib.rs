@@ -15,7 +15,7 @@
 pub mod python;
 
 use mira_arch::{ArchDescription, Category, CategoryCounts};
-use mira_sym::{Bindings, EvalError, Rat, SymExpr};
+use mira_sym::{AtomTable, Bindings, EvalError, Rat, SymExpr};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -127,15 +127,25 @@ fn acc_scaled(acc: i128, sub: i128, k: i128) -> Result<i128, ModelError> {
 /// reached deeper refuses with [`ModelError::TooDeep`].
 const MAX_CALL_DEPTH: u32 = 64;
 
+/// How many of the current function's latest distinct counts a new
+/// count is compared with before it is evaluated. The ops of one
+/// statement are adjacent and share their count, so the window catches
+/// nearly every repeat; a count it misses is evaluated again, which the
+/// atom table makes cheap (its atoms are valued already). Scanning every
+/// earlier count was quadratic in the function's length, and on long
+/// functions cost more than the evaluations it saved.
+const COUNT_SCAN: usize = 8;
+
 /// One [`Model::eval`]. A count is a pure function of its expression and
 /// the bindings, and a callee's composed totals of its name, so each is
 /// computed once and then reused:
 ///
+/// * `atoms` values each distinct atom of every count once per report
+///   ([`AtomTable`]).
 /// * `counts` holds the `(expression, value)` pairs of the functions on
 ///   the current call path, each function's from the length the list had
-///   when it started. The ops of one statement share their execution
-///   count, and equal expressions compare far cheaper than they
-///   evaluate, so a linear scan pays.
+///   when it started. A count equal (`==`) to one of the last
+///   [`COUNT_SCAN`] of its function reuses that value.
 /// * `callees` holds each callee's totals (counts, bytes, FLOPs; no
 ///   per-line maps) with the depth they were computed at. A call site
 ///   reuses them only when it is no deeper: evaluating the callee there
@@ -147,6 +157,7 @@ const MAX_CALL_DEPTH: u32 = 64;
 struct Eval<'a> {
     model: &'a Model,
     bindings: &'a Bindings,
+    atoms: AtomTable<'a>,
     counts: Vec<(&'a SymExpr, i128)>,
     callees: Vec<(&'a str, u32, Report)>,
 }
@@ -248,14 +259,15 @@ impl<'a> Eval<'a> {
         Ok(report)
     }
 
-    /// The value of `count`, evaluated only if the current function
-    /// (whose pairs start at `base`) has not evaluated an equal one.
+    /// The value of `count`, evaluated only if none of the current
+    /// function's (whose pairs start at `base`) last [`COUNT_SCAN`]
+    /// counts equals it.
     fn count(&mut self, base: usize, count: &'a SymExpr) -> Result<i128, ModelError> {
-        // the ops of one statement are adjacent: scan the latest first
-        if let Some(&(_, v)) = self.counts[base..].iter().rev().find(|(e, _)| *e == count) {
+        let from = base.max(self.counts.len().saturating_sub(COUNT_SCAN));
+        if let Some(&(_, v)) = self.counts[from..].iter().rev().find(|(e, _)| *e == count) {
             return Ok(v);
         }
-        let v = in_i64(count.eval_count(self.bindings)?)?;
+        let v = in_i64(count.eval_count_in(self.bindings, &mut self.atoms)?)?;
         self.counts.push((count, v));
         Ok(v)
     }
@@ -398,20 +410,25 @@ impl Model {
     /// silently wrapping — the same contract the emitted Python enforces
     /// through its `_chk_i64` helper.
     ///
-    /// Each distinct closed form is evaluated once per call: within one
-    /// function, an op whose count (or call multiplier) equals an
-    /// earlier op's reuses its value, and each callee's composed totals
-    /// are computed once and folded in at every later call site that
-    /// reaches it no deeper. The report, and which refusal comes first,
-    /// are those of evaluating every op in order.
+    /// Each distinct atom is valued once per call, through one
+    /// [`AtomTable`]; an op whose count (or call multiplier) equals one
+    /// of the function's latest counts reuses its value; and each
+    /// callee's composed totals are computed once and folded in at every
+    /// later call site that reaches it no deeper. The report, and which
+    /// refusal comes first, are those of evaluating every op in order.
+    /// The probe counter `sym.atoms_valued` adds the report's atom
+    /// valuations.
     pub fn eval(&self, func: &str, bindings: &Bindings) -> Result<Report, ModelError> {
-        Eval {
+        let mut eval = Eval {
             model: self,
             bindings,
+            atoms: AtomTable::new(),
             counts: Vec::new(),
             callees: Vec::new(),
-        }
-        .function(func, 0, true)
+        };
+        let report = eval.function(func, 0, true);
+        mira_probe::add("sym.atoms_valued", eval.atoms.valued() as i64);
+        report
     }
 
     /// Parametric FPI expression for one function (no evaluation) — the

@@ -88,7 +88,7 @@ use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
 use mira_mem::{BoundaryTraffic, MemStats};
 use mira_model::ModelError;
-use mira_sym::{Bindings, EvalError, Rat, SymExpr};
+use mira_sym::{AtomTable, Bindings, EvalError, Rat, SymExpr};
 use std::fmt;
 
 /// One memory-hierarchy boundary a roofline ceiling caps.
@@ -213,7 +213,11 @@ impl fmt::Display for Placement {
         write!(
             f,
             "{}-bound under the {} roof (compute {:.0} | l1 {:.0} | l2 {:.0} | dram {:.0} cycles)",
-            if self.memory_bound() { "memory" } else { "compute" },
+            if self.memory_bound() {
+                "memory"
+            } else {
+                "compute"
+            },
             self.binding,
             self.compute_cycles,
             self.mem_cycles[0],
@@ -299,19 +303,19 @@ impl CeilingFactors {
 
 /// The static roofline model of one function: closed-form FLOPs, data
 /// bytes and footprints, ready to be placed at any parameter binding.
+///
+/// The closed forms are read through accessors: [`KernelRoofline::analyze`]
+/// also splits the five a placement reads ([`PlacementSplits`]) once,
+/// and nothing may change a form under its stored split.
 #[derive(Clone, Debug)]
 pub struct KernelRoofline {
     pub func: String,
-    /// Packed-aware FLOPs per call.
-    pub flops: SymExpr,
-    /// Heap-data bytes per call (frame/spill traffic excluded).
-    pub data_load_bytes: SymExpr,
-    pub data_store_bytes: SymExpr,
-    /// Distinct cache lines touched (all analyzed arrays).
-    pub footprint_lines: SymExpr,
-    /// Distinct lines of *stored* arrays — each eventually crosses every
-    /// boundary again as a write-back.
-    pub stored_lines: SymExpr,
+    flops: SymExpr,
+    data_load_bytes: SymExpr,
+    data_store_bytes: SymExpr,
+    footprint_lines: SymExpr,
+    stored_lines: SymExpr,
+    splits: PlacementSplits,
     /// Every array was analyzable (annotations included): the footprint
     /// is a true total, not a lower bound over the analyzed subset.
     pub footprint_known: bool,
@@ -323,6 +327,24 @@ pub struct KernelRoofline {
     /// of the function's own body. `None` falls back to the
     /// whole-footprint fits-or-streams regime choice.
     pub nest_model: Option<mira_mem::NestModel>,
+}
+
+/// The five closed forms [`place_with`] reads of a kernel, each split
+/// once, at analysis, into its [`ScaledForm`]. The tree walk evaluates
+/// them and `mira-serve` compiles them, so neither rebuilds or re-splits
+/// a form per query or per compilation.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct PlacementSplits {
+    /// [`KernelRoofline::flops`].
+    pub flops: ScaledForm,
+    /// [`KernelRoofline::footprint_lines`].
+    pub footprint_lines: ScaledForm,
+    /// [`KernelRoofline::data_bytes`].
+    pub data_bytes: ScaledForm,
+    /// [`KernelRoofline::resident_lines`].
+    pub resident_lines: ScaledForm,
+    /// [`KernelRoofline::streaming_bytes`].
+    pub streaming_bytes: ScaledForm,
 }
 
 /// Where one parameter value sits relative to a regime change.
@@ -396,17 +418,58 @@ impl KernelRoofline {
                 stored = stored.add_expr(&a.lines_expr(line));
             }
         }
-        Ok(KernelRoofline {
+        let mut kr = KernelRoofline {
             func: func.to_string(),
             flops,
             data_load_bytes: model.data_load_bytes_expr(func)?,
             data_store_bytes: model.data_store_bytes_expr(func)?,
             footprint_lines: fp.total_lines_expr(line),
             stored_lines: stored,
+            splits: PlacementSplits::default(),
             footprint_known: fp.unknown.is_empty(),
             vectorized,
             nest_model: access.nest_model(func, line),
-        })
+        };
+        // split with the methods that state each form, once all exist
+        kr.splits = PlacementSplits {
+            flops: ScaledForm::split(&kr.flops),
+            footprint_lines: ScaledForm::split(&kr.footprint_lines),
+            data_bytes: ScaledForm::split(&kr.data_bytes()),
+            resident_lines: ScaledForm::split(&kr.resident_lines()),
+            streaming_bytes: ScaledForm::split(&kr.streaming_bytes()),
+        };
+        Ok(kr)
+    }
+
+    /// Packed-aware FLOPs per call.
+    pub fn flops(&self) -> &SymExpr {
+        &self.flops
+    }
+
+    /// Heap-data bytes loaded per call (frame/spill traffic excluded).
+    pub fn data_load_bytes(&self) -> &SymExpr {
+        &self.data_load_bytes
+    }
+
+    /// Heap-data bytes stored per call.
+    pub fn data_store_bytes(&self) -> &SymExpr {
+        &self.data_store_bytes
+    }
+
+    /// Distinct cache lines touched (all analyzed arrays).
+    pub fn footprint_lines(&self) -> &SymExpr {
+        &self.footprint_lines
+    }
+
+    /// Distinct lines of *stored* arrays — each eventually crosses every
+    /// boundary again as a write-back.
+    pub fn stored_lines(&self) -> &SymExpr {
+        &self.stored_lines
+    }
+
+    /// The placement forms, split once at analysis.
+    pub fn splits(&self) -> &PlacementSplits {
+        &self.splits
     }
 
     /// Total data bytes per call, as a closed form.
@@ -442,7 +505,8 @@ impl KernelRoofline {
 
     /// The compute ceiling in cycles: `FLOPs / peak`.
     pub fn compute_cycles_expr(&self, c: &Ceilings) -> SymExpr {
-        self.flops.scale(Rat::new(1, c.peak(self.vectorized) as i128))
+        self.flops
+            .scale(Rat::new(1, c.peak(self.vectorized) as i128))
     }
 
     /// The L1 ceiling in cycles: every data byte crosses the core↔L1
@@ -482,13 +546,12 @@ impl KernelRoofline {
     pub fn place(&self, c: &Ceilings, b: &Bindings) -> Result<Placement, EvalError> {
         let _a = mira_probe::accum("roofline.place");
         let roof = CeilingFactors::new(c);
-        let mut forms = TreeWalk { kr: self, b };
+        let mut forms = TreeWalk::new(self, b);
         // placement evaluates closed forms over untrusted bindings; the
         // budget scope bounds evaluation depth and work, refusing with a
         // typed error instead of overflowing the host stack
-        match mira_sym::budget::with_default_budget(|| {
-            place_with(&roof, self.shape(), &mut forms)
-        }) {
+        match mira_sym::budget::with_default_budget(|| place_with(&roof, self.shape(), &mut forms))
+        {
             Ok(r) => r,
             Err(e) => Err(EvalError::Budget(e)),
         }
@@ -661,6 +724,16 @@ pub struct ScaledForm {
     pub primitive: SymExpr,
 }
 
+/// The zero form, as [`ScaledForm::split`] leaves it.
+impl Default for ScaledForm {
+    fn default() -> ScaledForm {
+        ScaledForm {
+            content: Rat::ONE,
+            primitive: SymExpr::zero(),
+        }
+    }
+}
+
 impl ScaledForm {
     /// Split `e`. A form whose content does not fit the coefficient range
     /// stays whole (content 1).
@@ -696,10 +769,11 @@ impl ScaledForm {
         }
     }
 
-    /// The form's value: the primitive's, times the content.
-    pub fn eval(&self, b: &Bindings) -> Result<Rat, EvalError> {
+    /// The form's value: the primitive's, its atoms valued through `t`,
+    /// times the content.
+    pub fn eval<'a>(&'a self, b: &Bindings, t: &mut AtomTable<'a>) -> Result<Rat, EvalError> {
         self.primitive
-            .eval(b)?
+            .eval_in(b, t)?
             .checked_mul(self.content)
             .ok_or(EvalError::Overflow)
     }
@@ -721,38 +795,56 @@ fn gcd(a: u128, b: u128) -> u128 {
     a
 }
 
-/// The tree-walk evaluator: every form is its closed form, split and
-/// evaluated directly.
+/// The tree-walk evaluator: every form is its stored split, evaluated
+/// directly, all through one atom table per placement.
 struct TreeWalk<'a> {
     kr: &'a KernelRoofline,
     b: &'a Bindings,
+    atoms: AtomTable<'a>,
+}
+
+impl<'a> TreeWalk<'a> {
+    fn new(kr: &'a KernelRoofline, b: &'a Bindings) -> TreeWalk<'a> {
+        TreeWalk {
+            kr,
+            b,
+            atoms: AtomTable::new(),
+        }
+    }
+
+    fn eval(
+        &mut self,
+        form: impl FnOnce(&'a PlacementSplits) -> &'a ScaledForm,
+    ) -> Result<Rat, EvalError> {
+        form(&self.kr.splits).eval(self.b, &mut self.atoms)
+    }
 }
 
 impl PlacementForms for TreeWalk<'_> {
     fn flops(&mut self) -> Result<Rat, EvalError> {
-        ScaledForm::split(&self.kr.flops).eval(self.b)
+        self.eval(|s| &s.flops)
     }
 
     fn footprint_lines(&mut self) -> Result<i128, EvalError> {
-        let lines = ScaledForm::split(&self.kr.footprint_lines).eval(self.b)?;
+        let lines = self.eval(|s| &s.footprint_lines)?;
         lines.round_count().ok_or(EvalError::Overflow)
     }
 
     fn data_bytes(&mut self) -> Result<Rat, EvalError> {
-        ScaledForm::split(&self.kr.data_bytes()).eval(self.b)
+        self.eval(|s| &s.data_bytes)
     }
 
     fn resident_lines(&mut self) -> Result<Rat, EvalError> {
-        ScaledForm::split(&self.kr.resident_lines()).eval(self.b)
+        self.eval(|s| &s.resident_lines)
     }
 
     fn streaming_bytes(&mut self) -> Result<Rat, EvalError> {
-        ScaledForm::split(&self.kr.streaming_bytes()).eval(self.b)
+        self.eval(|s| &s.streaming_bytes)
     }
 
     fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError> {
         match &self.kr.nest_model {
-            Some(nest) => nest.boundary_traffic(cap_bytes, self.b),
+            Some(nest) => nest.boundary_traffic(cap_bytes, self.b, &mut self.atoms),
             None => Ok(BoundaryTraffic::default()),
         }
     }
@@ -820,7 +912,8 @@ mod tests {
     use mira_core::{analyze_source, MiraOptions};
     use mira_sym::bindings;
 
-    const TRIAD: &str = "void triad(int n, int reps, double* a, double* b, double* c, double s) {\n\
+    const TRIAD: &str =
+        "void triad(int n, int reps, double* a, double* b, double* c, double s) {\n\
          for (int r = 0; r < reps; r++) {\n\
            for (int i = 0; i < n; i++) {\n\
              a[i] = b[i] + s * c[i];\n\
@@ -926,11 +1019,11 @@ mod tests {
         assert!(k.footprint_known);
         // 2 FLOPs and 24 data bytes per element per rep
         let b = bindings(&[("n", 1000), ("reps", 4)]);
-        assert_eq!(k.flops.eval_count(&b).unwrap(), 8000);
+        assert_eq!(k.flops().eval_count(&b).unwrap(), 8000);
         assert_eq!(k.data_bytes().eval_count(&b).unwrap(), 96_000);
         // footprint: 3 arrays × 125 lines; only `a` is stored
-        assert_eq!(k.footprint_lines.eval_count(&b).unwrap(), 375);
-        assert_eq!(k.stored_lines.eval_count(&b).unwrap(), 125);
+        assert_eq!(k.footprint_lines().eval_count(&b).unwrap(), 375);
+        assert_eq!(k.stored_lines().eval_count(&b).unwrap(), 125);
         // ceilings at the default machine
         let p = k.place(&c, &b).unwrap();
         assert_eq!(p.compute_cycles, 4000.0);
@@ -943,8 +1036,8 @@ mod tests {
         // loads cross once, stores twice (fill + write-back)
         let b = bindings(&[("n", 1_000_000), ("reps", 4)]);
         let p = k.place(&c, &b).unwrap();
-        let sweep = (k.data_load_bytes.eval_count(&b).unwrap()
-            + 2 * k.data_store_bytes.eval_count(&b).unwrap()) as f64;
+        let sweep = (k.data_load_bytes().eval_count(&b).unwrap()
+            + 2 * k.data_store_bytes().eval_count(&b).unwrap()) as f64;
         assert_eq!(p.mem_cycles[1], sweep / 16.0);
         assert_eq!(p.mem_cycles[2], sweep / 4.0);
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::Dram));
@@ -958,17 +1051,22 @@ mod tests {
         let e = n.scale(Rat::int(6)).add_expr(&m.scale(Rat::int(-4)));
         let f = ScaledForm::split(&e);
         assert_eq!(f.content, Rat::int(2));
-        assert_eq!(f.primitive, n.scale(Rat::int(3)).sub_expr(&m.scale(Rat::int(2))));
-        assert_eq!(f.eval(&b), e.eval(&b));
-        let e = n.scale(Rat::new(1, 2)).add_expr(&n.mul_expr(&n).scale(Rat::new(2, 3)));
+        assert_eq!(
+            f.primitive,
+            n.scale(Rat::int(3)).sub_expr(&m.scale(Rat::int(2)))
+        );
+        assert_eq!(f.eval(&b, &mut AtomTable::new()), e.eval(&b));
+        let e = n
+            .scale(Rat::new(1, 2))
+            .add_expr(&n.mul_expr(&n).scale(Rat::new(2, 3)));
         let f = ScaledForm::split(&e);
         assert_eq!(f.content, Rat::new(1, 6));
-        assert_eq!(f.eval(&b), e.eval(&b));
+        assert_eq!(f.eval(&b, &mut AtomTable::new()), e.eval(&b));
         assert_eq!(ScaledForm::split(&SymExpr::zero()).content, Rat::ONE);
         // proportional forms share their primitive: triad's FLOPs and
         // data bytes differ by a constant factor
         let (k, _) = triad_model(false);
-        let (flops, data) = (ScaledForm::split(&k.flops), ScaledForm::split(&k.data_bytes()));
+        let (flops, data) = (&k.splits().flops, &k.splits().data_bytes);
         assert_eq!(flops.primitive, data.primitive);
         assert_eq!((flops.content, data.content), (Rat::int(2), Rat::int(24)));
     }
@@ -1025,7 +1123,7 @@ mod tests {
         for (kr, n, calls, caps) in cases {
             let b = bindings(&[("n", n), ("reps", 4)]);
             let mut f = Counting {
-                inner: TreeWalk { kr, b: &b },
+                inner: TreeWalk::new(kr, &b),
                 calls: [0; 5],
                 caps: Vec::new(),
             };
@@ -1041,7 +1139,8 @@ mod tests {
         // an unannotated CSR gather: vals/cols/x are unanalyzable, so the
         // footprint is a lower bound — the deeper ceilings must use the
         // streaming model even though the *analyzed* lines would fit L1
-        let src = "void matvec(int n, int* row_ptr, int* cols, double* vals, double* x, double* y) {\n\
+        let src =
+            "void matvec(int n, int* row_ptr, int* cols, double* vals, double* x, double* y) {\n\
                for (int i = 0; i < n; i++) {\n\
                  double s = 0.0;\n\
                  for (int k = row_ptr[i]; k < row_ptr[i + 1]; k++) {\n\
@@ -1057,7 +1156,10 @@ mod tests {
         let p = k.place(&c, &b).unwrap();
         assert_eq!(
             p.mem_cycles[2],
-            k.streaming_cycles_expr(&c, MemLevel::Dram).eval(&b).unwrap().to_f64(),
+            k.streaming_cycles_expr(&c, MemLevel::Dram)
+                .eval(&b)
+                .unwrap()
+                .to_f64(),
             "unknown footprint ⇒ sweep, not compulsory-only: {p}"
         );
     }
@@ -1070,8 +1172,8 @@ mod tests {
         // same FLOPs, half the compute cycles
         let (ks, _) = triad_model(false);
         assert_eq!(
-            k.flops.eval_count(&b).unwrap(),
-            ks.flops.eval_count(&b).unwrap()
+            k.flops().eval_count(&b).unwrap(),
+            ks.flops().eval_count(&b).unwrap()
         );
         let pv = k.place(&c, &b).unwrap();
         let p = ks.place(&c, &b).unwrap();
@@ -1121,7 +1223,7 @@ mod tests {
         let k = KernelRoofline::analyze(&analysis, "mm").unwrap();
         assert!(k.nest_model.is_some(), "own affine nests only");
         let b = bindings(&[("n", 40), ("reps", 1)]);
-        let footprint = k.footprint_lines.eval_count(&b).unwrap();
+        let footprint = k.footprint_lines().eval_count(&b).unwrap();
         assert_eq!(footprint, 600);
         assert!(footprint * 64 > 32768, "exceeds L1 but …");
         let p = k.place(&c, &b).unwrap();
@@ -1132,7 +1234,11 @@ mod tests {
         assert_eq!(p.mem_cycles[2], 800.0 * 64.0 / 4.0);
         // the sweep model would have said 2.5·n³ cycles and bound the
         // kernel at L2; the refinement leaves it on the L1 knee
-        let sweep = k.streaming_cycles_expr(&c, MemLevel::L2).eval(&b).unwrap().to_f64();
+        let sweep = k
+            .streaming_cycles_expr(&c, MemLevel::L2)
+            .eval(&b)
+            .unwrap()
+            .to_f64();
         assert!(sweep > p.mem_cycles[0], "old model misclassified");
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::L1), "{p}");
     }

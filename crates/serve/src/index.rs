@@ -55,8 +55,7 @@ use mira_roofline::{
     crossover_bisect, place_with, CeilingFactors, Ceilings, Crossover, KernelRoofline, KernelShape,
     Placement, PlacementForms, ScaledForm,
 };
-use mira_sym::budget::{self, BudgetError};
-use mira_sym::{Bindings, EvalError, Rat, SymExpr};
+use mira_sym::{Bindings, EvalError, Rat};
 
 use crate::cache::{AnswerCache, Cells, FormCell};
 use crate::program::{CompileError, EvalProgram, OutId, ProgramBuilder, Scratch, SecId};
@@ -72,12 +71,10 @@ pub enum BuildError {
     /// The roofline analysis itself refused the function.
     Model(ModelError),
     /// The closed forms do not compile: they nest deeper than
-    /// [`budget::MAX_DEPTH`] (the tree walk refuses them on depth), they
+    /// [`mira_sym::budget::MAX_DEPTH`] (the tree walk refuses them on depth), they
     /// exceed the bytecode's address space, or the kernel needs more
     /// than [`MAX_QUERY_PARAMS`] parameters.
     Compile(CompileError),
-    /// Building the placement expressions tripped the analysis budget.
-    Budget(BudgetError),
     /// The index already holds an entry for this `(func, machine)` pair.
     /// [`ServeIndex::insert`] never shadows a live kernel — re-registering
     /// (what a machine-description hot-reload does) must go through
@@ -97,7 +94,6 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::Model(e) => write!(f, "roofline analysis refused: {e}"),
             BuildError::Compile(e) => write!(f, "placement forms not compilable: {e}"),
-            BuildError::Budget(e) => write!(f, "placement form construction refused: {e}"),
             BuildError::Duplicate { func, machine } => write!(
                 f,
                 "kernel `{func}` on machine `{machine}` is already registered \
@@ -227,16 +223,15 @@ struct Form {
     mandatory: Option<usize>,
 }
 
-/// Compile the primitive of `e` into its own section, appended to
+/// Compile the primitive of `f` into its own section, appended to
 /// `prefix` when the form is mandatory. Forms that differ by a constant
 /// factor share a primitive, so in a mandatory section the second one
 /// costs no ops (the builder's CSE reuses the register).
 fn form(
     b: &mut ProgramBuilder,
-    e: &SymExpr,
+    f: &ScaledForm,
     prefix: Option<&mut Vec<SecId>>,
 ) -> Result<Form, CompileError> {
-    let f = ScaledForm::split(e);
     let out = b.add_output(&f.primitive)?;
     let sec = b.seal_section(prefix.is_some());
     let mandatory = prefix.map(|p| {
@@ -258,37 +253,24 @@ impl PlacementProgram {
     pub fn compile(kr: &KernelRoofline) -> Result<PlacementProgram, BuildError> {
         let mut sp = probe::span("serve.compile", "serve");
         sp.arg("kernel", &kr.func);
-        // expression construction (add_expr / scale) charges the
-        // analysis budget; build under a scope so adversarial models
-        // refuse instead of degrading silently
-        match budget::with_default_budget(|| Self::compile_inner(kr)) {
-            Ok(Ok(p)) => {
-                sp.arg("ops", p.program.ops_len());
-                sp.arg("cse_hits", p.program.cse_hits());
-                probe::add("serve.cse_hits", p.program.cse_hits() as i64);
-                Ok(p)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(e) => Err(BuildError::Budget(e)),
-        }
-    }
-
-    fn compile_inner(kr: &KernelRoofline) -> Result<PlacementProgram, BuildError> {
         let mut b = ProgramBuilder::new();
+        // the forms as analysis split them: compilation builds no
+        // expression of its own
+        let forms = kr.splits();
         // mandatory prefix, in the loop's evaluation order: FLOPs,
         // footprint count (known-footprint kernels only), data bytes —
         // sealed as separate sections so refusals interleave with the
         // placement loop exactly where the tree walk raises them
         let mut prefix = Vec::with_capacity(3);
-        let flops = form(&mut b, &kr.flops, Some(&mut prefix))?;
+        let flops = form(&mut b, &forms.flops, Some(&mut prefix))?;
         let footprint = match kr.footprint_known {
-            true => Some(form(&mut b, &kr.footprint_lines, Some(&mut prefix))?),
+            true => Some(form(&mut b, &forms.footprint_lines, Some(&mut prefix))?),
             false => None,
         };
-        let data_bytes = form(&mut b, &kr.data_bytes(), Some(&mut prefix))?;
+        let data_bytes = form(&mut b, &forms.data_bytes, Some(&mut prefix))?;
         // the regime forms run lazily, at most once per placement
-        let resident = form(&mut b, &kr.resident_lines(), None)?;
-        let streaming = form(&mut b, &kr.streaming_bytes(), None)?;
+        let resident = form(&mut b, &forms.resident_lines, None)?;
+        let streaming = form(&mut b, &forms.streaming_bytes, None)?;
         let nest = match &kr.nest_model {
             Some(nm) => {
                 let mut ws_out = Vec::with_capacity(nm.nodes.len());
@@ -335,6 +317,9 @@ impl PlacementProgram {
         if program.params().len() > MAX_QUERY_PARAMS {
             return Err(BuildError::Compile(CompileError::TooLarge));
         }
+        sp.arg("ops", program.ops_len());
+        sp.arg("cse_hits", program.cse_hits());
+        probe::add("serve.cse_hits", program.cse_hits() as i64);
         Ok(PlacementProgram {
             id: NEXT_PROGRAM.fetch_add(1, Ordering::Relaxed),
             func: kr.func.clone(),

@@ -497,7 +497,8 @@ fn analysis_reads_nothing_outside_the_sharing_key() {
         assert_eq!(base.vectorized, moved.vectorized, "{func}");
         let widened = roofline(&wide, func, src);
         assert_ne!(
-            base.footprint_lines, widened.footprint_lines,
+            base.footprint_lines(),
+            widened.footprint_lines(),
             "{func}: the line size must reach the footprint"
         );
     }

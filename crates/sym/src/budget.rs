@@ -179,6 +179,13 @@ pub(crate) fn fuel_left() -> u64 {
     FUEL.with(|c| c.get())
 }
 
+/// The current recursion depth through composite atoms (counted from
+/// the innermost scope's start inside one, from zero outside any).
+#[inline]
+pub(crate) fn depth() -> u32 {
+    DEPTH.with(|d| d.get())
+}
+
 /// RAII guard for one level of recursion through composite atoms.
 pub(crate) struct DepthGuard;
 
@@ -251,7 +258,10 @@ mod tests {
         }
         let r = with_default_budget(|| e.substitute("n", &SymExpr::param("m")));
         assert!(
-            matches!(r, Err(BudgetError::DepthExceeded | BudgetError::FuelExhausted)),
+            matches!(
+                r,
+                Err(BudgetError::DepthExceeded | BudgetError::FuelExhausted)
+            ),
             "{r:?}"
         );
     }

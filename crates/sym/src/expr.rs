@@ -35,27 +35,26 @@ pub enum Atom {
 }
 
 impl Atom {
-    fn eval(&self, b: &Bindings) -> Result<i128, EvalError> {
+    /// The atom's value, its inner expression evaluated through `t`.
+    fn eval_in<'a>(&'a self, b: &Bindings, t: &mut AtomTable<'a>) -> Result<i128, EvalError> {
         match self {
             Atom::Param(name) => b
                 .get(&**name)
                 .copied()
                 .ok_or_else(|| EvalError::MissingParam(name.to_string())),
             Atom::FloorDiv(e, d) => {
-                let _g = budget::descend().ok_or(EvalError::Budget(
-                    budget::BudgetError::DepthExceeded,
-                ))?;
-                let v = e.eval(b)?;
+                let _g = budget::descend()
+                    .ok_or(EvalError::Budget(budget::BudgetError::DepthExceeded))?;
+                let v = e.eval_in(b, t)?;
                 let den = Rat::int(*d as i128);
                 v.checked_div(den)
                     .ok_or(EvalError::Overflow)
                     .map(|r| r.floor())
             }
             Atom::Clamp(e) => {
-                let _g = budget::descend().ok_or(EvalError::Budget(
-                    budget::BudgetError::DepthExceeded,
-                ))?;
-                let v = e.eval(b)?;
+                let _g = budget::descend()
+                    .ok_or(EvalError::Budget(budget::BudgetError::DepthExceeded))?;
+                let v = e.eval_in(b, t)?;
                 if v < Rat::ZERO {
                     Ok(0)
                 } else {
@@ -64,6 +63,81 @@ impl Atom {
                 }
             }
         }
+    }
+}
+
+/// The atom values of one evaluation context — one model report, one
+/// placement — under one set of bindings. [`SymExpr::eval_in`] values
+/// each distinct parameter, floor division and clamp it meets once and
+/// answers later visits (of the same atom or an equal one) from here.
+///
+/// Reuse never changes an answer. A value is the atom's under the
+/// bindings at any depth; only whether the walk to it trips the budget
+/// depends on where it runs. So a composite atom's value, computed at
+/// recursion depth `d`, is reused outside a budget scope, or inside one
+/// at a depth no deeper than `d` when it was computed inside a scope:
+/// the walk it saves would reach no deeper than the one that computed
+/// it, so it could not trip either. Anywhere else the atom is valued
+/// again, and a successful revaluation replaces the entry. Only values
+/// are kept: an atom that refuses is walked again at every visit, so
+/// which error comes first, and every budget trip, stay those of a walk
+/// without a table (`crates/sym/tests/atom_table.rs`). Bind the table
+/// to one set of bindings: its values are not checked against them.
+#[derive(Default)]
+pub struct AtomTable<'a> {
+    entries: Vec<Valued<'a>>,
+    valued: u64,
+}
+
+/// One table entry.
+struct Valued<'a> {
+    atom: &'a Atom,
+    value: i128,
+    /// [`budget::depth`] when it was computed.
+    depth: u32,
+    /// Computed inside a budget scope.
+    scoped: bool,
+}
+
+impl<'a> AtomTable<'a> {
+    pub fn new() -> AtomTable<'a> {
+        AtomTable::default()
+    }
+
+    /// Atom valuations so far: one per distinct atom, plus one per
+    /// revaluation the depth rule asked for or refusal walked again.
+    pub fn valued(&self) -> u64 {
+        self.valued
+    }
+
+    fn value(&mut self, atom: &'a Atom, b: &Bindings) -> Result<i128, EvalError> {
+        // an atom met again is most often the same one; equal atoms
+        // built apart compare structurally (their `Rc`s compare by
+        // address first)
+        let found = match self.entries.iter().position(|e| std::ptr::eq(e.atom, atom)) {
+            Some(i) => Some(i),
+            None => self.entries.iter().position(|e| e.atom == atom),
+        };
+        let (depth, scoped) = (budget::depth(), budget::active());
+        if let Some(i) = found {
+            let e = &self.entries[i];
+            if matches!(atom, Atom::Param(_)) || !scoped || (e.scoped && depth <= e.depth) {
+                return Ok(e.value);
+            }
+        }
+        self.valued += 1;
+        let value = atom.eval_in(b, self)?;
+        let entry = Valued {
+            atom,
+            value,
+            depth,
+            scoped,
+        };
+        match found {
+            Some(i) => self.entries[i] = entry,
+            None => self.entries.push(entry),
+        }
+        Ok(value)
     }
 }
 
@@ -506,15 +580,19 @@ impl SymExpr {
 
     /// Evaluate to an exact rational under the given bindings.
     pub fn eval(&self, b: &Bindings) -> Result<Rat, EvalError> {
+        self.eval_in(b, &mut AtomTable::new())
+    }
+
+    /// [`SymExpr::eval`], valuing atoms through `t`: the same value or
+    /// error, without walking an atom `t` already holds a value for.
+    pub fn eval_in<'a>(&'a self, b: &Bindings, t: &mut AtomTable<'a>) -> Result<Rat, EvalError> {
         let mut acc = Rat::ZERO;
-        for t in &self.terms {
-            let mut v = t.coeff;
-            for (atom, p) in &t.monomial {
-                let a = atom.eval(b)?;
+        for term in &self.terms {
+            let mut v = term.coeff;
+            for (atom, p) in &term.monomial {
+                let a = t.value(atom, b)?;
                 for _ in 0..*p {
-                    v = v
-                        .checked_mul(Rat::int(a))
-                        .ok_or(EvalError::Overflow)?;
+                    v = v.checked_mul(Rat::int(a)).ok_or(EvalError::Overflow)?;
                 }
             }
             acc = acc.checked_add(v).ok_or(EvalError::Overflow)?;
@@ -527,8 +605,17 @@ impl SymExpr {
     /// taken "30% of the time") can produce non-integers, which are rounded
     /// to the nearest integer.
     pub fn eval_count(&self, b: &Bindings) -> Result<i128, EvalError> {
+        self.eval_count_in(b, &mut AtomTable::new())
+    }
+
+    /// [`SymExpr::eval_count`], valuing atoms through `t`.
+    pub fn eval_count_in<'a>(
+        &'a self,
+        b: &Bindings,
+        t: &mut AtomTable<'a>,
+    ) -> Result<i128, EvalError> {
         // halves round up, floor(x + 1/2) (shared with every other counter)
-        self.eval(b)?.round_count().ok_or(EvalError::Overflow)
+        self.eval_in(b, t)?.round_count().ok_or(EvalError::Overflow)
     }
 
     /// Evaluate to an `i64` count, refusing with [`EvalError::Overflow`]
@@ -762,7 +849,9 @@ mod tests {
     #[test]
     fn substitute_param() {
         // n^2 with n := m + 2 → m^2 + 4m + 4
-        let e = n().pow(2).substitute("n", &(SymExpr::param("m") + SymExpr::constant(2)));
+        let e = n()
+            .pow(2)
+            .substitute("n", &(SymExpr::param("m") + SymExpr::constant(2)));
         assert_eq!(e.eval_count(&bindings(&[("m", 3)])).unwrap(), 25);
         assert!(e.params() == vec!["m".to_string()]);
     }
@@ -819,10 +908,7 @@ mod tests {
         assert_eq!(cs.len(), 3);
         assert_eq!(cs[0].as_int(), Some(5));
         assert_eq!(cs[1].as_int(), Some(2));
-        assert_eq!(
-            cs[2],
-            SymExpr::param("m").scale(Rat::int(3))
-        );
+        assert_eq!(cs[2], SymExpr::param("m").scale(Rat::int(3)));
     }
 
     #[test]

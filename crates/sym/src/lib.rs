@@ -30,7 +30,7 @@ pub mod python;
 pub mod rat;
 pub mod sum;
 
-pub use expr::{Atom, EvalError, SymExpr, Term};
+pub use expr::{Atom, AtomTable, EvalError, SymExpr, Term};
 pub use rat::Rat;
 
 use std::collections::BTreeMap;
@@ -40,10 +40,7 @@ pub type Bindings = BTreeMap<String, i128>;
 
 /// Convenience constructor for bindings: `bindings(&[("n", 100)])`.
 pub fn bindings(pairs: &[(&str, i128)]) -> Bindings {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), *v))
-        .collect()
+    pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
 }
 
 #[cfg(test)]

@@ -26,7 +26,10 @@ impl fmt::Display for SumError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SumError::NonPolynomial(v) => {
-                write!(f, "summand is not polynomial in `{v}` (occurs inside floor/clamp)")
+                write!(
+                    f,
+                    "summand is not polynomial in `{v}` (occurs inside floor/clamp)"
+                )
             }
             SumError::BoundDependsOnVar(v) => {
                 write!(f, "summation bound depends on the summation variable `{v}`")
@@ -66,17 +69,12 @@ pub fn power_sum_poly(k: u32) -> Vec<Rat> {
         for (j, sj) in cache.iter().enumerate() {
             let c = Rat::int(binomial(kk + 1, j as u32));
             for (i, v) in sj.iter().enumerate() {
-                rhs[i] = rhs[i]
-                    .checked_sub(c.checked_mul(*v).unwrap())
-                    .unwrap();
+                rhs[i] = rhs[i].checked_sub(c.checked_mul(*v).unwrap()).unwrap();
             }
         }
         // divide by C(kk+1, kk) = kk+1
         let d = Rat::int((kk + 1) as i128);
-        let sk: Vec<Rat> = rhs
-            .into_iter()
-            .map(|c| c.checked_div(d).unwrap())
-            .collect();
+        let sk: Vec<Rat> = rhs.into_iter().map(|c| c.checked_div(d).unwrap()).collect();
         cache.push(sk);
     }
     cache.pop().unwrap()
@@ -247,11 +245,21 @@ mod tests {
     fn avg_over_rejects_quadratic_and_floor() {
         let v = SymExpr::param("v");
         assert!(matches!(
-            avg_over(&v.clone().pow(2), "v", &SymExpr::constant(0), &SymExpr::param("n")),
+            avg_over(
+                &v.clone().pow(2),
+                "v",
+                &SymExpr::constant(0),
+                &SymExpr::param("n")
+            ),
             Err(SumError::NonPolynomial(_))
         ));
         assert!(matches!(
-            avg_over(&v.clone().floor_div(2), "v", &SymExpr::constant(0), &SymExpr::param("n")),
+            avg_over(
+                &v.clone().floor_div(2),
+                "v",
+                &SymExpr::constant(0),
+                &SymExpr::param("n")
+            ),
             Err(SumError::NonPolynomial(_))
         ));
         assert!(matches!(
@@ -279,10 +287,7 @@ mod tests {
         // Σ_{v=1}^{n} m = m*n
         let e = SymExpr::param("m");
         let s = sum_over(&e, "v", &SymExpr::constant(1), &SymExpr::param("n")).unwrap();
-        assert_eq!(
-            s,
-            SymExpr::param("m") * SymExpr::param("n")
-        );
+        assert_eq!(s, SymExpr::param("m") * SymExpr::param("n"));
     }
 
     proptest! {

@@ -72,7 +72,7 @@ fn row(workload: &str, analysis: &Analysis, func: &str, shape: Shape) -> RoofRow
     let static_p = kernel
         .place(&ceilings, &binds)
         .expect("placement evaluates");
-    let flops = kernel.flops.eval_count(&binds).expect("flops evaluate");
+    let flops = kernel.flops().eval_count(&binds).expect("flops evaluate");
     RoofRow {
         workload: workload.to_string(),
         function: func.to_string(),
@@ -83,7 +83,7 @@ fn row(workload: &str, analysis: &Analysis, func: &str, shape: Shape) -> RoofRow
             .expect("bytes evaluate"),
         dynamic_data_bytes: stats.data_bytes(),
         footprint_lines: kernel
-            .footprint_lines
+            .footprint_lines()
             .eval_count(&binds)
             .expect("footprint evaluates"),
         static_p,

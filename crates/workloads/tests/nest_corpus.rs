@@ -18,7 +18,7 @@
 
 use mira_arch::{ArchDescription, CacheLevel};
 use mira_core::{analyze_source, MiraOptions};
-use mira_sym::Bindings;
+use mira_sym::{AtomTable, Bindings};
 use mira_vm::{HostVal, Vm, VmOptions};
 use proptest::test_runner::ProptestConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,7 +205,7 @@ fn check_case(case: &Case, asserted: &AtomicUsize) {
         if footprint * LINE as i128 <= cap_bytes as i128 {
             (footprint, stored) // fully resident: compulsory only
         } else {
-            let t = nm.boundary_traffic(cap_bytes as u64, &b).unwrap();
+            let t = nm.boundary_traffic(cap_bytes as u64, &b, &mut AtomTable::new()).unwrap();
             (t.fill_lines, t.writeback_lines)
         }
     };

@@ -71,8 +71,8 @@ proptest! {
 
         // the roofline inputs are allocation-invariant closed forms …
         prop_assert_eq!(
-            k_on.flops.eval_count(&b).unwrap(),
-            k_off.flops.eval_count(&b).unwrap(),
+            k_on.flops().eval_count(&b).unwrap(),
+            k_off.flops().eval_count(&b).unwrap(),
             "FLOPs differ for {}", func
         );
         prop_assert_eq!(
@@ -81,8 +81,8 @@ proptest! {
             "data bytes differ for {}", func
         );
         prop_assert_eq!(
-            k_on.footprint_lines.eval_count(&b).unwrap(),
-            k_off.footprint_lines.eval_count(&b).unwrap(),
+            k_on.footprint_lines().eval_count(&b).unwrap(),
+            k_off.footprint_lines().eval_count(&b).unwrap(),
             "footprints differ for {}", func
         );
 
@@ -138,7 +138,7 @@ fn dynamic_classification_invariant_under_regalloc() {
         vm.mem_stats().unwrap()
     };
     let kernel = KernelRoofline::analyze(&on, "triad").unwrap();
-    let flops = kernel.flops.eval_count(&b).unwrap();
+    let flops = kernel.flops().eval_count(&b).unwrap();
     let p_on = dynamic_placement(flops, &run(&on), &c, false);
     let p_off = dynamic_placement(flops, &run(&off), &c, false);
     assert_eq!(p_on.binding, p_off.binding, "{p_on} vs {p_off}");

@@ -36,7 +36,7 @@ fn main() {
     let kernel = KernelRoofline::analyze(&triad, "triad").unwrap();
     let b = bindings(&[("n", 1024), ("reps", 20)]);
     println!("triad closed forms at n = 1024, reps = 20:");
-    println!("  FLOPs      = {}", kernel.flops.eval_count(&b).unwrap());
+    println!("  FLOPs      = {}", kernel.flops().eval_count(&b).unwrap());
     println!("  data bytes = {}", kernel.data_bytes().eval_count(&b).unwrap());
     println!(
         "  compute ceiling = {} cycles, L1 ceiling = {} cycles",
@@ -63,7 +63,7 @@ fn main() {
     }
     println!(
         "\n(cold compulsory DRAM traffic is O(n²): {} lines at n = {}; compute is O(n³))",
-        k.footprint_lines
+        k.footprint_lines()
             .eval_count(&bindings(&[("n", x.value), ("reps", 1)]))
             .unwrap(),
         x.value,
