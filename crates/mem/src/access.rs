@@ -37,7 +37,9 @@
 //!   guarded references.
 
 use mira_core::scop::{extract_for_scop, LoopScope};
-use mira_minic::{AnnotValue, Annotation, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, UnOp};
+use mira_minic::{
+    AnnotValue, Annotation, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, UnOp,
+};
 use mira_sym::{AtomTable, Bindings, EvalError, Rat, SymExpr};
 use std::collections::BTreeMap;
 
@@ -635,9 +637,8 @@ impl NestShape {
     ) -> Result<BoundaryTraffic, EvalError> {
         let cap_lines = (cap_bytes / line_bytes.max(1) as u64) as i128;
         // halves round up, floor(x + 1/2), matching `SymExpr::eval_count`
-        let round = |r: Rat| -> Result<i128, EvalError> {
-            r.round_count().ok_or(EvalError::Overflow)
-        };
+        let round =
+            |r: Rat| -> Result<i128, EvalError> { r.round_count().ok_or(EvalError::Overflow) };
         let mut t = BoundaryTraffic::default();
         for (gi, g) in groups.iter().enumerate() {
             let (path, depends, union_capture_level, gather, gather_refs) = g.facts();
@@ -674,9 +675,7 @@ impl NestShape {
                     j + 1
                 };
                 if fit > needed {
-                    mult = mult
-                        .checked_mul(ext[path[j]])
-                        .ok_or(EvalError::Overflow)?;
+                    mult = mult.checked_mul(ext[path[j]]).ok_or(EvalError::Overflow)?;
                 }
             }
             let union = fit <= union_capture_level;
@@ -918,7 +917,8 @@ impl AccessModel {
         // A budget trip during working-set construction refuses the nest
         // model (None), which callers already treat as "fall back to the
         // fits-or-streams sweep" — the PR 5 refusal pattern.
-        let built = mira_sym::budget::with_default_budget(|| self.nest_model_inner(func, line_bytes));
+        let built =
+            mira_sym::budget::with_default_budget(|| self.nest_model_inner(func, line_bytes));
         if built.is_err() {
             sp.arg("refused", "budget");
             mira_probe::add("mem.nest_refusals", 1);
@@ -1083,7 +1083,9 @@ impl AccessModel {
             }
             let (alo, ahi) = (&nodes_b[a].lo, &nodes_b[a].hi);
             let rectangular = |e: &SymExpr| {
-                e.params().iter().all(|p| !var_node.contains_key(p.as_str()))
+                e.params()
+                    .iter()
+                    .all(|p| !var_node.contains_key(p.as_str()))
             };
             if !rectangular(alo) || !rectangular(ahi) {
                 return None;
@@ -1114,10 +1116,8 @@ impl AccessModel {
         // recompute every affine reference's pinned-range ladder over the
         // (possibly spliced) forest, pinning consumed ancestors at their
         // last iteration
-        let hi_pin: std::collections::BTreeSet<String> = consumed
-            .iter()
-            .map(|&a| nodes_b[a].var.clone())
-            .collect();
+        let hi_pin: std::collections::BTreeSet<String> =
+            consumed.iter().map(|&a| nodes_b[a].var.clone()).collect();
         for r in refs.iter_mut() {
             if !r.gather {
                 r.ranges = ref_ladder(&nodes_b, &r.path, &r.idx, &hi_pin)?;
@@ -1173,7 +1173,9 @@ impl AccessModel {
         }
         let mut groups = Vec::with_capacity(by_group.len());
         for ((array, path, _), grefs) in by_group {
-            groups.push(Self::build_group(&nodes_b, array, path, &grefs, line_bytes)?);
+            groups.push(Self::build_group(
+                &nodes_b, array, path, &grefs, line_bytes,
+            )?);
         }
         Some(NestModel {
             nodes,
@@ -1478,7 +1480,11 @@ fn sym_min_max(
             Some(nonneg) => !nonneg || a.sub_expr(b).is_zero(),
             None => return None,
         };
-        Some(if a_le_b == smaller { a.clone() } else { b.clone() })
+        Some(if a_le_b == smaller {
+            a.clone()
+        } else {
+            b.clone()
+        })
     };
     Some((pick(min_a, min_b, true)?, pick(max_a, max_b, false)?))
 }
@@ -2002,7 +2008,11 @@ impl Walker {
         match &e.kind {
             ExprKind::IntLit(v) => Some(SymExpr::constant(*v as i128)),
             ExprKind::Var(name) => {
-                let mapped = self.scope.get(name).cloned().unwrap_or_else(|| name.clone());
+                let mapped = self
+                    .scope
+                    .get(name)
+                    .cloned()
+                    .unwrap_or_else(|| name.clone());
                 Some(SymExpr::param(&mapped))
             }
             ExprKind::Binary { op, lhs, rhs } => {
@@ -2362,7 +2372,14 @@ mod tests {
         );
         // 100 elements = 800 bytes = 12.5 lines → 13 touched
         let b = bindings(&[("n", 100)]);
-        assert_eq!(fp.array("a").unwrap().lines_expr(64).eval_count(&b).unwrap(), 13);
+        assert_eq!(
+            fp.array("a")
+                .unwrap()
+                .lines_expr(64)
+                .eval_count(&b)
+                .unwrap(),
+            13
+        );
     }
 
     #[test]
@@ -2528,7 +2545,11 @@ mod tests {
         assert!(!a.exact_for(64), "{fp:?}");
         assert!(!fp.is_exact(64));
         let b = bindings(&[("n", 800)]);
-        assert_eq!(a.lines_expr(64).eval_count(&b).unwrap(), 100, "upper bound kept");
+        assert_eq!(
+            a.lines_expr(64).eval_count(&b).unwrap(),
+            100,
+            "upper bound kept"
+        );
     }
 
     #[test]
@@ -2568,7 +2589,10 @@ mod tests {
                } }",
             "matvec",
         );
-        assert!(fp.unknown.is_empty(), "annotations close every case: {fp:?}");
+        assert!(
+            fp.unknown.is_empty(),
+            "annotations close every case: {fp:?}"
+        );
         let b = bindings(&[("n", 216), ("nnz_row_milli", 6000)]);
         // vals and cols cover [0, n·6 - 1] densely — exact footprints
         for arr in ["vals", "cols"] {
@@ -2700,13 +2724,17 @@ mod tests {
         // fits — every array moves compulsory lines only
         let nm = nest(MM_SRC, "mm");
         let b = bindings(&[("n", 40), ("reps", 1)]);
-        let t = nm.boundary_traffic(32 * 1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(32 * 1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 600, "compulsory fills only");
         assert_eq!(t.writeback_lines, 200, "c written back once");
         // a 1 KiB cache captures only the k-level working set: b is
         // re-swept once per i iteration (n × 200 lines), a and c stay
         // compulsory (their rows stream monotonically)
-        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 200 + 200 + 40 * 200);
         assert_eq!(t.writeback_lines, 200);
     }
@@ -2725,12 +2753,16 @@ mod tests {
         let b = bindings(&[("n", 20000), ("reps", 2)]);
         // 3 × 2500 lines per sweep; the per-rep working set exceeds the
         // cap, so each rep re-fills every array and re-evicts a dirty
-        let t = nm.boundary_traffic(256 * 1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(256 * 1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 3 * 2500 * 2);
         assert_eq!(t.writeback_lines, 2500 * 2);
         // a cache that holds the whole 480000-byte footprint captures
         // the rep-carried reuse: compulsory only
-        let t = nm.boundary_traffic(1 << 20, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(1 << 20, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 3 * 2500);
         assert_eq!(t.writeback_lines, 2500);
     }
@@ -2746,8 +2778,16 @@ mod tests {
                  out[i * n + j] = u[(i - 1) * n + j] + u[i * n + j] + u[(i + 1) * n + j];\n\
                } } }";
         let nm = nest(src, "relax");
-        let gu = nm.groups.iter().find(|g| g.array == "u").expect("u grouped");
-        let go = nm.groups.iter().find(|g| g.array == "out").expect("out grouped");
+        let gu = nm
+            .groups
+            .iter()
+            .find(|g| g.array == "u")
+            .expect("u grouped");
+        let go = nm
+            .groups
+            .iter()
+            .find(|g| g.array == "out")
+            .expect("out grouped");
         assert_eq!(gu.union_capture_level, 1, "carried by the i loop");
         assert_eq!(go.union_capture_level, usize::MAX, "single access");
         let b = bindings(&[("n", 64)]);
@@ -2756,11 +2796,15 @@ mod tests {
         let out_lines = go.lines.eval_count(&b).unwrap();
         assert!(sum_lines > union_lines, "{sum_lines} vs {union_lines}");
         // captured (one i iteration = 4 rows = 32 lines fit): union
-        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, union_lines + out_lines);
         assert_eq!(t.writeback_lines, out_lines);
         // uncaptured (rows no longer fit): the three offsets re-fill
-        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, sum_lines + out_lines);
     }
 
@@ -2821,11 +2865,15 @@ mod tests {
         let nm = am.nest_model("f", 64).expect("call under a loop splices");
         let b = bindings(&[("n", 512), ("reps", 10)]);
         // 512 doubles = 64 lines; captured: compulsory once
-        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 64);
         assert_eq!(t.writeback_lines, 64);
         // uncaptured: every rep re-fills and re-dirties the sweep
-        let t = nm.boundary_traffic(1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 640);
         assert_eq!(t.writeback_lines, 640);
     }
@@ -2849,7 +2897,9 @@ mod tests {
         let avg = nm.nodes[1].extent.eval(&b).unwrap();
         assert_eq!(avg, Rat::new(63, 2), "average of 0..=63");
         // captured at 8 KiB (a = 8 lines fits): compulsory only
-        let t = nm.boundary_traffic(8 * 1024, &b, &mut AtomTable::new()).unwrap();
+        let t = nm
+            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
+            .unwrap();
         assert_eq!(t.fill_lines, 8);
         assert_eq!(t.writeback_lines, 8);
         // nothing fits: each of the n·(n-1)/2 = 2016 sweeps re-fills

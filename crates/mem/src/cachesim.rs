@@ -635,8 +635,8 @@ mod tests {
         // eviction then writes back straight to memory
         let mut s = tiny();
         s.access(0, 8, true, false); // line 0 dirty in L1 (set 0 of both)
-        // lines 8,16,24,32 map to L2 set 0 (8 sets… L2: 1024/64/4 = 4 sets)
-        // pick lines ≡ 0 mod 4 for L2 set 0: 4, 8, 12, 16 → addrs 256·k
+                                     // lines 8,16,24,32 map to L2 set 0 (8 sets… L2: 1024/64/4 = 4 sets)
+                                     // pick lines ≡ 0 mod 4 for L2 set 0: 4, 8, 12, 16 → addrs 256·k
         for k in 1..=4u64 {
             // L1 set of line 4k alternates; keep line 0 in L1 by touching it
             s.access(0, 8, false, false);
