@@ -5,7 +5,7 @@
 //! the parametric model.
 
 use crate::bridge::LineMap;
-use crate::scop::{analyze_condition, extract_for_scop, Condition, LoopScope};
+use crate::scop::{self, analyze_condition, extract_for_scop, Condition, LoopScope};
 use mira_arch::Category;
 use mira_isa::Inst;
 use mira_minic::{
@@ -484,21 +484,8 @@ impl<'a> FuncGen<'a> {
     /// Iteration-count expression from an annotation, or an implicit model
     /// parameter named after the line.
     fn annotated_iters(&mut self, ann: Option<&Annotation>, line: u32) -> SymExpr {
-        if let Some(ann) = ann {
-            // optional fixed-point scale: {lp_iters: nnz_milli, lp_scale: 0.001}
-            let scale = match ann.get("lp_scale") {
-                Some(AnnotValue::Num(f)) => {
-                    Rat::new((f * 1_000_000_000.0).round() as i128, 1_000_000_000)
-                }
-                _ => Rat::ONE,
-            };
-            match ann.get("lp_iters") {
-                Some(AnnotValue::Num(n)) => {
-                    return SymExpr::constant(*n as i128).scale(scale)
-                }
-                Some(AnnotValue::Ident(name)) => return SymExpr::param(name).scale(scale),
-                _ => {}
-            }
+        if let Some(iters) = ann.and_then(|a| scop::annotated_iters(a, |_| true)) {
+            return iters;
         }
         let pname = format!("iters_l{line}");
         self.warnings.push(format!(
@@ -519,6 +506,18 @@ impl<'a> FuncGen<'a> {
     ) -> Result<(), MetricsError> {
         let entry_count = ctx.count()?;
         let body_count = entry_count.mul_expr(iters);
+        self.loop_overhead(line, &entry_count, &body_count);
+        let body_ctx = ctx.with_extra(iters);
+        self.walk_stmt(body, &body_ctx)
+    }
+
+    /// Charge the loop instructions of the loop on `line`, entered
+    /// `entry_count` times for `body_count` iterations in all: from its
+    /// loop metadata, init once per entry, the condition once per
+    /// iteration plus once per entry, step and in-body loop code once per
+    /// iteration; without metadata, every instruction of the line once
+    /// per iteration.
+    fn loop_overhead(&mut self, line: u32, entry_count: &SymExpr, body_count: &SymExpr) {
         let meta = self.next_meta(line).map(|i| self.metas[i]);
         self.consumed.insert(line);
         if let Some(m) = meta {
@@ -526,19 +525,17 @@ impl<'a> FuncGen<'a> {
             let cond = self.linemap.on_line_in(line, m.cond);
             let step = self.linemap.on_line_in(line, m.step);
             let in_body = self.linemap.on_line_in(line, m.body);
-            let cond_count = body_count.add_expr(&entry_count); // iters + 1 per entry
-            self.acc_insts(line, &init, &entry_count);
+            let cond_count = body_count.add_expr(entry_count); // iters + 1 per entry
+            self.acc_insts(line, &init, entry_count);
             self.acc_insts(line, &cond, &cond_count);
-            self.acc_insts(line, &step, &body_count);
-            self.acc_insts(line, &in_body, &body_count);
+            self.acc_insts(line, &step, body_count);
+            self.acc_insts(line, &in_body, body_count);
         } else {
             self.warnings
                 .push(format!("line {line}: no loop metadata — overhead approximated"));
             let insts = self.linemap.on_line(line).to_vec();
-            self.acc_insts(line, &insts, &body_count);
+            self.acc_insts(line, &insts, body_count);
         }
-        let body_ctx = ctx.with_extra(iters);
-        self.walk_stmt(body, &body_ctx)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -599,24 +596,7 @@ impl<'a> FuncGen<'a> {
 
         let entry_count = ctx.count()?;
         let body_count = body_ctx.count()?;
-        let meta = self.next_meta(line).map(|i| self.metas[i]);
-        self.consumed.insert(line);
-        if let Some(m) = meta {
-            let init_i = self.linemap.on_line_in(line, m.init);
-            let cond_i = self.linemap.on_line_in(line, m.cond);
-            let step_i = self.linemap.on_line_in(line, m.step);
-            let in_body = self.linemap.on_line_in(line, m.body);
-            let cond_count = body_count.add_expr(&entry_count);
-            self.acc_insts(line, &init_i, &entry_count);
-            self.acc_insts(line, &cond_i, &cond_count);
-            self.acc_insts(line, &step_i, &body_count);
-            self.acc_insts(line, &in_body, &body_count);
-        } else {
-            self.warnings
-                .push(format!("line {line}: no loop metadata — overhead approximated"));
-            let insts = self.linemap.on_line(line).to_vec();
-            self.acc_insts(line, &insts, &body_count);
-        }
+        self.loop_overhead(line, &entry_count, &body_count);
 
         // walk the body with the source variable mapped to the domain var
         let saved = self.scope.insert(scop.var.clone(), dom_var.clone());
@@ -640,17 +620,7 @@ impl<'a> FuncGen<'a> {
         init: &Option<Box<Stmt>>,
     ) -> Option<crate::scop::Scop> {
         let ann = s.annotation.as_ref()?;
-        let var = match init.as_deref()?.kind {
-            StmtKind::Decl { ref name, .. } => name.clone(),
-            StmtKind::Expr(ref e) => match &e.kind {
-                ExprKind::Assign { target, .. } => match &target.kind {
-                    ExprKind::Var(n) => n.clone(),
-                    _ => return None,
-                },
-                _ => return None,
-            },
-            _ => return None,
-        };
+        let var = scop::init_var(init.as_deref()?)?;
         let to_expr = |v: &AnnotValue| match v {
             AnnotValue::Num(n) => Some(SymExpr::constant(*n as i128)),
             AnnotValue::Ident(name) => Some(SymExpr::param(name)),

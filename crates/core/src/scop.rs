@@ -6,7 +6,7 @@
 //! become model parameters named after themselves; enclosing loop variables
 //! are mapped through `scope` to their domain variable names.
 
-use mira_minic::{BinOp, Expr, ExprKind, UnOp};
+use mira_minic::{AnnotValue, Annotation, BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
 use mira_sym::{Rat, SymExpr};
 use std::collections::HashMap;
 
@@ -155,7 +155,6 @@ pub fn extract_for_scop(
     step: &Expr,
     scope: &LoopScope,
 ) -> Option<Scop> {
-    use mira_minic::StmtKind;
     // init: `int i = E` or expression statement `i = E`
     let (var, lo) = match &init.kind {
         StmtKind::Decl {
@@ -244,6 +243,41 @@ pub fn extract_for_scop(
         lo,
         hi,
         stride,
+    })
+}
+
+/// The induction variable a loop's init clause names (`int i = …` or
+/// `i = …`), whatever its bound: what the annotation paths read when
+/// the bounds are not affine.
+pub fn init_var(init: &Stmt) -> Option<String> {
+    match &init.kind {
+        StmtKind::Decl { name, .. } => Some(name.clone()),
+        StmtKind::Expr(e) => match &e.kind {
+            ExprKind::Assign { target, .. } => match &target.kind {
+                ExprKind::Var(n) => Some(n.clone()),
+                _ => None,
+            },
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The trip count an `lp_iters` annotation asserts: a number, or a
+/// parameter name `admit` accepts, times the optional `lp_scale` read at
+/// a 1e-9 fixed point (`{lp_iters: nnz_milli, lp_scale: 0.001}`). `None`
+/// without an admissible `lp_iters`.
+pub fn annotated_iters(ann: &Annotation, admit: impl Fn(&str) -> bool) -> Option<SymExpr> {
+    let iters = match ann.get("lp_iters")? {
+        AnnotValue::Num(n) => SymExpr::constant(*n as i128),
+        AnnotValue::Ident(name) if admit(name) => SymExpr::param(name),
+        _ => return None,
+    };
+    Some(match ann.get("lp_scale") {
+        Some(AnnotValue::Num(f)) => {
+            iters.scale(Rat::new((f * 1_000_000_000.0).round() as i128, 1_000_000_000))
+        }
+        _ => iters,
     })
 }
 

@@ -36,7 +36,7 @@
 //!   that range but never claims dense coverage — an upper bound, like
 //!   guarded references.
 
-use mira_core::scop::{extract_for_scop, LoopScope};
+use mira_core::scop::{self, extract_for_scop, LoopScope};
 use mira_minic::{
     AnnotValue, Annotation, BinOp, Expr, ExprKind, Func, Program, Stmt, StmtKind, UnOp,
 };
@@ -372,17 +372,8 @@ impl AccessModel {
         // Interprocedural resolution (substitution + range unions) can
         // blow up on adversarial call graphs; a budget trip degrades to
         // "everything unknown", the conservative refusal.
-        mira_sym::budget::with_default_budget(|| self.resolve(func, 0)).unwrap_or_else(|_| {
-            let unknown = self
-                .functions
-                .get(func)
-                .map(|info| info.ptr_params.iter().flatten().cloned().collect())
-                .unwrap_or_default();
-            FuncFootprints {
-                arrays: Vec::new(),
-                unknown,
-            }
-        })
+        mira_sym::budget::with_default_budget(|| self.resolve(func, 0))
+            .unwrap_or_else(|_| self.functions.get(func).map(unresolved).unwrap_or_default())
     }
 
     fn resolve(&self, func: &str, depth: u32) -> FuncFootprints {
@@ -391,7 +382,8 @@ impl AccessModel {
             return out;
         };
         if depth > 32 {
-            return out;
+            // too deep to compose, but the callee's traffic still moves
+            return unresolved(info);
         }
         let mut by_array: BTreeMap<String, ArrayFootprint> = BTreeMap::new();
         let mut unknown: Vec<String> = info.unknown.clone();
@@ -455,13 +447,22 @@ impl AccessModel {
     }
 }
 
+/// The conservative footprint of a function whose composition refused
+/// (a budget trip, or callees past the depth limit): nothing analyzed,
+/// every pointer parameter unknown.
+fn unresolved(info: &FuncInfo) -> FuncFootprints {
+    FuncFootprints {
+        arrays: Vec::new(),
+        unknown: info.ptr_params.iter().flatten().cloned().collect(),
+    }
+}
+
 // ---- per-nest working-set (reuse-distance) model ----
 
 /// One loop of a function's loop forest as the per-nest model exposes it
-/// (parents precede children; roots have no parent).
+/// (parents precede children).
 #[derive(Clone, Debug)]
 pub struct NestNode {
-    pub parent: Option<usize>,
     /// Trip count, with every ancestor pinned at its first iteration.
     /// For a triangular loop (trip count affine in one rectangular
     /// ancestor's variable) this is the *average* extent over the
@@ -477,37 +478,22 @@ pub struct NestNode {
     pub ws_lines: SymExpr,
 }
 
-/// The traffic contribution of one array inside one loop nest: closed
-/// forms for the lines it moves across a boundary in every capture
-/// regime, plus the structure needed to pick the regime at evaluation
-/// time.
+/// The structure of one array's traffic inside one loop nest: what
+/// picks the capture regime at evaluation time. Its closed-form line
+/// counts are the group's entry of [`NestModel::forms`].
 #[derive(Clone, Debug)]
 pub struct NestGroup {
     pub array: String,
     /// Enclosing loop node ids, outermost first (empty for straight-line
     /// references).
     pub path: Vec<usize>,
-    pub stored: bool,
-    /// Distinct lines of the union of the group's references over the
-    /// full nest sweep — the compulsory fill count when reuse is
-    /// captured.
-    pub lines: SymExpr,
-    /// Distinct lines of the union of the *stored* references (zero when
-    /// nothing stores): each eventually crosses back down as a
-    /// write-back.
-    pub stored_lines: SymExpr,
-    /// Sum of per-access-function distinct lines — the fallback count
-    /// when inter-reference (stencil) reuse is *not* captured and each
-    /// offset access re-fills its own range.
-    pub sum_lines: SymExpr,
-    pub sum_stored_lines: SymExpr,
     /// Per path level: does the reference range move with that loop's
     /// iterations? Independent levels re-touch the same lines, so an
     /// uncaptured independent loop multiplies the traffic.
     pub depends: Vec<bool>,
     /// Deepest capture level at which union counting stays valid: when
     /// `ℓ_fit` exceeds this, inter-reference (stencil) reuse escapes the
-    /// cache and [`NestGroup::sum_lines`] applies. `usize::MAX` for
+    /// cache and the per-access sums apply. `usize::MAX` for
     /// single-access groups.
     pub union_capture_level: usize,
     /// Every reference's stride chain closes at the model's line size
@@ -559,26 +545,19 @@ impl BoundaryTraffic {
 /// union. Built by [`AccessModel::nest_model`].
 #[derive(Clone, Debug)]
 pub struct NestModel {
+    /// The groups' structure and the regime selection over them.
+    pub shape: NestShape,
     pub nodes: Vec<NestNode>,
-    pub groups: Vec<NestGroup>,
-    pub line_bytes: u32,
-}
-
-/// The evaluator-independent skeleton of one [`NestGroup`]: everything
-/// [`NestShape::traffic`] needs besides the closed-form line counts
-/// themselves.
-#[derive(Clone, Debug)]
-pub struct GroupShape {
-    /// Enclosing loop node ids, outermost first.
-    pub path: Vec<usize>,
-    /// Per path level: does the reference range move with that loop?
-    pub depends: Vec<bool>,
-    /// Deepest capture level at which union counting stays valid.
-    pub union_capture_level: usize,
-    /// Data-dependent (gather) group — see [`NestGroup::gather`].
-    pub gather: bool,
-    /// Reference count per innermost iteration (all, stored).
-    pub gather_refs: (i64, i64),
+    /// Per group of [`NestShape::groups`], its closed-form line counts in
+    /// [`GroupExpr::slot`] order: the distinct lines of the union of its
+    /// references over the full nest sweep (the compulsory fills when
+    /// reuse is captured), of the union of its *stored* references (zero
+    /// when nothing stores: each eventually crosses back down as a
+    /// write-back), and the sums of per-access-function distinct lines
+    /// over all and over stored references — the counts when
+    /// inter-reference (stencil) reuse is *not* captured and each offset
+    /// access re-fills its own range.
+    pub forms: Vec<[SymExpr; 4]>,
 }
 
 /// Which closed form of a group [`NestShape::traffic`] is asking its
@@ -587,7 +566,7 @@ pub struct GroupShape {
 /// or its errors would diverge from the tree walk's.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GroupExpr {
-    /// Index into [`NestShape::groups`] / [`NestModel::groups`].
+    /// Index into [`NestShape::groups`] and [`NestModel::forms`].
     pub group: usize,
     /// Union (capture) count vs per-reference sum (uncaptured stencil).
     pub union: bool,
@@ -595,59 +574,84 @@ pub struct GroupExpr {
     pub stored: bool,
 }
 
-/// The `Send + Sync` skeleton of a [`NestModel`]: the regime-selection
-/// logic of [`NestModel::boundary_traffic`] with the expression
-/// evaluation abstracted out, so the tree-walk evaluator (here) and the
-/// compiled serving evaluator (`mira-serve`) share one copy of the
-/// selection rules and can never drift apart.
+impl GroupExpr {
+    /// The requested form's index in its group's entry of
+    /// [`NestModel::forms`]: union, stored union, sum, stored sum.
+    pub fn slot(self) -> usize {
+        match (self.union, self.stored) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, false) => 2,
+            (false, true) => 3,
+        }
+    }
+}
+
+/// The `Send + Sync` structure of a [`NestModel`]: its groups without
+/// their closed forms, and the regime selection over them. The tree
+/// walk (here) and the compiled serving evaluator (`mira-serve`) both
+/// select regimes through [`NestShape::traffic`].
 #[derive(Clone, Debug)]
 pub struct NestShape {
-    /// Number of loop nodes (the length `ws`/`ext` slices must have).
-    pub n_nodes: usize,
-    pub groups: Vec<GroupShape>,
+    pub groups: Vec<NestGroup>,
     pub line_bytes: u32,
 }
 
+/// The capacity-independent values of a nest-model evaluation, per loop
+/// node: staged once per placement ([`NestHeader::stage`]) and read by
+/// [`NestShape::traffic`] at every capacity.
+#[derive(Clone, Debug, Default)]
+pub struct NestHeader {
+    ws: Vec<i128>,
+    ext: Vec<Rat>,
+}
+
+impl NestHeader {
+    /// Stage each node's one-iteration working set, rounded like
+    /// `eval_count`, and its extent, in node order; the first refusal
+    /// stops it. Extents stay rational — a triangular loop's average
+    /// extent is a half-integer, and only each group's product is
+    /// rounded (over a full path it is integral) — and clamp at zero.
+    pub fn stage(
+        &mut self,
+        nodes: impl ExactSizeIterator<Item = Result<(i128, Rat), EvalError>>,
+    ) -> Result<(), EvalError> {
+        self.ws.clear();
+        self.ext.clear();
+        self.ws.reserve(nodes.len());
+        self.ext.reserve(nodes.len());
+        for node in nodes {
+            let (ws, ext) = node?;
+            self.ws.push(ws);
+            self.ext.push(if ext < Rat::ZERO { Rat::ZERO } else { ext });
+        }
+        Ok(())
+    }
+}
+
 impl NestShape {
-    /// The regime-selection core of [`NestModel::boundary_traffic`],
-    /// over pre-evaluated per-node working sets (`ws`, line counts,
-    /// rounded like `eval_count`) and extents (`ext`, rational, clamped
-    /// at zero), with the per-group closed forms supplied lazily by
-    /// `lines` — called only for the forms the selected regime needs,
-    /// in evaluation order.
+    /// Line traffic crossing a boundary whose upper level holds
+    /// `cap_bytes`, over a header staged at the query's values, with the
+    /// per-group closed forms supplied lazily by `lines` — called only
+    /// for the forms the selected regime needs, in evaluation order.
     pub fn traffic(
         &self,
         cap_bytes: u64,
-        ws: &[i128],
-        ext: &[Rat],
-        lines: impl FnMut(GroupExpr) -> Result<i128, EvalError>,
-    ) -> Result<BoundaryTraffic, EvalError> {
-        Self::traffic_of(&self.groups, self.line_bytes, cap_bytes, ws, ext, lines)
-    }
-
-    /// [`NestShape::traffic`] over any group list: [`NestModel`] selects
-    /// regimes over its own groups, without building a shape per query.
-    fn traffic_of(
-        groups: &[impl GroupFacts],
-        line_bytes: u32,
-        cap_bytes: u64,
-        ws: &[i128],
-        ext: &[Rat],
+        h: &NestHeader,
         mut lines: impl FnMut(GroupExpr) -> Result<i128, EvalError>,
     ) -> Result<BoundaryTraffic, EvalError> {
-        let cap_lines = (cap_bytes / line_bytes.max(1) as u64) as i128;
+        let cap_lines = (cap_bytes / self.line_bytes.max(1) as u64) as i128;
         // halves round up, floor(x + 1/2), matching `SymExpr::eval_count`
         let round =
             |r: Rat| -> Result<i128, EvalError> { r.round_count().ok_or(EvalError::Overflow) };
         let mut t = BoundaryTraffic::default();
-        for (gi, g) in groups.iter().enumerate() {
-            let (path, depends, union_capture_level, gather, gather_refs) = g.facts();
-            let depth = path.len();
+        for (gi, g) in self.groups.iter().enumerate() {
+            let depth = g.path.len();
             // the capture level: the outermost nest level whose
             // one-iteration working set fits above the boundary
             let mut fit = depth + 1;
             for l in 1..=depth {
-                if ws[path[l - 1]] <= cap_lines {
+                if h.ws[g.path[l - 1]] <= cap_lines {
                     fit = l;
                     break;
                 }
@@ -661,13 +665,13 @@ impl NestShape {
             // and no outer level multiplies. Gather ranges are bounds,
             // not sweeps — one deeper iteration touches a single line of
             // the range — so the prefix shortcut does not apply to them.
-            let d = depends.iter().take_while(|dep| !**dep).count();
+            let d = g.depends.iter().take_while(|dep| !**dep).count();
             let mut mult = Rat::ONE;
             for j in 0..depth {
-                if depends[j] {
+                if g.depends[j] {
                     continue;
                 }
-                let needed = if gather {
+                let needed = if g.gather {
                     j + 1
                 } else if j < d {
                     d
@@ -675,10 +679,12 @@ impl NestShape {
                     j + 1
                 };
                 if fit > needed {
-                    mult = mult.checked_mul(ext[path[j]]).ok_or(EvalError::Overflow)?;
+                    mult = mult
+                        .checked_mul(h.ext[g.path[j]])
+                        .ok_or(EvalError::Overflow)?;
                 }
             }
-            let union = fit <= union_capture_level;
+            let union = fit <= g.union_capture_level;
             let mut scaled = |stored: bool| -> Result<i128, EvalError> {
                 let q = GroupExpr {
                     group: gi,
@@ -693,12 +699,12 @@ impl NestShape {
             };
             let mut fills = scaled(false)?;
             let mut wbs = scaled(true)?;
-            if gather {
+            if g.gather {
                 // each access fills at most one line and dirties at most
                 // one line, however small the bounded range
                 let mut iters = Rat::ONE;
-                for &p in path {
-                    iters = iters.checked_mul(ext[p]).ok_or(EvalError::Overflow)?;
+                for &p in &g.path {
+                    iters = iters.checked_mul(h.ext[p]).ok_or(EvalError::Overflow)?;
                 }
                 let cap_at = |count: i64| -> Result<i128, EvalError> {
                     round(
@@ -707,8 +713,8 @@ impl NestShape {
                             .ok_or(EvalError::Overflow)?,
                     )
                 };
-                fills = fills.min(cap_at(gather_refs.0)?);
-                wbs = wbs.min(cap_at(gather_refs.1)?);
+                fills = fills.min(cap_at(g.gather_refs.0)?);
+                wbs = wbs.min(cap_at(g.gather_refs.1)?);
             }
             t.fill_lines += fills;
             t.writeback_lines += wbs;
@@ -717,104 +723,47 @@ impl NestShape {
     }
 }
 
-/// What [`NestShape::traffic`] reads of a group: its structure, never
-/// its closed forms.
-trait GroupFacts {
-    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64));
-}
-
-impl GroupFacts for GroupShape {
-    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64)) {
-        (
-            &self.path,
-            &self.depends,
-            self.union_capture_level,
-            self.gather,
-            self.gather_refs,
-        )
-    }
-}
-
-impl GroupFacts for NestGroup {
-    fn facts(&self) -> (&[usize], &[bool], usize, bool, (i64, i64)) {
-        (
-            &self.path,
-            &self.depends,
-            self.union_capture_level,
-            self.gather,
-            self.gather_refs,
-        )
-    }
-}
-
 impl NestModel {
     /// Every group's traffic count is exact (dense affine coverage,
     /// resolved stencil offsets) rather than an upper bound.
     pub fn exact(&self) -> bool {
-        self.groups.iter().all(|g| g.exact)
+        self.shape.groups.iter().all(|g| g.exact)
     }
 
-    /// The evaluator-independent skeleton: group structure without the
-    /// closed forms. `Send + Sync`, so a precompiled serving index can
-    /// carry it across worker threads while the `SymExpr`s stay behind.
-    pub fn shape(&self) -> NestShape {
-        NestShape {
-            n_nodes: self.nodes.len(),
-            groups: self
-                .groups
+    /// Stage `h` at `b`, valuing atoms through `t`: the tree walk's
+    /// header, once per placement.
+    pub fn stage<'a>(
+        &'a self,
+        h: &mut NestHeader,
+        b: &Bindings,
+        t: &mut AtomTable<'a>,
+    ) -> Result<(), EvalError> {
+        h.stage(
+            self.nodes
                 .iter()
-                .map(|g| GroupShape {
-                    path: g.path.clone(),
-                    depends: g.depends.clone(),
-                    union_capture_level: g.union_capture_level,
-                    gather: g.gather,
-                    gather_refs: g.gather_refs,
-                })
-                .collect(),
-            line_bytes: self.line_bytes,
-        }
-    }
-
-    /// The closed form a [`GroupExpr`] request names.
-    pub fn group_expr(&self, q: GroupExpr) -> &SymExpr {
-        let g = &self.groups[q.group];
-        match (q.union, q.stored) {
-            (true, false) => &g.lines,
-            (true, true) => &g.stored_lines,
-            (false, false) => &g.sum_lines,
-            (false, true) => &g.sum_stored_lines,
-        }
+                .map(|n| Ok((n.ws_lines.eval_count_in(b, t)?, n.extent.eval_in(b, t)?))),
+        )
     }
 
     /// Line traffic crossing a hierarchy boundary whose above-capacity
-    /// is `cap_bytes`, at concrete parameter values. The caller is
-    /// expected to have short-circuited the fully-resident case (whole
-    /// footprint ≤ capacity) to the compulsory-only count; this method
-    /// handles every partial-capture regime in between, down to full
-    /// streaming. The regime selection itself lives in
-    /// [`NestShape::traffic`]; this wrapper supplies the tree-walk
-    /// evaluator.
+    /// is `cap_bytes`, at concrete parameter values, over `h` staged at
+    /// the same values ([`NestModel::stage`]). The caller is expected to
+    /// have short-circuited the fully-resident case (whole footprint ≤
+    /// capacity) to the compulsory-only count; this method handles every
+    /// partial-capture regime in between, down to full streaming
+    /// ([`NestShape::traffic`], with the closed forms walked directly).
     ///
     /// Atoms are valued through `t`: a placement shares one table across
     /// its forms.
     pub fn boundary_traffic<'a>(
         &'a self,
         cap_bytes: u64,
+        h: &NestHeader,
         b: &Bindings,
         t: &mut AtomTable<'a>,
     ) -> Result<BoundaryTraffic, EvalError> {
-        let mut ws = Vec::with_capacity(self.nodes.len());
-        let mut ext = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            ws.push(n.ws_lines.eval_count_in(b, t)?);
-            // extents stay rational: a triangular loop's average extent
-            // is a half-integer, and only the final per-group product is
-            // rounded (the product over a full path is always integral)
-            let e = n.extent.eval_in(b, t)?;
-            ext.push(if e < Rat::ZERO { Rat::ZERO } else { e });
-        }
-        NestShape::traffic_of(&self.groups, self.line_bytes, cap_bytes, &ws, &ext, |q| {
-            self.group_expr(q).eval_count_in(b, t)
+        self.shape.traffic(cap_bytes, h, |q| {
+            self.forms[q.group][q.slot()].eval_count_in(b, t)
         })
     }
 }
@@ -1157,7 +1106,6 @@ impl AccessModel {
                 ws = ws.add_expr(&range_lines_expr(mn, mx, line_bytes));
             }
             nodes.push(NestNode {
-                parent: nodes_b[i].parent,
                 extent: extents[i].clone(),
                 ws_lines: ws,
             });
@@ -1172,30 +1120,31 @@ impl AccessModel {
                 .push(r);
         }
         let mut groups = Vec::with_capacity(by_group.len());
+        let mut forms = Vec::with_capacity(by_group.len());
         for ((array, path, _), grefs) in by_group {
-            groups.push(Self::build_group(
-                &nodes_b, array, path, &grefs, line_bytes,
-            )?);
+            let (g, f) = Self::build_group(&nodes_b, array, path, &grefs, line_bytes)?;
+            groups.push(g);
+            forms.push(f);
         }
         Some(NestModel {
+            shape: NestShape { groups, line_bytes },
             nodes,
-            groups,
-            line_bytes,
+            forms,
         })
     }
 
-    /// Build the traffic group for one array × path × kind cluster of
-    /// references. Gather (data-dependent) references get their own
-    /// counting regime: the union of their `idx_extent` bounds as the
-    /// compulsory line count, capped at the access count in
-    /// [`NestModel::boundary_traffic`], never exact.
+    /// Build the traffic group, and its forms, for one array × path ×
+    /// kind cluster of references. Gather (data-dependent) references get
+    /// their own counting regime: the union of their `idx_extent` bounds
+    /// as the compulsory line count, capped at the access count in
+    /// [`NestShape::traffic`], never exact.
     fn build_group(
         nodes: &[NodeBuild],
         array: String,
         path: Vec<usize>,
         refs: &[&NestRef],
         line_bytes: u32,
-    ) -> Option<NestGroup> {
+    ) -> Option<(NestGroup, [SymExpr; 4])> {
         if refs.iter().any(|r| r.gather) {
             let mut union: Option<(SymExpr, SymExpr)> = None;
             let mut stored_union: Option<(SymExpr, SymExpr)> = None;
@@ -1218,15 +1167,16 @@ impl AccessModel {
                 }
             }
             let (umn, umx) = union?;
-            return Some(NestGroup {
-                array,
-                stored: refs.iter().any(|r| r.stored),
-                lines: range_lines_expr(&umn, &umx, line_bytes),
-                stored_lines: stored_union
+            let forms = [
+                range_lines_expr(&umn, &umx, line_bytes),
+                stored_union
                     .map(|(a, b)| range_lines_expr(&a, &b, line_bytes))
                     .unwrap_or_else(SymExpr::zero),
                 sum_lines,
                 sum_stored_lines,
+            ];
+            let group = NestGroup {
+                array,
                 depends: vec![false; path.len()],
                 union_capture_level: usize::MAX,
                 exact: false,
@@ -1236,7 +1186,8 @@ impl AccessModel {
                     refs.iter().filter(|r| r.stored).count() as i64,
                 ),
                 path,
-            });
+            };
+            return Some((group, forms));
         }
         // distinct access functions, each with its own united range
         struct Access {
@@ -1384,20 +1335,16 @@ impl AccessModel {
         let dense = refs
             .iter()
             .all(|r| matches!(r.stride_bytes, Some(s) if s <= line_bytes as i128));
-        Some(NestGroup {
+        let group = NestGroup {
             array,
             path,
-            stored: refs.iter().any(|r| r.stored),
-            lines,
-            stored_lines,
-            sum_lines,
-            sum_stored_lines,
             depends,
             union_capture_level,
             exact: line_bytes <= 64 && dense && connected && deltas_clean && comparable,
             gather: false,
             gather_refs: (0, 0),
-        })
+        };
+        Some((group, [lines, stored_lines, sum_lines, sum_stored_lines]))
     }
 }
 
@@ -1807,17 +1754,10 @@ impl Walker {
         Some(e)
     }
 
-    /// The trip count an `lp_iters` annotation asserts:
-    /// `t = lp_iters · lp_scale`.
+    /// The trip count an `lp_iters` annotation asserts,
+    /// `t = lp_iters · lp_scale`, refused when it names mutable state.
     fn annotated_iters(&self, ann: &Annotation) -> Option<SymExpr> {
-        let iters = self.annot_expr(ann, "lp_iters")?;
-        Some(match ann.get("lp_scale") {
-            Some(AnnotValue::Num(f)) => iters.scale(Rat::new(
-                (f * 1_000_000_000.0).round() as i128,
-                1_000_000_000,
-            )),
-            _ => iters,
-        })
+        scop::annotated_iters(ann, |name| !self.poisoned.iter().any(|p| p == name))
     }
 
     /// A fresh domain variable `stem@k`, unique within the function.
@@ -1893,17 +1833,7 @@ impl Walker {
         }
         let iters = self.annotated_iters(ann)?;
         // the annotated loop's induction variable, from its init clause
-        let var = match init.as_deref().map(|s| &s.kind) {
-            Some(StmtKind::Decl { name, .. }) => name.clone(),
-            Some(StmtKind::Expr(e)) => match &e.kind {
-                ExprKind::Assign { target, .. } => match &target.kind {
-                    ExprKind::Var(n) => n.clone(),
-                    _ => return None,
-                },
-                _ => return None,
-            },
-            _ => return None,
-        };
+        let var = scop::init_var(init.as_deref()?)?;
         // the parent iteration's ordinal `(v - lo)/step`, zero when the
         // annotated loop is outermost (a single prefix entry)
         let ordinal = match self.loops().next_back() {
@@ -2683,6 +2613,34 @@ mod tests {
         }
     }
 
+    /// `f0` calls `f1`, … calls `f{depth}`, passing `b` down; only the
+    /// last one touches memory, storing `b[0..n)`.
+    fn call_chain(depth: usize) -> String {
+        let mut src = format!(
+            "void f{depth}(int n, double* b) {{ for (int i = 0; i < n; i++) {{ b[i] = 1.0; }} }}\n"
+        );
+        for k in (0..depth).rev() {
+            src.push_str(&format!(
+                "void f{k}(int n, double* b) {{ f{}(n, b); }}\n",
+                k + 1
+            ));
+        }
+        src
+    }
+
+    #[test]
+    fn callees_past_the_composition_depth_are_unknown_not_empty() {
+        // 32 calls deep, the store composes into the caller's footprint
+        let fp = footprint(&call_chain(32), "f0");
+        assert!(fp.is_exact(64), "{fp:?}");
+        assert!(fp.array("b").is_some_and(|b| b.stored), "{fp:?}");
+        // one call deeper, composition stops: the array it reaches is
+        // unknown, never an empty footprint claimed exact
+        let fp = footprint(&call_chain(33), "f0");
+        assert!(!fp.is_exact(64), "{fp:?}");
+        assert_eq!(fp.unknown, ["b"]);
+    }
+
     // ---- per-nest working-set model ----
 
     fn nest(src: &str, func: &str) -> NestModel {
@@ -2690,6 +2648,15 @@ mod tests {
         analyze_program(&p)
             .nest_model(func, 64)
             .expect("nest model builds")
+    }
+
+    /// Nest traffic at `cap_bytes`, over a header staged at `b` as a
+    /// placement stages it.
+    fn traffic(nm: &NestModel, cap_bytes: u64, b: &Bindings) -> BoundaryTraffic {
+        let mut t = AtomTable::new();
+        let mut h = NestHeader::default();
+        nm.stage(&mut h, b, &mut t).unwrap();
+        nm.boundary_traffic(cap_bytes, &h, b, &mut t).unwrap()
     }
 
     const MM_SRC: &str = "void mm(int n, int reps, double* a, double* b, double* c) {\n\
@@ -2724,17 +2691,13 @@ mod tests {
         // fits — every array moves compulsory lines only
         let nm = nest(MM_SRC, "mm");
         let b = bindings(&[("n", 40), ("reps", 1)]);
-        let t = nm
-            .boundary_traffic(32 * 1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 32 * 1024, &b);
         assert_eq!(t.fill_lines, 600, "compulsory fills only");
         assert_eq!(t.writeback_lines, 200, "c written back once");
         // a 1 KiB cache captures only the k-level working set: b is
         // re-swept once per i iteration (n × 200 lines), a and c stay
         // compulsory (their rows stream monotonically)
-        let t = nm
-            .boundary_traffic(1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 1024, &b);
         assert_eq!(t.fill_lines, 200 + 200 + 40 * 200);
         assert_eq!(t.writeback_lines, 200);
     }
@@ -2753,16 +2716,12 @@ mod tests {
         let b = bindings(&[("n", 20000), ("reps", 2)]);
         // 3 × 2500 lines per sweep; the per-rep working set exceeds the
         // cap, so each rep re-fills every array and re-evicts a dirty
-        let t = nm
-            .boundary_traffic(256 * 1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 256 * 1024, &b);
         assert_eq!(t.fill_lines, 3 * 2500 * 2);
         assert_eq!(t.writeback_lines, 2500 * 2);
         // a cache that holds the whole 480000-byte footprint captures
         // the rep-carried reuse: compulsory only
-        let t = nm
-            .boundary_traffic(1 << 20, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 1 << 20, &b);
         assert_eq!(t.fill_lines, 3 * 2500);
         assert_eq!(t.writeback_lines, 2500);
     }
@@ -2778,33 +2737,25 @@ mod tests {
                  out[i * n + j] = u[(i - 1) * n + j] + u[i * n + j] + u[(i + 1) * n + j];\n\
                } } }";
         let nm = nest(src, "relax");
-        let gu = nm
-            .groups
-            .iter()
-            .find(|g| g.array == "u")
-            .expect("u grouped");
-        let go = nm
-            .groups
-            .iter()
-            .find(|g| g.array == "out")
-            .expect("out grouped");
+        let group = |array: &str| {
+            let gi = nm.shape.groups.iter().position(|g| g.array == array);
+            gi.map(|gi| (&nm.shape.groups[gi], &nm.forms[gi]))
+                .expect("grouped")
+        };
+        let ((gu, fu), (go, fo)) = (group("u"), group("out"));
         assert_eq!(gu.union_capture_level, 1, "carried by the i loop");
         assert_eq!(go.union_capture_level, usize::MAX, "single access");
         let b = bindings(&[("n", 64)]);
-        let union_lines = gu.lines.eval_count(&b).unwrap();
-        let sum_lines = gu.sum_lines.eval_count(&b).unwrap();
-        let out_lines = go.lines.eval_count(&b).unwrap();
+        let union_lines = fu[0].eval_count(&b).unwrap();
+        let sum_lines = fu[2].eval_count(&b).unwrap();
+        let out_lines = fo[0].eval_count(&b).unwrap();
         assert!(sum_lines > union_lines, "{sum_lines} vs {union_lines}");
         // captured (one i iteration = 4 rows = 32 lines fit): union
-        let t = nm
-            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 8 * 1024, &b);
         assert_eq!(t.fill_lines, union_lines + out_lines);
         assert_eq!(t.writeback_lines, out_lines);
         // uncaptured (rows no longer fit): the three offsets re-fill
-        let t = nm
-            .boundary_traffic(1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 1024, &b);
         assert_eq!(t.fill_lines, sum_lines + out_lines);
     }
 
@@ -2849,9 +2800,9 @@ mod tests {
         assert_eq!(nm.nodes.len(), 1);
         let b = bindings(&[("n", 64)]);
         assert_eq!(nm.nodes[0].extent.eval_count(&b).unwrap(), 64);
-        let g = &nm.groups[0];
+        let g = &nm.shape.groups[0];
         assert_eq!(g.array, "x", "formal p maps to actual x");
-        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
+        let t = traffic(&nm, 64, &b);
         assert_eq!(t.fill_lines, 8);
         assert_eq!(t.writeback_lines, 8);
         // a repetition loop around the call multiplies uncaptured traffic
@@ -2865,15 +2816,11 @@ mod tests {
         let nm = am.nest_model("f", 64).expect("call under a loop splices");
         let b = bindings(&[("n", 512), ("reps", 10)]);
         // 512 doubles = 64 lines; captured: compulsory once
-        let t = nm
-            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 8 * 1024, &b);
         assert_eq!(t.fill_lines, 64);
         assert_eq!(t.writeback_lines, 64);
         // uncaptured: every rep re-fills and re-dirties the sweep
-        let t = nm
-            .boundary_traffic(1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 1024, &b);
         assert_eq!(t.fill_lines, 640);
         assert_eq!(t.writeback_lines, 640);
     }
@@ -2897,13 +2844,11 @@ mod tests {
         let avg = nm.nodes[1].extent.eval(&b).unwrap();
         assert_eq!(avg, Rat::new(63, 2), "average of 0..=63");
         // captured at 8 KiB (a = 8 lines fits): compulsory only
-        let t = nm
-            .boundary_traffic(8 * 1024, &b, &mut AtomTable::new())
-            .unwrap();
+        let t = traffic(&nm, 8 * 1024, &b);
         assert_eq!(t.fill_lines, 8);
         assert_eq!(t.writeback_lines, 8);
         // nothing fits: each of the n·(n-1)/2 = 2016 sweeps re-fills
-        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
+        let t = traffic(&nm, 64, &b);
         assert_eq!(t.fill_lines, 2016 * 8);
         assert_eq!(t.writeback_lines, 2016 * 8);
         // tiled bounds cancel to a constant extent and stay modelable
@@ -2933,7 +2878,7 @@ mod tests {
             "edge",
         );
         let b = bindings(&[("n", 1024)]);
-        let t = nm.boundary_traffic(64, &b, &mut AtomTable::new()).unwrap();
+        let t = traffic(&nm, 64, &b);
         assert_eq!(t.fill_lines, 2);
         assert_eq!(t.writeback_lines, 2);
     }

@@ -22,7 +22,9 @@
 //!   first iteration), from which the traffic crossing any cache
 //!   boundary follows — reuse captured above the boundary is compulsory,
 //!   uncaptured re-sweeps multiply, stencil offsets fall back to
-//!   per-access counts when their carried reuse escapes.
+//!   per-access counts when their carried reuse escapes. Every evaluator
+//!   stages the per-node header through [`access::NestHeader::stage`]
+//!   and selects regimes through [`access::NestShape::traffic`].
 //! * **Dynamic half.** [`cachesim::CacheSim`] is a two-level
 //!   set-associative LRU simulator the VM hangs off its load/store path
 //!   when `VmOptions::mem_profile` is set (mirrored in `ReferenceVm`, so
@@ -58,7 +60,7 @@ pub mod cachesim;
 
 pub use access::{
     analyze_closure, analyze_program, AccessModel, ArrayFootprint, BoundaryTraffic, FuncFootprints,
-    GroupExpr, GroupShape, NestGroup, NestModel, NestNode, NestShape,
+    GroupExpr, NestGroup, NestHeader, NestModel, NestNode, NestShape,
 };
 pub use cachesim::{CacheSim, LevelStats, MemStats};
 

@@ -86,7 +86,7 @@
 
 use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
-use mira_mem::{BoundaryTraffic, MemStats};
+use mira_mem::{BoundaryTraffic, MemStats, NestHeader};
 use mira_model::ModelError;
 use mira_sym::{AtomTable, Bindings, EvalError, Rat, SymExpr};
 use std::fmt;
@@ -304,17 +304,12 @@ impl CeilingFactors {
 /// The static roofline model of one function: closed-form FLOPs, data
 /// bytes and footprints, ready to be placed at any parameter binding.
 ///
-/// The closed forms are read through accessors: [`KernelRoofline::analyze`]
-/// also splits the five a placement reads ([`PlacementSplits`]) once,
-/// and nothing may change a form under its stored split.
+/// [`KernelRoofline::analyze`] stores the five forms a placement reads
+/// once, split ([`PlacementSplits`]); the accessors rebuild a form from
+/// its split.
 #[derive(Clone, Debug)]
 pub struct KernelRoofline {
     pub func: String,
-    flops: SymExpr,
-    data_load_bytes: SymExpr,
-    data_store_bytes: SymExpr,
-    footprint_lines: SymExpr,
-    stored_lines: SymExpr,
     splits: PlacementSplits,
     /// Every array was analyzable (annotations included): the footprint
     /// is a true total, not a lower bound over the analyzed subset.
@@ -333,7 +328,7 @@ pub struct KernelRoofline {
 /// once, at analysis, into its [`ScaledForm`]. The tree walk evaluates
 /// them and `mira-serve` compiles them, so neither rebuilds or re-splits
 /// a form per query or per compilation.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct PlacementSplits {
     /// [`KernelRoofline::flops`].
     pub flops: ScaledForm,
@@ -412,59 +407,42 @@ impl KernelRoofline {
         let access = mira_mem::analyze_closure(&analysis.program, func);
         let fp = access.footprint(func);
         let line = analysis.arch.machine.cache_line_bytes;
+        // distinct lines of stored arrays: each eventually crosses every
+        // boundary again as a write-back
         let mut stored = SymExpr::zero();
         for a in &fp.arrays {
             if a.stored {
                 stored = stored.add_expr(&a.lines_expr(line));
             }
         }
-        let mut kr = KernelRoofline {
+        // heap-data bytes (frame/spill traffic excluded)
+        let load = model.data_load_bytes_expr(func)?;
+        let store = model.data_store_bytes_expr(func)?;
+        let footprint = fp.total_lines_expr(line);
+        let nest_model = access.nest_model(func, line);
+        Ok(KernelRoofline {
             func: func.to_string(),
-            flops,
-            data_load_bytes: model.data_load_bytes_expr(func)?,
-            data_store_bytes: model.data_store_bytes_expr(func)?,
-            footprint_lines: fp.total_lines_expr(line),
-            stored_lines: stored,
-            splits: PlacementSplits::default(),
+            splits: PlacementSplits {
+                flops: ScaledForm::split(&flops),
+                footprint_lines: ScaledForm::split(&footprint),
+                data_bytes: ScaledForm::split(&load.add_expr(&store)),
+                resident_lines: ScaledForm::split(&footprint.add_expr(&stored)),
+                streaming_bytes: ScaledForm::split(&load.add_expr(&store.scale(Rat::int(2)))),
+            },
             footprint_known: fp.unknown.is_empty(),
             vectorized,
-            nest_model: access.nest_model(func, line),
-        };
-        // split with the methods that state each form, once all exist
-        kr.splits = PlacementSplits {
-            flops: ScaledForm::split(&kr.flops),
-            footprint_lines: ScaledForm::split(&kr.footprint_lines),
-            data_bytes: ScaledForm::split(&kr.data_bytes()),
-            resident_lines: ScaledForm::split(&kr.resident_lines()),
-            streaming_bytes: ScaledForm::split(&kr.streaming_bytes()),
-        };
-        Ok(kr)
+            nest_model,
+        })
     }
 
     /// Packed-aware FLOPs per call.
-    pub fn flops(&self) -> &SymExpr {
-        &self.flops
-    }
-
-    /// Heap-data bytes loaded per call (frame/spill traffic excluded).
-    pub fn data_load_bytes(&self) -> &SymExpr {
-        &self.data_load_bytes
-    }
-
-    /// Heap-data bytes stored per call.
-    pub fn data_store_bytes(&self) -> &SymExpr {
-        &self.data_store_bytes
+    pub fn flops(&self) -> SymExpr {
+        self.splits.flops.expr()
     }
 
     /// Distinct cache lines touched (all analyzed arrays).
-    pub fn footprint_lines(&self) -> &SymExpr {
-        &self.footprint_lines
-    }
-
-    /// Distinct lines of *stored* arrays — each eventually crosses every
-    /// boundary again as a write-back.
-    pub fn stored_lines(&self) -> &SymExpr {
-        &self.stored_lines
+    pub fn footprint_lines(&self) -> SymExpr {
+        self.splits.footprint_lines.expr()
     }
 
     /// The placement forms, split once at analysis.
@@ -474,14 +452,14 @@ impl KernelRoofline {
 
     /// Total data bytes per call, as a closed form.
     pub fn data_bytes(&self) -> SymExpr {
-        self.data_load_bytes.add_expr(&self.data_store_bytes)
+        self.splits.data_bytes.expr()
     }
 
     /// Compulsory lines per call, as a closed form: one cold fill per
     /// touched line plus one eventual write-back per stored line — the
     /// traffic of a boundary whose upper level holds the whole footprint.
     pub fn resident_lines(&self) -> SymExpr {
-        self.footprint_lines.add_expr(&self.stored_lines)
+        self.splits.resident_lines.expr()
     }
 
     /// Streaming-sweep bytes per call, as a closed form: every loaded
@@ -490,8 +468,7 @@ impl KernelRoofline {
     /// way out, exactly what the simulator's fill + write-back counters
     /// observe for unit-stride streams.
     pub fn streaming_bytes(&self) -> SymExpr {
-        self.data_load_bytes
-            .add_expr(&self.data_store_bytes.scale(Rat::int(2)))
+        self.splits.streaming_bytes.expr()
     }
 
     /// The analysis-time facts the placement loop branches on.
@@ -505,7 +482,7 @@ impl KernelRoofline {
 
     /// The compute ceiling in cycles: `FLOPs / peak`.
     pub fn compute_cycles_expr(&self, c: &Ceilings) -> SymExpr {
-        self.flops
+        self.flops()
             .scale(Rat::new(1, c.peak(self.vectorized) as i128))
     }
 
@@ -724,16 +701,6 @@ pub struct ScaledForm {
     pub primitive: SymExpr,
 }
 
-/// The zero form, as [`ScaledForm::split`] leaves it.
-impl Default for ScaledForm {
-    fn default() -> ScaledForm {
-        ScaledForm {
-            content: Rat::ONE,
-            primitive: SymExpr::zero(),
-        }
-    }
-}
-
 impl ScaledForm {
     /// Split `e`. A form whose content does not fit the coefficient range
     /// stays whole (content 1).
@@ -769,6 +736,12 @@ impl ScaledForm {
         }
     }
 
+    /// The form itself, rebuilt term for term: the content times the
+    /// primitive.
+    pub fn expr(&self) -> SymExpr {
+        self.primitive.scale(self.content)
+    }
+
     /// The form's value: the primitive's, its atoms valued through `t`,
     /// times the content.
     pub fn eval<'a>(&'a self, b: &Bindings, t: &mut AtomTable<'a>) -> Result<Rat, EvalError> {
@@ -801,6 +774,10 @@ struct TreeWalk<'a> {
     kr: &'a KernelRoofline,
     b: &'a Bindings,
     atoms: AtomTable<'a>,
+    /// The nest model's header, staged at the first nest request: it
+    /// does not depend on the capacity.
+    header: NestHeader,
+    staged: bool,
 }
 
 impl<'a> TreeWalk<'a> {
@@ -809,6 +786,8 @@ impl<'a> TreeWalk<'a> {
             kr,
             b,
             atoms: AtomTable::new(),
+            header: NestHeader::default(),
+            staged: false,
         }
     }
 
@@ -843,10 +822,14 @@ impl PlacementForms for TreeWalk<'_> {
     }
 
     fn nest_traffic(&mut self, cap_bytes: u64) -> Result<BoundaryTraffic, EvalError> {
-        match &self.kr.nest_model {
-            Some(nest) => nest.boundary_traffic(cap_bytes, self.b, &mut self.atoms),
-            None => Ok(BoundaryTraffic::default()),
+        let Some(nest) = &self.kr.nest_model else {
+            return Ok(BoundaryTraffic::default());
+        };
+        if !self.staged {
+            nest.stage(&mut self.header, self.b, &mut self.atoms)?;
+            self.staged = true;
         }
+        nest.boundary_traffic(cap_bytes, &self.header, self.b, &mut self.atoms)
     }
 }
 
@@ -1023,7 +1006,7 @@ mod tests {
         assert_eq!(k.data_bytes().eval_count(&b).unwrap(), 96_000);
         // footprint: 3 arrays × 125 lines; only `a` is stored
         assert_eq!(k.footprint_lines().eval_count(&b).unwrap(), 375);
-        assert_eq!(k.stored_lines().eval_count(&b).unwrap(), 125);
+        assert_eq!(k.resident_lines().eval_count(&b).unwrap(), 375 + 125);
         // ceilings at the default machine
         let p = k.place(&c, &b).unwrap();
         assert_eq!(p.compute_cycles, 4000.0);
@@ -1033,11 +1016,11 @@ mod tests {
         assert_eq!(p.mem_cycles[2], (375.0 + 125.0) * 64.0 / 4.0);
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::Dram), "{p}");
         // large n leaves every cache: streaming regime at every level —
-        // loads cross once, stores twice (fill + write-back)
+        // loads cross once, stores twice (fill + write-back): 16 loaded
+        // and 8 stored bytes per element per rep
         let b = bindings(&[("n", 1_000_000), ("reps", 4)]);
         let p = k.place(&c, &b).unwrap();
-        let sweep = (k.data_load_bytes().eval_count(&b).unwrap()
-            + 2 * k.data_store_bytes().eval_count(&b).unwrap()) as f64;
+        let sweep = ((16 + 2 * 8) * 1_000_000 * 4) as f64;
         assert_eq!(p.mem_cycles[1], sweep / 16.0);
         assert_eq!(p.mem_cycles[2], sweep / 4.0);
         assert_eq!(p.binding, Ceiling::Mem(MemLevel::Dram));

@@ -15,7 +15,8 @@
 //! the same order, with the same refusals, at a fraction of the cost.
 //! Nothing of the regime selection is duplicated here: the loop lives in
 //! `mira-roofline`, the nest regime rules in
-//! [`mira_mem::NestShape::traffic`].
+//! [`mira_mem::NestShape::traffic`] and the header they read in
+//! [`mira_mem::NestHeader::stage`].
 //!
 //! A placement reads the forms through one evaluator, `Sections`,
 //! over a table of the point's already-known values: an
@@ -48,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
+use mira_mem::{BoundaryTraffic, NestShape};
 use mira_model::ModelError;
 use mira_probe as probe;
 use mira_roofline::{
@@ -161,18 +162,17 @@ pub struct Query {
     pub values: [i128; MAX_QUERY_PARAMS],
 }
 
-/// The compiled per-nest working-set model: the `Send + Sync` regime
-/// skeleton plus the sections holding its evaluated closed forms.
+/// The compiled per-nest working-set model: the `Send + Sync` group
+/// structure plus the sections holding its evaluated closed forms.
 #[derive(Clone, Debug)]
 struct NestPlan {
     shape: NestShape,
     header_sec: SecId,
     /// Per node: rounded one-iteration working set, raw extent.
-    ws_out: Vec<OutId>,
-    ext_out: Vec<OutId>,
-    /// Per group: `(union, stored)` in the fixed order
-    /// `(t,f) (t,t) (f,f) (f,t)` — one lazily-run section each.
-    group_secs: Vec<[(SecId, OutId); 4]>,
+    header_out: Vec<(OutId, OutId)>,
+    /// One lazily-run section per group form: group `g`'s form in
+    /// [`mira_mem::GroupExpr::slot`] `k` at `4·g + k`.
+    form_secs: Vec<(SecId, OutId)>,
 }
 
 /// Source of [`PlacementProgram`] ids: every compiled program gets a
@@ -273,42 +273,28 @@ impl PlacementProgram {
         let streaming = form(&mut b, &forms.streaming_bytes, None)?;
         let nest = match &kr.nest_model {
             Some(nm) => {
-                let mut ws_out = Vec::with_capacity(nm.nodes.len());
-                let mut ext_out = Vec::with_capacity(nm.nodes.len());
-                for n in &nm.nodes {
-                    // interleaved per node, like boundary_traffic's
-                    // header loop, so refusals surface in its order
-                    ws_out.push(b.add_count_output(&n.ws_lines)?);
-                    ext_out.push(b.add_output(&n.extent)?);
-                }
+                // interleaved per node, as `NestModel::stage` evaluates
+                // them, so refusals surface in its order
+                let header_out = nm
+                    .nodes
+                    .iter()
+                    .map(|n| Ok((b.add_count_output(&n.ws_lines)?, b.add_output(&n.extent)?)))
+                    .collect::<Result<Vec<_>, CompileError>>()?;
                 let header_sec = b.seal_section(false);
-                let mut group_secs = Vec::with_capacity(nm.groups.len());
-                for gi in 0..nm.groups.len() {
-                    let mk = |b: &mut ProgramBuilder,
-                              union: bool,
-                              stored: bool|
-                     -> Result<(SecId, OutId), CompileError> {
-                        let e = nm.group_expr(GroupExpr {
-                            group: gi,
-                            union,
-                            stored,
-                        });
+                let form_secs = nm
+                    .forms
+                    .iter()
+                    .flatten()
+                    .map(|e| {
                         let out = b.add_count_output(e)?;
                         Ok((b.seal_section(false), out))
-                    };
-                    group_secs.push([
-                        mk(&mut b, true, false)?,
-                        mk(&mut b, true, true)?,
-                        mk(&mut b, false, false)?,
-                        mk(&mut b, false, true)?,
-                    ]);
-                }
+                    })
+                    .collect::<Result<Vec<_>, CompileError>>()?;
                 Some(NestPlan {
-                    shape: nm.shape(),
+                    shape: nm.shape.clone(),
                     header_sec,
-                    ws_out,
-                    ext_out,
-                    group_secs,
+                    header_out,
+                    form_secs,
                 })
             }
             None => None,
@@ -335,10 +321,10 @@ impl PlacementProgram {
         })
     }
 
-    /// Nest traffic at one capacity. The header (per-node working sets
-    /// and extents) does not depend on the capacity, so it is staged in
-    /// the scratch once per placement (`staged`): a re-run at the second
-    /// boundary could only repeat the first run's values.
+    /// Nest traffic at one capacity. The header does not depend on the
+    /// capacity, so it is staged in the scratch once per placement
+    /// (`staged`): a re-run at the second boundary could only repeat the
+    /// first run's values.
     fn nest_traffic(
         &self,
         nest: &NestPlan,
@@ -346,50 +332,29 @@ impl PlacementProgram {
         s: &mut Scratch,
         staged: &mut bool,
     ) -> Result<BoundaryTraffic, EvalError> {
-        // the ws/ext staging buffers live in the scratch (reused across
-        // queries), but the regime closure needs the scratch mutably —
-        // take them out for the duration
-        let mut ws = std::mem::take(&mut s.ws);
-        let mut ext = std::mem::take(&mut s.ext);
-        let r = self.nest_traffic_inner(nest, cap_bytes, s, &mut ws, &mut ext, staged);
-        s.ws = ws;
-        s.ext = ext;
-        r
-    }
-
-    fn nest_traffic_inner(
-        &self,
-        nest: &NestPlan,
-        cap_bytes: u64,
-        s: &mut Scratch,
-        ws: &mut Vec<i128>,
-        ext: &mut Vec<Rat>,
-        staged: &mut bool,
-    ) -> Result<BoundaryTraffic, EvalError> {
+        // the header lives in the scratch (reused across queries), but
+        // sections run on the scratch mutably: take it out meanwhile
+        let mut h = std::mem::take(&mut s.header);
         let p = &self.program;
-        if !*staged {
-            p.run_section(nest.header_sec, s)?;
-            ws.clear();
-            ext.clear();
-            for i in 0..nest.shape.n_nodes {
-                ws.push(p.output(nest.ws_out[i], s).floor());
-                let e = p.output(nest.ext_out[i], s);
-                // extents stay rational and clamp at zero, exactly like
-                // boundary_traffic's header
-                ext.push(if e < Rat::ZERO { Rat::ZERO } else { e });
+        let mut traffic = || {
+            if !*staged {
+                p.run_section(nest.header_sec, s)?;
+                h.stage(
+                    nest.header_out
+                        .iter()
+                        .map(|&(ws, ext)| Ok((p.output(ws, s).floor(), p.output(ext, s)))),
+                )?;
+                *staged = true;
             }
-            *staged = true;
-        }
-        nest.shape.traffic(cap_bytes, ws, ext, |q| {
-            let (sec, out) = nest.group_secs[q.group][match (q.union, q.stored) {
-                (true, false) => 0,
-                (true, true) => 1,
-                (false, false) => 2,
-                (false, true) => 3,
-            }];
-            p.run_section(sec, s)?;
-            Ok(p.output(out, s).floor())
-        })
+            nest.shape.traffic(cap_bytes, &h, |q| {
+                let (sec, out) = nest.form_secs[4 * q.group + q.slot()];
+                p.run_section(sec, s)?;
+                Ok(p.output(out, s).floor())
+            })
+        };
+        let t = traffic();
+        s.header = h;
+        t
     }
 }
 

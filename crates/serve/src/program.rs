@@ -35,6 +35,7 @@
 
 use std::collections::HashMap;
 
+use mira_mem::NestHeader;
 use mira_sym::budget;
 use mira_sym::{Atom, Bindings, EvalError, Rat, SymExpr};
 
@@ -152,11 +153,10 @@ pub struct SecId(u32);
 pub struct Scratch {
     regs: Vec<Rat>,
     vals: Vec<Option<i128>>,
-    /// Per-node working-set / extent staging for nest-model placement
-    /// (used by `PlacementProgram`, carried here so one scratch covers a
-    /// whole query).
-    pub(crate) ws: Vec<i128>,
-    pub(crate) ext: Vec<Rat>,
+    /// The nest-model header of the placement in progress (staged by
+    /// `PlacementProgram`, carried here so one scratch covers a whole
+    /// query).
+    pub(crate) header: NestHeader,
 }
 
 impl Scratch {

@@ -18,6 +18,7 @@
 
 use mira_arch::{ArchDescription, CacheLevel};
 use mira_core::{analyze_source, MiraOptions};
+use mira_mem::NestHeader;
 use mira_sym::{AtomTable, Bindings};
 use mira_vm::{HostVal, Vm, VmOptions};
 use proptest::test_runner::ProptestConfig;
@@ -201,11 +202,18 @@ fn check_case(case: &Case, asserted: &AtomicUsize) {
     vm.flush_mem();
     let stats = vm.mem_stats().expect("profiling on");
 
-    let predict = |cap_bytes: u32| -> (i128, i128) {
+    // the header is staged once, as a placement stages it, and read at
+    // both capacities
+    let mut atoms = AtomTable::new();
+    let mut header = NestHeader::default();
+    nm.stage(&mut header, &b, &mut atoms).unwrap();
+    let mut predict = |cap_bytes: u32| -> (i128, i128) {
         if footprint * LINE as i128 <= cap_bytes as i128 {
             (footprint, stored) // fully resident: compulsory only
         } else {
-            let t = nm.boundary_traffic(cap_bytes as u64, &b, &mut AtomTable::new()).unwrap();
+            let t = nm
+                .boundary_traffic(cap_bytes as u64, &header, &b, &mut atoms)
+                .unwrap();
             (t.fill_lines, t.writeback_lines)
         }
     };
