@@ -91,9 +91,6 @@ mod tests {
         // together with the (empty-on-line-2) body they partition line 2
         let outside = map.on_line_outside(2, &[meta.init, meta.cond, meta.step, meta.body]);
         assert!(outside.is_empty(), "{outside:?}");
-        assert_eq!(
-            init.len() + cond.len() + step.len(),
-            map.on_line(2).len()
-        );
+        assert_eq!(init.len() + cond.len() + step.len(), map.on_line(2).len());
     }
 }

@@ -8,9 +8,7 @@ use crate::bridge::LineMap;
 use crate::scop::{self, analyze_condition, extract_for_scop, Condition, LoopScope};
 use mira_arch::Category;
 use mira_isa::Inst;
-use mira_minic::{
-    AnnotValue, Annotation, Expr, ExprKind, Program, Stmt, StmtKind,
-};
+use mira_minic::{AnnotValue, Annotation, Expr, ExprKind, Program, Stmt, StmtKind};
 use mira_model::{FuncModel, Model, ModelOp};
 use mira_poly::Polyhedron;
 use mira_sym::{Rat, SymExpr};
@@ -249,12 +247,7 @@ impl<'a> FuncGen<'a> {
         None
     }
 
-    fn acc_insts(
-        &mut self,
-        line: u32,
-        insts: &[BinInst],
-        count: &SymExpr,
-    ) {
+    fn acc_insts(&mut self, line: u32, insts: &[BinInst], count: &SymExpr) {
         if insts.is_empty() || count.is_zero() {
             return;
         }
@@ -267,7 +260,9 @@ impl<'a> FuncGen<'a> {
         for i in insts {
             *by_cat.entry(i.inst.category()).or_insert(0) += 1;
             if let Some((store, bytes)) = i.inst.memory_bytes() {
-                *by_mem.entry((store, bytes, i.inst.is_frame_access())).or_insert(0) += 1;
+                *by_mem
+                    .entry((store, bytes, i.inst.is_frame_access()))
+                    .or_insert(0) += 1;
             }
             flops += i.inst.flop_count() as i128;
         }
@@ -453,9 +448,7 @@ impl<'a> FuncGen<'a> {
                 let then_ctx = ctx.with_constraints(&cs);
                 let else_ctx = if cs.len() == 1 {
                     // ¬(c ≥ 0) ⇔ -c - 1 ≥ 0
-                    ctx.with_constraints(&[cs[0]
-                        .neg_expr()
-                        .sub_expr(&SymExpr::constant(1))])
+                    ctx.with_constraints(&[cs[0].neg_expr().sub_expr(&SymExpr::constant(1))])
                 } else {
                     self.warnings.push(format!(
                         "line {line}: compound branch condition — else-branch modeled at full iteration count"
@@ -531,8 +524,9 @@ impl<'a> FuncGen<'a> {
             self.acc_insts(line, &step, body_count);
             self.acc_insts(line, &in_body, body_count);
         } else {
-            self.warnings
-                .push(format!("line {line}: no loop metadata — overhead approximated"));
+            self.warnings.push(format!(
+                "line {line}: no loop metadata — overhead approximated"
+            ));
             let insts = self.linemap.on_line(line).to_vec();
             self.acc_insts(line, &insts, body_count);
         }

@@ -105,12 +105,12 @@ pub fn analyze_condition(e: &Expr, scope: &LoopScope) -> Condition {
             };
             let one = SymExpr::constant(1);
             let cs = match op {
-                BinOp::Lt => vec![r - l - one],             // l < r  ⇔ r-l-1 ≥ 0
-                BinOp::Le => vec![r - l],                   // l ≤ r
-                BinOp::Gt => vec![l - r - one],             // l > r
-                BinOp::Ge => vec![l - r],                   // l ≥ r
+                BinOp::Lt => vec![r - l - one],                  // l < r  ⇔ r-l-1 ≥ 0
+                BinOp::Le => vec![r - l],                        // l ≤ r
+                BinOp::Gt => vec![l - r - one],                  // l > r
+                BinOp::Ge => vec![l - r],                        // l ≥ r
                 BinOp::Eq => vec![l.clone() - r.clone(), r - l], // both directions
-                BinOp::Ne => return Condition::NonAffine,   // non-convex
+                BinOp::Ne => return Condition::NonAffine,        // non-convex
                 _ => return Condition::NonAffine,
             };
             Condition::Affine(cs)
@@ -119,18 +119,13 @@ pub fn analyze_condition(e: &Expr, scope: &LoopScope) -> Condition {
             op: BinOp::And,
             lhs,
             rhs,
-        } => {
-            match (
-                analyze_condition(lhs, scope),
-                analyze_condition(rhs, scope),
-            ) {
-                (Condition::Affine(mut a), Condition::Affine(b)) => {
-                    a.extend(b);
-                    Condition::Affine(a)
-                }
-                _ => Condition::NonAffine,
+        } => match (analyze_condition(lhs, scope), analyze_condition(rhs, scope)) {
+            (Condition::Affine(mut a), Condition::Affine(b)) => {
+                a.extend(b);
+                Condition::Affine(a)
             }
-        }
+            _ => Condition::NonAffine,
+        },
         _ => Condition::NonAffine,
     }
 }
@@ -186,9 +181,7 @@ pub fn extract_for_scop(
         return None;
     };
     let hi = match (&lhs.kind, op) {
-        (ExprKind::Var(v), BinOp::Lt) if *v == var => {
-            to_affine(rhs, scope)? - SymExpr::constant(1)
-        }
+        (ExprKind::Var(v), BinOp::Lt) if *v == var => to_affine(rhs, scope)? - SymExpr::constant(1),
         (ExprKind::Var(v), BinOp::Le) if *v == var => to_affine(rhs, scope)?,
         _ => match (&rhs.kind, op) {
             (ExprKind::Var(v), BinOp::Gt) if *v == var => {
@@ -274,9 +267,10 @@ pub fn annotated_iters(ann: &Annotation, admit: impl Fn(&str) -> bool) -> Option
         _ => return None,
     };
     Some(match ann.get("lp_scale") {
-        Some(AnnotValue::Num(f)) => {
-            iters.scale(Rat::new((f * 1_000_000_000.0).round() as i128, 1_000_000_000))
-        }
+        Some(AnnotValue::Num(f)) => iters.scale(Rat::new(
+            (f * 1_000_000_000.0).round() as i128,
+            1_000_000_000,
+        )),
         _ => iters,
     })
 }
@@ -308,8 +302,7 @@ mod tests {
 
     #[test]
     fn extracts_simple_scop() {
-        let (i, c, s) =
-            first_for("void f(int n) { for (int i = 0; i < n; i++) { ; } }");
+        let (i, c, s) = first_for("void f(int n) { for (int i = 0; i < n; i++) { ; } }");
         let scop = extract_for_scop(&i, &c, &s, &LoopScope::new()).unwrap();
         assert_eq!(scop.var, "i");
         assert_eq!(scop.lo.as_int(), Some(0));
@@ -320,8 +313,7 @@ mod tests {
 
     #[test]
     fn extracts_le_and_stride() {
-        let (i, c, s) =
-            first_for("void f(int n) { for (int i = 2; i <= n; i += 3) { ; } }");
+        let (i, c, s) = first_for("void f(int n) { for (int i = 2; i <= n; i += 3) { ; } }");
         let scop = extract_for_scop(&i, &c, &s, &LoopScope::new()).unwrap();
         assert_eq!(scop.stride, Some((3, 2)));
         let b = bindings(&[("n", 10)]);
@@ -330,9 +322,7 @@ mod tests {
 
     #[test]
     fn dependent_inner_bound_renames_loop_var() {
-        let (i, c, s) = first_for(
-            "void f(int n) { for (int j = 0; j < n; j++) { ; } }",
-        );
+        let (i, c, s) = first_for("void f(int n) { for (int j = 0; j < n; j++) { ; } }");
         let mut scope = LoopScope::new();
         scope.insert("n".to_string(), "i#0".to_string()); // pretend n is an outer loop var
         let scop = extract_for_scop(&i, &c, &s, &scope).unwrap();
@@ -350,8 +340,7 @@ mod tests {
     #[test]
     fn rejects_symbolic_stride_start() {
         // stride > 1 with a symbolic start has an unknown residue class
-        let (i, c, s) =
-            first_for("void f(int n, int a) { for (int i = a; i < n; i += 2) { ; } }");
+        let (i, c, s) = first_for("void f(int n, int a) { for (int i = a; i < n; i += 2) { ; } }");
         assert!(extract_for_scop(&i, &c, &s, &LoopScope::new()).is_none());
     }
 

@@ -66,7 +66,12 @@ fn line_bytes_roll_up_per_line() {
 #[test]
 fn exact_straightline_function() {
     let src = "double f(double a, double b) {\n    double c = a * b;\n    double d = c + a;\n    return d;\n}";
-    assert_exact(src, "f", &[HostVal::Fp(1.0), HostVal::Fp(2.0)], &bindings(&[]));
+    assert_exact(
+        src,
+        "f",
+        &[HostVal::Fp(1.0), HostVal::Fp(2.0)],
+        &bindings(&[]),
+    );
 }
 
 #[test]
@@ -87,7 +92,9 @@ double sum(int n, double* a) {
         let a = vm.alloc_f64(&vec![1.0; (n as usize).max(1)]);
         vm.call("sum", &[HostVal::Int(n), HostVal::Int(a as i64)])
             .unwrap();
-        let report = analysis.report("sum", &bindings(&[("n", n as i128)])).unwrap();
+        let report = analysis
+            .report("sum", &bindings(&[("n", n as i128)]))
+            .unwrap();
         let prof = vm.profile();
         let dynamic = &prof.function("sum").unwrap().inclusive;
         for cat in Category::ALL {
@@ -119,7 +126,9 @@ int tri(int n) {
         let mut vm = Vm::new(&analysis.object).unwrap();
         vm.call("tri", &[HostVal::Int(n)]).unwrap();
         assert_eq!(vm.int_return(), n * (n + 1) / 2);
-        let report = analysis.report("tri", &bindings(&[("n", n as i128)])).unwrap();
+        let report = analysis
+            .report("tri", &bindings(&[("n", n as i128)]))
+            .unwrap();
         let prof = vm.profile();
         let dynamic = &prof.function("tri").unwrap().inclusive;
         for cat in Category::ALL {
@@ -149,7 +158,7 @@ int count() {
     assert_eq!(vm.int_return(), 14); // Fig. 4(a)
     let report = analysis.report("count", &bindings(&[])).unwrap();
     let prof = vm.profile();
-        let dynamic = &prof.function("count").unwrap().inclusive;
+    let dynamic = &prof.function("count").unwrap().inclusive;
     for cat in Category::ALL {
         assert_eq!(report.counts.get(cat), dynamic.get(cat), "cat {cat}");
     }
@@ -332,7 +341,7 @@ double iterate(int n, double x) {
         .report("iterate", &bindings(&[("kmax", 10)]))
         .unwrap();
     let prof = vm.profile();
-        let dynamic = &prof.function("iterate").unwrap().inclusive;
+    let dynamic = &prof.function("iterate").unwrap().inclusive;
     for cat in Category::ALL {
         assert_eq!(report.counts.get(cat), dynamic.get(cat), "cat {cat}");
     }
@@ -396,13 +405,15 @@ double norm(int n, double* a) {
     // warning about sqrt being external
     assert!(analysis.warnings.iter().any(|w| w.contains("sqrt")));
     let n = 100i64;
-    let report = analysis.report("norm", &bindings(&[("n", n as i128)])).unwrap();
+    let report = analysis
+        .report("norm", &bindings(&[("n", n as i128)]))
+        .unwrap();
     let mut vm = Vm::new(&analysis.object).unwrap();
     let a = vm.alloc_f64(&vec![2.0; n as usize]);
     vm.call("norm", &[HostVal::Int(n), HostVal::Int(a as i64)])
         .unwrap();
     let prof = vm.profile();
-        let dynamic = &prof.function("norm").unwrap().inclusive;
+    let dynamic = &prof.function("norm").unwrap().inclusive;
     let arch = ArchDescription::default();
     let static_fpi = report.fpi(&arch);
     let dyn_fpi = dynamic.metric(arch.fpi());
