@@ -11,9 +11,10 @@ use mira_isa::Inst;
 use mira_minic::{AnnotValue, Annotation, Expr, ExprKind, Program, Stmt, StmtKind};
 use mira_model::{FuncModel, Model, ModelOp};
 use mira_poly::Polyhedron;
-use mira_sym::{Rat, SymExpr};
+use mira_sym::{budget, Rat, SymExpr};
 use mira_vobj::disasm::{BinInst, BinaryAst};
 use mira_vobj::{LoopMeta, Object};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 
 /// Metric-generation failure (hard errors only; soft issues become
@@ -32,11 +33,16 @@ impl std::error::Error for MetricsError {}
 /// The modeling context at a point in the AST: the enclosing polyhedral
 /// iteration domain, complement ("hole") lattice constraints from `%`
 /// branches, and a scalar extra multiplier from annotations.
+///
+/// A clone is the same context and shares a count already made; every
+/// context built from another one ([`Ctx::derived`]) starts uncounted.
 #[derive(Clone)]
 struct Ctx {
     domain: Polyhedron,
     neg_lattices: Vec<(String, i64, i64)>,
     extra: SymExpr,
+    /// The count, once made, with the fuel making it charged.
+    counted: OnceCell<(SymExpr, u64)>,
 }
 
 impl Ctx {
@@ -45,12 +51,40 @@ impl Ctx {
             domain: Polyhedron::new(),
             neg_lattices: Vec::new(),
             extra: SymExpr::constant(1),
+            counted: OnceCell::new(),
+        }
+    }
+
+    /// A copy to build another context from: the count starts unmade.
+    fn derived(&self) -> Ctx {
+        Ctx {
+            domain: self.domain.clone(),
+            neg_lattices: self.neg_lattices.clone(),
+            extra: self.extra.clone(),
+            counted: OnceCell::new(),
         }
     }
 
     /// Number of executions of a statement at this context, as a symbolic
-    /// expression (inclusion–exclusion over complement lattices).
+    /// expression. Counted once per context: every later call returns
+    /// that count and charges the fuel counting spent
+    /// ([`budget::replay`]), so the metric generator's budget spends, and
+    /// refuses, exactly as if each call had counted.
     fn count(&self) -> Result<SymExpr, MetricsError> {
+        if let Some((count, fuel)) = self.counted.get() {
+            budget::replay(*fuel);
+            return Ok(count.clone());
+        }
+        mira_probe::add("core.contexts_counted", 1);
+        let (count, fuel) = budget::metered(|| self.count_domain());
+        let count = count?;
+        let _ = self.counted.set((count.clone(), fuel));
+        Ok(count)
+    }
+
+    /// The polyhedral count behind [`Ctx::count`] (inclusion–exclusion
+    /// over complement lattices).
+    fn count_domain(&self) -> Result<SymExpr, MetricsError> {
         let k = self.neg_lattices.len();
         if k > 6 {
             return Err(MetricsError("too many modulo branch constraints".into()));
@@ -76,7 +110,7 @@ impl Ctx {
     }
 
     fn with_constraints(&self, cs: &[SymExpr]) -> Ctx {
-        let mut out = self.clone();
+        let mut out = self.derived();
         for c in cs {
             out.domain.constrain_ge0(c.clone());
         }
@@ -84,25 +118,25 @@ impl Ctx {
     }
 
     fn with_lattice(&self, var: &str, m: i64, r: i64) -> Ctx {
-        let mut out = self.clone();
+        let mut out = self.derived();
         out.domain.add_lattice(var, m, r);
         out
     }
 
     fn with_neg_lattice(&self, var: &str, m: i64, r: i64) -> Ctx {
-        let mut out = self.clone();
+        let mut out = self.derived();
         out.neg_lattices.push((var.to_string(), m, r));
         out
     }
 
     fn scaled(&self, f: Rat) -> Ctx {
-        let mut out = self.clone();
+        let mut out = self.derived();
         out.extra = out.extra.scale(f);
         out
     }
 
     fn with_extra(&self, e: &SymExpr) -> Ctx {
-        let mut out = self.clone();
+        let mut out = self.derived();
         out.extra = out.extra.mul_expr(e);
         out
     }
@@ -579,7 +613,7 @@ impl<'a> FuncGen<'a> {
 
         let dom_var = format!("{}#{}", scop.var, self.var_counter);
         self.var_counter += 1;
-        let mut body_ctx = ctx.clone();
+        let mut body_ctx = ctx.derived();
         body_ctx.domain.add_var(&dom_var);
         body_ctx
             .domain
@@ -660,13 +694,9 @@ impl<'a> FuncGen<'a> {
             (Some(i), Some(c), Some(st)) => extract_for_scop(i, c, st, &self.scope),
             _ => None,
         };
-        let Some(scop) = scop else {
-            return Err(MetricsError(format!(
-                "line {line}: vectorized loop with unanalyzable bounds"
-            )));
-        };
-        for p in scop.lo.params().iter().chain(scop.hi.params().iter()) {
-            if ctx.has_var(p) {
+        if let Some(scop) = &scop {
+            let mut bounds = scop.lo.params().into_iter().chain(scop.hi.params());
+            if bounds.any(|p| ctx.has_var(&p)) {
                 self.warnings.push(format!(
                     "line {line}: vectorized loop bound depends on an outer loop variable — counts approximated"
                 ));
@@ -674,9 +704,17 @@ impl<'a> FuncGen<'a> {
         }
 
         let entry = ctx.count()?;
-        // trip count T = hi - lo + 1 (clamped at zero when it may be empty)
-        let t_raw = scop.hi.sub_expr(&scop.lo).add_expr(&SymExpr::constant(1));
-        let t = t_raw.clamp0();
+        let t = match scop {
+            // trip count T = hi - lo + 1 (clamped at zero when it may be empty)
+            Some(scop) => scop
+                .hi
+                .sub_expr(&scop.lo)
+                .add_expr(&SymExpr::constant(1))
+                .clamp0(),
+            // unanalyzable bounds: the annotated trip count, or a model
+            // parameter, as for a scalar loop
+            None => self.annotated_iters(s.annotation.as_ref(), line),
+        };
         let vf = main.vector_factor as i64;
         let main_iters = t.floor_div(vf);
         let rem_iters = t.sub_expr(&main_iters.scale(Rat::int(vf as i128)));

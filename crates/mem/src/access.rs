@@ -190,11 +190,13 @@ struct NestRef {
     path: Vec<usize>,
     /// `ranges[l]` is the index range with the outermost `l` loops of
     /// `path` pinned at their first iteration and the rest swept — the
-    /// working-set ladder (`ranges[0]` is the full-sweep range). For
-    /// affine references this ladder is recomputed from `idx` when the
-    /// model is built (so composition and triangular pinning see one
-    /// code path); for `gather` references it is the recorded flat
-    /// bound, the only range the analysis has.
+    /// working-set ladder (`ranges[0]` is the full-sweep range). For an
+    /// affine reference the walker records it ([`ladder`]), and the
+    /// model builder derives it again only where the walker's cannot
+    /// hold: for a spliced callee reference (left empty by
+    /// [`AccessModel::flatten_nest`]) and under a consumed ancestor,
+    /// which pins at its last iteration. For `gather` references it is
+    /// the recorded flat bound, the only range the analysis has.
     ranges: Vec<(SymExpr, SymExpr)>,
     /// The affine access function itself (domain variables renamed);
     /// for `gather` references an opaque placeholder.
@@ -802,38 +804,53 @@ fn is_ancestor(nodes: &[NodeBuild], a: usize, mut i: usize) -> bool {
     false
 }
 
-/// An affine reference's pinned-range ladder over the loop forest:
-/// entry `l` is the index range with the outermost `l` loops of `path`
-/// pinned and the rest swept ([`sweep_dims`], innermost-first). The
-/// walker records it over its current path; the nest model recomputes
-/// it over the (possibly spliced) forest. A pinned loop collapses to its
-/// lower bound, innermost-pinned first so tiled bounds resolve toward
-/// the outermost loop, except ancestors consumed by a triangular child
-/// (`hi_pin`), which pin at their *upper* bound: that is where the child
-/// sweeps its widest range, so the ladder stays a maximal per-iteration
-/// working set.
-fn ref_ladder(
+/// An affine reference's index range swept over the loops of `path`,
+/// innermost first, one loop per step ([`sweep_dim`]): entry `l` has
+/// the loops `path[l..]` swept, so entry 0 is the full-sweep range and
+/// the last the index itself. `None` when a loop variable occurs
+/// non-affinely; the flag is set when a coefficient's sign was
+/// undecidable (see [`sweep_dim`]).
+fn sweeps(
     nodes: &[NodeBuild],
     path: &[usize],
     idx: &SymExpr,
-    hi_pin: &std::collections::BTreeSet<String>,
-) -> Option<Vec<(SymExpr, SymExpr)>> {
+) -> Option<(Vec<(SymExpr, SymExpr)>, bool)> {
     let mut out = Vec::with_capacity(path.len() + 1);
-    for pin in 0..=path.len() {
-        let mut min = idx.clone();
-        let mut max = idx.clone();
-        let mut unknown_sign = false;
-        let swept = path[pin..].iter().map(|&n| &nodes[n]);
-        if !sweep_dims(swept, &mut min, &mut max, &mut unknown_sign) {
+    out.push((idx.clone(), idx.clone()));
+    let mut unknown_sign = false;
+    for &n in path.iter().rev() {
+        let (mut min, mut max) = out[out.len() - 1].clone();
+        if !sweep_dim(&nodes[n], &mut min, &mut max, &mut unknown_sign) {
             return None;
         }
+        out.push((min, max));
+    }
+    out.reverse();
+    Some((out, unknown_sign))
+}
+
+/// Pin [`sweeps`]' entries into the reference's pinned-range ladder over
+/// the loop forest: entry `l` becomes the index range with the outermost
+/// `l` loops of `path` pinned and the rest swept. A pinned loop
+/// collapses to its lower bound, innermost-pinned first so tiled bounds
+/// resolve toward the outermost loop, except ancestors consumed by a
+/// triangular child (`hi_pin`), which pin at their *upper* bound: that
+/// is where the child sweeps its widest range, so the ladder stays a
+/// maximal per-iteration working set.
+fn pin_ladder(
+    nodes: &[NodeBuild],
+    path: &[usize],
+    mut swept: Vec<(SymExpr, SymExpr)>,
+    hi_pin: &std::collections::BTreeSet<String>,
+) -> Option<Vec<(SymExpr, SymExpr)>> {
+    for (pin, (min, max)) in swept.iter_mut().enumerate() {
         for dim in path[..pin].iter().rev().map(|&n| &nodes[n]) {
             let at = if hi_pin.contains(&dim.var) {
                 &dim.hi
             } else {
                 &dim.lo
             };
-            for range in [&mut min, &mut max] {
+            for range in [&mut *min, &mut *max] {
                 if range.degree_in(&dim.var) == 0 {
                     continue;
                 }
@@ -843,9 +860,21 @@ fn ref_ladder(
                 *range = range.substitute(&dim.var, at);
             }
         }
-        out.push((min, max));
     }
-    Some(out)
+    Some(swept)
+}
+
+/// An affine reference's pinned-range ladder ([`sweeps`], then
+/// [`pin_ladder`]): each loop of `path` swept once, where deriving each
+/// entry on its own sweeps every inner loop again (the tests keep that
+/// derivation, `ref_ladder`, as the reference).
+fn ladder(
+    nodes: &[NodeBuild],
+    path: &[usize],
+    idx: &SymExpr,
+    hi_pin: &std::collections::BTreeSet<String>,
+) -> Option<Vec<(SymExpr, SymExpr)>> {
+    pin_ladder(nodes, path, sweeps(nodes, path, idx)?.0, hi_pin)
 }
 
 impl AccessModel {
@@ -956,9 +985,9 @@ impl AccessModel {
                 };
                 let mut path = call.path.clone();
                 path.extend(r.path.iter().map(|p| p + offset));
-                // affine ladders are recomputed from `idx` by the model
-                // builder; a gather's flat bound is simply re-tiled to
-                // the spliced depth
+                // an affine ladder is derived over the spliced forest by
+                // the model builder; a gather's flat bound is simply
+                // re-tiled to the spliced depth
                 let ranges = if r.gather {
                     let (mn, mx) = &r.ranges[0];
                     vec![(map_expr(mn)?, map_expr(mx)?); path.len() + 1]
@@ -1062,14 +1091,14 @@ impl AccessModel {
             triangular.insert(i);
             extents.push(avg);
         }
-        // recompute every affine reference's pinned-range ladder over the
-        // (possibly spliced) forest, pinning consumed ancestors at their
-        // last iteration
+        // the walker's ladder holds for an own affine reference unless a
+        // consumed ancestor, pinned at its last iteration, is on its
+        // path; a spliced callee reference has none yet
         let hi_pin: std::collections::BTreeSet<String> =
             consumed.iter().map(|&a| nodes_b[a].var.clone()).collect();
         for r in refs.iter_mut() {
-            if !r.gather {
-                r.ranges = ref_ladder(&nodes_b, &r.path, &r.idx, &hi_pin)?;
+            if !r.gather && (r.ranges.is_empty() || r.path.iter().any(|n| consumed.contains(n))) {
+                r.ranges = ladder(&nodes_b, &r.path, &r.idx, &hi_pin)?;
             }
         }
         // per-node one-iteration working sets. Per-array ranges unite
@@ -1199,10 +1228,7 @@ impl AccessModel {
         let mut accesses: Vec<Access> = Vec::new();
         for r in refs {
             let (mn, mx) = &r.ranges[0];
-            match accesses
-                .iter_mut()
-                .find(|a| a.idx.sub_expr(&r.idx).is_zero())
-            {
+            match accesses.iter_mut().find(|a| a.idx == r.idx) {
                 Some(a) => {
                     let (nmn, nmx) = sym_min_max(&a.min, mn, &a.max, mx)?;
                     a.min = nmn;
@@ -1279,9 +1305,7 @@ impl AccessModel {
         let mut depends = vec![false; path.len()];
         for r in refs {
             for (l, dep) in depends.iter_mut().enumerate() {
-                let (a0, b0) = &r.ranges[l];
-                let (a1, b1) = &r.ranges[l + 1];
-                if !a0.sub_expr(a1).is_zero() || !b0.sub_expr(b1).is_zero() {
+                if r.ranges[l] != r.ranges[l + 1] {
                     *dep = true;
                 }
             }
@@ -1423,10 +1447,8 @@ fn sym_min_max(
     max_b: &SymExpr,
 ) -> Option<(SymExpr, SymExpr)> {
     let pick = |a: &SymExpr, b: &SymExpr, smaller: bool| -> Option<SymExpr> {
-        let a_le_b = match sign_of(&a.sub_expr(b)) {
-            Some(nonneg) => !nonneg || a.sub_expr(b).is_zero(),
-            None => return None,
-        };
+        let diff = a.sub_expr(b);
+        let a_le_b = !sign_of(&diff)? || diff.is_zero();
         Some(if a_le_b == smaller {
             a.clone()
         } else {
@@ -1997,36 +2019,52 @@ impl Walker {
             self.bounded_or_unknown(array, store);
             return;
         }
-        match self.range_of(&idx) {
-            // loop bounds may have pulled mutable locals into the range
-            Some((min, max, _)) if self.is_poisoned(&min) || self.is_poisoned(&max) => {
-                self.bounded_or_unknown(array, store);
-            }
-            Some((min, max, stride)) => {
-                self.record_nest_ref(array, &idx, store, stride);
-                self.refs.push(RawRef {
-                    array: array.clone(),
-                    min,
-                    max,
-                    loaded: !store,
-                    stored: store,
-                    stride_bytes: if self.branch_depth == 0 { stride } else { None },
-                });
-            }
-            None => self.bounded_or_unknown(array, store),
+        // the index range over the enclosing iteration domain: the full
+        // sweep, the first entry of the reference's ladder
+        let Some((swept, unknown_sign)) = sweeps(&self.nodes, &self.node_path, &idx) else {
+            self.bounded_or_unknown(array, store);
+            return;
+        };
+        let (min, max) = swept[0].clone();
+        // loop bounds may have pulled mutable locals into the range
+        if self.is_poisoned(&min) || self.is_poisoned(&max) {
+            self.bounded_or_unknown(array, store);
+            return;
         }
+        let stride = if unknown_sign {
+            None
+        } else {
+            self.dense_coverage(&idx)
+        };
+        self.record_nest_ref(array, &idx, store, stride, swept);
+        self.refs.push(RawRef {
+            array: array.clone(),
+            min,
+            max,
+            loaded: !store,
+            stored: store,
+            stride_bytes: if self.branch_depth == 0 { stride } else { None },
+        });
     }
 
     /// Nest-model bookkeeping for one analyzable reference: the pinned
-    /// range ladder over the current loop path. Guarded references taint
-    /// the model — their traffic cannot be attributed to a nest level.
-    fn record_nest_ref(&mut self, array: &str, idx: &SymExpr, store: bool, stride: Option<i128>) {
+    /// range ladder over the current loop path, pinned from the ranges
+    /// `swept` for its footprint. Guarded references taint the model —
+    /// their traffic cannot be attributed to a nest level.
+    fn record_nest_ref(
+        &mut self,
+        array: &str,
+        idx: &SymExpr,
+        store: bool,
+        stride: Option<i128>,
+        swept: Vec<(SymExpr, SymExpr)>,
+    ) {
         if self.branch_depth > 0 {
             self.nest_tainted = true;
             return;
         }
         let no_hi_pin = std::collections::BTreeSet::new();
-        let Some(ranges) = ref_ladder(&self.nodes, &self.node_path, idx, &no_hi_pin) else {
+        let Some(ranges) = pin_ladder(&self.nodes, &self.node_path, swept, &no_hi_pin) else {
             self.nest_tainted = true;
             return;
         };
@@ -2093,25 +2131,6 @@ impl Walker {
 
     fn is_poisoned(&self, e: &SymExpr) -> bool {
         e.params().iter().any(|p| self.poisoned.contains(p))
-    }
-
-    /// Index range over the enclosing iteration domain by interval
-    /// substitution ([`sweep_dims`]), plus the dense-coverage check
-    /// (`Some(stride_bytes)` when the range is gap-free up to that
-    /// stride).
-    fn range_of(&self, idx: &SymExpr) -> Option<(SymExpr, SymExpr, Option<i128>)> {
-        let mut min = idx.clone();
-        let mut max = idx.clone();
-        let mut unknown_sign = false;
-        if !sweep_dims(self.loops(), &mut min, &mut max, &mut unknown_sign) {
-            return None;
-        }
-        let stride = if unknown_sign {
-            None
-        } else {
-            self.dense_coverage(idx)
-        };
-        Some((min, max, stride))
     }
 
     /// Does the loop nest touch the index range with bounded gaps?
@@ -2206,42 +2225,42 @@ impl Walker {
     }
 }
 
-/// Substitute each of `dims`' bounds into `min`/`max` (innermost loop
-/// first, so inner bounds that reference outer variables resolve as we
-/// go): a positive-coefficient variable takes its lower bound in `min`
-/// and upper bound in `max`, a negative one the reverse. Returns `false`
-/// when a dimension occurs non-affinely; sets `unknown_sign` when a
-/// coefficient's sign was undecidable (the range stays a valid hull but
-/// dense coverage must not be claimed).
-fn sweep_dims<'a>(
-    dims: impl DoubleEndedIterator<Item = &'a NodeBuild>,
+/// Sweep one loop: substitute `dim`'s bounds into `min`/`max` — a
+/// positive-coefficient variable takes its lower bound in `min` and
+/// upper bound in `max`, a negative one the reverse. Loops are swept
+/// innermost first, so inner bounds that reference outer variables
+/// resolve as the sweep goes out. Returns `false` when the variable
+/// occurs non-affinely; sets `unknown_sign` when a coefficient's sign
+/// was undecidable (the range stays a valid hull but dense coverage
+/// must not be claimed). Each call is one `mem.sweep_steps`.
+fn sweep_dim(
+    dim: &NodeBuild,
     min: &mut SymExpr,
     max: &mut SymExpr,
     unknown_sign: &mut bool,
 ) -> bool {
-    for dim in dims.rev() {
-        for (range, subst_lo_when_pos) in [(&mut *min, true), (&mut *max, false)] {
-            if range.degree_in(&dim.var) == 0 {
-                continue;
-            }
-            if range.degree_in(&dim.var) > 1 || range.param_in_composite_atom(&dim.var) {
-                return false;
-            }
-            let coeff = &range.coefficients_of(&dim.var)[1];
-            let bound = match (sign_of(coeff), subst_lo_when_pos) {
-                (Some(true), true) | (Some(false), false) => &dim.lo,
-                (Some(true), false) | (Some(false), true) => &dim.hi,
-                (None, lo) => {
-                    *unknown_sign = true;
-                    if lo {
-                        &dim.lo
-                    } else {
-                        &dim.hi
-                    }
-                }
-            };
-            *range = range.substitute(&dim.var, bound);
+    mira_probe::add("mem.sweep_steps", 1);
+    for (range, subst_lo_when_pos) in [(min, true), (max, false)] {
+        if range.degree_in(&dim.var) == 0 {
+            continue;
         }
+        if range.degree_in(&dim.var) > 1 || range.param_in_composite_atom(&dim.var) {
+            return false;
+        }
+        let coeff = &range.coefficients_of(&dim.var)[1];
+        let bound = match (sign_of(coeff), subst_lo_when_pos) {
+            (Some(true), true) | (Some(false), false) => &dim.lo,
+            (Some(true), false) | (Some(false), true) => &dim.hi,
+            (None, lo) => {
+                *unknown_sign = true;
+                if lo {
+                    &dim.lo
+                } else {
+                    &dim.hi
+                }
+            }
+        };
+        *range = range.substitute(&dim.var, bound);
     }
     true
 }
@@ -2266,6 +2285,124 @@ mod tests {
     use super::*;
     use mira_minic::frontend;
     use mira_sym::bindings;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The per-entry derivation [`ladder`] replaced, kept as its
+    /// reference: every entry sweeps its inner loops from the index
+    /// again, then pins the outer ones.
+    fn ref_ladder(
+        nodes: &[NodeBuild],
+        path: &[usize],
+        idx: &SymExpr,
+        hi_pin: &BTreeSet<String>,
+    ) -> Option<Vec<(SymExpr, SymExpr)>> {
+        let mut out = Vec::with_capacity(path.len() + 1);
+        for pin in 0..=path.len() {
+            let mut min = idx.clone();
+            let mut max = idx.clone();
+            let mut unknown_sign = false;
+            for &n in path[pin..].iter().rev() {
+                if !sweep_dim(&nodes[n], &mut min, &mut max, &mut unknown_sign) {
+                    return None;
+                }
+            }
+            for dim in path[..pin].iter().rev().map(|&n| &nodes[n]) {
+                let at = if hi_pin.contains(&dim.var) {
+                    &dim.hi
+                } else {
+                    &dim.lo
+                };
+                for range in [&mut min, &mut max] {
+                    if range.degree_in(&dim.var) == 0 {
+                        continue;
+                    }
+                    if range.degree_in(&dim.var) > 1 || range.param_in_composite_atom(&dim.var) {
+                        return None;
+                    }
+                    *range = range.substitute(&dim.var, at);
+                }
+            }
+            out.push((min, max));
+        }
+        Some(out)
+    }
+
+    /// A chain nest `v0 ⊃ v1 ⊃ …`, one loop per spec `(lo shape, lo
+    /// constant, hi shape, hi constant, step)`. A bound's shape is 0 for
+    /// the constant alone, 1 for the enclosing loop's variable plus it
+    /// (triangular; `n` for the outermost loop) and 2 for `n` plus it;
+    /// an upper bound of shape 3 is the lower bound plus the constant's
+    /// magnitude (a tile).
+    fn chain_nest(loops: &[(u8, i8, u8, i8, u8)]) -> Vec<NodeBuild> {
+        let mut nodes = Vec::new();
+        for (k, &(lo_shape, lo_c, hi_shape, hi_c, step)) in loops.iter().enumerate() {
+            let bound = |shape: u8, c: i8| {
+                let c = SymExpr::constant(c as i128);
+                match shape {
+                    1 if k > 0 => SymExpr::param(&format!("v{}", k - 1)).add_expr(&c),
+                    1 | 2 => SymExpr::param("n").add_expr(&c),
+                    _ => c,
+                }
+            };
+            let lo = bound(lo_shape, lo_c);
+            let hi = match hi_shape {
+                3 => lo.add_expr(&SymExpr::constant(hi_c.unsigned_abs() as i128)),
+                _ => bound(hi_shape, hi_c),
+            };
+            nodes.push(NodeBuild {
+                parent: k.checked_sub(1),
+                var: format!("v{k}"),
+                lo,
+                hi,
+                step: step as i64,
+            });
+        }
+        nodes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The incremental ladder equals the per-entry reference, or both
+        /// refuse, on random affine indexes (constant or `n`-scaled
+        /// coefficients, an optional square that makes them non-affine)
+        /// over random rectangular, triangular, tiled and strided chains,
+        /// with and without loops pinned at their upper bound.
+        #[test]
+        fn the_incremental_ladder_matches_the_per_entry_reference(
+            loops in vec((0u8..3, -2i8..3, 0u8..4, -3i8..9, 1u8..4), 1..6),
+            coeffs in vec((-3i8..4, any::<bool>()), 5..6),
+            offset in -4i8..5,
+            square in 0u8..12,
+            hi_pins in 0u8..32,
+        ) {
+            let nodes = chain_nest(&loops);
+            let path: Vec<usize> = (0..nodes.len()).collect();
+            let n = SymExpr::param("n");
+            let mut idx = SymExpr::constant(offset as i128);
+            for (node, &(c, scaled)) in nodes.iter().zip(&coeffs) {
+                let coeff = SymExpr::constant(c as i128);
+                let coeff = if scaled { coeff.mul_expr(&n) } else { coeff };
+                idx = idx.add_expr(&coeff.mul_expr(&SymExpr::param(&node.var)));
+            }
+            if let Some(node) = nodes.get(square as usize) {
+                let v = SymExpr::param(&node.var);
+                idx = idx.add_expr(&v.mul_expr(&v));
+            }
+            let hi_pin: BTreeSet<String> = nodes
+                .iter()
+                .enumerate()
+                .filter(|(k, _)| hi_pins & (1 << k) != 0)
+                .map(|(_, node)| node.var.clone())
+                .collect();
+            prop_assert_eq!(
+                ladder(&nodes, &path, &idx, &hi_pin),
+                ref_ladder(&nodes, &path, &idx, &hi_pin)
+            );
+        }
+    }
 
     fn footprint(src: &str, func: &str) -> FuncFootprints {
         let p = frontend(src).expect("parses");
@@ -2871,6 +3008,28 @@ mod tests {
         assert!(analyze_program(&p).nest_model("h", 64).is_none());
     }
 
+    /// A triangular child consumes its ancestor, and every ladder under
+    /// that ancestor pins it at its last iteration, where the child
+    /// sweeps widest. One row of a forward solve at `n = 64` holds
+    /// `l[63·64 .. 63·64+62]` (8 lines) and `l[63·64+63]` (1), `x[0..62]`
+    /// (8) and `x[63]` (1), and `b[63]` (1): 19 lines. Pinned at its
+    /// first row instead, the row would hold 3.
+    #[test]
+    fn a_consumed_ancestor_pins_the_working_set_at_its_last_row() {
+        let p = frontend(
+            "void trisolve(int n, double* l, double* b, double* x) {\n\
+               for (int i = 0; i < n; i++) {\n\
+                 double s = b[i];\n\
+                 for (int j = 0; j < i; j++) { s = s - l[i * n + j] * x[j]; }\n\
+                 x[i] = s / l[i * n + i]; } }",
+        )
+        .unwrap();
+        let nm = analyze_program(&p).nest_model("trisolve", 64).unwrap();
+        let b = bindings(&[("n", 64)]);
+        assert_eq!(nm.nodes[1].extent.eval(&b).unwrap(), Rat::new(63, 2));
+        assert_eq!(nm.nodes[0].ws_lines.eval(&b).unwrap(), Rat::int(19));
+    }
+
     #[test]
     fn straight_line_references_count_once() {
         let nm = nest(
@@ -2920,6 +3079,57 @@ mod tests {
         // found first: stride 1 after fifteen unit extents
         let fp = footprint(&deep_nest(bound, &ties[..15].join(" + ")), "f");
         assert_eq!(fp.array("a").unwrap().stride_bytes, Some(8));
+    }
+
+    /// A caller `depth` loops deep passing the sum of its loop variables
+    /// to a callee whose one loop makes `refs` references `a[m + j + r]`:
+    /// every spliced reference's ladder spans `depth + 1` loops, with an
+    /// index of `depth + 1` terms.
+    fn spliced_under(depth: usize, refs: usize) -> String {
+        let mut src = String::from("void g(int n, int m, double* a) {\n");
+        src.push_str("for (int j = 0; j < n; j++) {\n");
+        for r in 0..refs {
+            src.push_str(&format!("a[m + j + {r}] = 1.0;\n"));
+        }
+        src.push_str("}\n}\nvoid f(int n, double* a) {\n");
+        for k in 0..depth {
+            src.push_str(&format!("for (int i{k} = 0; i{k} < n; i{k}++) {{\n"));
+        }
+        let sum: Vec<String> = (0..depth).map(|k| format!("i{k}")).collect();
+        src.push_str(&format!("g(n, {}, a);\n", sum.join(" + ")));
+        src.push_str(&"}\n".repeat(depth + 1));
+        src
+    }
+
+    /// Does `f`'s nest model refuse on budget? Its access analysis must
+    /// not: the walker never sees the spliced references.
+    fn nest_refuses_on_budget(src: &str) -> bool {
+        let program = frontend(src).unwrap();
+        let (m, walked) = mira_probe::capture(|| analyze_program(&program));
+        assert_eq!(walked.counter("mem.func_refusals"), None);
+        let (built, trace) = mira_probe::capture(|| m.nest_model("f", 64));
+        let refused = trace.counter("mem.nest_refusals").is_some();
+        assert_eq!(built.is_none(), refused);
+        refused
+    }
+
+    /// Where deep splicing first runs the nest model out of fuel. Its
+    /// work grows with depth: each spliced reference's ladder sweeps
+    /// each loop once and pins the outer ones per entry. Four
+    /// references first refuse at depth 49, one builds up to depth 64.
+    #[test]
+    fn spliced_ladders_refuse_on_budget_from_depth_49() {
+        // deep sources recurse deeply in a debug build's parser
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                assert!(!nest_refuses_on_budget(&spliced_under(48, 4)));
+                assert!(nest_refuses_on_budget(&spliced_under(49, 4)));
+                assert!(!nest_refuses_on_budget(&spliced_under(64, 1)));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -102,13 +102,8 @@ fn workload_and_corpus_models_match_the_reference() {
                 compiler: *compiler,
                 ..mira_core::MiraOptions::default()
             };
-            let analysis = match mira_core::analyze_source(src, &opts) {
-                Ok(a) => a,
-                // every program analyzes under the default options; some
-                // refuse vectorized analysis
-                Err(_) if *compiler != mira_vcc::Options::default() => continue,
-                Err(e) => panic!("{name} analyzes: {e}"),
-            };
+            let analysis = mira_core::analyze_source(src, &opts)
+                .unwrap_or_else(|e| panic!("{name} analyzes under {compiler:?}: {e}"));
             let model = &analysis.model;
             let sets = binding_sets(&model.params());
             for (f, fm) in &model.functions {

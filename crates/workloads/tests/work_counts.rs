@@ -1,9 +1,12 @@
-//! Deterministic work counts of the static answer: counts that neither
-//! code layout nor host speed moves, pinned exactly or within a stated
-//! bound.
+//! Deterministic work counts of the static answer and of the cold model
+//! build: counts that neither code layout nor host speed moves, pinned
+//! exactly or within a stated bound.
 //!
 //! * A model report values each distinct atom of its counts once
 //!   (the probe counter `sym.atoms_valued`).
+//! * A model build counts each distinct polyhedral context once
+//!   (`core.contexts_counted`), and the access analysis sweeps each loop
+//!   of a reference's path once (`mem.sweep_steps`).
 //! * A tree-walk placement evaluates closed forms split at analysis and
 //!   builds no expression: its allocations are the atom table's buffer
 //!   and the nest-model header, staged once per placement. The
@@ -137,4 +140,46 @@ fn a_tree_walk_placement_builds_no_expression() {
             assert!(allocs <= 7, "{func} at {b:?}: {allocs} allocations");
         }
     }
+}
+
+/// A probe counter over `f`, zero when nothing bumped it.
+fn counted<T>(name: &str, f: impl FnOnce() -> T) -> i64 {
+    let (_, trace) = mira_probe::capture(f);
+    trace.counter(name).unwrap_or(0)
+}
+
+/// One `analyze_source` of each kernel's program runs the polyhedral
+/// counter once per distinct context (`Ctx::count`): 3/8/7/4/3/4/14,
+/// where counting at every statement line made 6/21/14/8/8/11/67
+/// counts.
+#[test]
+fn a_model_build_counts_each_context_once() {
+    let mut counts = Vec::new();
+    for (_, src, _) in KERNELS {
+        counts.push(counted("core.contexts_counted", || {
+            analyze_source(src, &MiraOptions::default()).unwrap()
+        }));
+    }
+    assert_eq!(counts, [3, 8, 7, 4, 3, 4, 14]);
+}
+
+/// `KernelRoofline::analyze` of every function of each kernel's program
+/// sweeps each loop of an affine reference's path once
+/// (`mem.sweep_steps`): the walker derives each reference's ladder
+/// incrementally, its first entry is the reference's footprint range,
+/// and the nest model reuses it. Deriving each ladder entry on its own,
+/// for the footprint, the walker and the nest model apart, made
+/// 24/198/192/45/25/44/143 steps.
+#[test]
+fn a_roofline_analysis_sweeps_each_loop_once_per_reference() {
+    let mut steps = Vec::new();
+    for (_, src, _) in KERNELS {
+        let analysis = analyze_source(src, &MiraOptions::default()).unwrap();
+        steps.push(counted("mem.sweep_steps", || {
+            for f in analysis.model.functions.keys() {
+                let _ = KernelRoofline::analyze(&analysis, f);
+            }
+        }));
+    }
+    assert_eq!(steps, [6, 51, 24, 9, 14, 24, 69]);
 }
