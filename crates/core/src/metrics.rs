@@ -11,7 +11,7 @@ use mira_isa::Inst;
 use mira_minic::{AnnotValue, Annotation, Expr, ExprKind, Program, Stmt, StmtKind};
 use mira_model::{FuncModel, Model, ModelOp};
 use mira_poly::Polyhedron;
-use mira_sym::{budget, Rat, SymExpr};
+use mira_sym::{Rat, SymExpr};
 use mira_vobj::disasm::{BinInst, BinaryAst};
 use mira_vobj::{LoopMeta, Object};
 use std::cell::OnceCell;
@@ -41,8 +41,8 @@ struct Ctx {
     domain: Polyhedron,
     neg_lattices: Vec<(String, i64, i64)>,
     extra: SymExpr,
-    /// The count, once made, with the fuel making it charged.
-    counted: OnceCell<(SymExpr, u64)>,
+    /// The count, once made.
+    counted: OnceCell<SymExpr>,
 }
 
 impl Ctx {
@@ -67,18 +67,14 @@ impl Ctx {
 
     /// Number of executions of a statement at this context, as a symbolic
     /// expression. Counted once per context: every later call returns
-    /// that count and charges the fuel counting spent
-    /// ([`budget::replay`]), so the metric generator's budget spends, and
-    /// refuses, exactly as if each call had counted.
+    /// that count, and charges no fuel for work it does not do.
     fn count(&self) -> Result<SymExpr, MetricsError> {
-        if let Some((count, fuel)) = self.counted.get() {
-            budget::replay(*fuel);
+        if let Some(count) = self.counted.get() {
             return Ok(count.clone());
         }
         mira_probe::add("core.contexts_counted", 1);
-        let (count, fuel) = budget::metered(|| self.count_domain());
-        let count = count?;
-        let _ = self.counted.set((count.clone(), fuel));
+        let count = self.count_domain()?;
+        let _ = self.counted.set(count.clone());
         Ok(count)
     }
 
@@ -598,15 +594,7 @@ impl<'a> FuncGen<'a> {
         }
 
         // polyhedral path: extract the SCoP
-        let scop = match (init, cond, step) {
-            (Some(i), Some(c), Some(st)) => extract_for_scop(i, c, st, &self.scope),
-            _ => None,
-        };
-        let scop = match scop {
-            Some(s) => Some(s),
-            None => self.scop_from_annotation(s, init),
-        };
-        let Some(scop) = scop else {
+        let Some(scop) = self.loop_scop(s, init, cond, step) else {
             let iters = self.annotated_iters(s.annotation.as_ref(), line);
             return self.counted_loop(line, &iters, ctx, body);
         };
@@ -638,6 +626,22 @@ impl<'a> FuncGen<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The loop's SCoP: from its source bounds, or else from its
+    /// `lp_init` / `lp_cond` annotation.
+    fn loop_scop(
+        &mut self,
+        s: &Stmt,
+        init: &Option<Box<Stmt>>,
+        cond: &Option<Expr>,
+        step: &Option<Expr>,
+    ) -> Option<crate::scop::Scop> {
+        match (init, cond, step) {
+            (Some(i), Some(c), Some(st)) => extract_for_scop(i, c, st, &self.scope),
+            _ => None,
+        }
+        .or_else(|| self.scop_from_annotation(s, init))
     }
 
     /// SCoP assembled from `lp_init` / `lp_cond` annotation variables
@@ -690,10 +694,7 @@ impl<'a> FuncGen<'a> {
             self.metas[i]
         });
 
-        let scop = match (init, cond, step) {
-            (Some(i), Some(c), Some(st)) => extract_for_scop(i, c, st, &self.scope),
-            _ => None,
-        };
+        let scop = self.loop_scop(s, init, cond, step);
         if let Some(scop) = &scop {
             let mut bounds = scop.lo.params().into_iter().chain(scop.hi.params());
             if bounds.any(|p| ctx.has_var(&p)) {
@@ -711,8 +712,8 @@ impl<'a> FuncGen<'a> {
                 .sub_expr(&scop.lo)
                 .add_expr(&SymExpr::constant(1))
                 .clamp0(),
-            // unanalyzable bounds: the annotated trip count, or a model
-            // parameter, as for a scalar loop
+            // no SCoP from the bounds or their annotation: the `lp_iters`
+            // count, or a model parameter, as for a scalar loop
             None => self.annotated_iters(s.annotation.as_ref(), line),
         };
         let vf = main.vector_factor as i64;

@@ -520,3 +520,49 @@ double f(int n, double* a) {
     let r = analysis.report("f", &bindings(&[("n", 10)])).unwrap();
     assert!(r.total() > 0);
 }
+
+/// `depth` loops, each inner one bounded by the one around it, with
+/// `stmts` statements in the innermost body, all at one context.
+fn triangular_nest(depth: usize, stmts: usize) -> String {
+    let mut src = String::from("void f(int n, double* a) {\nfor (int i0 = 0; i0 < n; i0++) {\n");
+    for k in 1..depth {
+        src.push_str(&format!(
+            "for (int i{k} = 0; i{k} <= i{}; i{k}++) {{\n",
+            k - 1
+        ));
+    }
+    for s in 0..stmts {
+        src.push_str(&format!("a[{s}] = a[{s}] + 1.0;\n"));
+    }
+    src.push_str(&"}\n".repeat(depth + 1));
+    src
+}
+
+/// Statements at one context share one count, and a reused count spends
+/// no fuel, so the metric generator's budget refusals can only come
+/// later than counting at every statement: this family's first refusal
+/// is the counter's own limit at depth 33, with one statement or
+/// sixteen. Counting at every statement, sixteen ran out of fuel from
+/// depth 31.
+#[test]
+fn statements_at_one_context_spend_one_count_of_fuel() {
+    // deep sources recurse deeply in a debug build's parser
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            for stmts in [1, 16] {
+                let opts = MiraOptions::default();
+                let deepest = analyze_source(&triangular_nest(32, stmts), &opts);
+                assert!(deepest.is_ok(), "{stmts}: {:?}", deepest.err());
+                match analyze_source(&triangular_nest(33, stmts), &opts) {
+                    Err(crate::MiraError::Metrics(e)) => {
+                        assert!(e.0.contains("domain too complex"), "{stmts}: {e}")
+                    }
+                    other => panic!("{stmts}: {:?}", other.err()),
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}

@@ -40,7 +40,10 @@
 //! (a product with a single-term side, a term that substitution passes
 //! through unchanged, a sum accumulated in place) charges exactly the
 //! fuel of the general path it stands for, so the fuel a scope spends
-//! and the point where it trips never depend on which path ran.
+//! and the point where it trips never depend on which path ran. Work a
+//! caller does not do, such as a value computed once and then reused,
+//! charges nothing: fuel bounds the work done, so removing work can move
+//! a refusal later, never earlier.
 
 use std::cell::Cell;
 use std::fmt;
@@ -172,29 +175,6 @@ pub(crate) fn charge(n: u64) -> bool {
     ok
 }
 
-/// Run `f` and return, with its value, the fuel it charged to the
-/// current scope (zero outside one). A caller that keeps the value and
-/// reuses it instead of recomputing it charges that amount again with
-/// [`replay`], so the scope spends, and trips, as if it had recomputed.
-pub fn metered<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    if !active() {
-        return (f(), 0);
-    }
-    let before = FUEL.with(|c| c.get());
-    let value = f();
-    (value, before.saturating_sub(FUEL.with(|c| c.get())))
-}
-
-/// Charge `spent` units, as recomputing a value [`metered`] measured
-/// would: the scope trips exactly when the recomputation would (when
-/// `spent` reaches the fuel left), with the same cause. A no-op outside
-/// a scope and for zero, which charges nothing when recomputed.
-pub fn replay(spent: u64) {
-    if spent > 0 {
-        charge(spent);
-    }
-}
-
 /// Fuel left in the current scope (the reference differential compares
 /// what each kernel spends).
 #[cfg(test)]
@@ -317,47 +297,6 @@ mod tests {
             SymExpr::param("n") * SymExpr::param("m")
         });
         assert!(r.is_ok());
-        assert!(!active());
-    }
-
-    /// A computation worth a few dozen units, charged piece by piece.
-    fn work() -> SymExpr {
-        let n = SymExpr::param("n") + SymExpr::constant(1);
-        n.clone() * n.clone() * (n + SymExpr::param("m"))
-    }
-
-    #[test]
-    fn a_replayed_charge_trips_where_recomputing_trips() {
-        let recomputed = || {
-            let first = work();
-            (first, work())
-        };
-        let replayed = || {
-            let (first, spent) = metered(work);
-            replay(spent);
-            (first.clone(), first)
-        };
-        let (spent, replay_spent) =
-            with_default_budget(|| (metered(recomputed).1, metered(replayed).1)).unwrap();
-        assert!(spent > 8, "{spent}");
-        assert_eq!(spent, replay_spent);
-        for fuel in [spent - 1, spent, spent + 1] {
-            let a = with_budget(fuel, recomputed).map(|(_, b)| b);
-            let b = with_budget(fuel, replayed).map(|(_, b)| b);
-            assert_eq!(a, b, "at {fuel} of {spent}");
-            assert_eq!(a.is_ok(), fuel > spent);
-        }
-        // every allowance in between trips both, replayed whole or not
-        for fuel in 0..spent {
-            assert_eq!(
-                with_budget(fuel, recomputed).err(),
-                with_budget(fuel, replayed).err(),
-                "at {fuel}"
-            );
-        }
-        // outside a scope nothing is measured or charged
-        assert_eq!(metered(work).1, 0);
-        replay(spent);
         assert!(!active());
     }
 

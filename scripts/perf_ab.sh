@@ -5,17 +5,16 @@
 # The checkout path alone changes the perfbench binary (it feeds the crate
 # metadata hashes, and ThinLTO then inlines differently), and on a shared
 # host one build of each side can read 10-20% apart for identical sources.
-# So each revision is exported with `git archive` to K checkout paths of
-# equal length, perfbench is built at each with the benchmark's own
-# command, and untraced runs alternate base/change pairs on fresh seeds,
-# rotating through the layouts (pair p runs layout p mod K of both sides,
-# base first on odd pairs, change first on even ones).
+# So each revision is exported with `git archive` to three checkout paths
+# of equal length, perfbench is built at each with the benchmark's own
+# command, and untraced runs of BENCHMARK.json's `run_seconds` alternate
+# base/change pairs on fresh seeds, rotating through the layouts (pair p
+# runs layout p mod 3 of both sides, base first on odd pairs, change
+# first on even ones).
 #
 # usage: scripts/perf_ab.sh [options] BASE_REV CHANGE_REV
 #   -w WORKLOAD  cold_model, fleet or validate (default cold_model)
-#   -n PAIRS     alternating pairs, at least LAYOUTS (default 10)
-#   -k LAYOUTS   checkout paths per side, at least 3 (default 3)
-#   -s SECONDS   seconds per run (default 20)
+#   -n PAIRS     alternating pairs, at least 3 (default 10)
 #   -S SEED      pair p runs seed SEED + p on both sides (default 1000)
 #   -d DIR       work directory (default .bench_build/perf_ab)
 #
@@ -23,29 +22,31 @@
 # commit. Run logs go to DIR/runs. For every end-to-end metric the report
 # gives each side's median and interquartile range as printed (normalized
 # by perfbench's calibration probe) and raw, with the probe's factor
-# undone: times x probe median / 250 us, rates x 250 us / probe median,
-# peak RSS as printed. It gives the change in medians, the pairs the change
-# won, and the spread of the per-layout medians. A metric moves only when
-# its median gap exceeds both the base's IQR and the larger layout spread;
-# otherwise the verdict is "no change". The script exits 1 when any run
-# fails ops (`failed` above 0) or a pair's two answer hashes differ.
+# undone: times x probe median / reference, rates x reference / probe
+# median, peak RSS as printed, with the probe median and the reference
+# read from each run's output. It gives the change in medians, the pairs
+# the change won, and the spread of the per-layout medians. A metric
+# moves only when its median gap exceeds both the base's IQR and the
+# larger layout spread; otherwise the verdict is "no change". The script
+# exits 1 when any run fails ops (`failed` above 0) or a pair's two answer
+# hashes differ.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload=cold_model pairs=10 layouts=3 seconds=20 seed=1000 dir=.bench_build/perf_ab
-while getopts "w:n:k:s:S:d:" opt; do
+layouts=3
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+workload=cold_model pairs=10 seed=1000 dir=.bench_build/perf_ab
+while getopts "w:n:S:d:" opt; do
     case $opt in
         w) workload=$OPTARG ;;
         n) pairs=$OPTARG ;;
-        k) layouts=$OPTARG ;;
-        s) seconds=$OPTARG ;;
         S) seed=$OPTARG ;;
         d) dir=$OPTARG ;;
         *) sed -n '2,/^set -euo/p' "$0" | sed '$d' >&2; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
-if [ $# -ne 2 ] || [ "$layouts" -lt 3 ] || [ "$pairs" -lt "$layouts" ]; then
+if [ $# -ne 2 ] || [ "$pairs" -lt "$layouts" ]; then
     sed -n '2,/^set -euo/p' "$0" | sed '$d' >&2
     exit 2
 fi
@@ -100,7 +101,6 @@ import json, re, sys
 
 runs, workload, pairs, layouts, base, change = sys.argv[1:]
 pairs, layouts = int(pairs), int(layouts)
-CAL_REF_US = 250.0
 # (metric, better, how the probe factor is undone: time, rate or none)
 METRICS = [
     ("setup_s", "lower", "time"),
@@ -115,17 +115,19 @@ METRICS = [
 def parse(side, p):
     text = open(f"{runs}/{workload}-{side}-p{p}.txt").read()
     last = json.loads(text.strip().splitlines()[-1])
-    probe = float(re.search(r"calibration probe median ([0-9.]+) us", text).group(1))
+    probe, ref = map(float, re.search(
+        r"calibration probe median ([0-9.]+) us \(reference ([0-9.]+) us\)", text).groups())
     answer = re.search(r"answer_hash ([0-9a-f]+)", text).group(1)
     values = {m: v["value"] for m, v in last["metrics"].items()}
-    return {"failed": last["failed"], "probe": probe, "hash": answer, "values": values}
+    return {"failed": last["failed"], "probe": probe, "ref": ref, "hash": answer,
+            "values": values}
 
 def raw(run, metric, kind):
     v = run["values"][metric]
     if kind == "time":
-        return v * run["probe"] / CAL_REF_US
+        return v * run["probe"] / run["ref"]
     if kind == "rate":
-        return v * CAL_REF_US / run["probe"]
+        return v * run["ref"] / run["probe"]
     return v
 
 def quantile(xs, q):
